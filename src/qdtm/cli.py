@@ -10,12 +10,12 @@ import sys
 
 from . import __version__
 from .concepts import extract_concept_words
-from .corpus import IngestionError, PreprocessOptions, ingest_jsonl
-from .embeddings import EmbeddingError, load_embeddings
+from .corpus import PreprocessOptions, ingest_jsonl
+from .embeddings import load_embeddings
 from .metrics import npmi_coherence, subtopic_report
 from .pipeline import fit_topics
-from .retrieval import RetrievalError, parse_query, precision_at_k, retrieve
-from .sampler import Hyperparameters, SamplerError
+from .retrieval import parse_query, precision_at_k, retrieve
+from .sampler import Hyperparameters
 from .synth import SyntheticSpec, block_embeddings, generate, write_embeddings, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -121,8 +121,9 @@ def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                  argv: list[str]) -> argparse.Namespace:
     """Overlay config-file values under explicitly passed flags.
 
-    Unknown config keys are rejected. A flag present on the command line
-    always wins; otherwise the config value replaces the default.
+    A config key is the dest (`lam`) or the flag name (`lambda`) of one of
+    the command's options; other keys are rejected. A flag present on the
+    command line always wins; otherwise the config value replaces the default.
     """
     if not args.config:
         return args
@@ -133,12 +134,21 @@ def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
         raise ValidationError(f"cannot read config {args.config}: {e}") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
-    known = set(vars(args))
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv
-                if a.startswith("--")}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    option_dests = {opt: a.dest for a in sub.choices[args.command]._actions
+                    for opt in a.option_strings if a.dest != "help"}
+    explicit = set()
+    for a in argv:
+        if a.startswith("--"):
+            flag = a.split("=", 1)[0]
+            # argparse also accepts an unambiguous prefix of a long option
+            matches = [o for o in option_dests if o == flag] or [
+                o for o in option_dests if o.startswith(flag)]
+            if len(matches) == 1:
+                explicit.add(option_dests[matches[0]])
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        dest = key if key in option_dests.values() else option_dests.get(f"--{key}")
+        if dest is None:
             raise ValidationError(f"unknown config key: {key!r}")
         if dest not in explicit:
             setattr(args, dest, value)
@@ -147,15 +157,13 @@ def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _load_corpus(args):
     stopwords = frozenset()
-    list_id = "none"
     if args.stopwords:
         if not os.path.exists(args.stopwords):
             raise ValidationError(f"stopword file not found: {args.stopwords}")
         with open(args.stopwords) as fh:
             stopwords = frozenset(w.strip() for w in fh if w.strip())
-        list_id = os.path.basename(args.stopwords)
     options = PreprocessOptions(lowercase=not args.keep_case, min_df=args.min_df,
-                                stopwords=stopwords, stopword_list_id=list_id)
+                                stopwords=stopwords)
     if not os.path.exists(args.corpus):
         raise ValidationError(f"corpus file not found: {args.corpus}")
     return ingest_jsonl(args.corpus, options)
@@ -169,21 +177,38 @@ def _load_embeddings(args, corpus):
     return load_embeddings(args.embeddings, corpus.vocab)
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _write_atomic(path: str, text: str) -> None:
+    """Write through a temp file and `os.replace`.
+
+    A failed write leaves any existing file at `path` untouched and no
+    partial file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def _write_manifest(out_path: str, args: argparse.Namespace) -> None:
+def _write_manifest(args: argparse.Namespace) -> None:
     manifest = {k: v for k, v in vars(args).items() if k != "command"}
     manifest["command"] = args.command
     manifest["qdtm_version"] = __version__
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_atomic(args.out + ".manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    """Print the payload, or write it to `--out` together with its manifest."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out:
+        _write_atomic(args.out, text + "\n")
+        _write_manifest(args)
+    else:
+        print(text)
 
 
 def cmd_retrieve(args) -> None:
@@ -198,9 +223,7 @@ def cmd_retrieve(args) -> None:
             for i, s in result.entries
         ],
     }
-    _emit(payload, args.out)
-    if args.out:
-        _write_manifest(args.out, args)
+    _emit(payload, args)
 
 
 def cmd_expand(args) -> None:
@@ -218,9 +241,7 @@ def cmd_expand(args) -> None:
         "words": [{"token": corpus.vocab.token_of(w), "score": s}
                   for w, s in cs.words],
     }
-    _emit(payload, args.out)
-    if args.out:
-        _write_manifest(args.out, args)
+    _emit(payload, args)
 
 
 def _fit_queries(args) -> list[str]:
@@ -255,8 +276,7 @@ def cmd_fit(args) -> None:
         n_concepts=args.n, lam=args.lam, sim_top_k=args.topk,
         target_labels=args.target_label, full_posterior=args.full_posterior,
         checkpoint_path=args.checkpoint)
-    _emit(result.to_dict(full_posterior=args.full_posterior), args.out)
-    _write_manifest(args.out, args)
+    _emit(result.to_dict(), args)
 
 
 def cmd_eval(args) -> None:
@@ -297,9 +317,7 @@ def cmd_eval(args) -> None:
         entry.update(subtopic_report(parent_words, sub_lists, table, vocab_index))
         entry["npmi"] = npmi_coherence([w for w, _ in parent_words], corpus)
         report["queries"].append(entry)
-    _emit(report, args.out)
-    if args.out:
-        _write_manifest(args.out, args)
+    _emit(report, args)
 
 
 def cmd_synth(args) -> None:
@@ -314,7 +332,7 @@ def cmd_synth(args) -> None:
         json.dump(truth, fh, indent=2, sort_keys=True)
     if args.embeddings_out:
         write_embeddings(block_embeddings(spec), args.embeddings_out)
-    _write_manifest(args.out, args)
+    _write_manifest(args)
 
 
 COMMANDS = {
@@ -325,16 +343,6 @@ COMMANDS = {
     "synth": cmd_synth,
 }
 
-_VALIDATION_ERRORS = (ValidationError, IngestionError, RetrievalError,
-                      SamplerError, EmbeddingError, ValueError)
-
-
-def _cleanup(args) -> None:
-    out = getattr(args, "out", None)
-    if out and os.path.exists(out):
-        os.remove(out)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -344,13 +352,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = apply_config(parser, args, argv)
         COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as e:
+    except ValueError as e:   # every qdtm validation error is a ValueError
         print(json.dumps({"error": "validation", "message": str(e)}), file=sys.stderr)
-        _cleanup(args)
         return EXIT_VALIDATION
     except Exception as e:  # noqa: BLE001 - map anything else to a runtime failure
         print(json.dumps({"error": "runtime", "message": str(e)}), file=sys.stderr)
-        _cleanup(args)
         return EXIT_RUNTIME
     return EXIT_OK
 

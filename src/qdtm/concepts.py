@@ -47,25 +47,6 @@ def retrieved_counts(corpus: Corpus, retrieved: RetrievedSet) -> tuple[Counter, 
     return counts, total
 
 
-def score_fre(wid: int, corpus: Corpus, retrieved: RetrievedSet) -> float:
-    """Summed term frequency of the word over the retrieved documents."""
-    return float(sum(corpus.documents[idx].counts.get(wid, 0)
-                     for idx, _ in retrieved.entries))
-
-
-def score_kld(wid: int, corpus: Corpus, retrieved: RetrievedSet,
-              _cache: tuple[Counter, int] | None = None) -> float:
-    """P_R(w) * ln(P_R(w)/P_C(w)); 0 when P_R(w) = 0 (limit convention)."""
-    counts, total = _cache if _cache is not None else retrieved_counts(corpus, retrieved)
-    n = counts.get(wid, 0)
-    if n == 0:
-        return 0.0
-    pr = n / total
-    pc = corpus.background_prob(wid)
-    assert pc > 0, "retrieved word missing from corpus background"
-    return pr * math.log(pr / pc)
-
-
 def relevance_model_distribution(corpus: Corpus, retrieved: RetrievedSet) -> np.ndarray:
     """p(w|RM) over the vocabulary: sum_d p(w|d) * p_hat(d|q).
 
@@ -91,10 +72,6 @@ def relevance_model_distribution(corpus: Corpus, retrieved: RetrievedSet) -> np.
     return dist
 
 
-def relevance_model_prob(wid: int, corpus: Corpus, retrieved: RetrievedSet) -> float:
-    return float(relevance_model_distribution(corpus, retrieved)[wid])
-
-
 def normalized_query_similarity(query: Query, table: EmbeddingTable,
                                 top_k: int = DEFAULT_SIM_TOP_K) -> dict[int, float]:
     """sim(w, q) renormalized over the top-k terms most similar to the query.
@@ -118,23 +95,11 @@ def normalized_query_similarity(query: Query, table: EmbeddingTable,
     return {int(w): float(sims[w]) / total for w in order}
 
 
-def score_rel(wid: int, query: Query, corpus: Corpus, retrieved: RetrievedSet,
-              table: EmbeddingTable, lam: float = DEFAULT_LAMBDA,
-              top_k: int = DEFAULT_SIM_TOP_K) -> float:
-    """lambda * p(w|RM) + (1 - lambda) * normalized top-k similarity."""
-    if not 0 <= lam <= 1:
-        raise ExtractionError(f"lambda must be in [0,1], got {lam}")
-    rm = relevance_model_prob(wid, corpus, retrieved)
-    sim = normalized_query_similarity(query, table, top_k).get(wid, 0.0)
-    return lam * rm + (1 - lam) * sim
-
-
 def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
                           method: str, n: int = DEFAULT_N, *,
                           table: EmbeddingTable | None = None,
                           lam: float = DEFAULT_LAMBDA,
-                          top_k: int = DEFAULT_SIM_TOP_K,
-                          exclude_query_terms: bool = False) -> ConceptWordSet:
+                          top_k: int = DEFAULT_SIM_TOP_K) -> ConceptWordSet:
     """Top-n vocabulary words by the chosen scorer; ties break by token id.
 
     Only positive-scoring words are eligible; when fewer than n exist, all of
@@ -153,10 +118,11 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
         for wid, c in counts.items():
             scores[wid] = float(c)
     elif method == "kld":
-        cache = retrieved_counts(corpus, retrieved)
-        counts, _ = cache
-        for wid in counts:
-            scores[wid] = score_kld(wid, corpus, retrieved, _cache=cache)
+        # P_R(w) * ln(P_R(w)/P_C(w)) over the words the retrieved set contains
+        counts, total = retrieved_counts(corpus, retrieved)
+        for wid, c in counts.items():
+            pr = c / total
+            scores[wid] = pr * math.log(pr / corpus.background_prob(wid))
     else:
         if table is None:
             raise ExtractionError("REL extraction requires embeddings")
@@ -170,10 +136,6 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
         scores = lam * rm
         for wid, s in sim.items():
             scores[wid] += (1 - lam) * s
-
-    if exclude_query_terms:
-        for t in query.terms:
-            scores[t] = 0.0
 
     positive = np.nonzero(scores > 0)[0]
     ranked = sorted(positive, key=lambda w: (-scores[w], w))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 logger = logging.getLogger(__name__)
 
-CORPUS_FORMAT_TAG = "qdtm-corpus-v1"
+MIN_TOKEN_LEN = 2   # shorter tokens are dropped, as are all-digit ones
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _TOKEN_RE_CASED = re.compile(r"[A-Za-z0-9]+")
@@ -37,11 +37,8 @@ class PreprocessOptions:
     """
 
     lowercase: bool = True
-    min_token_len: int = 2
-    drop_numeric: bool = True
     min_df: int = 1
     stopwords: frozenset = frozenset()
-    stopword_list_id: str = "none"
 
     def __post_init__(self):
         if self.min_df < 1:
@@ -53,39 +50,15 @@ class PreprocessOptions:
             tokens = _TOKEN_RE.findall(text.lower())
         else:
             tokens = _TOKEN_RE_CASED.findall(text)
-        out = []
-        for tok in tokens:
-            if len(tok) < self.min_token_len:
-                continue
-            if self.drop_numeric and tok.isdigit():
-                continue
-            out.append(tok)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "lowercase": self.lowercase,
-            "min_token_len": self.min_token_len,
-            "drop_numeric": self.drop_numeric,
-            "min_df": self.min_df,
-            "stopwords": sorted(self.stopwords),
-            "stopword_list_id": self.stopword_list_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PreprocessOptions":
-        d = dict(d)
-        d["stopwords"] = frozenset(d.get("stopwords", ()))
-        return cls(**d)
+        return [t for t in tokens if len(t) >= MIN_TOKEN_LEN and not t.isdigit()]
 
 
 class Vocabulary:
-    """Token <-> id bijection with document/corpus frequency statistics."""
+    """Token <-> id bijection with corpus frequency statistics."""
 
     def __init__(self):
         self.tokens: list[str] = []
         self.index: dict[str, int] = {}
-        self.doc_freq: list[int] = []
         self.corpus_freq: list[int] = []
         self.total_tokens: int = 0
 
@@ -101,7 +74,6 @@ class Vocabulary:
             wid = len(self.tokens)
             self.index[token] = wid
             self.tokens.append(token)
-            self.doc_freq.append(0)
             self.corpus_freq.append(0)
         return wid
 
@@ -121,24 +93,6 @@ class Vocabulary:
         if not 0 <= wid < len(self.tokens):
             raise UnknownTokenError(wid)
         return self.corpus_freq[wid] / self.total_tokens
-
-    def to_dict(self) -> dict:
-        return {
-            "tokens": self.tokens,
-            "doc_freq": self.doc_freq,
-            "corpus_freq": self.corpus_freq,
-            "total_tokens": self.total_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Vocabulary":
-        v = cls()
-        v.tokens = list(d["tokens"])
-        v.index = {t: i for i, t in enumerate(v.tokens)}
-        v.doc_freq = list(d["doc_freq"])
-        v.corpus_freq = list(d["corpus_freq"])
-        v.total_tokens = int(d["total_tokens"])
-        return v
 
 
 @dataclass
@@ -168,46 +122,6 @@ class Corpus:
 
     def background_prob(self, wid: int) -> float:
         return self.vocab.background_prob(wid)
-
-    def save(self, path) -> None:
-        payload = {
-            "format": CORPUS_FORMAT_TAG,
-            "options": self.options.to_dict(),
-            "vocabulary": self.vocab.to_dict(),
-            "dropped_documents": self.dropped_documents,
-            "documents": [
-                {"id": d.doc_id, "tokens": d.tokens, "label": d.label}
-                for d in self.documents
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "Corpus":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("format") != CORPUS_FORMAT_TAG:
-            raise IngestionError(f"unsupported corpus format: {payload.get('format')!r}")
-        docs = [
-            Document(d["id"], list(d["tokens"]), d.get("label"))
-            for d in payload["documents"]
-        ]
-        return cls(
-            documents=docs,
-            vocab=Vocabulary.from_dict(payload["vocabulary"]),
-            options=PreprocessOptions.from_dict(payload["options"]),
-            dropped_documents=payload.get("dropped_documents", 0),
-        )
-
-
-def term_frequency(wid: int, doc: Document, vocab: Vocabulary | None = None) -> int:
-    """Occurrences of the word in the document; 0 when absent."""
-    if vocab is not None and not 0 <= wid < len(vocab):
-        raise UnknownTokenError(wid)
-    if not isinstance(wid, int) or wid < 0:
-        raise UnknownTokenError(wid)
-    return doc.counts.get(wid, 0)
 
 
 def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
@@ -250,8 +164,6 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
             continue
         doc = Document(doc_id, ids, label)
         documents.append(doc)
-        for wid in doc.counts:
-            vocab.doc_freq[wid] += 1
         for wid, n in doc.counts.items():
             vocab.corpus_freq[wid] += n
         vocab.total_tokens += len(ids)

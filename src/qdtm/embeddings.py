@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,17 +111,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclass
-class RelatednessMatrix:
-    """Sparse (vocab word, concept word) pairs with cosine >= tau."""
-
-    pairs: dict[tuple[int, int], float]
-    tau: float
-    concept_words: frozenset = frozenset()
-
-
-@dataclass
 class PromotionMatrix:
-    """Promotion amounts: 1 on matched self-pairs, u on matched cross-pairs.
+    """Promotion rows over the (vocab word, concept word) pairs with cosine >= tau.
 
     `rows` groups pairs by the sampled word: rows[w] is a list of
     (target word, is_self) entries; the promotion amount is 1 for self
@@ -132,47 +122,30 @@ class PromotionMatrix:
     u: float
     rows: dict[int, list[tuple[int, bool]]] = field(default_factory=dict)
 
-    def amount(self, wi: int, wq: int) -> float:
-        for target, is_self in self.rows.get(wi, ()):
-            if target == wq:
-                return 1.0 if is_self else self.u
-        return 0.0
 
-    def row_mass(self, wi: int) -> float:
-        """Total table-mass increment when the word is sampled with GPU on."""
-        row = self.rows.get(wi, ())
-        return sum(1.0 if is_self else self.u for _, is_self in row)
-
-
-def build_relatedness(table: EmbeddingTable, concept_words, tau: float) -> RelatednessMatrix:
-    """All (w_i, w_q) pairs over vocabulary x concept words with cosine >= tau.
+def build_promotion(table: EmbeddingTable, concept_words, tau: float,
+                    u: float) -> PromotionMatrix:
+    """Rows for all (w_i, w_q) pairs over vocabulary x concept words with cosine >= tau.
 
     Concept words without an embedding are excluded with a warning; self-pairs
     for embedded concept words are always present (cosine 1 >= tau).
     """
-    pairs: dict[tuple[int, int], float] = {}
+    if not 0 < u < 1:
+        raise EmbeddingError(f"promotion weight u must be in (0,1), got {u}")
+    pairs: set[tuple[int, int]] = set()
     norms = table.norm_matrix()
     embedded = np.zeros(table.vocab_size, dtype=bool)
     embedded[list(table.vectors)] = True
-    kept = []
     for wq in concept_words:
         qv = table.get(wq)
         if qv is None:
             logger.warning("concept word id %d has no embedding; excluded from relatedness", wq)
             continue
-        kept.append(wq)
         nq = np.linalg.norm(qv)
         sims = norms @ (qv / nq)
-        for wi in np.nonzero((sims >= tau) & embedded)[0]:
-            pairs[(int(wi), wq)] = float(sims[wi])
-        pairs[(wq, wq)] = 1.0
-    return RelatednessMatrix(pairs, tau, frozenset(kept))
-
-
-def build_promotion(matrix: RelatednessMatrix, u: float) -> PromotionMatrix:
-    if not 0 < u < 1:
-        raise EmbeddingError(f"promotion weight u must be in (0,1), got {u}")
+        pairs.update((int(wi), wq) for wi in np.nonzero((sims >= tau) & embedded)[0])
+        pairs.add((wq, wq))
     promo = PromotionMatrix(u)
-    for (wi, wq) in sorted(matrix.pairs):
+    for (wi, wq) in sorted(pairs):
         promo.rows.setdefault(wi, []).append((wq, wi == wq))
     return promo

@@ -5,20 +5,20 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .concepts import ConceptWordSet, extract_concept_words
 from .corpus import Corpus
-from .embeddings import (EmbeddingTable, PromotionMatrix, build_promotion,
-                         build_relatedness)
+from .embeddings import EmbeddingTable, PromotionMatrix, build_promotion
 from .retrieval import parse_query, retrieve
 from .sampler import HDPSampler, Hyperparameters, SamplerError
 
 logger = logging.getLogger(__name__)
 
 RESULT_FORMAT_TAG = "qdtm-result-v1"
+N_TOP_WORDS = 10   # words reported per parent topic and subtopic
 
 
 class ParentTopicError(SamplerError):
@@ -51,7 +51,7 @@ class TopicModelResult:
     theta: dict[str, list[float]] | None = None
     topic_order: list[int] | None = None
 
-    def to_dict(self, full_posterior: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "format": RESULT_FORMAT_TAG,
             "metadata": self.metadata,
@@ -75,7 +75,7 @@ class TopicModelResult:
                 for q in self.queries
             ],
         }
-        if full_posterior and self.phi is not None:
+        if self.phi is not None:
             out["phi"] = {str(k): v for k, v in self.phi.items()}
             out["theta"] = self.theta
             out["topic_order"] = self.topic_order
@@ -105,7 +105,7 @@ def extract_parent_subcorpus(sampler: HDPSampler, parent: int,
 
 
 def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters,
-               seed: int, total_corpus_tokens: int, *,
+               seed: int, *,
                iterations: int = 500,
                promotion: PromotionMatrix | None = None,
                embedding_norms: np.ndarray | None = None,
@@ -171,7 +171,6 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
                n_concepts: int = 10,
                lam: float = 0.5,
                sim_top_k: int = 100,
-               n_top_words: int = 10,
                target_labels: list[str] | None = None,
                full_posterior: bool = False,
                check_invariants: bool = False,
@@ -207,8 +206,8 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
     norms = None
     if embeddings is not None:
         all_concepts = sorted({w for cs in concept_sets for w in cs.word_ids()})
-        matrix = build_relatedness(embeddings, all_concepts, hp.cosine_threshold)
-        promotion = build_promotion(matrix, hp.promotion_weight)
+        promotion = build_promotion(embeddings, all_concepts, hp.cosine_threshold,
+                                    hp.promotion_weight)
         norms = embeddings.norm_matrix()
 
     parent_reps = {q_idx: cs.word_ids() for q_idx, cs in enumerate(concept_sets)}
@@ -243,7 +242,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
     for q_idx, cs in enumerate(concept_sets):
         sub_docs, _, support = extract_parent_subcorpus(sampler, q_idx, doc_ids)
         sub_sampler, scope, counts = run_phase2(
-            sub_docs, support, hp, seed + 1 + q_idx, total_tokens,
+            sub_docs, support, hp, seed + 1 + q_idx,
             iterations=iterations_phase2, promotion=promotion,
             embedding_norms=norms, check_invariants=check_invariants)
         survivors = prune_subtopics(counts, total_tokens, hp.prevalence_floor)
@@ -252,7 +251,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
         if survivors:
             for k in survivors:
                 tops = [(vocab.token_of(scope[w]), p)
-                        for w, p in sub_sampler.top_words(k, n_top_words)]
+                        for w, p in sub_sampler.top_words(k, N_TOP_WORDS)]
                 sub_support = sorted(
                     w for w in range(len(scope))
                     if sub_sampler.nkw_units[k][w] or sub_sampler.nkw_promos[k][w])
@@ -268,7 +267,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
             parent_mass = sum(len(d) for d in sub_docs)
             subtopics.append(Subtopic(
                 top_words=[(vocab.token_of(w), p)
-                           for w, p in sampler.top_words(q_idx, n_top_words)],
+                           for w, p in sampler.top_words(q_idx, N_TOP_WORDS)],
                 prevalence=parent_mass / total_tokens,
                 support=[vocab.token_of(w) for w in sorted(support)],
             ))
@@ -278,7 +277,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
             parent_topic=q_idx,
             concept_words=[(vocab.token_of(w), s) for w, s in cs.words],
             parent_top_words=[(vocab.token_of(w), p)
-                              for w, p in sampler.top_words(q_idx, n_top_words)],
+                              for w, p in sampler.top_words(q_idx, N_TOP_WORDS)],
             parent_doc_scores={doc_ids[j]: float(theta[j, col[q_idx]])
                                for j in range(len(docs))},
             subtopics=subtopics,
@@ -294,14 +293,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
         "retrieval_cutoff": retrieval_cutoff,
         "mu": mu,
         "n_concepts": n_concepts,
-        "hyperparameters": {
-            "alpha": hp.alpha, "beta": hp.beta, "gamma": hp.gamma,
-            "initial_topics": hp.initial_topics,
-            "cosine_threshold": hp.cosine_threshold,
-            "promotion_weight": hp.promotion_weight,
-            "n_representatives": hp.n_representatives,
-            "prevalence_floor": hp.prevalence_floor,
-        },
+        "hyperparameters": asdict(hp),
         "live_topics_phase1": len(topics),
     }
     result = TopicModelResult(query_results, metadata)

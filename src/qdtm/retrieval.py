@@ -38,9 +38,6 @@ class RetrievedSet:
     entries: list[tuple[int, float]]  # (document index, log score), descending
     cutoff: int
 
-    def doc_indices(self) -> list[int]:
-        return [i for i, _ in self.entries]
-
 
 def parse_query(phrase: str, corpus: Corpus, mode: str = "or") -> Query:
     """Tokenize a query phrase with the corpus manifest and map to ids.
@@ -59,14 +56,18 @@ def parse_query(phrase: str, corpus: Corpus, mode: str = "or") -> Query:
     return Query(terms, phrase, mode, oov)
 
 
+def _check_mu(mu: float) -> None:
+    if not 0 <= mu < math.inf:
+        raise RetrievalError(f"mu must be finite and >= 0, got {mu}")
+
+
 def query_likelihood(doc: Document, query: Query, corpus: Corpus, mu: float = DEFAULT_MU) -> float:
     """Log query likelihood under a Dirichlet-smoothed document language model.
 
     p(q_i|d) = (tf(q_i,d) + mu * P_C(q_i)) / (|d| + mu); mu=0 is the MLE and
     yields -inf for documents missing a query term.
     """
-    if mu < 0:
-        raise RetrievalError("mu must be >= 0")
+    _check_mu(mu)
     n = len(doc)
     score = 0.0
     for wid in query.terms:
@@ -87,6 +88,7 @@ def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
     """
     if cutoff < 1:
         raise RetrievalError("cutoff must be >= 1")
+    _check_mu(mu)
     term_set = set(query.terms)
     candidates = []
     for idx, doc in enumerate(corpus.documents):

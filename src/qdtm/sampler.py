@@ -9,7 +9,8 @@ emptiness checks are exact.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +39,9 @@ class Hyperparameters:
     prevalence_floor: float = 0.005  # subtopics below this corpus share are pruned
 
     def validate(self, n_queries: int = 0) -> None:
+        for name in ("alpha", "beta", "gamma", "cosine_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise SamplerError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
             raise SamplerError("alpha, beta and gamma must be positive")
         if self.initial_topics < n_queries + 1:
@@ -74,7 +78,6 @@ class HDPSampler:
         self.rng = np.random.default_rng(seed)
         self.forced_topic = dict(forced_topic or {})
         self.n_parents = n_parents
-        self.promotion = promotion
         self.promo_rows = promotion.rows if promotion is not None else {}
         self.embedding_norms = embedding_norms
         self.parent_representatives = parent_representatives or {}
@@ -115,17 +118,11 @@ class HDPSampler:
             self.nk_units[k] = 0
             self.nk_promos[k] = 0
 
-    def count(self, units: int, promos: int) -> float:
-        return units + self.u * promos
-
     def nkw(self, k: int, w: int) -> float:
         return self.nkw_units[k][w] + self.u * self.nkw_promos[k][w]
 
     def nk(self, k: int) -> float:
         return self.nk_units[k] + self.u * self.nk_promos[k]
-
-    def table_mass(self, j: int, t: int) -> float:
-        return self.table_units[j][t] + self.u * self.table_promos[j][t]
 
     def live_topics(self) -> list[int]:
         return sorted(self.m_k)
@@ -263,10 +260,6 @@ class HDPSampler:
         """Dirichlet-multinomial predictive probability of word w under topic k."""
         beta = self.hp.beta
         return (self.nkw(k, w) + beta) / (self.nk(k) + self.V * beta)
-
-    def f_new(self) -> float:
-        """Prior density of a brand-new topic (1/|V|, or 1/|scope| in phase 2)."""
-        return self.base_density
 
     def new_table_likelihood(self, w: int) -> float:
         """Mixture p(w | t_new): sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new."""
@@ -534,9 +527,10 @@ class HDPSampler:
         prior = self.hp.alpha / len(topics)
         out = np.full((len(self.docs), len(topics)), prior)
         for j in range(len(self.docs)):
+            units, promos = self.table_units[j], self.table_promos[j]
             for t, k in enumerate(self.table_topic[j]):
                 if k >= 0:
-                    out[j, col[k]] += self.table_mass(j, t)
+                    out[j, col[k]] += units[t] + self.u * promos[t]
         out /= out.sum(axis=1, keepdims=True)
         return topics, out
 

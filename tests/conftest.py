@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qdtm.corpus import PreprocessOptions, ingest
-from qdtm.embeddings import EmbeddingTable
+from qdtm.corpus import ingest
+
+from helpers import make_table
 
 
 @pytest.fixture
@@ -30,12 +31,6 @@ def random_corpus():
             ids = rng.integers(20, 120, size=30)
         docs.append((f"doc{j}", " ".join(words[i] for i in ids)))
     return ingest(docs)
-
-
-def make_table(vectors: dict[int, list[float]], vocab_size: int) -> EmbeddingTable:
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim, {k: np.array(v, dtype=float) for k, v in vectors.items()},
-                          vocab_size)
 
 
 @pytest.fixture

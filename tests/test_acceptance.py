@@ -16,7 +16,7 @@ import pytest
 from qdtm.cli import EXIT_OK, main
 from qdtm.concepts import extract_concept_words
 from qdtm.corpus import ingest
-from qdtm.embeddings import EmbeddingTable, PromotionMatrix, build_promotion, build_relatedness
+from qdtm.embeddings import EmbeddingTable, PromotionMatrix, build_promotion
 from qdtm.metrics import overall_quality
 from qdtm.pipeline import fit_topics, prune_subtopics, run_phase2
 from qdtm.retrieval import parse_query, precision_at_k, retrieve
@@ -320,8 +320,8 @@ def audited_phase1_run():
     cs = extract_concept_words(corpus, query, retrieved, "kld", 10)
     forced = {w: 0 for w in cs.word_ids()}
 
-    matrix = build_relatedness(table, cs.word_ids(), hp.cosine_threshold)
-    promotion = build_promotion(matrix, hp.promotion_weight)
+    promotion = build_promotion(table, cs.word_ids(), hp.cosine_threshold,
+                                hp.promotion_weight)
 
     sampler = HDPSampler([d.tokens for d in corpus.documents], len(corpus.vocab),
                          hp, seed=3, forced_topic=forced, n_parents=1,
@@ -498,8 +498,7 @@ def test_criterion_08_subtopic_separation(report):
 
     sampler, scope, counts = run_phase2(
         sub_docs, support, Hyperparameters(initial_topics=4), seed=11,
-        total_corpus_tokens=total_corpus_tokens, iterations=80,
-        check_invariants=True)
+        iterations=80, check_invariants=True)
     survivors = prune_subtopics(counts, total_corpus_tokens, 0.005)
 
     # pruning drops exactly the under-floor topics
@@ -575,10 +574,10 @@ def test_criterion_10_promotion_flag_statistics(report):
     s2._attach(0, 1, t, 1)
     assert s2.table_units[0][t] - units0 == 1       # the self-pair
     assert s2.table_promos[0][t] - promos0 == 2     # the two cross-pairs
-    delta = s2.table_mass(0, t) - (units0 + 0.3 * promos0)
-    assert delta == pytest.approx(promo.row_mass(3), abs=1e-12)
-    assert s2.nk(k) - nk0 == pytest.approx(promo.row_mass(3), abs=1e-12)
+    delta = (s2.table_units[0][t] + 0.3 * s2.table_promos[0][t]) - (units0 + 0.3 * promos0)
+    assert delta == pytest.approx(1 + 0.3 + 0.3, abs=1e-12)
+    assert s2.nk(k) - nk0 == pytest.approx(1 + 0.3 + 0.3, abs=1e-12)
     assert s2.nkw_units[k][3] == 1  # the self-pair lands on the word itself
     assert s2.nkw_promos[k][0] == 1 and s2.nkw_promos[k][4] == 1
     report(10, f"middle-rank flag frequency {freq:.3f} within 0.5+-0.02; "
-               f"flagged add moved exactly {promo.row_mass(3):.1f} mass")
+               f"flagged add moved exactly {1 + 0.3 + 0.3:.1f} mass")

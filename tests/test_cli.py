@@ -126,3 +126,56 @@ def test_fit_then_eval_smoke(small_corpus, tmp_path, capsys):
     assert entry["precision_at_k"] is not None
     assert entry["diversity"] is not None
     assert "npmi" in entry
+
+
+def test_failed_run_keeps_existing_out_file(small_corpus, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_bytes(b"x\n")
+    rc = main(["fit", "--corpus", str(small_corpus), "--query", "zzzz",
+               "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert out.read_bytes() == b"x\n"
+    assert not (tmp_path / "r.json.manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("r.json")) == [
+        "r.json"]   # no temp file left behind
+
+
+def _expand_manifest(small_corpus, tmp_path, cfg: dict, flags: list[str]) -> dict:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "words.json"
+    assert main(["--config", str(path), "expand", "--corpus", str(small_corpus),
+                 "--query", "w0000", "--out", str(out), *flags]) == EXIT_OK
+    return json.loads((tmp_path / "words.json.manifest.json").read_text())
+
+
+def test_config_key_resolves_by_dest_and_flag_name(small_corpus, tmp_path):
+    # the dest `lam` must not override the explicit flag `--lambda`
+    manifest = _expand_manifest(small_corpus, tmp_path, {"lam": 0.9}, ["--lambda", "0.1"])
+    assert manifest["lam"] == 0.1
+    # the flag name `lambda` is a valid key for the dest `lam`
+    assert _expand_manifest(small_corpus, tmp_path, {"lambda": 0.9}, [])["lam"] == 0.9
+    manifest = _expand_manifest(small_corpus, tmp_path, {"lambda": 0.9}, ["--lambda=0.2"])
+    assert manifest["lam"] == 0.2
+    # keys that are not options of the command are rejected, not applied
+    bad = tmp_path / "bad.json"
+    for key in ("command", "help", "config"):
+        bad.write_text(json.dumps({key: "synth"}))
+        assert main(["--config", str(bad), "expand", "--corpus", str(small_corpus),
+                     "--query", "w0000"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("flag, name", [("--alpha", "alpha"), ("--beta", "beta"),
+                                        ("--gamma", "gamma"),
+                                        ("--tau", "cosine_threshold"), ("--mu", "mu")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_non_finite_value_is_validation_error(small_corpus, tmp_path, capsys,
+                                                  flag, name, value):
+    out = tmp_path / "r.json"
+    rc = main(["fit", "--corpus", str(small_corpus), "--query", "w0000",
+               "--iters1", "1", "--iters2", "1", flag, value, "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert name in err["message"]
+    assert not out.exists()

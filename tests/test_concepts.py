@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from qdtm.concepts import (ExtractionError, extract_concept_words,
-                           normalized_query_similarity, relevance_model_distribution,
-                           relevance_model_prob, retrieved_counts, score_fre,
-                           score_kld, score_rel)
+                           normalized_query_similarity, relevance_model_distribution)
 from qdtm.corpus import ingest
 from qdtm.retrieval import RetrievedSet, parse_query, retrieve
 
-from conftest import make_table
+from helpers import make_table
+
+
+def all_scores(corpus, query, retrieved, method, **kwargs) -> dict[int, float]:
+    """Every positive score the extractor assigns (n = whole vocabulary)."""
+    cs = extract_concept_words(corpus, query, retrieved, method, len(corpus.vocab),
+                               **kwargs)
+    return dict(cs.words)
 
 
 def test_score_fre_sums_term_frequencies():
@@ -20,28 +25,29 @@ def test_score_fre_sums_term_frequencies():
     xx = c.vocab.id_of("xx")
     zz = c.vocab.id_of("zz")
     absent = c.vocab.id_of("yy")
-    assert score_fre(xx, c, retrieved) == 5
-    assert score_fre(zz, c, retrieved) == 1
-    retrieved_without = RetrievedSet([(0, -1.0)], 10)
-    assert score_fre(zz, c, retrieved_without) == 0
-    assert score_fre(absent, c, RetrievedSet([(2, -1.0)], 10)) == 0
+    scores = all_scores(c, q, retrieved, "fre")
+    assert scores[xx] == 5
+    assert scores[zz] == 1
+    assert zz not in all_scores(c, q, RetrievedSet([(0, -1.0)], 10), "fre")
+    assert absent not in all_scores(c, q, RetrievedSet([(2, -1.0)], 10), "fre")
 
 
 def test_score_fre_matches_recount(random_corpus):
     q = parse_query("w001", random_corpus)
     retrieved = retrieve(random_corpus, q, cutoff=50)
+    scores = all_scores(random_corpus, q, retrieved, "fre")
     for w in range(0, len(random_corpus.vocab), 7):
         expected = sum(random_corpus.documents[i].tokens.count(w)
                        for i, _ in retrieved.entries)
-        assert score_fre(w, random_corpus, retrieved) == expected
+        assert scores.get(w, 0) == expected
 
 
 def test_score_kld_zero_when_distributions_match():
-    # retrieved set == whole corpus, so P_R == P_C for every word
+    # retrieved set == whole corpus, so P_R == P_C and no word scores above 0
     c = ingest([("a", "xx yy"), ("b", "xx zz")])
+    q = parse_query("xx", c)
     retrieved = RetrievedSet([(0, -1.0), (1, -1.0)], 10)
-    for w in range(len(c.vocab)):
-        assert score_kld(w, c, retrieved) == pytest.approx(0.0)
+    assert all_scores(c, q, retrieved, "kld") == {}
 
 
 def test_score_kld_hand_value():
@@ -50,22 +56,25 @@ def test_score_kld_hand_value():
     filler = " ".join(f"g{i}" for i in range(90))
     docs.append(("bg", filler))
     c = ingest(docs)
+    q = parse_query("xx", c)
     retrieved = RetrievedSet([(0, -1.0)], 10)
     xx = c.vocab.id_of("xx")
-    assert score_kld(xx, c, retrieved) == pytest.approx(0.1 * math.log(10), abs=1e-12)
+    scores = all_scores(c, q, retrieved, "kld")
+    assert scores[xx] == pytest.approx(0.1 * math.log(10), abs=1e-12)
 
 
 def test_score_kld_absent_word_is_zero():
     c = ingest([("a", "xx yy"), ("b", "zz ww")])
+    q = parse_query("xx", c)
     retrieved = RetrievedSet([(0, -1.0)], 10)
-    assert score_kld(c.vocab.id_of("zz"), c, retrieved) == 0.0
+    assert c.vocab.id_of("zz") not in all_scores(c, q, retrieved, "kld")
 
 
 def test_relevance_model_single_doc_collapses():
     c = ingest([("a", "xx xx yy"), ("b", "zz")])
     retrieved = RetrievedSet([(0, -0.5)], 10)
     xx = c.vocab.id_of("xx")
-    assert relevance_model_prob(xx, c, retrieved) == pytest.approx(2 / 3)
+    assert relevance_model_distribution(c, retrieved)[xx] == pytest.approx(2 / 3)
 
 
 def test_relevance_model_uniform_average():
@@ -73,7 +82,7 @@ def test_relevance_model_uniform_average():
     # equal log scores -> uniform weights; p(xx|d0)=0.2, p(xx|d1)=0.4
     retrieved = RetrievedSet([(0, -1.0), (1, -1.0)], 10)
     xx = c.vocab.id_of("xx")
-    assert relevance_model_prob(xx, c, retrieved) == pytest.approx(0.3)
+    assert relevance_model_distribution(c, retrieved)[xx] == pytest.approx(0.3)
 
 
 def test_relevance_model_sums_to_one_and_matches_double_loop(random_corpus):
@@ -104,10 +113,11 @@ def test_rel_lambda_endpoints():
     q = parse_query("xx", c)
     retrieved = retrieve(c, q, cutoff=2)
     xx = c.vocab.id_of("xx")
-    assert score_rel(xx, q, c, retrieved, table, lam=1.0) == pytest.approx(
-        relevance_model_prob(xx, c, retrieved))
+    rm_only = all_scores(c, q, retrieved, "rel", table=table, lam=1.0)
+    assert rm_only[xx] == pytest.approx(relevance_model_distribution(c, retrieved)[xx])
     sim = normalized_query_similarity(q, table)
-    assert score_rel(xx, q, c, retrieved, table, lam=0.0) == pytest.approx(sim[xx])
+    sim_only = all_scores(c, q, retrieved, "rel", table=table, lam=0.0)
+    assert sim_only[xx] == pytest.approx(sim[xx])
 
 
 def test_rel_mixture_arithmetic():
@@ -131,7 +141,7 @@ def test_rel_lambda_out_of_range():
     q = parse_query("xx", c)
     retrieved = RetrievedSet([(0, -1.0)], 10)
     with pytest.raises(ExtractionError):
-        score_rel(0, q, c, retrieved, table, lam=1.5)
+        extract_concept_words(c, q, retrieved, "rel", 1, table=table, lam=1.5)
 
 
 def test_rel_missing_query_embedding_falls_back(caplog):
@@ -158,11 +168,15 @@ def test_extract_kld_planted_exclusive_words(random_corpus):
     q = parse_query("w001", random_corpus)
     retrieved = retrieve(random_corpus, q, cutoff=10)
     cs = extract_concept_words(random_corpus, q, retrieved, "kld", 10)
-    # brute-force oracle over the whole vocabulary
-    from qdtm.concepts import retrieved_counts as rc
-    cache = rc(random_corpus, retrieved)
-    scores = {w: score_kld(w, random_corpus, retrieved, _cache=cache)
-              for w in range(len(random_corpus.vocab))}
+    # brute-force oracle over the whole vocabulary: P_R(w) ln(P_R(w) / P_C(w))
+    retrieved_tokens = [w for i, _ in retrieved.entries
+                        for w in random_corpus.documents[i].tokens]
+    corpus_tokens = [w for d in random_corpus.documents for w in d.tokens]
+    scores = {}
+    for w in set(retrieved_tokens):
+        pr = retrieved_tokens.count(w) / len(retrieved_tokens)
+        pc = corpus_tokens.count(w) / len(corpus_tokens)
+        scores[w] = pr * math.log(pr / pc)
     expected = sorted((w for w in scores if scores[w] > 0),
                       key=lambda w: (-scores[w], w))[:10]
     assert cs.word_ids() == expected
@@ -177,14 +191,6 @@ def test_extract_truncates_when_few_positive(caplog):
         cs = extract_concept_words(c, q, retrieved, "fre", 10)
     assert len(cs.words) == 2  # only xx and yy occur in the retrieved doc
     assert "positive-scoring" in caplog.text
-
-
-def test_extract_exclude_query_terms():
-    c = ingest([("a", "xx yy yy"), ("b", "xx zz")])
-    q = parse_query("xx", c)
-    retrieved = retrieve(c, q, cutoff=2)
-    cs = extract_concept_words(c, q, retrieved, "fre", 3, exclude_query_terms=True)
-    assert c.vocab.id_of("xx") not in cs.word_ids()
 
 
 def test_extract_rejects_unknown_method(tiny_corpus):

@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from qdtm.corpus import ingest
 from qdtm.embeddings import (EmbeddingError, EmbeddingFormatError, build_promotion,
-                             build_relatedness, cosine, load_embeddings)
-
-from conftest import make_table
+                             cosine, load_embeddings)
 
 
 @pytest.fixture
@@ -71,18 +67,23 @@ def test_cosine_errors():
         cosine([1.0], [1.0, 0.0])
 
 
+def pairs_of(promo) -> set[tuple[int, int]]:
+    """The (sampled word, concept word) pairs a promotion matrix holds."""
+    return {(wi, wq) for wi, row in promo.rows.items() for wq, _ in row}
+
+
 def test_relatedness_tau_extremes(geometry_table):
     concepts = [0]
-    high = build_relatedness(geometry_table, concepts, tau=1.0 + 1e-9)
-    assert set(high.pairs) == {(0, 0)}  # only the forced self-pair survives
-    low = build_relatedness(geometry_table, concepts, tau=-1.0)
-    assert set(low.pairs) == {(w, 0) for w in geometry_table.vectors}
+    high = build_promotion(geometry_table, concepts, 1.0 + 1e-9, 0.3)
+    assert pairs_of(high) == {(0, 0)}  # only the forced self-pair survives
+    low = build_promotion(geometry_table, concepts, -1.0, 0.3)
+    assert pairs_of(low) == {(w, 0) for w in geometry_table.vectors}
 
 
 def test_relatedness_matches_bruteforce(geometry_table):
     tau = 0.5
     concepts = [0, 1]
-    m = build_relatedness(geometry_table, concepts, tau)
+    promo = build_promotion(geometry_table, concepts, tau, 0.3)
     expected = set()
     for wq in concepts:
         for wi in geometry_table.vectors:
@@ -90,49 +91,43 @@ def test_relatedness_matches_bruteforce(geometry_table):
             if c >= tau:
                 expected.add((wi, wq))
         expected.add((wq, wq))
-    assert set(m.pairs) == expected
-    for (wi, wq), c in m.pairs.items():
-        assert c >= tau
-        assert c == pytest.approx(cosine(geometry_table.get(wi), geometry_table.get(wq)))
+    assert pairs_of(promo) == expected
 
 
 def test_relatedness_skips_unembedded_concepts(geometry_table, caplog):
     import logging
     with caplog.at_level(logging.WARNING, logger="qdtm.embeddings"):
-        m = build_relatedness(geometry_table, [0, 5], tau=0.5)
-    assert all(wq != 5 for _, wq in m.pairs)
-    assert m.concept_words == frozenset({0})
+        promo = build_promotion(geometry_table, [0, 5], 0.5, 0.3)
+    assert {wq for _, wq in pairs_of(promo)} == {0}
+    assert "no embedding" in caplog.text
 
 
 def test_promotion_values(geometry_table):
-    m = build_relatedness(geometry_table, [0], tau=0.5)
-    a = build_promotion(m, u=0.3)
-    assert a.amount(0, 0) == 1.0          # matched self-pair
-    assert a.amount(2, 0) == 0.3          # matched cross-pair (45 degrees)
-    assert a.amount(3, 0) == 0.0          # cosine -1, not in the matrix
-    # row mass = self 1 + u per cross pair
-    row = a.rows[0]
-    assert a.row_mass(0) == pytest.approx(sum(1.0 if s else 0.3 for _, s in row))
+    a = build_promotion(geometry_table, [0], 0.5, 0.3)
+    assert (0, True) in a.rows[0]         # matched self-pair: amount 1
+    assert (0, False) in a.rows[2]        # matched cross-pair (45 degrees): amount u
+    assert 3 not in a.rows                # cosine -1, no promotion
+    assert a.u == 0.3
+    # every row holds at most one self entry, and only for the word itself
+    for wi, row in a.rows.items():
+        assert [wq for wq, is_self in row if is_self] in ([], [wi])
 
 
 def test_promotion_u_range(geometry_table):
-    m = build_relatedness(geometry_table, [0], tau=0.5)
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(EmbeddingError):
-            build_promotion(m, bad)
+            build_promotion(geometry_table, [0], 0.5, bad)
 
 
 def test_promotion_entries_back_relatedness(geometry_table):
     tau = 0.4
-    m = build_relatedness(geometry_table, [0, 1], tau)
-    a = build_promotion(m, 0.3)
+    a = build_promotion(geometry_table, [0, 1], tau, 0.3)
     for wi, row in a.rows.items():
         for wq, _ in row:
-            assert m.pairs[(wi, wq)] >= tau
+            assert cosine(geometry_table.get(wi), geometry_table.get(wq)) >= tau
 
 
 def test_idempotent_construction(geometry_table):
-    m1 = build_relatedness(geometry_table, [0, 1], 0.5)
-    m2 = build_relatedness(geometry_table, [0, 1], 0.5)
-    assert m1.pairs == m2.pairs
-    assert build_promotion(m1, 0.3).rows == build_promotion(m2, 0.3).rows
+    a1 = build_promotion(geometry_table, [0, 1], 0.5, 0.3)
+    a2 = build_promotion(geometry_table, [0, 1], 0.5, 0.3)
+    assert a1.rows == a2.rows

@@ -8,7 +8,7 @@ from qdtm.metrics import (MetricError, npmi_coherence, overall_quality,
                           subtopic_report, topic_cohesion, topic_diversity,
                           topic_embedding)
 
-from conftest import make_table
+from helpers import make_table
 
 
 def test_diversity_disjoint_lists():

@@ -38,7 +38,7 @@ def test_extract_parent_subcorpus_empty_is_fatal():
 def test_phase2_single_word_type_point_mass():
     sub_docs = [[7], [7, 7], [7]]
     sampler, scope, counts = run_phase2(sub_docs, {7}, Hyperparameters(initial_topics=2),
-                                        seed=1, total_corpus_tokens=100, iterations=10)
+                                        seed=1, iterations=10)
     assert scope == [7]
     live = sampler.live_topics()
     assert len(live) == 1
@@ -58,8 +58,7 @@ def test_phase2_disjoint_blocks_separate():
     support = set(range(20))
     sampler, scope, counts = run_phase2(sub_docs, support,
                                         Hyperparameters(initial_topics=3),
-                                        seed=2, total_corpus_tokens=10_000,
-                                        iterations=60, check_invariants=True)
+                                        seed=2, iterations=60, check_invariants=True)
     survivors = prune_subtopics(counts, 10_000, 0.005)
     assert len(survivors) >= 2
     pure = 0
@@ -77,7 +76,7 @@ def test_phase2_support_closure():
     support = set(range(30, 40))
     sampler, scope, counts = run_phase2(sub_docs, support,
                                         Hyperparameters(initial_topics=2),
-                                        seed=3, total_corpus_tokens=1000, iterations=20)
+                                        seed=3, iterations=20)
     assert set(scope) == support
     for k in sampler.live_topics():
         nonzero = {scope[w] for w in range(len(scope)) if sampler.nkw_units[k][w]}

@@ -43,6 +43,15 @@ def test_negative_mu_rejected(abc_corpus):
         query_likelihood(abc_corpus.documents[0], q, abc_corpus, mu=-1)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_non_finite_mu_rejected(abc_corpus, mu):
+    q = parse_query("aa", abc_corpus)
+    with pytest.raises(RetrievalError, match="mu"):
+        retrieve(abc_corpus, q, mu=mu)
+    with pytest.raises(RetrievalError, match="mu"):
+        query_likelihood(abc_corpus.documents[0], q, abc_corpus, mu=mu)
+
+
 def test_parse_query_records_oov(abc_corpus):
     q = parse_query("aa zz", abc_corpus)
     assert q.oov == ["zz"]
@@ -54,14 +63,14 @@ def test_or_mode_returns_exactly_matching_docs():
     c = ingest([("d0", "xx yy"), ("d1", "yy zz"), ("d2", "xx zz")])
     q = parse_query("xx", c, "or")
     res = retrieve(c, q, cutoff=10)
-    assert res.doc_indices() == [0, 2]
+    assert [i for i, _ in res.entries] == [0, 2]
 
 
 def test_and_mode_requires_all_terms():
     c = ingest([("d0", "xx aa"), ("d1", "xx yy bb"), ("d2", "yy cc")])
     q = parse_query("xx yy", c, "and")
     res = retrieve(c, q, cutoff=10)
-    assert res.doc_indices() == [1]
+    assert [i for i, _ in res.entries] == [1]
 
 
 def test_and_subset_of_or():
@@ -71,8 +80,8 @@ def test_and_subset_of_or():
                 for j in range(60)])
     q_and = parse_query("t00 t01", c, "and")
     q_or = parse_query("t00 t01", c, "or")
-    and_set = set(retrieve(c, q_and, 60).doc_indices())
-    or_set = set(retrieve(c, q_or, 60).doc_indices())
+    and_set = {i for i, _ in retrieve(c, q_and, 60).entries}
+    or_set = {i for i, _ in retrieve(c, q_or, 60).entries}
     assert and_set <= or_set
 
 

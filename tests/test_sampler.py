@@ -30,6 +30,13 @@ def test_hyperparameter_validation():
     Hyperparameters().validate(n_queries=2)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "cosine_threshold"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_hyperparameter_rejected(name, value):
+    with pytest.raises(SamplerError, match=name):
+        Hyperparameters(**{name: value}).validate()
+
+
 def test_initialize_one_table_per_token():
     docs = [[0, 1, 2, 3, 4]]
     s = HDPSampler(docs, 5, small_hp(), seed=0)
@@ -62,13 +69,13 @@ def test_predictive_prob_symmetric_prior():
     s.m_k[5] = 1
     s.m_total += 1
     assert s.f(5, 7) == pytest.approx(0.5 / 50)  # == 1/|V|
-    assert s.f_new() == pytest.approx(1 / 100)
+    assert s.base_density == pytest.approx(1 / 100)
 
 
 def test_phase2_base_density():
     docs = [[0]]
     s = HDPSampler(docs, 40, small_hp(), seed=0, base_density=1 / 40)
-    assert s.f_new() == pytest.approx(0.025)
+    assert s.base_density == pytest.approx(0.025)
 
 
 def test_plain_round_trip_restores_state():
@@ -110,9 +117,10 @@ def test_gpu_add_inflates_table_mass_by_row_sum():
     s.initialize()  # flag 0 at init
     t, k, _ = s._detach(0, 0)
     s._ensure_table(0, t, k)
-    base = s.table_mass(0, t)
+    base = s.table_units[0][t] + 0.3 * s.table_promos[0][t]
     s._attach(0, 0, t, 1)
-    assert s.table_mass(0, t) - base == pytest.approx(1 + 0.3 + 0.3)
+    mass = s.table_units[0][t] + 0.3 * s.table_promos[0][t]
+    assert mass - base == pytest.approx(1 + 0.3 + 0.3)
     assert s.nkw_units[k][0] == 1       # self-pair promotes the word itself
     assert s.nkw_promos[k][1] == 1      # cross-pairs promote the concept words
     assert s.nkw_promos[k][2] == 1
