@@ -13,7 +13,7 @@ from .concepts import extract_concept_words
 from .corpus import PreprocessOptions, ingest_jsonl
 from .embeddings import load_embeddings
 from .metrics import npmi_coherence, subtopic_report
-from .pipeline import fit_topics
+from .pipeline import atomic_write, fit_topics
 from .retrieval import parse_query, precision_at_k, retrieve
 from .sampler import Hyperparameters
 from .synth import SyntheticSpec, block_embeddings, generate, write_embeddings, write_jsonl
@@ -117,13 +117,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert a config value as argparse converts the flag's arguments."""
+    if isinstance(action, argparse._StoreTrueAction) and isinstance(value, bool):
+        return value
+    if value is None and action.default is None:
+        return None
+    append = isinstance(action, argparse._AppendAction)
+    items = value if append and isinstance(value, list) else [value]
+    if action.nargs != 0 and all(type(v) in (str, int, float) for v in items):
+        try:
+            items = [action.type(str(v)) if action.type else str(v) for v in items]
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or all(v in action.choices for v in items):
+                return items if append else items[0]
+    raise ValidationError(f"config key {key!r}: invalid value {value!r}")
+
+
 def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                  argv: list[str]) -> argparse.Namespace:
     """Overlay config-file values under explicitly passed flags.
 
     A config key is the dest (`lam`) or the flag name (`lambda`) of one of
-    the command's options; other keys are rejected. A flag present on the
-    command line always wins; otherwise the config value replaces the default.
+    the command's options; other keys are rejected. Values are converted and
+    checked like the flag's arguments. A flag present on the command line
+    always wins; otherwise the config value replaces the default.
     """
     if not args.config:
         return args
@@ -135,23 +155,25 @@ def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    option_dests = {opt: a.dest for a in sub.choices[args.command]._actions
-                    for opt in a.option_strings if a.dest != "help"}
+    options = {opt: a for a in sub.choices[args.command]._actions
+               for opt in a.option_strings if a.dest != "help"}
+    by_dest = {a.dest: a for a in options.values()}
     explicit = set()
     for a in argv:
         if a.startswith("--"):
             flag = a.split("=", 1)[0]
             # argparse also accepts an unambiguous prefix of a long option
-            matches = [o for o in option_dests if o == flag] or [
-                o for o in option_dests if o.startswith(flag)]
+            matches = [o for o in options if o == flag] or [
+                o for o in options if o.startswith(flag)]
             if len(matches) == 1:
-                explicit.add(option_dests[matches[0]])
+                explicit.add(options[matches[0]].dest)
     for key, value in cfg.items():
-        dest = key if key in option_dests.values() else option_dests.get(f"--{key}")
-        if dest is None:
+        action = by_dest.get(key) or options.get(f"--{key}")
+        if action is None:
             raise ValidationError(f"unknown config key: {key!r}")
-        if dest not in explicit:
-            setattr(args, dest, value)
+        value = _config_value(action, key, value)
+        if action.dest not in explicit:
+            setattr(args, action.dest, value)
     return args
 
 
@@ -177,35 +199,20 @@ def _load_embeddings(args, corpus):
     return load_embeddings(args.embeddings, corpus.vocab)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write through a temp file and `os.replace`.
-
-    A failed write leaves any existing file at `path` untouched and no
-    partial file behind.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _write_manifest(args: argparse.Namespace) -> None:
     manifest = {k: v for k, v in vars(args).items() if k != "command"}
     manifest["command"] = args.command
     manifest["qdtm_version"] = __version__
-    _write_atomic(args.out + ".manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True))
+    with atomic_write(args.out + ".manifest.json") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     """Print the payload, or write it to `--out` together with its manifest."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        _write_atomic(args.out, text + "\n")
+        with atomic_write(args.out) as fh:
+            fh.write(text + "\n")
         _write_manifest(args)
     else:
         print(text)

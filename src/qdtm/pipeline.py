@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -80,6 +81,26 @@ class TopicModelResult:
             out["theta"] = self.theta
             out["topic_order"] = self.topic_order
         return out
+
+
+@contextlib.contextmanager
+def atomic_write(path: str):
+    """Open a temp file for writing and `os.replace` it onto `path` on success.
+
+    A failed write leaves any existing file at `path` untouched and no
+    partial file behind. The temp file is synced before the rename, so a
+    crash of the machine cannot leave a renamed but empty file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def extract_parent_subcorpus(sampler: HDPSampler, parent: int,
@@ -177,8 +198,8 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
                checkpoint_path: str | None = None) -> TopicModelResult:
     """Run the whole query-driven pipeline for one or more queries.
 
-    When `checkpoint_path` is given, an existing checkpoint resumes phase 1
-    from the recorded iteration; the final phase-1 state is written back.
+    An existing checkpoint at `checkpoint_path` (of the same inputs) resumes
+    phase 1 instead of initializing it; the final state is written back.
     """
     hp = hp or Hyperparameters()
     hp.validate(n_queries=len(query_phrases))
@@ -220,18 +241,20 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
                          promotion=promotion,
                          embedding_norms=norms,
                          parent_representatives=parent_reps)
-    sampler.initialize()
-    remaining = iterations_phase1
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        with open(checkpoint_path) as fh:
-            sampler.load_state_dict(json.load(fh))
-        remaining = max(0, iterations_phase1 - sampler.iterations_done)
-        logger.info("resumed checkpoint at iteration %d (%d remaining)",
-                    sampler.iterations_done, remaining)
+        try:
+            with open(checkpoint_path) as fh:
+                sampler.load_state_dict(json.load(fh))
+        except ValueError as e:   # a SamplerError or malformed JSON
+            raise SamplerError(f"cannot resume from checkpoint {checkpoint_path}: {e}") from None
+        logger.info("resumed checkpoint at iteration %d", sampler.iterations_done)
+    else:
+        sampler.initialize()
+    remaining = max(0, iterations_phase1 - sampler.iterations_done)
     if remaining:
         sampler.run(remaining, check_invariants=check_invariants)
     if checkpoint_path is not None:
-        with open(checkpoint_path, "w") as fh:
+        with atomic_write(checkpoint_path) as fh:
             json.dump(sampler.state_dict(), fh)
 
     topics, theta = sampler.theta()

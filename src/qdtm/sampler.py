@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,26 +85,7 @@ class HDPSampler:
         self.base_density = base_density if base_density is not None else 1.0 / vocab_size
         self.gpu_enabled = bool(self.promo_rows) and embedding_norms is not None
 
-        # per-token state
-        self.t = [[-1] * len(d) for d in docs]
-        self.flags = [[0] * len(d) for d in docs]
-        # per-document tables (slot may be dead: topic -1, zero mass)
-        self.table_topic: list[list[int]] = [[] for _ in docs]
-        self.table_units: list[list[int]] = [[] for _ in docs]
-        self.table_promos: list[list[int]] = [[] for _ in docs]
-        # global topic state
-        self.nkw_units: dict[int, list[int]] = {}
-        self.nkw_promos: dict[int, list[int]] = {}
-        self.nk_units: dict[int, int] = {}
-        self.nk_promos: dict[int, int] = {}
-        self.m_k: dict[int, int] = {}
-        self.m_total = 0
-        self.next_topic = max(n_parents, hp.initial_topics)
-        # parents get a phantom table so they can never retire during phase 1
-        for q in range(n_parents):
-            self._register_topic(q)
-            self.m_k[q] = 1
-            self.m_total += 1
+        self.set_state([[] for _ in docs], [[] for _ in docs])   # empty counts
         # cohesion cache (refreshed once per iteration)
         self.tilde: np.ndarray | None = None
         self.topic_row: dict[int, int] = {}
@@ -138,44 +120,42 @@ class HDPSampler:
         free = [k for k in range(K) if k >= self.n_parents]
         if not free:
             raise SamplerError("no non-parent topic available at initialization")
-        for j, doc in enumerate(self.docs):
+        table_topics = []
+        for doc in self.docs:
             base = free[int(self.rng.integers(len(free)))]
-            for i, w in enumerate(doc):
-                k = self.forced_topic.get(w, base)
-                t = self._open_table(j, k)
-                self._attach(j, i, t, 0)
+            table_topics.append([self.forced_topic.get(w, base) for w in doc])
+        self.set_state([list(range(len(d))) for d in self.docs], table_topics)
+        self.next_topic = max(self.n_parents, K)
 
     def set_state(self, t_assignments: list[list[int]],
                   table_topics: list[list[int]],
                   flags: list[list[int]] | None = None) -> None:
-        """Install an explicit frozen state (test harness hook).
+        """Install a state and rebuild every count from it.
 
         `t_assignments[j][i]` is the table of token i in document j and
-        `table_topics[j][t]` the topic of each table. Counts are rebuilt from
-        scratch.
+        `table_topics[j][t]` the topic of each table. Topics enter `m_k` in
+        table order, parents first; `next_topic` follows the highest live id.
         """
         self.t = [list(r) for r in t_assignments]
         self.flags = [list(r) for r in (flags or [[0] * len(d) for d in self.docs])]
+        # per-document tables; a slot may be dead (topic -1, zero mass)
         self.table_topic = [list(r) for r in table_topics]
         self.table_units = [[0] * len(r) for r in table_topics]
         self.table_promos = [[0] * len(r) for r in table_topics]
-        self.nkw_units = {}
-        self.nkw_promos = {}
-        self.nk_units = {}
-        self.nk_promos = {}
+        # parents get a phantom table so they can never retire during phase 1
         self.m_k = {q: 1 for q in range(self.n_parents)}
-        for q in range(self.n_parents):
-            self._register_topic(q)
         for topics in table_topics:
             for k in topics:
                 if k >= 0:
-                    self._register_topic(k)
                     self.m_k[k] = self.m_k.get(k, 0) + 1
         self.m_total = sum(self.m_k.values())
         self.next_topic = max(self.m_k, default=-1) + 1
+        self.nkw_units, self.nkw_promos, self.nk_units, self.nk_promos = {}, {}, {}, {}
+        for k in self.m_k:
+            self._register_topic(k)
         for j, doc in enumerate(self.docs):
-            for i in range(len(doc)):
-                self._apply_counts(j, self.t[j][i], doc[i], self.flags[j][i], +1)
+            for w, t, flag in zip(doc, self.t[j], self.flags[j]):
+                self._apply_counts(j, t, w, flag, +1)
 
     # --------------------------------------------------------------- counters
 
@@ -202,18 +182,15 @@ class HDPSampler:
 
     def _open_table(self, j: int, k: int) -> int:
         """Create (or revive a dead slot as) a table serving topic k."""
-        self._register_topic(k)
         topics = self.table_topic[j]
         try:
             t = topics.index(-1)
-            topics[t] = k
         except ValueError:
             t = len(topics)
-            topics.append(k)
+            topics.append(-1)
             self.table_units[j].append(0)
             self.table_promos[j].append(0)
-        self.m_k[k] = self.m_k.get(k, 0) + 1
-        self.m_total += 1
+        self._ensure_table(j, t, k)
         return t
 
     def _attach(self, j: int, i: int, t: int, flag: int) -> None:
@@ -247,7 +224,7 @@ class HDPSampler:
         return t, k, flag
 
     def _ensure_table(self, j: int, t: int, k: int) -> None:
-        """Revive a specific dead slot with topic k (exact round-trip support)."""
+        """Revive dead slot t of document j as a table serving topic k."""
         if self.table_topic[j][t] == -1:
             self._register_topic(k)
             self.table_topic[j][t] = k
@@ -359,8 +336,6 @@ class HDPSampler:
         """
         if not self.gpu_enabled or w not in self.promo_rows:
             return 0
-        if self.tilde is None:
-            return 0
         row = self.topic_row.get(k)
         if row is None:
             return 0
@@ -465,10 +440,12 @@ class HDPSampler:
     # ------------------------------------------------------------ invariants
 
     def check_invariants(self) -> None:
-        """Exact consistency checks; raises ConsistencyError on violation."""
+        """Exact consistency checks; raises ConsistencyError on violation.
+
+        Every count is recounted from the raw assignments here, independently
+        of `_apply_counts`, so a fault in the incremental updates shows.
+        """
         # topic-word sums match topic totals (integer-exact)
-        recount_u = {k: [0] * self.V for k in self.m_k}
-        recount_p = {k: [0] * self.V for k in self.m_k}
         for k in self.m_k:
             if sum(self.nkw_units[k]) != self.nk_units[k]:
                 raise ConsistencyError(f"topic {k}: unit counts disagree")
@@ -476,7 +453,12 @@ class HDPSampler:
                 raise ConsistencyError(f"topic {k}: promotion counts disagree")
         if self.m_total != sum(self.m_k.values()):
             raise ConsistencyError("m_total != sum of m_k")
+        live = [k for topics in self.table_topic for k in topics if k >= 0]
+        if Counter(live + list(range(self.n_parents))) != self.m_k:
+            raise ConsistencyError("m_k disagrees with the live and phantom tables")
         # recount from assignments
+        recount_u = {k: [0] * self.V for k in self.m_k}
+        recount_p = {k: [0] * self.V for k in self.m_k}
         table_u = [[0] * len(r) for r in self.table_topic]
         table_p = [[0] * len(r) for r in self.table_topic]
         for j, doc in enumerate(self.docs):
@@ -550,9 +532,25 @@ class HDPSampler:
 
     # ----------------------------------------------------------- checkpoints
 
+    def fingerprint(self) -> str:
+        """Digest of what phase-1 sampling depends on: the token stream, V,
+        the constraints, the promotion rows, the embedding norms and alpha,
+        beta, gamma, u and M; not the seed, iteration counts or phase 2."""
+        import hashlib   # loads OpenSSL, 3.4 MB resident; only checkpoints need it
+        hp = self.hp
+        digest = hashlib.sha256(repr((
+            self.docs, self.V, self.base_density, self.n_parents,
+            sorted(self.forced_topic.items()), sorted(self.parent_representatives.items()),
+            sorted(self.promo_rows.items()), hp.n_representatives,
+            [float(x) for x in (hp.alpha, hp.beta, hp.gamma, self.u)])).encode())
+        if self.embedding_norms is not None:
+            digest.update(self.embedding_norms.tobytes())
+        return digest.hexdigest()
+
     def state_dict(self) -> dict:
         return {
-            "format": "qdtm-checkpoint-v1",
+            "format": "qdtm-checkpoint-v2",
+            "fingerprint": self.fingerprint(),
             "iterations_done": self.iterations_done,
             "t": self.t,
             "flags": self.flags,
@@ -562,16 +560,12 @@ class HDPSampler:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if state.get("format") != "qdtm-checkpoint-v1":
+        if state.get("format") != "qdtm-checkpoint-v2":
             raise SamplerError(f"unsupported checkpoint format: {state.get('format')!r}")
+        if state.get("fingerprint") != self.fingerprint():
+            raise SamplerError("fingerprint mismatch: the checkpoint was written for "
+                               "another corpus, query or sampling hyperparameters")
         self.set_state(state["t"], state["table_topic"], state["flags"])
-        self.next_topic = max(state["next_topic"], self.next_topic)
+        self.next_topic = state["next_topic"]
         self.iterations_done = state["iterations_done"]
-        rng_state = state["rng"]
-        # JSON round-trips may stringify the big integers in the RNG state
-        if isinstance(rng_state.get("state"), dict):
-            rng_state = {
-                **rng_state,
-                "state": {kk: int(vv) for kk, vv in rng_state["state"].items()},
-            }
-        self.rng.bit_generator.state = rng_state
+        self.rng.bit_generator.state = state["rng"]

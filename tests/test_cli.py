@@ -179,3 +179,63 @@ def test_fit_non_finite_value_is_validation_error(small_corpus, tmp_path, capsys
     assert err["error"] == "validation"
     assert name in err["message"]
     assert not out.exists()
+
+
+def _fit_with_checkpoint(corpus, tmp_path, *flags):
+    return main(["fit", "--corpus", str(corpus), "--query", "w0000",
+                 "--iters1", "2", "--iters2", "1", "--checkpoint", str(tmp_path / "ck.json"),
+                 "--out", str(tmp_path / "r.json"), *flags])
+
+
+@pytest.mark.parametrize("change", ["corpus", "query", "alpha", "v1"])
+def test_mismatched_checkpoint_is_validation_error(small_corpus, tmp_path, capsys, change):
+    assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
+    ckpt = tmp_path / "ck.json"
+    corpus, flags = small_corpus, []
+    if change == "corpus":
+        corpus = tmp_path / "other.jsonl"
+        assert main(["synth", "--topics", "4", "--vocab", "120", "--docs", "60",
+                     "--seed", "2", "--out", str(corpus)]) == EXIT_OK
+    elif change == "query":
+        flags = ["--query", "w0001"]
+    elif change == "alpha":
+        flags = ["--alpha", "2.0"]
+    else:
+        state = json.loads(ckpt.read_text())
+        state["format"] = "qdtm-checkpoint-v1"
+        del state["fingerprint"]
+        ckpt.write_text(json.dumps(state))
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    assert _fit_with_checkpoint(corpus, tmp_path, *flags) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and str(ckpt) in err["message"]
+    assert ckpt.read_bytes() == before
+
+
+def test_checkpoint_resumes_with_more_iterations_and_another_floor(small_corpus, tmp_path):
+    assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
+    assert _fit_with_checkpoint(small_corpus, tmp_path, "--iters1", "4",
+                                "--floor", "0.01") == EXIT_OK
+    assert json.loads((tmp_path / "ck.json").read_text())["iterations_done"] == 4
+
+
+@pytest.mark.parametrize("cfg", [{"alpha": "abc"}, {"iters1": 2.5}, {"iters1": True},
+                                 {"full_posterior": "no"}, {"method": "xyz"},
+                                 {"query": [{"a": 1}]}, {"seed": None}])
+def test_config_value_checked_like_its_flag(small_corpus, tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["--config", str(path), "fit", "--corpus", str(small_corpus),
+               "--query", "w0000", "--iters1", "1", "--iters2", "1",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and repr(next(iter(cfg))) in err["message"]
+
+
+def test_config_values_converted_like_flag_arguments(small_corpus, tmp_path):
+    manifest = _expand_manifest(small_corpus, tmp_path, {"n": "4", "lambda": 1, "mode": "and"},
+                                [])
+    assert (manifest["n"], manifest["lam"], manifest["mode"]) == (4, 1.0, "and")
+    assert isinstance(manifest["lam"], float)

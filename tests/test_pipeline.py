@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,38 @@ def test_fit_topics_checkpoint_resume(tmp_path):
     resumed = fit_topics(corpus, ["w01 w02"], "kld", iterations_phase1=20,
                          checkpoint_path=str(ckpt), **kw)
     assert resumed.to_dict()["queries"] == full.to_dict()["queries"]
+
+
+def _checkpoint_fit(ckpt, iterations_phase1):
+    return fit_topics(make_block_corpus(), ["w01 w02"], "kld",
+                      hp=Hyperparameters(initial_topics=4), seed=5,
+                      iterations_phase1=iterations_phase1, iterations_phase2=5,
+                      mode="and", retrieval_cutoff=50, checkpoint_path=str(ckpt))
+
+
+def test_resumed_fit_only_loads_the_checkpoint(tmp_path, monkeypatch):
+    ckpt = tmp_path / "state.json"
+    _checkpoint_fit(ckpt, 5)
+
+    initialize = HDPSampler.initialize
+
+    def phase2_only(self):   # phase 2 starts a fresh sampler without parents
+        assert self.n_parents == 0, "a resumed fit must not initialize phase 1"
+        initialize(self)
+    monkeypatch.setattr(HDPSampler, "initialize", phase2_only)
+    _checkpoint_fit(ckpt, 8)
+    assert json.loads(ckpt.read_text())["iterations_done"] == 8
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    ckpt = tmp_path / "state.json"
+    _checkpoint_fit(ckpt, 5)
+    before = ckpt.read_bytes()
+    state_dict = HDPSampler.state_dict
+    # json.dump writes the real state, then fails on the object appended last
+    monkeypatch.setattr(HDPSampler, "state_dict",
+                        lambda self: {**state_dict(self), "zz": object()})
+    with pytest.raises(TypeError):
+        _checkpoint_fit(ckpt, 8)
+    assert ckpt.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]

@@ -1,7 +1,10 @@
 import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdtm.embeddings import PromotionMatrix
 from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters, SamplerError
@@ -242,6 +245,33 @@ def test_check_invariants_catches_corruption():
         s.check_invariants()
 
 
+
+def test_check_invariants_catches_a_table_count_without_a_table():
+    s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
+    s.initialize()
+    s.m_k[s.live_topics()[0]] += 1
+    s.m_total += 1
+    with pytest.raises(ConsistencyError, match="m_k"):
+        s.check_invariants()
+
+def test_check_invariants_catches_a_fault_in_the_count_updates(monkeypatch):
+    # a fault that acts alike for +1 and -1: cross-pairs counted as self-pairs
+    def faulty_apply_counts(self, j, t, w, flag, sign):
+        k = self.table_topic[j][t]
+        for target, _ in (self.promo_rows[w] if flag else [(w, True)]):
+            self.table_units[j][t] += sign
+            self.nkw_units[k][target] += sign
+            self.nk_units[k] += sign
+
+    promo = PromotionMatrix(0.3, {0: [(0, True), (1, False)]})
+    s = HDPSampler([[0, 1]], 2, small_hp(), seed=0, promotion=promo,
+                   embedding_norms=np.eye(2))
+    monkeypatch.setattr(HDPSampler, "_apply_counts", faulty_apply_counts)
+    s.set_state([[0, 0]], [[2]], flags=[[1, 0]])
+    with pytest.raises(ConsistencyError):
+        s.check_invariants()
+
+
 # ------------------------------------------------------------------ cohesion
 
 
@@ -330,7 +360,6 @@ def test_flag_zero_without_promotion_row():
 
 
 def test_checkpoint_roundtrip():
-    import json
     rng = np.random.default_rng(3)
     docs = [list(rng.integers(15, size=10)) for _ in range(8)]
     s = HDPSampler([list(d) for d in docs], 15, small_hp(), seed=21)
@@ -343,3 +372,58 @@ def test_checkpoint_roundtrip():
     s.run(5)
     s2.run(5)
     assert s.t == s2.t and s.table_topic == s2.table_topic
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """A small corpus with forced words and promotion rows, and a run split a+b."""
+    V = draw(st.integers(4, 10))
+    docs = draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=8),
+                         min_size=1, max_size=6))
+    n_parents = draw(st.integers(0, 2))
+    words = st.integers(0, V - 1)
+    forced = draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3)
+                  if n_parents else st.just({}))
+    rows = draw(st.dictionaries(words, st.sets(words, max_size=3), min_size=1, max_size=4))
+    promotion = PromotionMatrix(0.3, {w: [(w, True)] + [(t, False) for t in sorted(ts - {w})]
+                                      for w, ts in rows.items()})
+    seed = draw(st.integers(0, 2**32 - 1))
+    norms = np.random.default_rng(seed).normal(size=(V, 3))
+    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
+                  embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True),
+                  parent_representatives={q: sorted(w for w, k in forced.items() if k == q)
+                                          for q in range(n_parents)})
+    hp = small_hp(initial_topics=n_parents + draw(st.integers(1, 3)))
+    return docs, V, hp, seed, kwargs, draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(checkpoint_cases())
+def test_resume_equals_uninterrupted_run(case):
+    docs, V, hp, seed, kwargs, a, b = case
+    full = HDPSampler(docs, V, hp, seed, **kwargs)
+    full.initialize()
+    full.run(a + b, check_invariants=True)
+    first = HDPSampler(docs, V, hp, seed, **kwargs)
+    first.initialize()
+    first.run(a)
+    resumed = HDPSampler(docs, V, hp, seed + 1, **kwargs)
+    resumed.load_state_dict(json.loads(json.dumps(first.state_dict())))
+    resumed.run(b, check_invariants=True)
+    assert resumed.t == full.t and resumed.flags == full.flags
+    assert resumed.table_topic == full.table_topic
+    assert resumed.next_topic == full.next_topic
+    assert resumed.rng.bit_generator.state == full.rng.bit_generator.state
+
+
+def test_checkpoint_of_another_stream_is_rejected():
+    s = HDPSampler([[0, 1, 2]], 3, small_hp(), seed=0)
+    s.initialize()
+    state = s.state_dict()
+    for docs, V, hp in [([[0, 1, 1]], 3, small_hp()), ([[0, 1, 2]], 4, small_hp()),
+                        ([[0, 1, 2]], 3, small_hp(beta=0.4))]:
+        with pytest.raises(SamplerError, match="another corpus"):
+            HDPSampler(docs, V, hp, seed=0).load_state_dict(state)
+    other_seed = HDPSampler([[0, 1, 2]], 3, small_hp(prevalence_floor=0.1), seed=7)
+    other_seed.load_state_dict(state)
+    assert other_seed.t == s.t
