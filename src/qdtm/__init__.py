@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .concepts import ConceptWordSet, extract_concept_words
 from .corpus import Corpus, Document, PreprocessOptions, Vocabulary, ingest, ingest_jsonl
-from .embeddings import (EmbeddingTable, PromotionMatrix, build_promotion, cosine,
-                         load_embeddings)
+from .embeddings import EmbeddingTable, build_promotion, cosine, load_embeddings
 from .metrics import npmi_coherence, overall_quality, topic_cohesion, topic_diversity
 from .pipeline import TopicModelResult, fit_topics
 from .retrieval import (Query, RetrievedSet, parse_query, precision_at_k,
@@ -15,7 +14,7 @@ from .synth import SyntheticSpec, generate
 
 __all__ = [
     "ConceptWordSet", "Corpus", "Document", "EmbeddingTable", "HDPSampler",
-    "Hyperparameters", "PreprocessOptions", "PromotionMatrix", "Query",
+    "Hyperparameters", "PreprocessOptions", "Query",
     "RetrievedSet", "SyntheticSpec", "TopicModelResult", "Vocabulary",
     "build_promotion", "cosine",
     "extract_concept_words", "fit_topics", "generate", "ingest", "ingest_jsonl",

@@ -9,12 +9,12 @@ import os
 import sys
 
 from . import __version__
-from .concepts import extract_concept_words
+from .concepts import DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, extract_concept_words
 from .corpus import PreprocessOptions, ingest_jsonl
 from .embeddings import load_embeddings
 from .metrics import npmi_coherence, subtopic_report
-from .pipeline import atomic_write, fit_topics
-from .retrieval import parse_query, precision_at_k, retrieve
+from .pipeline import RESULT_FORMAT_TAG, atomic_write, fit_topics
+from .retrieval import DEFAULT_CUTOFF, DEFAULT_MU, parse_query, precision_at_k, retrieve
 from .sampler import Hyperparameters
 from .synth import SyntheticSpec, block_embeddings, generate, write_embeddings, write_jsonl
 
@@ -48,20 +48,20 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_args(p)
     p.add_argument("--query", required=True)
     p.add_argument("--mode", choices=["and", "or"], default="or")
-    p.add_argument("--top", type=int, default=200)
-    p.add_argument("--mu", type=float, default=100.0)
+    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("expand", help="extract concept words for a query")
     _corpus_args(p)
     p.add_argument("--query", required=True)
     p.add_argument("--method", choices=["fre", "kld", "rel"], default="kld")
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument("--mode", choices=["and", "or"], default="or")
-    p.add_argument("--top", type=int, default=200)
-    p.add_argument("--mu", type=float, default=100.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--topk", type=int, default=100)
+    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    p.add_argument("--topk", type=int, default=DEFAULT_SIM_TOP_K)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--out", default=None)
 
@@ -72,22 +72,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", default=None, help="file with one query per line")
     p.add_argument("--method", choices=["fre", "kld", "rel"], default="kld")
     p.add_argument("--mode", choices=["and", "or"], default="or")
-    p.add_argument("--top", type=int, default=200)
-    p.add_argument("--mu", type=float, default=100.0)
-    p.add_argument("--n", type=int, default=10, help="concept words per query")
+    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--n", type=int, default=DEFAULT_N, help="concept words per query")
     p.add_argument("--iters1", type=int, default=1000)
     p.add_argument("--iters2", type=int, default=500)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=1.5)
-    p.add_argument("--u", type=float, default=0.3)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--floor", type=float, default=0.005)
-    p.add_argument("--k-init", type=int, default=8)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--topk", type=int, default=100)
+    p.add_argument("--alpha", type=float, default=Hyperparameters.alpha)
+    p.add_argument("--beta", type=float, default=Hyperparameters.beta)
+    p.add_argument("--gamma", type=float, default=Hyperparameters.gamma)
+    p.add_argument("--u", type=float, default=Hyperparameters.promotion_weight)
+    p.add_argument("--tau", type=float, default=Hyperparameters.cosine_threshold)
+    p.add_argument("--m", type=int, default=Hyperparameters.n_representatives)
+    p.add_argument("--floor", type=float, default=Hyperparameters.prevalence_floor)
+    p.add_argument("--k-init", type=int, default=Hyperparameters.initial_topics)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    p.add_argument("--topk", type=int, default=DEFAULT_SIM_TOP_K)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--target-label", action="append", default=None)
     p.add_argument("--full-posterior", action="store_true")
@@ -208,12 +208,14 @@ def _write_manifest(args: argparse.Namespace) -> None:
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    """Print the payload, or write it to `--out` together with its manifest."""
+    """Print the payload, or write it to `--out` together with its manifest
+    (none beside a FIFO or a device)."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with atomic_write(args.out) as fh:
             fh.write(text + "\n")
-        _write_manifest(args)
+        if os.path.isfile(args.out):
+            _write_manifest(args)
     else:
         print(text)
 
@@ -267,8 +269,6 @@ def cmd_fit(args) -> None:
     queries = _fit_queries(args)
     if args.method == "rel" and not args.embeddings:
         raise ValidationError("--method rel requires --embeddings")
-    if args.target_label and len(args.target_label) != len(queries):
-        raise ValidationError("--target-label count must match query count")
     hp = Hyperparameters(alpha=args.alpha, beta=args.beta, gamma=args.gamma,
                          initial_topics=max(args.k_init, len(queries) + 1),
                          cosine_threshold=args.tau, promotion_weight=args.u,
@@ -293,7 +293,7 @@ def cmd_eval(args) -> None:
         raise ValidationError(f"result file not found: {args.result}")
     with open(args.result) as fh:
         result = json.load(fh)
-    if result.get("format") != "qdtm-result-v1":
+    if result.get("format") != RESULT_FORMAT_TAG:
         raise ValidationError(f"unsupported result format: {result.get('format')!r}")
 
     if args.labels:

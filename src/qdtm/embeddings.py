@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,28 +109,16 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-@dataclass
-class PromotionMatrix:
-    """Promotion rows over the (vocab word, concept word) pairs with cosine >= tau.
+def build_promotion(table: EmbeddingTable, concept_words,
+                    tau: float) -> dict[int, list[tuple[int, bool]]]:
+    """Promotion rows for all (w_i, w_q) pairs over vocabulary x concept words
+    with cosine >= tau.
 
-    `rows` groups pairs by the sampled word: rows[w] is a list of
-    (target word, is_self) entries; the promotion amount is 1 for self
-    entries and u otherwise.
-    """
-
-    u: float
-    rows: dict[int, list[tuple[int, bool]]] = field(default_factory=dict)
-
-
-def build_promotion(table: EmbeddingTable, concept_words, tau: float,
-                    u: float) -> PromotionMatrix:
-    """Rows for all (w_i, w_q) pairs over vocabulary x concept words with cosine >= tau.
-
+    rows[w] lists the (target word, is_self) entries of the sampled word w; a
+    flagged token adds 1 to a self target and u to every other target.
     Concept words without an embedding are excluded with a warning; self-pairs
     for embedded concept words are always present (cosine 1 >= tau).
     """
-    if not 0 < u < 1:
-        raise EmbeddingError(f"promotion weight u must be in (0,1), got {u}")
     pairs: set[tuple[int, int]] = set()
     norms = table.norm_matrix()
     embedded = np.zeros(table.vocab_size, dtype=bool)
@@ -145,7 +132,7 @@ def build_promotion(table: EmbeddingTable, concept_words, tau: float,
         sims = norms @ (qv / nq)
         pairs.update((int(wi), wq) for wi in np.nonzero((sims >= tau) & embedded)[0])
         pairs.add((wq, wq))
-    promo = PromotionMatrix(u)
+    rows: dict[int, list[tuple[int, bool]]] = {}
     for (wi, wq) in sorted(pairs):
-        promo.rows.setdefault(wi, []).append((wq, wi == wq))
-    return promo
+        rows.setdefault(wi, []).append((wq, wi == wq))
+    return rows

@@ -10,10 +10,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .concepts import ConceptWordSet, extract_concept_words
+from .concepts import (DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, ConceptWordSet,
+                       extract_concept_words)
 from .corpus import Corpus
-from .embeddings import EmbeddingTable, PromotionMatrix, build_promotion
-from .retrieval import parse_query, retrieve
+from .embeddings import EmbeddingTable, build_promotion
+from .retrieval import DEFAULT_CUTOFF, DEFAULT_MU, parse_query, retrieve
 from .sampler import HDPSampler, Hyperparameters, SamplerError
 
 logger = logging.getLogger(__name__)
@@ -89,8 +90,16 @@ def atomic_write(path: str):
 
     A failed write leaves any existing file at `path` untouched and no
     partial file behind. The temp file is synced before the rename, so a
-    crash of the machine cannot leave a renamed but empty file.
+    crash of the machine cannot leave a renamed but empty file. A symlink is
+    followed: its target is replaced and the link kept. An existing path that
+    is not a regular file (a FIFO, a device) is written in place, because
+    replacing it would destroy it.
     """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -128,7 +137,7 @@ def extract_parent_subcorpus(sampler: HDPSampler, parent: int,
 def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters,
                seed: int, *,
                iterations: int = 500,
-               promotion: PromotionMatrix | None = None,
+               promotion: dict[int, list[tuple[int, bool]]] | None = None,
                embedding_norms: np.ndarray | None = None,
                check_invariants: bool = False) -> tuple[HDPSampler, list[int], dict[int, int]]:
     """Fresh unconstrained HDP over the parent's sub-corpus.
@@ -146,27 +155,24 @@ def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters
     if len(scope) == 1:
         # a single word type cannot be split; sampling would only shuffle
         # interchangeable point-mass topics around
-        sampler = HDPSampler(docs, 1, hp, seed, base_density=1.0)
+        sampler = HDPSampler(docs, 1, hp, seed)
         sampler.set_state([[0] * len(d) for d in docs], [[0] for _ in docs])
         return sampler, scope, sampler.topic_token_counts()
 
-    local_promotion = None
+    local_promotion = {}
     local_norms = None
-    if promotion is not None and embedding_norms is not None:
-        rows = {}
-        for w, row in promotion.rows.items():
+    if promotion and embedding_norms is not None:
+        for w, row in promotion.items():
             if w in local:
                 entries = [(local[tgt], is_self) for tgt, is_self in row if tgt in local]
                 if entries:
-                    rows[local[w]] = entries
-        if rows:
-            local_promotion = PromotionMatrix(promotion.u, rows)
+                    local_promotion[local[w]] = entries
+        if local_promotion:
             local_norms = embedding_norms[scope]
 
     sampler = HDPSampler(docs, len(scope), hp, seed,
                          promotion=local_promotion,
-                         embedding_norms=local_norms,
-                         base_density=1.0 / len(scope))
+                         embedding_norms=local_norms)
     sampler.initialize()
     sampler.run(iterations, check_invariants=check_invariants)
     counts = sampler.topic_token_counts()
@@ -187,11 +193,11 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
                iterations_phase1: int = 1000,
                iterations_phase2: int = 500,
                mode: str = "or",
-               retrieval_cutoff: int = 200,
-               mu: float = 100.0,
-               n_concepts: int = 10,
-               lam: float = 0.5,
-               sim_top_k: int = 100,
+               retrieval_cutoff: int = DEFAULT_CUTOFF,
+               mu: float = DEFAULT_MU,
+               n_concepts: int = DEFAULT_N,
+               lam: float = DEFAULT_LAMBDA,
+               sim_top_k: int = DEFAULT_SIM_TOP_K,
                target_labels: list[str] | None = None,
                full_posterior: bool = False,
                check_invariants: bool = False,
@@ -205,6 +211,13 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
     hp.validate(n_queries=len(query_phrases))
     if not query_phrases:
         raise SamplerError("at least one query is required")
+    for name, n in (("iterations_phase1", iterations_phase1),
+                    ("iterations_phase2", iterations_phase2)):
+        if n < 1:
+            raise SamplerError(f"{name} must be >= 1, got {n}")
+    if target_labels and len(target_labels) != len(query_phrases):
+        raise SamplerError(f"{len(target_labels)} target labels for "
+                           f"{len(query_phrases)} queries")
     vocab = corpus.vocab
 
     concept_sets: list[ConceptWordSet] = []
@@ -227,8 +240,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
     norms = None
     if embeddings is not None:
         all_concepts = sorted({w for cs in concept_sets for w in cs.word_ids()})
-        promotion = build_promotion(embeddings, all_concepts, hp.cosine_threshold,
-                                    hp.promotion_weight)
+        promotion = build_promotion(embeddings, all_concepts, hp.cosine_threshold)
         norms = embeddings.norm_matrix()
 
     parent_reps = {q_idx: cs.word_ids() for q_idx, cs in enumerate(concept_sets)}
@@ -275,13 +287,11 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
             for k in survivors:
                 tops = [(vocab.token_of(scope[w]), p)
                         for w, p in sub_sampler.top_words(k, N_TOP_WORDS)]
-                sub_support = sorted(
-                    w for w in range(len(scope))
-                    if sub_sampler.nkw_units[k][w] or sub_sampler.nkw_promos[k][w])
                 subtopics.append(Subtopic(
                     top_words=tops,
                     prevalence=counts[k] / total_tokens,
-                    support=[vocab.token_of(scope[w]) for w in sub_support],
+                    support=[vocab.token_of(scope[w])
+                             for w in np.flatnonzero(sub_sampler.counts(k))],
                 ))
         else:
             logger.warning("all subtopics pruned for query %r; "

@@ -8,14 +8,13 @@ emptiness checks are exact.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-from .embeddings import PromotionMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -66,10 +65,10 @@ class HDPSampler:
 
     def __init__(self, docs: list[list[int]], vocab_size: int, hp: Hyperparameters,
                  seed: int = 0, *, forced_topic: dict[int, int] | None = None,
-                 n_parents: int = 0, promotion: PromotionMatrix | None = None,
+                 n_parents: int = 0,
+                 promotion: dict[int, list[tuple[int, bool]]] | None = None,
                  embedding_norms: np.ndarray | None = None,
-                 parent_representatives: dict[int, list[int]] | None = None,
-                 base_density: float | None = None):
+                 parent_representatives: dict[int, list[int]] | None = None):
         if not docs or any(len(d) == 0 for d in docs):
             raise SamplerError("documents must be non-empty")
         self.docs = docs
@@ -79,11 +78,10 @@ class HDPSampler:
         self.rng = np.random.default_rng(seed)
         self.forced_topic = dict(forced_topic or {})
         self.n_parents = n_parents
-        self.promo_rows = promotion.rows if promotion is not None else {}
+        self.promo_rows = promotion or {}
         self.embedding_norms = embedding_norms
         self.parent_representatives = parent_representatives or {}
-        self.base_density = base_density if base_density is not None else 1.0 / vocab_size
-        self.gpu_enabled = bool(self.promo_rows) and embedding_norms is not None
+        self.base_density = 1.0 / vocab_size   # f_new: the uniform base measure
 
         self.set_state([[] for _ in docs], [[] for _ in docs])   # empty counts
         # cohesion cache (refreshed once per iteration)
@@ -233,62 +231,41 @@ class HDPSampler:
 
     # --------------------------------------------------------------- weights
 
-    def f(self, k: int, w: int) -> float:
-        """Dirichlet-multinomial predictive probability of word w under topic k."""
-        beta = self.hp.beta
-        return (self.nkw(k, w) + beta) / (self.nk(k) + self.V * beta)
-
-    def new_table_likelihood(self, w: int) -> float:
-        """Mixture p(w | t_new): sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new."""
-        gamma = self.hp.gamma
-        s = sum(self.m_k[k] * self.f(k, w) for k in self.m_k)
-        return (s + gamma * self.base_density) / (self.m_total + gamma)
+    def predictive(self, w: int) -> dict[int, float]:
+        """Dirichlet-multinomial predictive f_k(w) = (n_kw + beta) / (n_k + V beta)
+        of word w under every live topic k, in `m_k` order."""
+        beta, u = self.hp.beta, self.u
+        vbeta = self.V * beta
+        ku, kp, nu, npr = self.nkw_units, self.nkw_promos, self.nk_units, self.nk_promos
+        return {k: (ku[k][w] + u * kp[k][w] + beta) / (nu[k] + u * npr[k] + vbeta)
+                for k in self.m_k}
 
     def table_weights(self, j: int, w: int) -> tuple[list[float], float]:
         """Unnormalized table-choice weights for word w in document j.
 
         The token itself must not be counted. Returns per-slot weights
-        (0 for dead or constraint-violating tables) and the new-table weight.
+        (0 for dead or constraint-violating tables) and the new-table weight
+        alpha p(w | t_new), with p(w | t_new) the mixture
+        sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new.
         Constrained words zero out every table not serving their parent topic.
         """
         forced = self.forced_topic.get(w)
-        beta = self.hp.beta
+        f = self.predictive(w)
         u = self.u
-        vbeta = self.V * beta
-        f_cache: dict[int, float] = {}
-        weights = []
-        topics = self.table_topic[j]
-        units = self.table_units[j]
-        promos = self.table_promos[j]
-        for t in range(len(topics)):
-            k = topics[t]
-            if k < 0 or (forced is not None and k != forced):
-                weights.append(0.0)
-                continue
-            fk = f_cache.get(k)
-            if fk is None:
-                fk = (self.nkw_units[k][w] + u * self.nkw_promos[k][w] + beta) / (
-                    self.nk_units[k] + u * self.nk_promos[k] + vbeta)
-                f_cache[k] = fk
-            weights.append((units[t] + u * promos[t]) * fk)
-        new_weight = self.hp.alpha * self.new_table_likelihood(w)
-        return weights, new_weight
+        units, promos = self.table_units[j], self.table_promos[j]
+        weights = [0.0 if k < 0 or (forced is not None and k != forced)
+                   else (units[t] + u * promos[t]) * f[k]
+                   for t, k in enumerate(self.table_topic[j])]
+        gamma = self.hp.gamma
+        mixture = sum(self.m_k[k] * fk for k, fk in f.items())
+        new_table = (mixture + gamma * self.base_density) / (self.m_total + gamma)
+        return weights, self.hp.alpha * new_table
 
     def topic_weights(self, j: int, w: int) -> tuple[list[tuple[int, float]], float]:
-        """Unnormalized topic-choice weights for a freshly drawn table.
-
-        Constrained words may only take their parent topic; the new-topic
-        branch is masked for them so the anchor can never fork.
-        """
-        forced = self.forced_topic.get(w)
-        existing = []
-        for k in sorted(self.m_k):
-            if forced is not None and k != forced:
-                existing.append((k, 0.0))
-            else:
-                existing.append((k, self.m_k[k] * self.f(k, w)))
-        new_weight = 0.0 if forced is not None else self.hp.gamma * self.base_density
-        return existing, new_weight
+        """Unnormalized topic-choice weights for a freshly drawn table of an
+        unconstrained word (`draw_topic` pins a constrained one to its parent)."""
+        f = self.predictive(w)
+        return [(k, self.m_k[k] * f[k]) for k in sorted(f)], self.hp.gamma * self.base_density
 
     # ---------------------------------------------------------------- draws
 
@@ -334,7 +311,7 @@ class HDPSampler:
         Words with no promotion row never apply promotion; topics born after
         the last cache refresh count as rank 0 until the next one.
         """
-        if not self.gpu_enabled or w not in self.promo_rows:
+        if w not in self.promo_rows:
             return 0
         row = self.topic_row.get(k)
         if row is None:
@@ -352,18 +329,14 @@ class HDPSampler:
         """Representative words of a topic with their topic-word probabilities.
 
         Parent topics use their concept words; every other topic uses its
-        top-M words by topic-word probability (ties by word id).
+        top-M words by count (ties by word id).
         """
         if k in self.parent_representatives:
             reps = list(self.parent_representatives[k])
         else:
-            vals = np.array(self.nkw_units[k], dtype=float)
-            if self.u:
-                vals += self.u * np.array(self.nkw_promos[k], dtype=float)
-            m = min(self.hp.n_representatives, self.V)
-            reps = [int(w) for w in np.argsort(-vals, kind="stable")[:m]]
-        probs = [self.f(k, w) for w in reps]
-        return reps, probs
+            reps = _top(self.counts(k), self.hp.n_representatives)
+        p = self.phi(k)
+        return reps, [float(p[w]) for w in reps]
 
     def refresh_cohesion(self) -> None:
         """Rebuild CV and its per-word rank normalization for live topics.
@@ -494,13 +467,15 @@ class HDPSampler:
 
     # ------------------------------------------------------------- posterior
 
+    def counts(self, k: int) -> np.ndarray:
+        """Real-valued topic-word counts n_kw = units + u * promotions."""
+        return (np.array(self.nkw_units[k], dtype=float)
+                + self.u * np.array(self.nkw_promos[k], dtype=float))
+
     def phi(self, k: int) -> np.ndarray:
         """Topic-word distribution (n_kw + beta) / (n_k + V beta)."""
         beta = self.hp.beta
-        vals = np.array(self.nkw_units[k], dtype=float)
-        if self.u:
-            vals += self.u * np.array(self.nkw_promos[k], dtype=float)
-        return (vals + beta) / (self.nk(k) + self.V * beta)
+        return (self.counts(k) + beta) / (self.nk(k) + self.V * beta)
 
     def theta(self) -> tuple[list[int], np.ndarray]:
         """Document-topic proportions from table masses, smoothed by alpha/K."""
@@ -527,15 +502,16 @@ class HDPSampler:
 
     def top_words(self, k: int, n: int = 10) -> list[tuple[int, float]]:
         p = self.phi(k)
-        order = sorted(range(self.V), key=lambda w: (-p[w], w))[:n]
-        return [(w, float(p[w])) for w in order]
+        return [(w, float(p[w])) for w in _top(p, n)]
 
     # ----------------------------------------------------------- checkpoints
 
+    @functools.cached_property
     def fingerprint(self) -> str:
         """Digest of what phase-1 sampling depends on: the token stream, V,
         the constraints, the promotion rows, the embedding norms and alpha,
-        beta, gamma, u and M; not the seed, iteration counts or phase 2."""
+        beta, gamma, u and M; not the seed, iteration counts or phase 2.
+        Computed once per sampler, since none of these change after construction."""
         import hashlib   # loads OpenSSL, 3.4 MB resident; only checkpoints need it
         hp = self.hp
         digest = hashlib.sha256(repr((
@@ -550,7 +526,7 @@ class HDPSampler:
     def state_dict(self) -> dict:
         return {
             "format": "qdtm-checkpoint-v2",
-            "fingerprint": self.fingerprint(),
+            "fingerprint": self.fingerprint,
             "iterations_done": self.iterations_done,
             "t": self.t,
             "flags": self.flags,
@@ -562,10 +538,15 @@ class HDPSampler:
     def load_state_dict(self, state: dict) -> None:
         if state.get("format") != "qdtm-checkpoint-v2":
             raise SamplerError(f"unsupported checkpoint format: {state.get('format')!r}")
-        if state.get("fingerprint") != self.fingerprint():
+        if state.get("fingerprint") != self.fingerprint:
             raise SamplerError("fingerprint mismatch: the checkpoint was written for "
                                "another corpus, query or sampling hyperparameters")
         self.set_state(state["t"], state["table_topic"], state["flags"])
         self.next_topic = state["next_topic"]
         self.iterations_done = state["iterations_done"]
         self.rng.bit_generator.state = state["rng"]
+
+
+def _top(values: np.ndarray, n: int) -> list[int]:
+    """Indices of the n largest values, ties by index."""
+    return [int(w) for w in np.argsort(-values, kind="stable")[:n]]

@@ -16,7 +16,7 @@ import pytest
 from qdtm.cli import EXIT_OK, main
 from qdtm.concepts import extract_concept_words
 from qdtm.corpus import ingest
-from qdtm.embeddings import EmbeddingTable, PromotionMatrix, build_promotion
+from qdtm.embeddings import EmbeddingTable, build_promotion
 from qdtm.metrics import overall_quality
 from qdtm.pipeline import fit_topics, prune_subtopics, run_phase2
 from qdtm.retrieval import parse_query, precision_at_k, retrieve
@@ -218,10 +218,10 @@ def oracle_topic_probs(docs, t_assign, table_topics, w, V, hp, base,
 
 
 def frozen_sampler(docs, V, t_assign, table_topics, *, n_parents=0,
-                   forced=None, base=None):
+                   forced=None):
     hp = Hyperparameters(initial_topics=max(3, n_parents + 1))
     s = HDPSampler(docs, V, hp, seed=1234, forced_topic=forced or {},
-                   n_parents=n_parents, base_density=base)
+                   n_parents=n_parents)
     s.set_state(t_assign, table_topics)
     return s, hp
 
@@ -264,7 +264,7 @@ def test_criterion_03_transition_weight_monte_carlo(report):
     ]
     for docs, t, k, j, w, V, forced, n_parents, base in table_cases:
         s, hp = frozen_sampler(docs, V, t, k, n_parents=n_parents,
-                               forced=forced, base=base)
+                               forced=forced)
         expected = oracle_table_probs(docs, t, k, j, w, V, hp,
                                       s.base_density, forced=(forced or {}).get(w),
                                       n_parents=n_parents)
@@ -279,7 +279,7 @@ def test_criterion_03_transition_weight_monte_carlo(report):
         (docs4, t4, k4, 1, 2, 4, 0, 0.25),
     ]
     for docs, t, k, j, w, V, n_parents, base in topic_cases:
-        s, hp = frozen_sampler(docs, V, t, k, n_parents=n_parents, base=base)
+        s, hp = frozen_sampler(docs, V, t, k, n_parents=n_parents)
         expected = oracle_topic_probs(docs, t, k, w, V, hp, s.base_density,
                                       n_parents=n_parents)
         got = empirical([s.draw_topic(j, w) for _ in range(N)])
@@ -320,8 +320,7 @@ def audited_phase1_run():
     cs = extract_concept_words(corpus, query, retrieved, "kld", 10)
     forced = {w: 0 for w in cs.word_ids()}
 
-    promotion = build_promotion(table, cs.word_ids(), hp.cosine_threshold,
-                                hp.promotion_weight)
+    promotion = build_promotion(table, cs.word_ids(), hp.cosine_threshold)
 
     sampler = HDPSampler([d.tokens for d in corpus.documents], len(corpus.vocab),
                          hp, seed=3, forced_topic=forced, n_parents=1,
@@ -562,7 +561,7 @@ def test_criterion_10_promotion_flag_statistics(report):
     assert all(s.draw_flag(3, 1) == 1 for _ in range(100))
 
     # flagged add: one self-pair and two cross-pairs at u = 0.3
-    promo = PromotionMatrix(0.3, {3: [(0, False), (3, True), (4, False)]})
+    promo = {3: [(0, False), (3, True), (4, False)]}
     hp = Hyperparameters(initial_topics=2)
     s2 = HDPSampler([[1, 3]], 5, hp, seed=0, promotion=promo,
                     embedding_norms=np.zeros((5, 2)))

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -80,6 +83,17 @@ def test_fit_target_label_count_mismatch(small_corpus, tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flag", ["--iters1", "--iters2"])
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_fit_iterations_below_one_rejected(small_corpus, tmp_path, capsys, flag, value):
+    out = tmp_path / "r.json"
+    rc = main(["fit", "--corpus", str(small_corpus), "--query", "w0000",
+               "--iters1", "5", "--iters2", "5", flag, value, "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert "iterations_phase" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
 def test_config_overlay_and_unknown_key(small_corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"top": 3}))
@@ -138,6 +152,37 @@ def test_failed_run_keeps_existing_out_file(small_corpus, tmp_path, capsys):
     assert not (tmp_path / "r.json.manifest.json").exists()
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("r.json")) == [
         "r.json"]   # no temp file left behind
+
+
+def _retrieve_to(small_corpus, out) -> int:
+    return main(["retrieve", "--corpus", str(small_corpus), "--query", "w0000",
+                 "--top", "3", "--out", str(out)])
+
+
+def test_out_symlink_keeps_the_link_and_replaces_its_target(small_corpus, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert _retrieve_to(small_corpus, link) == EXIT_OK
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["query"] == "w0000"
+    assert (tmp_path / "link.json.manifest.json").exists()
+
+
+def test_out_fifo_is_written_in_place_without_a_manifest(small_corpus, tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    assert _retrieve_to(small_corpus, fifo) == EXIT_OK
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received and json.loads(received[0])["query"] == "w0000"
+    assert not (tmp_path / "out.fifo.manifest.json").exists()
 
 
 def _expand_manifest(small_corpus, tmp_path, cfg: dict, flags: list[str]) -> dict:

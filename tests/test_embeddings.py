@@ -4,6 +4,7 @@ import pytest
 from qdtm.corpus import ingest
 from qdtm.embeddings import (EmbeddingError, EmbeddingFormatError, build_promotion,
                              cosine, load_embeddings)
+from qdtm.sampler import Hyperparameters, SamplerError
 
 
 @pytest.fixture
@@ -67,23 +68,23 @@ def test_cosine_errors():
         cosine([1.0], [1.0, 0.0])
 
 
-def pairs_of(promo) -> set[tuple[int, int]]:
-    """The (sampled word, concept word) pairs a promotion matrix holds."""
-    return {(wi, wq) for wi, row in promo.rows.items() for wq, _ in row}
+def pairs_of(rows) -> set[tuple[int, int]]:
+    """The (sampled word, concept word) pairs the promotion rows hold."""
+    return {(wi, wq) for wi, row in rows.items() for wq, _ in row}
 
 
 def test_relatedness_tau_extremes(geometry_table):
     concepts = [0]
-    high = build_promotion(geometry_table, concepts, 1.0 + 1e-9, 0.3)
+    high = build_promotion(geometry_table, concepts, 1.0 + 1e-9)
     assert pairs_of(high) == {(0, 0)}  # only the forced self-pair survives
-    low = build_promotion(geometry_table, concepts, -1.0, 0.3)
+    low = build_promotion(geometry_table, concepts, -1.0)
     assert pairs_of(low) == {(w, 0) for w in geometry_table.vectors}
 
 
 def test_relatedness_matches_bruteforce(geometry_table):
     tau = 0.5
     concepts = [0, 1]
-    promo = build_promotion(geometry_table, concepts, tau, 0.3)
+    promo = build_promotion(geometry_table, concepts, tau)
     expected = set()
     for wq in concepts:
         for wi in geometry_table.vectors:
@@ -97,37 +98,39 @@ def test_relatedness_matches_bruteforce(geometry_table):
 def test_relatedness_skips_unembedded_concepts(geometry_table, caplog):
     import logging
     with caplog.at_level(logging.WARNING, logger="qdtm.embeddings"):
-        promo = build_promotion(geometry_table, [0, 5], 0.5, 0.3)
+        promo = build_promotion(geometry_table, [0, 5], 0.5)
     assert {wq for _, wq in pairs_of(promo)} == {0}
     assert "no embedding" in caplog.text
 
 
 def test_promotion_values(geometry_table):
-    a = build_promotion(geometry_table, [0], 0.5, 0.3)
-    assert (0, True) in a.rows[0]         # matched self-pair: amount 1
-    assert (0, False) in a.rows[2]        # matched cross-pair (45 degrees): amount u
-    assert 3 not in a.rows                # cosine -1, no promotion
-    assert a.u == 0.3
+    a = build_promotion(geometry_table, [0], 0.5)
+    assert (0, True) in a[0]         # matched self-pair: amount 1
+    assert (0, False) in a[2]        # matched cross-pair (45 degrees): amount u
+    assert 3 not in a                # cosine -1, no promotion
     # every row holds at most one self entry, and only for the word itself
-    for wi, row in a.rows.items():
+    for wi, row in a.items():
         assert [wq for wq, is_self in row if is_self] in ([], [wi])
 
 
 def test_promotion_u_range(geometry_table):
+    """Promotion rows carry only the self flag; u's (0, 1) range is checked where u lives."""
+    rows = build_promotion(geometry_table, [0], 0.5)
+    assert all(isinstance(is_self, bool) for row in rows.values() for _, is_self in row)
     for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(EmbeddingError):
-            build_promotion(geometry_table, [0], 0.5, bad)
+        with pytest.raises(SamplerError, match="promotion weight"):
+            Hyperparameters(promotion_weight=bad).validate()
 
 
 def test_promotion_entries_back_relatedness(geometry_table):
     tau = 0.4
-    a = build_promotion(geometry_table, [0, 1], tau, 0.3)
-    for wi, row in a.rows.items():
+    a = build_promotion(geometry_table, [0, 1], tau)
+    for wi, row in a.items():
         for wq, _ in row:
             assert cosine(geometry_table.get(wi), geometry_table.get(wq)) >= tau
 
 
 def test_idempotent_construction(geometry_table):
-    a1 = build_promotion(geometry_table, [0, 1], 0.5, 0.3)
-    a2 = build_promotion(geometry_table, [0, 1], 0.5, 0.3)
-    assert a1.rows == a2.rows
+    a1 = build_promotion(geometry_table, [0, 1], 0.5)
+    a2 = build_promotion(geometry_table, [0, 1], 0.5)
+    assert a1 == a2

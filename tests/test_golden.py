@@ -1,0 +1,61 @@
+"""Pinned SHA-256 digests of the files small CLI runs write.
+
+A change that claims byte-identical results must keep every digest below; a
+change that alters results on purpose updates them and says why. Manifests
+are not pinned, because they hold paths.
+
+The runs: `synth` with embeddings; a checkpointed `kld` fit with embeddings
+and the full posterior, resumed to more phase-1 sweeps; a two-query `fre`
+fit with target labels; `eval` of the resumed fit.
+"""
+
+import hashlib
+import json
+import shutil
+
+import pytest
+
+from qdtm.cli import EXIT_OK, main
+
+GOLDEN = {
+    "corpus.jsonl": "8dea4d049afcf40bf1a4360da61e554ec42cac1c673efe6bf4cd490e05096e2b",
+    "corpus.jsonl.truth.json": "6fe1b920dfee5bd3ce9e109953ac8288bf978735477a24a9574489fa3b46c3a0",
+    "vectors.txt": "c40b2490b4ae90a4851446c5effbc117d8a024e58a57c282a69970bda948c719",
+    "kld.json": "2daef1bcfe4b854c1495a7eb02aa9cc1c5fdb5c9b1bee99da24a3afdb1cff4c7",
+    "checkpoint.first.json": "376120fbada4f12a2f63fd46e99b182f80e4a77628c5298d796c2394f9b6e401",
+    "kld.resumed.json": "fd01dc58db79c032aed8679e302274d66ae85dad9ff318ff2d1fc5c27e39645f",
+    "checkpoint.json": "84a63838d9fd1ee8b7f3625b933bf08e4c40dbe0c5961ff1132eea03ef55f6e8",
+    "fre.json": "781b91986d35a2f66c5914c403f0d2143f10f4affbd5394276812914b922a56c",
+    "eval.json": "b05b777a04437e4418989fd68c2879ca6de0f303bce5bdf52591757cce9d0995",
+}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    corpus, vectors, ck = str(d / "corpus.jsonl"), str(d / "vectors.txt"), str(d / "checkpoint.json")
+    assert main(["synth", "--topics", "4", "--vocab", "150", "--docs", "80",
+                 "--doc-length", "25", "--rare-prevalence", "0.05", "--seed", "2",
+                 "--out", corpus, "--embeddings-out", vectors]) == EXIT_OK
+    truth = json.loads((d / "corpus.jsonl.truth.json").read_text())
+    rare = " ".join(truth["topic_top_words"][truth["rare_topic"]][:2])
+    common = " ".join(truth["topic_top_words"]["topic0"][:2])
+
+    kld = ["fit", "--corpus", corpus, "--query", rare, "--method", "kld",
+           "--embeddings", vectors, "--full-posterior", "--checkpoint", ck,
+           "--iters2", "5"]
+    assert main(kld + ["--iters1", "6", "--out", str(d / "kld.json")]) == EXIT_OK
+    shutil.copyfile(ck, d / "checkpoint.first.json")
+    assert main(kld + ["--iters1", "12", "--out", str(d / "kld.resumed.json")]) == EXIT_OK
+    assert main(["fit", "--corpus", corpus, "--query", rare, "--query", common,
+                 "--method", "fre", "--iters1", "10", "--iters2", "5",
+                 "--target-label", truth["rare_topic"], "--target-label", "topic0",
+                 "--out", str(d / "fre.json")]) == EXIT_OK
+    assert main(["eval", "--corpus", corpus, "--result", str(d / "kld.resumed.json"),
+                 "--embeddings", vectors, "--out", str(d / "eval.json")]) == EXIT_OK
+    return {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in GOLDEN}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_is_byte_identical(digests, name):
+    assert digests[name] == GOLDEN[name]

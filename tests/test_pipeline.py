@@ -1,12 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from qdtm import pipeline
 from qdtm.corpus import ingest
 from qdtm.pipeline import (ParentTopicError, extract_parent_subcorpus, fit_topics,
                            prune_subtopics, run_phase2)
-from qdtm.sampler import HDPSampler, Hyperparameters
+from qdtm.sampler import HDPSampler, Hyperparameters, SamplerError
 
 
 def test_extract_parent_subcorpus_matches_assignments():
@@ -188,3 +190,33 @@ def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeyp
         _checkpoint_fit(ckpt, 8)
     assert ckpt.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+def test_resumed_fit_hashes_the_token_stream_once(tmp_path, monkeypatch):
+    ckpt = tmp_path / "state.json"
+    _checkpoint_fit(ckpt, 5)
+    calls = []
+    sha256 = hashlib.sha256
+
+    def counted(*args):
+        calls.append(args)
+        return sha256(*args)
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    _checkpoint_fit(ckpt, 8)   # checks the fingerprint on load, writes it on save
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(iterations_phase1=-5), "iterations_phase1"),
+    (dict(iterations_phase1=0), "iterations_phase1"),
+    (dict(iterations_phase2=0), "iterations_phase2"),
+    (dict(target_labels=["a"]), "1 target labels for 2 queries"),
+])
+def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("fit_topics started before checking its arguments")
+    monkeypatch.setattr(pipeline, "retrieve", no_work)
+    args = dict(hp=Hyperparameters(initial_topics=4), seed=5, iterations_phase1=5,
+                iterations_phase2=5, mode="and", retrieval_cutoff=50)
+    with pytest.raises(SamplerError, match=match):
+        fit_topics(make_block_corpus(), ["w01 w02", "w20 w21"], "kld", **{**args, **kw})

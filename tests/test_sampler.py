@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtm.embeddings import PromotionMatrix
 from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters, SamplerError
 
 
@@ -26,8 +25,9 @@ def small_hp(**kw):
 def test_hyperparameter_validation():
     with pytest.raises(SamplerError):
         Hyperparameters(alpha=0).validate()
-    with pytest.raises(SamplerError):
-        Hyperparameters(promotion_weight=1.0).validate()
+    for bad_u in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(SamplerError, match="promotion weight"):
+            Hyperparameters(promotion_weight=bad_u).validate()
     with pytest.raises(SamplerError):
         Hyperparameters(initial_topics=1).validate(n_queries=1)
     Hyperparameters().validate(n_queries=2)
@@ -71,13 +71,13 @@ def test_predictive_prob_symmetric_prior():
     s._register_topic(5)
     s.m_k[5] = 1
     s.m_total += 1
-    assert s.f(5, 7) == pytest.approx(0.5 / 50)  # == 1/|V|
+    assert s.predictive(7)[5] == pytest.approx(0.5 / 50)  # == 1/|V|
     assert s.base_density == pytest.approx(1 / 100)
 
 
 def test_phase2_base_density():
     docs = [[0]]
-    s = HDPSampler(docs, 40, small_hp(), seed=0, base_density=1 / 40)
+    s = HDPSampler(docs, 40, small_hp(), seed=0)
     assert s.base_density == pytest.approx(0.025)
 
 
@@ -97,7 +97,7 @@ def test_plain_round_trip_restores_state():
 
 def test_gpu_round_trip_restores_state():
     # word 0 has a self-pair and two cross-pairs
-    promo = PromotionMatrix(0.3, {0: [(0, True), (1, False), (2, False)]})
+    promo = {0: [(0, True), (1, False), (2, False)]}
     norms = np.eye(3)
     docs = [[0, 1, 2, 0]]
     s = HDPSampler(docs, 3, small_hp(), seed=3, promotion=promo,
@@ -113,7 +113,7 @@ def test_gpu_round_trip_restores_state():
 
 
 def test_gpu_add_inflates_table_mass_by_row_sum():
-    promo = PromotionMatrix(0.3, {0: [(0, True), (1, False), (2, False)]})
+    promo = {0: [(0, True), (1, False), (2, False)]}
     docs = [[0]]
     s = HDPSampler(docs, 3, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(3))
@@ -263,7 +263,7 @@ def test_check_invariants_catches_a_fault_in_the_count_updates(monkeypatch):
             self.nkw_units[k][target] += sign
             self.nk_units[k] += sign
 
-    promo = PromotionMatrix(0.3, {0: [(0, True), (1, False)]})
+    promo = {0: [(0, True), (1, False)]}
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
     monkeypatch.setattr(HDPSampler, "_apply_counts", faulty_apply_counts)
@@ -285,7 +285,7 @@ def build_cohesion_sampler(cv_targets):
     norms[2] = [0, 0, 1]
     norms[3] = cv_targets / np.linalg.norm(cv_targets)
     docs = [[0, 0], [1, 1], [2, 2], [3]]
-    promo = PromotionMatrix(0.3, {3: [(0, False)]})
+    promo = {3: [(0, False)]}
     s = HDPSampler(docs, 4, Hyperparameters(initial_topics=3, n_representatives=1),
                    seed=13, promotion=promo, embedding_norms=norms)
     s.set_state([[0, 0], [0, 0], [0, 0], [0]],
@@ -318,7 +318,7 @@ def test_cohesion_single_rep_identical_word():
     norms = np.eye(2)
     docs = [[0, 0, 0, 0]]
     s = HDPSampler(docs, 2, Hyperparameters(initial_topics=1, n_representatives=1),
-                   seed=0, promotion=PromotionMatrix(0.3, {0: [(0, True)]}),
+                   seed=0, promotion={0: [(0, True)]},
                    embedding_norms=norms)
     s.set_state([[0, 0, 0, 0]], [[0]])
     s.refresh_cohesion()
@@ -333,7 +333,7 @@ def test_parent_representatives_are_concept_words():
     docs = [[0, 1, 2]]
     s = HDPSampler(docs, 3, small_hp(), seed=0, forced_topic={2: 0}, n_parents=1,
                    parent_representatives={0: [2]},
-                   promotion=PromotionMatrix(0.3, {2: [(2, True)]}),
+                   promotion={2: [(2, True)]},
                    embedding_norms=norms)
     s.initialize()
     reps, _ = s.representatives(0)
@@ -385,8 +385,8 @@ def checkpoint_cases(draw):
     forced = draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3)
                   if n_parents else st.just({}))
     rows = draw(st.dictionaries(words, st.sets(words, max_size=3), min_size=1, max_size=4))
-    promotion = PromotionMatrix(0.3, {w: [(w, True)] + [(t, False) for t in sorted(ts - {w})]
-                                      for w, ts in rows.items()})
+    promotion = {w: [(w, True)] + [(t, False) for t in sorted(ts - {w})]
+                 for w, ts in rows.items()}
     seed = draw(st.integers(0, 2**32 - 1))
     norms = np.random.default_rng(seed).normal(size=(V, 3))
     kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
