@@ -4,6 +4,11 @@ Counts are kept as integer pairs (units, promotions): the real-valued count is
 units + u * promotions, where u is the promotion weight. All count updates are
 integer arithmetic, so remove/add round-trips restore state exactly and
 emptiness checks are exact.
+
+The predictive's numerators and denominators are cached per topic, derived
+from those integers by one expression each and rewritten whenever a count
+they read changes, so the per-token work over all live topics runs in C
+iterators. Float sums go left to right through `_sum` on every Python version.
 """
 
 from __future__ import annotations
@@ -11,8 +16,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter, mul, truediv
 
 import numpy as np
 
@@ -92,11 +100,14 @@ class HDPSampler:
     # ------------------------------------------------------------------ state
 
     def _register_topic(self, k: int) -> None:
-        if k not in self.nk_units:
-            self.nkw_units[k] = [0] * self.V
-            self.nkw_promos[k] = [0] * self.V
-            self.nk_units[k] = 0
-            self.nk_promos[k] = 0
+        """Birth of topic k: zero counts, cached as the view's last column."""
+        self.nkw_units[k] = [0] * self.V
+        self.nkw_promos[k] = [0] * self.V
+        self.nk_units[k] = 0
+        self.nk_promos[k] = 0
+        self._col[k] = len(self._num)
+        self._num.append([self.hp.beta] * self.V)   # n_kw + beta at n_kw = 0
+        self._den.append(self.V * self.hp.beta)
 
     def nkw(self, k: int, w: int) -> float:
         return self.nkw_units[k][w] + self.u * self.nkw_promos[k][w]
@@ -149,6 +160,9 @@ class HDPSampler:
         self.m_total = sum(self.m_k.values())
         self.next_topic = max(self.m_k, default=-1) + 1
         self.nkw_units, self.nkw_promos, self.nk_units, self.nk_promos = {}, {}, {}, {}
+        # the column view: live topic k's predictive numerators (by word) and
+        # denominator sit at position _col[k], in `m_k` order
+        self._col, self._num, self._den = {}, [], []
         for k in self.m_k:
             self._register_topic(k)
         for j, doc in enumerate(self.docs):
@@ -160,9 +174,13 @@ class HDPSampler:
     def _apply_counts(self, j: int, t: int, w: int, flag: int, sign: int) -> None:
         """UpdateCounter core: plain +-1, or the word's promotion row when
         the flag is set (self-pairs move unit counts, cross-pairs move
-        promotion counts of the target concept word)."""
+        promotion counts of the target concept word). Every cached numerator
+        n_kw + beta and denominator n_k + V beta a move touches is rewritten
+        from its integers, in the expression order of the uncached predictive."""
         k = self.table_topic[j][t]
-        ku, kp = self.nkw_units[k], self.nkw_promos[k]
+        c = self._col[k]
+        ku, kp, num = self.nkw_units[k], self.nkw_promos[k], self._num[c]
+        u, beta = self.u, self.hp.beta
         if flag:
             for target, is_self in self.promo_rows[w]:
                 if is_self:
@@ -173,10 +191,13 @@ class HDPSampler:
                     self.table_promos[j][t] += sign
                     kp[target] += sign
                     self.nk_promos[k] += sign
+                num[target] = ku[target] + u * kp[target] + beta
         else:
             self.table_units[j][t] += sign
             ku[w] += sign
             self.nk_units[k] += sign
+            num[w] = ku[w] + u * kp[w] + beta
+        self._den[c] = self.nk_units[k] + u * self.nk_promos[k] + self.V * beta
 
     def _open_table(self, j: int, k: int) -> int:
         """Create (or revive a dead slot as) a table serving topic k."""
@@ -218,27 +239,27 @@ class HDPSampler:
                 del self.m_k[k]
                 del self.nkw_units[k], self.nkw_promos[k]
                 del self.nk_units[k], self.nk_promos[k]
+                c = self._col.pop(k)
+                del self._num[c], self._den[c]
+                self._col = {q: n for n, q in enumerate(self.m_k)}
         self.t[j][i] = -1
         return t, k, flag
 
     def _ensure_table(self, j: int, t: int, k: int) -> None:
         """Revive dead slot t of document j as a table serving topic k."""
         if self.table_topic[j][t] == -1:
-            self._register_topic(k)
+            if k not in self.m_k:
+                self._register_topic(k)
             self.table_topic[j][t] = k
             self.m_k[k] = self.m_k.get(k, 0) + 1
             self.m_total += 1
 
     # --------------------------------------------------------------- weights
 
-    def predictive(self, w: int) -> dict[int, float]:
+    def predictive(self, w: int) -> list[float]:
         """Dirichlet-multinomial predictive f_k(w) = (n_kw + beta) / (n_k + V beta)
-        of word w under every live topic k, in `m_k` order."""
-        beta, u = self.hp.beta, self.u
-        vbeta = self.V * beta
-        ku, kp, nu, npr = self.nkw_units, self.nkw_promos, self.nk_units, self.nk_promos
-        return {k: (ku[k][w] + u * kp[k][w] + beta) / (nu[k] + u * npr[k] + vbeta)
-                for k in self.m_k}
+        of word w under every live topic k, in `m_k` order (column `_col[k]`)."""
+        return list(map(truediv, map(itemgetter(w), self._num), self._den))
 
     def table_weights(self, j: int, w: int) -> tuple[list[float], float]:
         """Unnormalized table-choice weights for word w in document j.
@@ -251,35 +272,33 @@ class HDPSampler:
         """
         forced = self.forced_topic.get(w)
         f = self.predictive(w)
-        u = self.u
+        u, col = self.u, self._col
         units, promos = self.table_units[j], self.table_promos[j]
         weights = [0.0 if k < 0 or (forced is not None and k != forced)
-                   else (units[t] + u * promos[t]) * f[k]
+                   else (units[t] + u * promos[t]) * f[col[k]]
                    for t, k in enumerate(self.table_topic[j])]
         gamma = self.hp.gamma
-        mixture = sum(self.m_k[k] * fk for k, fk in f.items())
+        mixture = _sum(map(mul, self.m_k.values(), f))
         new_table = (mixture + gamma * self.base_density) / (self.m_total + gamma)
         return weights, self.hp.alpha * new_table
 
     def topic_weights(self, j: int, w: int) -> tuple[list[tuple[int, float]], float]:
         """Unnormalized topic-choice weights for a freshly drawn table of an
         unconstrained word (`draw_topic` pins a constrained one to its parent)."""
-        f = self.predictive(w)
-        return [(k, self.m_k[k] * f[k]) for k in sorted(f)], self.hp.gamma * self.base_density
+        f, col = self.predictive(w), self._col
+        return ([(k, self.m_k[k] * f[col[k]]) for k in sorted(col)],
+                self.hp.gamma * self.base_density)
 
     # ---------------------------------------------------------------- draws
 
-    def _pick(self, weights: list[float], total: float) -> int:
-        r = self.rng.random() * total
-        acc = 0.0
-        last = 0
-        for i, wt in enumerate(weights):
-            if wt > 0.0:
-                acc += wt
-                last = i
-                if r < acc:
-                    return i
-        return last
+    def _pick(self, weights: list[float], cum: list[float]) -> int:
+        """Index of the first running total `cum` (of `weights`, left to right)
+        above a uniform draw on [0, total). Zero weights are never picked; a
+        draw that rounds up to the total takes the last positive weight."""
+        i = bisect_right(cum, self.rng.random() * cum[-1])
+        if i < len(cum):
+            return i
+        return max((i for i, wt in enumerate(weights) if wt > 0.0), default=0)
 
     def draw_table(self, j: int, w: int) -> int:
         """Sample a table for word w in document j; -1 means a new table.
@@ -288,11 +307,12 @@ class HDPSampler:
         zero (possible only through underflow) a new table is forced.
         """
         weights, new_weight = self.table_weights(j, w)
-        total = sum(weights) + new_weight
-        if total <= 0.0:
+        weights.append(new_weight)
+        cum = list(accumulate(weights))
+        if cum[-1] <= 0.0:
             return -1
-        idx = self._pick(weights + [new_weight], total)
-        return -1 if idx == len(weights) else idx
+        idx = self._pick(weights, cum)
+        return -1 if idx == len(weights) - 1 else idx
 
     def draw_topic(self, j: int, w: int) -> int:
         """Sample a topic for a new table; -1 means a brand-new topic."""
@@ -301,8 +321,7 @@ class HDPSampler:
             return forced
         existing, new_weight = self.topic_weights(j, w)
         weights = [wt for _, wt in existing] + [new_weight]
-        total = sum(weights)
-        idx = self._pick(weights, total)
+        idx = self._pick(weights, list(accumulate(weights)))
         return -1 if idx == len(existing) else existing[idx][0]
 
     def draw_flag(self, w: int, k: int) -> int:
@@ -335,8 +354,9 @@ class HDPSampler:
             reps = list(self.parent_representatives[k])
         else:
             reps = _top(self.counts(k), self.hp.n_representatives)
-        p = self.phi(k)
-        return reps, [float(p[w]) for w in reps]
+        c = self._col[k]
+        num, den = self._num[c], self._den[c]
+        return reps, [num[w] / den for w in reps]
 
     def refresh_cohesion(self) -> None:
         """Rebuild CV and its per-word rank normalization for live topics.
@@ -464,6 +484,16 @@ class HDPSampler:
         for k in self.m_k:
             if recount_u[k] != self.nkw_units[k] or recount_p[k] != self.nkw_promos[k]:
                 raise ConsistencyError(f"topic {k}: word counts disagree with assignments")
+        # the predictive caches, rebuilt from the recount, and their column view
+        if (list(self._col.items()) != [(k, c) for c, k in enumerate(self.m_k)]
+                or len(self._num) != len(self.m_k) or len(self._den) != len(self.m_k)):
+            raise ConsistencyError("the column view disagrees with m_k")
+        u, beta = self.u, self.hp.beta
+        for c, k in enumerate(self.m_k):
+            num = [cu + u * cp + beta for cu, cp in zip(recount_u[k], recount_p[k])]
+            den = sum(recount_u[k]) + u * sum(recount_p[k]) + self.V * beta
+            if self._num[c] != num or self._den[c] != den:
+                raise ConsistencyError(f"topic {k}: cached predictive disagrees with counts")
 
     # ------------------------------------------------------------- posterior
 
@@ -474,8 +504,8 @@ class HDPSampler:
 
     def phi(self, k: int) -> np.ndarray:
         """Topic-word distribution (n_kw + beta) / (n_k + V beta)."""
-        beta = self.hp.beta
-        return (self.counts(k) + beta) / (self.nk(k) + self.V * beta)
+        c = self._col[k]
+        return np.array(self._num[c]) / self._den[c]
 
     def theta(self) -> tuple[list[int], np.ndarray]:
         """Document-topic proportions from table masses, smoothed by alpha/K."""
@@ -545,6 +575,15 @@ class HDPSampler:
         self.next_topic = state["next_topic"]
         self.iterations_done = state["iterations_done"]
         self.rng.bit_generator.state = state["rng"]
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum: `sum()` is compensated from Python 3.12 on, and
+    the draws must not depend on the interpreter's version."""
+    total = 0.0
+    for v in values:   # a plain loop: faster here than functools.reduce(add, ...)
+        total += v
+    return total
 
 
 def _top(values: np.ndarray, n: int) -> list[int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters, SamplerError
+from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters, SamplerError, _sum
 
 
 def snapshot(s):
@@ -71,7 +71,7 @@ def test_predictive_prob_symmetric_prior():
     s._register_topic(5)
     s.m_k[5] = 1
     s.m_total += 1
-    assert s.predictive(7)[5] == pytest.approx(0.5 / 50)  # == 1/|V|
+    assert dict(zip(s.m_k, s.predictive(7)))[5] == pytest.approx(0.5 / 50)  # == 1/|V|
     assert s.base_density == pytest.approx(1 / 100)
 
 
@@ -245,6 +245,26 @@ def test_check_invariants_catches_corruption():
         s.check_invariants()
 
 
+def test_check_invariants_catches_a_corrupt_cached_numerator():
+    s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
+    s.initialize()
+    s._num[s._col[s.live_topics()[0]]][1] += 1e-9
+    with pytest.raises(ConsistencyError, match="cached predictive"):
+        s.check_invariants()
+
+
+def test_check_invariants_catches_a_stale_view_after_a_topic_birth():
+    s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
+    s.initialize()
+    s._detach(0, 1)
+    stale = (dict(s._col), list(s._num), list(s._den))
+    t = s._open_table(0, s.next_topic)   # a topic birth
+    s._attach(0, 1, t, 0)
+    s.check_invariants()
+    s._col, s._num, s._den = stale
+    with pytest.raises(ConsistencyError, match="column view"):
+        s.check_invariants()
+
 
 def test_check_invariants_catches_a_table_count_without_a_table():
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
@@ -270,6 +290,61 @@ def test_check_invariants_catches_a_fault_in_the_count_updates(monkeypatch):
     s.set_state([[0, 0]], [[2]], flags=[[1, 0]])
     with pytest.raises(ConsistencyError):
         s.check_invariants()
+
+
+# -------------------------------------------------------------- table draws
+
+
+class StubRng:
+    """Returns the given uniforms in turn; any other draw is an error."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_sum_is_left_to_right():
+    # sum() is compensated from Python 3.12 on and returns 1.0 there
+    assert _sum([0.1] * 10) == 0.9999999999999999
+    assert _sum([]) == 0.0
+
+
+def test_table_draw_never_picks_dead_or_constraint_violating_slots():
+    # slot 0 dead, slot 1 on parent topic 0, slot 2 on topic 2; word 4 is pinned to 0
+    s = HDPSampler([[4, 4, 1, 1]], 5, small_hp(), seed=0, forced_topic={4: 0}, n_parents=1)
+    s.set_state([[1, 1, 2, 2]], [[-1, 0, 2]])
+    s._detach(0, 0)
+    uniforms = [i / 200 for i in range(200)] + [1.0]
+    for w, allowed in ((4, {1, -1}), (1, {1, 2, -1})):
+        s.rng = StubRng(*uniforms)
+        draws = {s.draw_table(0, w) for _ in uniforms}
+        assert draws == allowed
+
+
+def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
+    # an alpha this small makes the new-table weight underflow to zero, so the
+    # last positive weight is slot 0: slot 1 violates the constraint, slot 2 is dead
+    s = HDPSampler([[4, 4, 1]], 50, small_hp(alpha=5e-324), seed=0,
+                   forced_topic={4: 0}, n_parents=1)
+    s.set_state([[0, 0, 1]], [[0, 2, -1]])
+    s._detach(0, 0)
+    weights, new_w = s.table_weights(0, 4)
+    assert weights[0] > 0.0 and weights[1:] == [0.0, 0.0] and new_w == 0.0
+    s.rng = StubRng(1.0)   # rng.random() * total == total
+    assert s.draw_table(0, 4) == 0
+
+
+def test_table_draw_with_zero_total_forces_a_new_table():
+    s = HDPSampler([[4, 1]], 50, small_hp(alpha=5e-324), seed=0,
+                   forced_topic={4: 0}, n_parents=1)
+    s.set_state([[0, 1]], [[0, 2]])
+    s._detach(0, 0)   # slot 0 dies; slot 1 serves topic 2, which word 4 may not join
+    weights, new_w = s.table_weights(0, 4)
+    assert weights == [0.0, 0.0] and new_w == 0.0
+    s.rng = StubRng()   # no uniform is drawn
+    assert s.draw_table(0, 4) == -1
 
 
 # ------------------------------------------------------------------ cohesion
@@ -414,6 +489,20 @@ def test_resume_equals_uninterrupted_run(case):
     assert resumed.table_topic == full.table_topic
     assert resumed.next_topic == full.next_topic
     assert resumed.rng.bit_generator.state == full.rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(checkpoint_cases())
+def test_cached_predictive_equals_the_count_expression(case):
+    docs, V, hp, seed, kwargs, a, _ = case
+    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s.initialize()
+    s.run(a, check_invariants=True)
+    u, beta = hp.promotion_weight, hp.beta
+    for w in range(V):
+        expected = [(s.nkw_units[k][w] + u * s.nkw_promos[k][w] + beta)
+                    / (s.nk_units[k] + u * s.nk_promos[k] + V * beta) for k in s.m_k]
+        assert s.predictive(w) == expected
 
 
 def test_checkpoint_of_another_stream_is_rejected():
