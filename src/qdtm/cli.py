@@ -204,13 +204,13 @@ def _write_manifest(args: argparse.Namespace) -> None:
     manifest["command"] = args.command
     manifest["qdtm_version"] = __version__
     with atomic_write(args.out + ".manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     """Print the payload, or write it to `--out` together with its manifest
     (none beside a FIFO or a device)."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with atomic_write(args.out) as fh:
             fh.write(text + "\n")
@@ -336,7 +336,7 @@ def cmd_synth(args) -> None:
     write_jsonl(records, args.out)
     truth_path = args.truth_out or args.out + ".truth.json"
     with open(truth_path, "w") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
+        json.dump(truth, fh, indent=2, sort_keys=True, allow_nan=False)
     if args.embeddings_out:
         write_embeddings(block_embeddings(spec), args.embeddings_out)
     _write_manifest(args)

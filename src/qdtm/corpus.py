@@ -137,6 +137,7 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
         raise IngestionError("no input documents")
 
     tokenized: list[tuple[str, list[str], str | None]] = []
+    seen: set[str] = set()
     df: Counter = Counter()
     for rec in raw_documents:
         if isinstance(rec, dict):
@@ -148,6 +149,9 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
             label = None
         if not isinstance(doc_id, str) or not isinstance(text, str):
             raise IngestionError(f"unreadable record: {doc_id!r}")
+        if doc_id in seen:
+            raise IngestionError(f"duplicate document id: {doc_id!r}")
+        seen.add(doc_id)
         toks = [t for t in options.tokenize(text) if t not in options.stopwords]
         tokenized.append((doc_id, toks, label))
         df.update(set(toks))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -60,7 +61,8 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     """Load whitespace-separated text vectors for in-vocabulary tokens.
 
     An optional "count dim" header line is auto-detected. Inconsistent
-    dimensions or malformed floats are format errors naming the line.
+    dimensions, malformed floats and non-finite values are format errors
+    naming the line.
     """
     vectors: dict[int, np.ndarray] = {}
     dim = None
@@ -77,9 +79,12 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
                     pass
             token, values = parts[0], parts[1:]
             try:
-                vec = np.array([float(v) for v in values])
+                floats = [float(v) for v in values]
             except ValueError:
                 raise EmbeddingFormatError(f"line {lineno}: malformed float") from None
+            if not all(map(math.isfinite, floats)):
+                raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+            vec = np.array(floats)
             if dim is None:
                 if len(vec) == 0:
                     raise EmbeddingFormatError(f"line {lineno}: no vector values")

@@ -267,7 +267,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
         sampler.run(remaining, check_invariants=check_invariants)
     if checkpoint_path is not None:
         with atomic_write(checkpoint_path) as fh:
-            json.dump(sampler.state_dict(), fh)
+            json.dump(sampler.state_dict(), fh, allow_nan=False)
 
     topics, theta = sampler.theta()
     col = {k: c for c, k in enumerate(topics)}

@@ -13,11 +13,11 @@ iterators. Float sums go left to right through `_sum` on every Python version.
 
 from __future__ import annotations
 
+import copy
 import functools
 import logging
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, mul, truediv
@@ -52,6 +52,9 @@ class Hyperparameters:
                 raise SamplerError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
             raise SamplerError("alpha, beta and gamma must be positive")
+        if not -1 <= self.cosine_threshold <= 1:
+            raise SamplerError(
+                f"cosine_threshold must be in [-1, 1], got {self.cosine_threshold}")
         if self.initial_topics < n_queries + 1:
             raise SamplerError(
                 f"initial_topics must be >= n_queries + 1 ({n_queries + 1})")
@@ -139,11 +142,13 @@ class HDPSampler:
     def set_state(self, t_assignments: list[list[int]],
                   table_topics: list[list[int]],
                   flags: list[list[int]] | None = None) -> None:
-        """Install a state and rebuild every count from it.
+        """Install a state and build every count from it in one pass.
 
         `t_assignments[j][i]` is the table of token i in document j and
         `table_topics[j][t]` the topic of each table. Topics enter `m_k` in
         table order, parents first; `next_topic` follows the highest live id.
+        Each cached row is written once, from the final integer counts, with
+        the expressions of `_apply_counts`, so it equals theirs bit for bit.
         """
         self.t = [list(r) for r in t_assignments]
         self.flags = [list(r) for r in (flags or [[0] * len(d) for d in self.docs])]
@@ -159,15 +164,35 @@ class HDPSampler:
                     self.m_k[k] = self.m_k.get(k, 0) + 1
         self.m_total = sum(self.m_k.values())
         self.next_topic = max(self.m_k, default=-1) + 1
-        self.nkw_units, self.nkw_promos, self.nk_units, self.nk_promos = {}, {}, {}, {}
+        self.nkw_units = {k: [0] * self.V for k in self.m_k}
+        self.nkw_promos = {k: [0] * self.V for k in self.m_k}
+        for j, doc in enumerate(self.docs):
+            topics, units, promos = self.table_topic[j], self.table_units[j], self.table_promos[j]
+            for w, t, flag in zip(doc, self.t[j], self.flags[j]):
+                k = topics[t]
+                if flag:
+                    for target, is_self in self.promo_rows[w]:
+                        if is_self:
+                            units[t] += 1
+                            self.nkw_units[k][target] += 1
+                        else:
+                            promos[t] += 1
+                            self.nkw_promos[k][target] += 1
+                else:
+                    units[t] += 1
+                    self.nkw_units[k][w] += 1
+        self.nk_units = {k: sum(row) for k, row in self.nkw_units.items()}
+        self.nk_promos = {k: sum(row) for k, row in self.nkw_promos.items()}
         # the column view: live topic k's predictive numerators (by word) and
         # denominator sit at position _col[k], in `m_k` order
-        self._col, self._num, self._den = {}, [], []
-        for k in self.m_k:
-            self._register_topic(k)
-        for j, doc in enumerate(self.docs):
-            for w, t, flag in zip(doc, self.t[j], self.flags[j]):
-                self._apply_counts(j, t, w, flag, +1)
+        u, beta = self.u, self.hp.beta
+        self._col = {k: c for c, k in enumerate(self.m_k)}
+        # cells at n_kw = 0 share one float, beta, as `_register_topic` writes them
+        self._num = [[cu + u * cp + beta if cu or cp else beta
+                      for cu, cp in zip(self.nkw_units[k], self.nkw_promos[k])]
+                     for k in self.m_k]
+        self._den = [self.nk_units[k] + u * self.nk_promos[k] + self.V * beta
+                     for k in self.m_k]
 
     # --------------------------------------------------------------- counters
 
@@ -435,64 +460,31 @@ class HDPSampler:
     def check_invariants(self) -> None:
         """Exact consistency checks; raises ConsistencyError on violation.
 
-        Every count is recounted from the raw assignments here, independently
-        of `_apply_counts`, so a fault in the incremental updates shows.
+        Besides the constraint and the live tables' mass, every structure is
+        compared with `==` to a rebuild by `set_state` from the raw
+        assignments. The builder shares no code with the incremental
+        `_apply_counts`, so a fault in the updates shows.
         """
-        # topic-word sums match topic totals (integer-exact)
-        for k in self.m_k:
-            if sum(self.nkw_units[k]) != self.nk_units[k]:
-                raise ConsistencyError(f"topic {k}: unit counts disagree")
-            if sum(self.nkw_promos[k]) != self.nk_promos[k]:
-                raise ConsistencyError(f"topic {k}: promotion counts disagree")
-        if self.m_total != sum(self.m_k.values()):
-            raise ConsistencyError("m_total != sum of m_k")
-        live = [k for topics in self.table_topic for k in topics if k >= 0]
-        if Counter(live + list(range(self.n_parents))) != self.m_k:
-            raise ConsistencyError("m_k disagrees with the live and phantom tables")
-        # recount from assignments
-        recount_u = {k: [0] * self.V for k in self.m_k}
-        recount_p = {k: [0] * self.V for k in self.m_k}
-        table_u = [[0] * len(r) for r in self.table_topic]
-        table_p = [[0] * len(r) for r in self.table_topic]
         for j, doc in enumerate(self.docs):
-            for i, w in enumerate(doc):
-                t = self.t[j][i]
-                k = self.table_topic[j][t]
-                if k < 0:
-                    raise ConsistencyError(f"token ({j},{i}) at dead table")
-                forced = self.forced_topic.get(w)
-                if forced is not None and k != forced:
-                    raise ConsistencyError(
-                        f"constraint violation: token ({j},{i}) word {w} at topic {k}")
-                if self.flags[j][i]:
-                    for target, is_self in self.promo_rows[w]:
-                        if is_self:
-                            table_u[j][t] += 1
-                            recount_u[k][target] += 1
-                        else:
-                            table_p[j][t] += 1
-                            recount_p[k][target] += 1
-                else:
-                    table_u[j][t] += 1
-                    recount_u[k][w] += 1
-        for j in range(len(self.docs)):
-            if table_u[j] != self.table_units[j] or table_p[j] != self.table_promos[j]:
-                raise ConsistencyError(f"table masses disagree in document {j}")
-            for t, k in enumerate(self.table_topic[j]):
+            topics = self.table_topic[j]
+            for i, (w, t) in enumerate(zip(doc, self.t[j])):
+                k = topics[t]   # a dead table (-1) is forbidden to all
+                if k < 0 or self.forced_topic.get(w, k) != k:
+                    raise ConsistencyError(f"token ({j},{i}) word {w} at forbidden topic {k}")
+            for t, k in enumerate(topics):
                 if k >= 0 and self.table_units[j][t] == 0 and self.table_promos[j][t] == 0:
                     raise ConsistencyError(f"live table ({j},{t}) with zero mass")
-        for k in self.m_k:
-            if recount_u[k] != self.nkw_units[k] or recount_p[k] != self.nkw_promos[k]:
-                raise ConsistencyError(f"topic {k}: word counts disagree with assignments")
-        # the predictive caches, rebuilt from the recount, and their column view
+        ref = copy.copy(self)
+        ref.set_state(self.t, self.table_topic, self.flags)
+        for name in ("m_k", "m_total", "table_units", "table_promos",
+                     "nkw_units", "nkw_promos", "nk_units", "nk_promos"):
+            if getattr(self, name) != getattr(ref, name):
+                raise ConsistencyError(f"{name} disagrees with a rebuild from the assignments")
         if (list(self._col.items()) != [(k, c) for c, k in enumerate(self.m_k)]
                 or len(self._num) != len(self.m_k) or len(self._den) != len(self.m_k)):
             raise ConsistencyError("the column view disagrees with m_k")
-        u, beta = self.u, self.hp.beta
-        for c, k in enumerate(self.m_k):
-            num = [cu + u * cp + beta for cu, cp in zip(recount_u[k], recount_p[k])]
-            den = sum(recount_u[k]) + u * sum(recount_p[k]) + self.V * beta
-            if self._num[c] != num or self._den[c] != den:
+        for k, c in self._col.items():
+            if self._num[c] != ref._num[ref._col[k]] or self._den[c] != ref._den[ref._col[k]]:
                 raise ConsistencyError(f"topic {k}: cached predictive disagrees with counts")
 
     # ------------------------------------------------------------- posterior

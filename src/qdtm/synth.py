@@ -25,6 +25,9 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.n_topics < 2:
             raise SynthError("need at least 2 topics")
+        for name in ("n_docs", "doc_length"):
+            if getattr(self, name) < 1:
+                raise SynthError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.vocab_size < self.n_topics * 10:
             raise SynthError("vocabulary too small for the topic count")
         if not 0 < self.rare_topic_prevalence < 1:

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from qdtm.cli import EXIT_OK, EXIT_VALIDATION, main
+from qdtm.sampler import HDPSampler
 
 
 @pytest.fixture
@@ -284,3 +285,85 @@ def test_config_values_converted_like_flag_arguments(small_corpus, tmp_path):
                                 [])
     assert (manifest["n"], manifest["lam"], manifest["mode"]) == (4, 1.0, "and")
     assert isinstance(manifest["lam"], float)
+
+
+@pytest.mark.parametrize("command", ["fit", "eval"])
+def test_non_finite_embedding_value_is_validation_error(small_corpus, tmp_path, capsys,
+                                                        command):
+    result = tmp_path / "r.json"
+    assert main(["fit", "--corpus", str(small_corpus), "--query", "w0090 w0091",
+                 "--iters1", "2", "--iters2", "1", "--embeddings", str(tmp_path / "vec.txt"),
+                 "--out", str(result)]) == EXIT_OK
+    before = result.read_bytes()
+    lines = (tmp_path / "vec.txt").read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if line.startswith("w0090 "))
+    token, _, *rest = lines[lineno - 1].split()
+    lines[lineno - 1] = " ".join([token, "inf", *rest])   # w0090's first value
+    bad = tmp_path / "vec_inf.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.json"
+    args = (["--query", "w0090 w0091", "--iters1", "2", "--iters2", "1"] if command == "fit"
+            else ["--result", str(result)])
+    capsys.readouterr()
+    rc = main([command, "--corpus", str(small_corpus), *args, "--embeddings", str(bad),
+               "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert f"line {lineno}: non-finite" in err["message"]
+    assert not out.exists() and result.read_bytes() == before
+
+
+def test_duplicate_document_id_is_validation_error(small_corpus, tmp_path, capsys):
+    corpus = tmp_path / "dup.jsonl"
+    lines = small_corpus.read_text().splitlines()
+    first = json.loads(lines[0])
+    lines.append(json.dumps({"id": first["id"], "text": "w0001 w0002"}))
+    corpus.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.json"
+    rc = main(["fit", "--corpus", str(corpus), "--query", "w0000",
+               "--iters1", "1", "--iters2", "1", "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert f"duplicate document id: {first['id']!r}" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("synth", "--docs", "0", "n_docs must be >= 1, got 0"),
+    ("synth", "--doc-length", "0", "doc_length must be >= 1, got 0"),
+    ("fit", "--tau", "2", "cosine_threshold must be in [-1, 1], got 2.0"),
+    ("fit", "--tau", "-1.5", "cosine_threshold must be in [-1, 1], got -1.5"),
+], ids=["docs", "doc-length", "tau-above", "tau-below"])
+def test_out_of_range_value_is_validation_error(small_corpus, tmp_path, capsys,
+                                                command, flag, value, message):
+    out = tmp_path / "r.json"
+    args = (["--corpus", str(small_corpus), "--query", "w0000", "--iters1", "1",
+             "--iters2", "1"] if command == "fit" else [])
+    rc = main([command, *args, flag, value, "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and message in err["message"]
+    assert not out.exists()
+
+
+def test_non_finite_json_output_is_an_error_that_keeps_existing_files(
+        small_corpus, tmp_path, capsys, monkeypatch):
+    assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
+    ckpt, out = tmp_path / "ck.json", tmp_path / "r.json"
+    ckpt_before, out_before = ckpt.read_bytes(), out.read_bytes()
+    state_dict = HDPSampler.state_dict
+    monkeypatch.setattr(HDPSampler, "state_dict",
+                        lambda self: {**state_dict(self), "bad": float("nan")})
+    capsys.readouterr()
+    assert _fit_with_checkpoint(small_corpus, tmp_path, "--iters1", "3") == EXIT_VALIDATION
+    assert "not JSON compliant" in json.loads(capsys.readouterr().err)["message"]
+    assert ckpt.read_bytes() == ckpt_before and out.read_bytes() == out_before
+    # a NaN in a payload fails before `--out` is touched
+    monkeypatch.setattr("qdtm.cli.npmi_coherence", lambda words, corpus: float("nan"))
+    report = tmp_path / "report.json"
+    report.write_bytes(b"old\n")
+    assert main(["eval", "--corpus", str(small_corpus), "--result", str(out),
+                 "--out", str(report)]) == EXIT_VALIDATION
+    assert report.read_bytes() == b"old\n"
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())

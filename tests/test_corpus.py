@@ -45,6 +45,12 @@ def test_unreadable_record_names_offender():
         ingest([("bad", None)])
 
 
+def test_duplicate_document_id_names_it():
+    # a repeated id would let one document's score overwrite the other's
+    with pytest.raises(IngestionError, match="duplicate document id: 'b'"):
+        ingest([("a", "cat sat"), ("b", "dog sat"), ("b", "fish swim")])
+
+
 def test_term_frequency(tiny_corpus):
     d0 = tiny_corpus.documents[0]
     cat = tiny_corpus.vocab.id_of("cat")

@@ -34,6 +34,14 @@ def test_load_malformed_float_names_line(tmp_path, vocab4):
         load_embeddings(path, vocab4)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN"])
+def test_load_non_finite_value_names_line(tmp_path, vocab4, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"aa 1.0 2.0\nbb 1.0 {value}\n")
+    with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
+        load_embeddings(path, vocab4)
+
+
 def test_load_dimension_mismatch_names_line(tmp_path, vocab4):
     path = tmp_path / "bad.txt"
     path.write_text("aa 1.0 2.0\nbb 1.0 2.0 3.0\n")

@@ -30,6 +30,11 @@ def test_hyperparameter_validation():
             Hyperparameters(promotion_weight=bad_u).validate()
     with pytest.raises(SamplerError):
         Hyperparameters(initial_topics=1).validate(n_queries=1)
+    for bad_tau in (2.0, 1.0001, -1.5):
+        with pytest.raises(SamplerError, match=f"cosine_threshold .* got {bad_tau}"):
+            Hyperparameters(cosine_threshold=bad_tau).validate()
+    for tau in (-1.0, 1.0):
+        Hyperparameters(cosine_threshold=tau).validate()
     Hyperparameters().validate(n_queries=2)
 
 
@@ -286,10 +291,31 @@ def test_check_invariants_catches_a_fault_in_the_count_updates(monkeypatch):
     promo = {0: [(0, True), (1, False)]}
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
+    s.set_state([[0, 0]], [[2]])
     monkeypatch.setattr(HDPSampler, "_apply_counts", faulty_apply_counts)
-    s.set_state([[0, 0]], [[2]], flags=[[1, 0]])
+    s._detach(0, 0)
+    s._attach(0, 0, 0, flag=1)
     with pytest.raises(ConsistencyError):
         s.check_invariants()
+
+
+def test_set_state_builds_flagged_counts_without_the_incremental_updates(monkeypatch):
+    def no_apply_counts(self, *args):
+        raise AssertionError("set_state must not replay tokens through _apply_counts")
+
+    promo = {0: [(0, True), (1, False)]}
+    s = HDPSampler([[0, 1, 0]], 2, small_hp(), seed=0, promotion=promo,
+                   embedding_norms=np.eye(2))
+    monkeypatch.setattr(HDPSampler, "_apply_counts", no_apply_counts)
+    s.set_state([[0, 0, 1]], [[2, 1]], flags=[[1, 0, 1]])
+    s.check_invariants()
+    assert s.table_units == [[2, 1]] and s.table_promos == [[1, 1]]
+    assert s.nkw_units == {2: [1, 1], 1: [1, 0]}
+    assert s.nkw_promos == {2: [0, 1], 1: [0, 1]}
+    assert (s.nk_units, s.nk_promos) == ({2: 2, 1: 1}, {2: 1, 1: 1})
+    u, beta = s.u, s.hp.beta
+    assert s._num[s._col[1]] == [1 + u * 0 + beta, 0 + u * 1 + beta]
+    assert s._den[s._col[1]] == 1 + u * 1 + 2 * beta
 
 
 # -------------------------------------------------------------- table draws

@@ -13,6 +13,10 @@ def test_spec_validation():
         SyntheticSpec(vocab_size=30, n_topics=6).validate()
     with pytest.raises(SynthError):
         SyntheticSpec(rare_topic_prevalence=0.001).validate()
+    for name in ("n_docs", "doc_length"):
+        for bad in (0, -3):
+            with pytest.raises(SynthError, match=f"{name} must be >= 1, got {bad}"):
+                SyntheticSpec(**{name: bad}).validate()
     SyntheticSpec().validate()
 
 
