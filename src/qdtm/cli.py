@@ -9,7 +9,8 @@ import os
 import sys
 
 from . import __version__
-from .concepts import DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, extract_concept_words
+from .concepts import (DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, METHODS,
+                       extract_concept_words)
 from .corpus import PreprocessOptions, ingest_jsonl
 from .embeddings import load_embeddings
 from .metrics import npmi_coherence, subtopic_report
@@ -36,6 +37,20 @@ def _corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--keep-case", action="store_true")
 
 
+def _retrieval_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=["and", "or"], default="or")
+    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
+    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+
+
+def _expansion_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--method", choices=METHODS, default="kld")
+    p.add_argument("--n", type=int, default=DEFAULT_N, help="concept words per query")
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    p.add_argument("--topk", type=int, default=DEFAULT_SIM_TOP_K)
+    p.add_argument("--embeddings", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdtm",
                                      description="Query-driven topic modeling")
@@ -47,22 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="rank documents by query likelihood")
     _corpus_args(p)
     p.add_argument("--query", required=True)
-    p.add_argument("--mode", choices=["and", "or"], default="or")
-    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    _retrieval_args(p)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("expand", help="extract concept words for a query")
     _corpus_args(p)
     p.add_argument("--query", required=True)
-    p.add_argument("--method", choices=["fre", "kld", "rel"], default="kld")
-    p.add_argument("--n", type=int, default=DEFAULT_N)
-    p.add_argument("--mode", choices=["and", "or"], default="or")
-    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--mu", type=float, default=DEFAULT_MU)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--topk", type=int, default=DEFAULT_SIM_TOP_K)
-    p.add_argument("--embeddings", default=None)
+    _retrieval_args(p)
+    _expansion_args(p)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("fit", help="run the full two-phase topic model")
@@ -70,11 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", action="append", default=None,
                    help="query phrase (repeatable)")
     p.add_argument("--queries", default=None, help="file with one query per line")
-    p.add_argument("--method", choices=["fre", "kld", "rel"], default="kld")
-    p.add_argument("--mode", choices=["and", "or"], default="or")
-    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--mu", type=float, default=DEFAULT_MU)
-    p.add_argument("--n", type=int, default=DEFAULT_N, help="concept words per query")
+    _retrieval_args(p)
+    _expansion_args(p)
     p.add_argument("--iters1", type=int, default=1000)
     p.add_argument("--iters2", type=int, default=500)
     p.add_argument("--seed", type=int, default=42)
@@ -86,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=Hyperparameters.n_representatives)
     p.add_argument("--floor", type=float, default=Hyperparameters.prevalence_floor)
     p.add_argument("--k-init", type=int, default=Hyperparameters.initial_topics)
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--topk", type=int, default=DEFAULT_SIM_TOP_K)
-    p.add_argument("--embeddings", default=None)
     p.add_argument("--target-label", action="append", default=None)
     p.add_argument("--full-posterior", action="store_true")
     p.add_argument("--checkpoint", default=None)
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a fit result")
     _corpus_args(p)
     p.add_argument("--result", required=True)
-    p.add_argument("--embeddings", default=None)
+    p.add_argument("--embeddings", default=None, help="word vectors for subtopic cohesion")
     p.add_argument("--labels", default=None,
                    help="JSON mapping doc id -> label; defaults to corpus labels")
     p.add_argument("--out", default=None)
@@ -177,26 +178,36 @@ def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return args
 
 
+def _input(path: str, what: str) -> str:
+    if not os.path.exists(path):
+        raise ValidationError(f"{what} file not found: {path}")
+    return path
+
+
+def _output(path: str | None, what: str) -> None:
+    """Reject, before any work, a directory or a path in a missing directory."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValidationError(f"{what} path is a directory: {path}")
+    if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
+        raise ValidationError(f"{what} directory not found: {path}")
+
+
 def _load_corpus(args):
     stopwords = frozenset()
     if args.stopwords:
-        if not os.path.exists(args.stopwords):
-            raise ValidationError(f"stopword file not found: {args.stopwords}")
-        with open(args.stopwords) as fh:
+        with open(_input(args.stopwords, "stopword")) as fh:
             stopwords = frozenset(w.strip() for w in fh if w.strip())
     options = PreprocessOptions(lowercase=not args.keep_case, min_df=args.min_df,
                                 stopwords=stopwords)
-    if not os.path.exists(args.corpus):
-        raise ValidationError(f"corpus file not found: {args.corpus}")
-    return ingest_jsonl(args.corpus, options)
+    return ingest_jsonl(_input(args.corpus, "corpus"), options)
 
 
 def _load_embeddings(args, corpus):
     if not args.embeddings:
         return None
-    if not os.path.exists(args.embeddings):
-        raise ValidationError(f"embeddings file not found: {args.embeddings}")
-    return load_embeddings(args.embeddings, corpus.vocab)
+    return load_embeddings(_input(args.embeddings, "embeddings"), corpus.vocab)
 
 
 def _write_manifest(args: argparse.Namespace) -> None:
@@ -238,8 +249,6 @@ def cmd_retrieve(args) -> None:
 def cmd_expand(args) -> None:
     corpus = _load_corpus(args)
     table = _load_embeddings(args, corpus)
-    if args.method == "rel" and table is None:
-        raise ValidationError("--method rel requires --embeddings")
     query = parse_query(args.query, corpus, args.mode)
     retrieved = retrieve(corpus, query, args.top, args.mu)
     cs = extract_concept_words(corpus, query, retrieved, args.method, args.n,
@@ -256,9 +265,7 @@ def cmd_expand(args) -> None:
 def _fit_queries(args) -> list[str]:
     queries = list(args.query or [])
     if args.queries:
-        if not os.path.exists(args.queries):
-            raise ValidationError(f"queries file not found: {args.queries}")
-        with open(args.queries) as fh:
+        with open(_input(args.queries, "queries")) as fh:
             queries.extend(q.strip() for q in fh if q.strip())
     if not queries:
         raise ValidationError("at least one --query (or --queries file) is required")
@@ -266,14 +273,12 @@ def _fit_queries(args) -> list[str]:
 
 
 def cmd_fit(args) -> None:
+    _output(args.checkpoint, "checkpoint")
     queries = _fit_queries(args)
-    if args.method == "rel" and not args.embeddings:
-        raise ValidationError("--method rel requires --embeddings")
     hp = Hyperparameters(alpha=args.alpha, beta=args.beta, gamma=args.gamma,
                          initial_topics=max(args.k_init, len(queries) + 1),
                          cosine_threshold=args.tau, promotion_weight=args.u,
                          n_representatives=args.m, prevalence_floor=args.floor)
-    hp.validate(n_queries=len(queries))
     corpus = _load_corpus(args)
     table = _load_embeddings(args, corpus)
     result = fit_topics(
@@ -286,32 +291,50 @@ def cmd_fit(args) -> None:
     _emit(result.to_dict(), args)
 
 
+def _result_queries(path: str) -> list[dict]:
+    """The query entries of a fit result file, reduced to what eval reads."""
+    with open(_input(path, "result")) as fh:
+        result = json.load(fh)
+    fmt = result.get("format") if isinstance(result, dict) else None
+    if fmt != RESULT_FORMAT_TAG:
+        raise ValidationError(f"unsupported result format: {fmt!r}")
+    try:
+        return [{"query": q["query"],
+                 "target_label": q.get("target_label") or q["query"],
+                 "scores": q.get("parent_doc_scores", {}),
+                 "parent": [(w, s) for w, s in q["parent"]["top_words"]],
+                 "subtopics": [[(w, s) for w, s in st["top_words"]] for st in q["subtopics"]]}
+                for q in result["queries"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        problem = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ValidationError(f"result file {path}: malformed result, {problem}") from None
+
+
 def cmd_eval(args) -> None:
     corpus = _load_corpus(args)
     table = _load_embeddings(args, corpus)
-    if not os.path.exists(args.result):
-        raise ValidationError(f"result file not found: {args.result}")
-    with open(args.result) as fh:
-        result = json.load(fh)
-    if result.get("format") != RESULT_FORMAT_TAG:
-        raise ValidationError(f"unsupported result format: {result.get('format')!r}")
-
+    queries = _result_queries(args.result)
     if args.labels:
-        if not os.path.exists(args.labels):
-            raise ValidationError(f"labels file not found: {args.labels}")
-        with open(args.labels) as fh:
+        with open(_input(args.labels, "labels")) as fh:
             labels = json.load(fh)
+        if not isinstance(labels, dict):
+            raise ValidationError(f"labels file {args.labels}: expected a JSON object "
+                                  f"mapping doc id to label, got {type(labels).__name__}")
     else:
         labels = {d.doc_id: d.label for d in corpus.documents if d.label}
 
     doc_order = {d.doc_id: j for j, d in enumerate(corpus.documents)}
-    vocab_index = corpus.vocab.index
+    vocab = corpus.vocab
     report = {"queries": []}
-    for q in result["queries"]:
-        target = q.get("target_label") or q["query"]
+    for q in queries:
+        target, scores, parent_words = q["target_label"], q["scores"], q["parent"]
+        unknown = [w for w, _ in parent_words if w not in vocab]
+        if unknown:
+            raise ValidationError(f"result file {args.result}: word {unknown[0]!r} is not "
+                                  f"in the vocabulary of {args.corpus}; was the result "
+                                  "fitted on another corpus?")
         relevant = {doc_id for doc_id, lab in labels.items() if lab == target}
         entry = {"query": q["query"], "target_label": target}
-        scores = q.get("parent_doc_scores", {})
         if relevant and scores:
             ranked = sorted(scores, key=lambda d: (-scores[d], doc_order.get(d, 0)))
             k = min(len(relevant), len(ranked))
@@ -319,15 +342,15 @@ def cmd_eval(args) -> None:
             entry["k"] = k
         else:
             entry["precision_at_k"] = None
-        parent_words = [(w, s) for w, s in q["parent"]["top_words"]]
-        sub_lists = [[(w, s) for w, s in st["top_words"]] for st in q["subtopics"]]
-        entry.update(subtopic_report(parent_words, sub_lists, table, vocab_index))
+        entry.update(subtopic_report(parent_words, q["subtopics"], table, vocab.index))
         entry["npmi"] = npmi_coherence([w for w, _ in parent_words], corpus)
         report["queries"].append(entry)
     _emit(report, args)
 
 
 def cmd_synth(args) -> None:
+    _output(args.truth_out, "truth")
+    _output(args.embeddings_out, "embeddings")
     spec = SyntheticSpec(n_topics=args.topics, vocab_size=args.vocab,
                          n_docs=args.docs, doc_length=args.doc_length,
                          rare_topic_prevalence=args.rare_prevalence,
@@ -358,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = apply_config(parser, args, argv)
+        _output(args.out, "output")
         COMMANDS[args.command](args)
     except ValueError as e:   # every qdtm validation error is a ValueError
         print(json.dumps({"error": "validation", "message": str(e)}), file=sys.stderr)

@@ -29,7 +29,6 @@ class ExtractionError(ValueError):
 @dataclass
 class ConceptWordSet:
     query: Query
-    method: str
     words: list[tuple[int, float]]  # (token id, score), non-increasing score
 
     def word_ids(self) -> list[int]:
@@ -122,12 +121,14 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
         counts, total = retrieved_counts(corpus, retrieved)
         for wid, c in counts.items():
             pr = c / total
-            scores[wid] = pr * math.log(pr / corpus.background_prob(wid))
+            scores[wid] = pr * math.log(pr / corpus.vocab.background_prob(wid))
     else:
         if table is None:
             raise ExtractionError("REL extraction requires embeddings")
         if not 0 <= lam <= 1:
             raise ExtractionError(f"lambda must be in [0,1], got {lam}")
+        if top_k < 1:
+            raise ExtractionError(f"top_k must be >= 1, got {top_k}")
         rm = relevance_model_distribution(corpus, retrieved)
         sim = normalized_query_similarity(query, table, top_k)
         if not sim and lam < 1:
@@ -143,4 +144,4 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
         logger.warning("only %d positive-scoring words for query %r (requested %d)",
                        len(ranked), query.raw, n)
     chosen = ranked[:n]
-    return ConceptWordSet(query, method, [(int(w), float(scores[w])) for w in chosen])
+    return ConceptWordSet(query, [(int(w), float(scores[w])) for w in chosen])

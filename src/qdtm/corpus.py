@@ -120,9 +120,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def background_prob(self, wid: int) -> float:
-        return self.vocab.background_prob(wid)
-
 
 def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
     """Build a Corpus from (id, text[, label]) records.

@@ -94,14 +94,13 @@ def npmi_coherence(top_words: list[str], corpus: Corpus) -> float:
 def subtopic_report(parent_top_words: list[tuple[str, float]],
                     subtopics: list[list[tuple[str, float]]],
                     table: EmbeddingTable | None,
-                    vocab_index: dict[str, int],
-                    top_n_diversity: int = DIVERSITY_TOP_N) -> dict:
+                    vocab_index: dict[str, int]) -> dict:
     """Aggregate diversity, mean cohesion and their product for one parent.
 
-    Diversity uses each subtopic's top `top_n_diversity` words (shorter lists
+    Diversity uses each subtopic's top `DIVERSITY_TOP_N` words (shorter lists
     allowed); cohesion averages over subtopics with a defined embedding.
     """
-    lists = [[w for w, _ in st[:top_n_diversity]] for st in subtopics]
+    lists = [[w for w, _ in st[:DIVERSITY_TOP_N]] for st in subtopics]
     diversity = topic_diversity(lists)
 
     cohesion = None

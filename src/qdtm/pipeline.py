@@ -112,26 +112,25 @@ def atomic_write(path: str):
             os.remove(tmp)
 
 
-def extract_parent_subcorpus(sampler: HDPSampler, parent: int,
-                             doc_ids: list[str]) -> tuple[list[list[int]], list[str], set[int]]:
+def extract_parent_subcorpus(sampler: HDPSampler,
+                             parent: int) -> tuple[list[list[int]], set[int]]:
     """Tokens the parent topic claimed in phase 1, grouped per document.
 
-    Returns (sub-documents, their doc ids, the parent's word-type set).
+    Returns (the non-empty sub-documents, the parent's word-type set).
     """
-    sub_docs, sub_ids = [], []
+    sub_docs = []
     support: set[int] = set()
     for j, doc in enumerate(sampler.docs):
         toks = [w for i, w in enumerate(doc)
                 if sampler.table_topic[j][sampler.t[j][i]] == parent]
         if toks:
             sub_docs.append(toks)
-            sub_ids.append(doc_ids[j])
             support.update(toks)
     if not sub_docs:
         raise ParentTopicError(
             f"parent topic {parent} claimed no tokens; try more iterations or "
             "a different query")
-    return sub_docs, sub_ids, support
+    return sub_docs, support
 
 
 def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters,
@@ -211,10 +210,10 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
     hp.validate(n_queries=len(query_phrases))
     if not query_phrases:
         raise SamplerError("at least one query is required")
-    for name, n in (("iterations_phase1", iterations_phase1),
-                    ("iterations_phase2", iterations_phase2)):
-        if n < 1:
-            raise SamplerError(f"{name} must be >= 1, got {n}")
+    for name, n, low in (("iterations_phase1", iterations_phase1, 1),
+                         ("iterations_phase2", iterations_phase2, 1), ("seed", seed, 0)):
+        if n < low:
+            raise SamplerError(f"{name} must be >= {low}, got {n}")
     if target_labels and len(target_labels) != len(query_phrases):
         raise SamplerError(f"{len(target_labels)} target labels for "
                            f"{len(query_phrases)} queries")
@@ -275,33 +274,30 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
 
     query_results = []
     for q_idx, cs in enumerate(concept_sets):
-        sub_docs, _, support = extract_parent_subcorpus(sampler, q_idx, doc_ids)
+        sub_docs, support = extract_parent_subcorpus(sampler, q_idx)
         sub_sampler, scope, counts = run_phase2(
             sub_docs, support, hp, seed + 1 + q_idx,
             iterations=iterations_phase2, promotion=promotion,
             embedding_norms=norms, check_invariants=check_invariants)
-        survivors = prune_subtopics(counts, total_tokens, hp.prevalence_floor)
-
+        parent_top = [(vocab.token_of(w), p)
+                      for w, p in sampler.top_words(q_idx, N_TOP_WORDS)]
         subtopics = []
-        if survivors:
-            for k in survivors:
-                tops = [(vocab.token_of(scope[w]), p)
-                        for w, p in sub_sampler.top_words(k, N_TOP_WORDS)]
-                subtopics.append(Subtopic(
-                    top_words=tops,
-                    prevalence=counts[k] / total_tokens,
-                    support=[vocab.token_of(scope[w])
-                             for w in np.flatnonzero(sub_sampler.counts(k))],
-                ))
-        else:
+        for k in prune_subtopics(counts, total_tokens, hp.prevalence_floor):
+            tops = [(vocab.token_of(scope[w]), p)
+                    for w, p in sub_sampler.top_words(k, N_TOP_WORDS)]
+            subtopics.append(Subtopic(
+                top_words=tops,
+                prevalence=counts[k] / total_tokens,
+                support=[vocab.token_of(scope[w])
+                         for w in np.flatnonzero(sub_sampler.counts(k))],
+            ))
+        if not subtopics:
             logger.warning("all subtopics pruned for query %r; "
                            "reporting the parent topic as its own subtopic",
                            cs.query.raw)
-            parent_mass = sum(len(d) for d in sub_docs)
             subtopics.append(Subtopic(
-                top_words=[(vocab.token_of(w), p)
-                           for w, p in sampler.top_words(q_idx, N_TOP_WORDS)],
-                prevalence=parent_mass / total_tokens,
+                top_words=parent_top,
+                prevalence=sum(len(d) for d in sub_docs) / total_tokens,
                 support=[vocab.token_of(w) for w in sorted(support)],
             ))
 
@@ -309,8 +305,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
             query=cs.query.raw,
             parent_topic=q_idx,
             concept_words=[(vocab.token_of(w), s) for w, s in cs.words],
-            parent_top_words=[(vocab.token_of(w), p)
-                              for w, p in sampler.top_words(q_idx, N_TOP_WORDS)],
+            parent_top_words=parent_top,
             parent_doc_scores={doc_ids[j]: float(theta[j, col[q_idx]])
                                for j in range(len(docs))},
             subtopics=subtopics,

@@ -36,7 +36,6 @@ class Query:
 @dataclass
 class RetrievedSet:
     entries: list[tuple[int, float]]  # (document index, log score), descending
-    cutoff: int
 
 
 def parse_query(phrase: str, corpus: Corpus, mode: str = "or") -> Query:
@@ -72,7 +71,7 @@ def query_likelihood(doc: Document, query: Query, corpus: Corpus, mu: float = DE
     score = 0.0
     for wid in query.terms:
         tf = doc.counts.get(wid, 0)
-        p = (tf + mu * corpus.background_prob(wid)) / (n + mu)
+        p = (tf + mu * corpus.vocab.background_prob(wid)) / (n + mu)
         if p <= 0.0:
             return NEG_INF
         score += math.log(p)
@@ -104,7 +103,7 @@ def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
     scored = [(idx, query_likelihood(corpus.documents[idx], query, corpus, mu))
               for idx in candidates]
     scored.sort(key=lambda e: (-e[1], e[0]))
-    return RetrievedSet(scored[:cutoff], cutoff)
+    return RetrievedSet(scored[:cutoff])
 
 
 def precision_at_k(ranked_docs, relevant, k: int) -> float:

@@ -25,16 +25,17 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.n_topics < 2:
             raise SynthError("need at least 2 topics")
-        for name in ("n_docs", "doc_length"):
-            if getattr(self, name) < 1:
-                raise SynthError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("n_docs", 1), ("doc_length", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise SynthError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.vocab_size < self.n_topics * 10:
             raise SynthError("vocabulary too small for the topic count")
         if not 0 < self.rare_topic_prevalence < 1:
             raise SynthError("rare topic prevalence must be in (0,1)")
         expected = self.rare_topic_prevalence * self.n_docs
-        if expected < self.n_docs / 50:
-            raise SynthError("rare topic would be expected less than once per 50 docs")
+        if expected < 1:
+            raise SynthError(f"rare topic prevalence {self.rare_topic_prevalence} expects "
+                             f"{expected:g} of {self.n_docs} documents; need at least 1")
         if not 0 <= self.background_mass < 1:
             raise SynthError("background mass must be in [0,1)")
 
@@ -63,7 +64,7 @@ def generate(spec: SyntheticSpec) -> tuple[list[dict], dict]:
     """Draw documents and ground truth.
 
     The last topic index is the rare one: it owns `rare_topic_prevalence` of
-    the documents (at least one), the rest are uniform over the other topics.
+    the documents (at least one, by `validate`), the rest are uniform over the other topics.
     Returns (jsonl-ready records, ground truth dict).
     """
     spec.validate()
@@ -72,7 +73,7 @@ def generate(spec: SyntheticSpec) -> tuple[list[dict], dict]:
     K = spec.n_topics
     rare = K - 1
 
-    n_rare = max(1, round(spec.rare_topic_prevalence * spec.n_docs))
+    n_rare = round(spec.rare_topic_prevalence * spec.n_docs)
     doc_topics = [rare] * n_rare + [
         int(rng.integers(K - 1)) for _ in range(spec.n_docs - n_rare)]
     rng.shuffle(doc_topics)

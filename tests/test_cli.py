@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from qdtm.cli import EXIT_OK, EXIT_VALIDATION, main
+from qdtm.cli import EXIT_OK, EXIT_VALIDATION, build_parser, main
 from qdtm.sampler import HDPSampler
 
 
@@ -334,7 +334,9 @@ def test_duplicate_document_id_is_validation_error(small_corpus, tmp_path, capsy
     ("synth", "--doc-length", "0", "doc_length must be >= 1, got 0"),
     ("fit", "--tau", "2", "cosine_threshold must be in [-1, 1], got 2.0"),
     ("fit", "--tau", "-1.5", "cosine_threshold must be in [-1, 1], got -1.5"),
-], ids=["docs", "doc-length", "tau-above", "tau-below"])
+    ("fit", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("synth", "--seed", "-1", "seed must be >= 0, got -1"),
+], ids=["docs", "doc-length", "tau-above", "tau-below", "fit-seed", "synth-seed"])
 def test_out_of_range_value_is_validation_error(small_corpus, tmp_path, capsys,
                                                 command, flag, value, message):
     out = tmp_path / "r.json"
@@ -367,3 +369,129 @@ def test_non_finite_json_output_is_an_error_that_keeps_existing_files(
                  "--out", str(report)]) == EXIT_VALIDATION
     assert report.read_bytes() == b"old\n"
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
+
+# `vars(args)` of a minimal argv per subcommand, as the manifest records it;
+# regrouping the option declarations must not drop, rename or re-default any.
+PARSED = {
+    "retrieve": (["--corpus", "c.jsonl", "--query", "q"], {
+        "command": "retrieve", "config": None, "corpus": "c.jsonl", "keep_case": False,
+        "min_df": 1, "mode": "or", "mu": 100.0, "out": None, "query": "q",
+        "stopwords": None, "top": 200, "verbose": False}),
+    "expand": (["--corpus", "c.jsonl", "--query", "q"], {
+        "command": "expand", "config": None, "corpus": "c.jsonl", "embeddings": None,
+        "keep_case": False, "lam": 0.5, "method": "kld", "min_df": 1, "mode": "or",
+        "mu": 100.0, "n": 10, "out": None, "query": "q", "stopwords": None, "top": 200,
+        "topk": 100, "verbose": False}),
+    "fit": (["--corpus", "c.jsonl", "--query", "q", "--out", "r.json"], {
+        "alpha": 1.0, "beta": 0.5, "checkpoint": None, "command": "fit", "config": None,
+        "corpus": "c.jsonl", "embeddings": None, "floor": 0.005, "full_posterior": False,
+        "gamma": 1.5, "iters1": 1000, "iters2": 500, "k_init": 8, "keep_case": False,
+        "lam": 0.5, "m": 10, "method": "kld", "min_df": 1, "mode": "or", "mu": 100.0,
+        "n": 10, "out": "r.json", "queries": None, "query": ["q"], "seed": 42,
+        "stopwords": None, "target_label": None, "tau": 0.5, "top": 200, "topk": 100,
+        "u": 0.3, "verbose": False}),
+    "eval": (["--corpus", "c.jsonl", "--result", "r.json"], {
+        "command": "eval", "config": None, "corpus": "c.jsonl", "embeddings": None,
+        "keep_case": False, "labels": None, "min_df": 1, "out": None, "result": "r.json",
+        "stopwords": None, "verbose": False}),
+    "synth": (["--out", "c.jsonl"], {
+        "command": "synth", "config": None, "doc_length": 40, "docs": 500,
+        "embeddings_out": None, "out": "c.jsonl", "rare_prevalence": 0.02, "seed": 0,
+        "topics": 6, "truth_out": None, "verbose": False, "vocab": 1000}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED))
+def test_parsed_options_are_pinned(command):
+    argv, expected = PARSED[command]
+    args = build_parser().parse_args([command, *argv])
+    # JSON text, so that 1 and 1.0 differ as they do in the manifest
+    assert json.dumps(vars(args), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("topk", ["0", "-1"])
+def test_expand_topk_below_one_is_validation_error(small_corpus, tmp_path, capsys, topk):
+    rc = main(["expand", "--corpus", str(small_corpus), "--query", "w0001",
+               "--method", "rel", "--embeddings", str(tmp_path / "vec.txt"), "--topk", topk])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert f"top_k must be >= 1, got {topk}" in err["message"]
+
+
+def test_expand_rel_without_embeddings_is_validation_error(small_corpus, capsys):
+    rc = main(["expand", "--corpus", str(small_corpus), "--query", "w0001",
+               "--method", "rel"])
+    assert rc == EXIT_VALIDATION
+    assert "requires embeddings" in json.loads(capsys.readouterr().err)["message"]
+
+
+def _fit_result(small_corpus, tmp_path):
+    result = tmp_path / "r.json"
+    assert main(["fit", "--corpus", str(small_corpus), "--query", "w0000",
+                 "--iters1", "2", "--iters2", "1", "--out", str(result)]) == EXIT_OK
+    return result
+
+
+def _eval_error(small_corpus, result, capsys, *flags) -> str:
+    capsys.readouterr()
+    out = result.parent / "report.json"
+    rc = main(["eval", "--corpus", str(small_corpus), "--result", str(result), *flags,
+               "--out", str(out)])
+    assert rc == EXIT_VALIDATION and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    return err["message"]
+
+
+def test_eval_labels_not_a_mapping_is_validation_error(small_corpus, tmp_path, capsys):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps(["doc00000", "topic3"]))
+    message = _eval_error(small_corpus, _fit_result(small_corpus, tmp_path), capsys,
+                          "--labels", str(labels))
+    assert f"labels file {labels}: expected a JSON object" in message
+
+
+def test_eval_result_without_queries_is_validation_error(small_corpus, tmp_path, capsys):
+    result = tmp_path / "r.json"
+    result.write_text(json.dumps({"format": "qdtm-result-v1", "metadata": {}}))
+    message = _eval_error(small_corpus, result, capsys)
+    assert f"result file {result}: malformed result, missing key 'queries'" in message
+
+
+def test_eval_result_of_another_corpus_is_validation_error(small_corpus, tmp_path, capsys):
+    result = _fit_result(small_corpus, tmp_path)
+    payload = json.loads(result.read_text())
+    payload["queries"][0]["parent"]["top_words"][0][0] = "w9999"   # not in the corpus
+    result.write_text(json.dumps(payload))
+    message = _eval_error(small_corpus, result, capsys)
+    assert f"result file {result}: word 'w9999' is not in the vocabulary" in message
+
+
+@pytest.mark.parametrize("flag, bad, message", [
+    ("--out", "missing/r.json", "directory not found"),
+    ("--checkpoint", "missing/ck.json", "directory not found"),
+    ("--out", "", "path is a directory"),
+])
+def test_fit_unwritable_output_fails_before_any_work(small_corpus, tmp_path, capsys,
+                                                     monkeypatch, flag, bad, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("fit loaded the corpus before checking its outputs")
+    monkeypatch.setattr("qdtm.cli.ingest_jsonl", no_work)
+    bad = str(tmp_path / bad)
+    paths = {"--out": str(tmp_path / "r.json"), "--checkpoint": str(tmp_path / "ck.json"),
+             flag: bad}
+    rc = main(["fit", "--corpus", str(small_corpus), "--query", "w0000",
+               "--out", paths["--out"], "--checkpoint", paths["--checkpoint"]])
+    assert rc == EXIT_VALIDATION
+    assert f"{message}: {bad}" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "ck.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--truth-out", "--embeddings-out"])
+def test_synth_output_in_missing_directory_writes_nothing(tmp_path, capsys, flag):
+    out, missing = tmp_path / "c.jsonl", tmp_path / "missing" / "file"
+    assert main(["synth", "--docs", "50", "--out", str(out), flag, str(missing)]) == \
+        EXIT_VALIDATION
+    assert f"directory not found: {missing}" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()

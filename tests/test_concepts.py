@@ -21,15 +21,15 @@ def all_scores(corpus, query, retrieved, method, **kwargs) -> dict[int, float]:
 def test_score_fre_sums_term_frequencies():
     c = ingest([("a", "xx xx xx yy"), ("b", "xx xx zz"), ("c", "zz zz")])
     q = parse_query("xx", c)
-    retrieved = RetrievedSet([(0, -1.0), (1, -2.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0), (1, -2.0)])
     xx = c.vocab.id_of("xx")
     zz = c.vocab.id_of("zz")
     absent = c.vocab.id_of("yy")
     scores = all_scores(c, q, retrieved, "fre")
     assert scores[xx] == 5
     assert scores[zz] == 1
-    assert zz not in all_scores(c, q, RetrievedSet([(0, -1.0)], 10), "fre")
-    assert absent not in all_scores(c, q, RetrievedSet([(2, -1.0)], 10), "fre")
+    assert zz not in all_scores(c, q, RetrievedSet([(0, -1.0)]), "fre")
+    assert absent not in all_scores(c, q, RetrievedSet([(2, -1.0)]), "fre")
 
 
 def test_score_fre_matches_recount(random_corpus):
@@ -46,7 +46,7 @@ def test_score_kld_zero_when_distributions_match():
     # retrieved set == whole corpus, so P_R == P_C and no word scores above 0
     c = ingest([("a", "xx yy"), ("b", "xx zz")])
     q = parse_query("xx", c)
-    retrieved = RetrievedSet([(0, -1.0), (1, -1.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0), (1, -1.0)])
     assert all_scores(c, q, retrieved, "kld") == {}
 
 
@@ -57,7 +57,7 @@ def test_score_kld_hand_value():
     docs.append(("bg", filler))
     c = ingest(docs)
     q = parse_query("xx", c)
-    retrieved = RetrievedSet([(0, -1.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0)])
     xx = c.vocab.id_of("xx")
     scores = all_scores(c, q, retrieved, "kld")
     assert scores[xx] == pytest.approx(0.1 * math.log(10), abs=1e-12)
@@ -66,13 +66,13 @@ def test_score_kld_hand_value():
 def test_score_kld_absent_word_is_zero():
     c = ingest([("a", "xx yy"), ("b", "zz ww")])
     q = parse_query("xx", c)
-    retrieved = RetrievedSet([(0, -1.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0)])
     assert c.vocab.id_of("zz") not in all_scores(c, q, retrieved, "kld")
 
 
 def test_relevance_model_single_doc_collapses():
     c = ingest([("a", "xx xx yy"), ("b", "zz")])
-    retrieved = RetrievedSet([(0, -0.5)], 10)
+    retrieved = RetrievedSet([(0, -0.5)])
     xx = c.vocab.id_of("xx")
     assert relevance_model_distribution(c, retrieved)[xx] == pytest.approx(2 / 3)
 
@@ -80,7 +80,7 @@ def test_relevance_model_single_doc_collapses():
 def test_relevance_model_uniform_average():
     c = ingest([("a", "xx " + "aa " * 4), ("b", "xx xx " + "bb " * 3)])
     # equal log scores -> uniform weights; p(xx|d0)=0.2, p(xx|d1)=0.4
-    retrieved = RetrievedSet([(0, -1.0), (1, -1.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0), (1, -1.0)])
     xx = c.vocab.id_of("xx")
     assert relevance_model_distribution(c, retrieved)[xx] == pytest.approx(0.3)
 
@@ -102,7 +102,7 @@ def test_relevance_model_sums_to_one_and_matches_double_loop(random_corpus):
 
 def test_relevance_model_degenerate_weights():
     c = ingest([("a", "xx yy"), ("b", "zz ww")])
-    retrieved = RetrievedSet([(0, float("-inf"))], 10)
+    retrieved = RetrievedSet([(0, float("-inf"))])
     with pytest.raises(ExtractionError):
         relevance_model_distribution(c, retrieved)
 
@@ -139,9 +139,19 @@ def test_rel_lambda_out_of_range():
     c = ingest([("a", "xx yy")])
     table = make_table({0: [1.0, 0.0]}, len(c.vocab))
     q = parse_query("xx", c)
-    retrieved = RetrievedSet([(0, -1.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0)])
     with pytest.raises(ExtractionError):
         extract_concept_words(c, q, retrieved, "rel", 1, table=table, lam=1.5)
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_rel_top_k_below_one(top_k):
+    c = ingest([("a", "xx yy")])
+    table = make_table({0: [1.0, 0.0], 1: [0.0, 1.0]}, len(c.vocab))
+    q = parse_query("xx", c)
+    with pytest.raises(ExtractionError, match=f"top_k must be >= 1, got {top_k}"):
+        extract_concept_words(c, q, RetrievedSet([(0, -1.0)]), "rel", 1, table=table,
+                              top_k=top_k)
 
 
 def test_rel_missing_query_embedding_falls_back(caplog):
@@ -185,7 +195,7 @@ def test_extract_kld_planted_exclusive_words(random_corpus):
 def test_extract_truncates_when_few_positive(caplog):
     c = ingest([("a", "xx yy"), ("b", "zz ww")])
     q = parse_query("xx", c)
-    retrieved = RetrievedSet([(0, -1.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0)])
     import logging
     with caplog.at_level(logging.WARNING, logger="qdtm.concepts"):
         cs = extract_concept_words(c, q, retrieved, "fre", 10)
@@ -195,6 +205,6 @@ def test_extract_truncates_when_few_positive(caplog):
 
 def test_extract_rejects_unknown_method(tiny_corpus):
     q = parse_query("cat", tiny_corpus)
-    retrieved = RetrievedSet([(0, -1.0)], 10)
+    retrieved = RetrievedSet([(0, -1.0)])
     with pytest.raises(ExtractionError):
         extract_concept_words(tiny_corpus, q, retrieved, "bm25", 5)

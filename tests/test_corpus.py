@@ -89,7 +89,7 @@ def test_background_prob_matches_recount(random_corpus):
             counts[w] = counts.get(w, 0) + 1
             total += 1
     for w, n in counts.items():
-        assert random_corpus.background_prob(w) == n / total
+        assert random_corpus.vocab.background_prob(w) == n / total
 
 
 def test_document_lengths_match_counts(random_corpus):

@@ -16,9 +16,8 @@ def test_extract_parent_subcorpus_matches_assignments():
     s = HDPSampler(docs, 3, Hyperparameters(initial_topics=3), seed=0,
                    forced_topic={2: 0}, n_parents=1)
     s.set_state([[0, 0, 1], [0, 1, 2]], [[1, 0], [0, 0, 2]])
-    sub_docs, sub_ids, support = extract_parent_subcorpus(s, 0, ["a", "b"])
+    sub_docs, support = extract_parent_subcorpus(s, 0)
     assert sub_docs == [[2], [2, 2]]
-    assert sub_ids == ["a", "b"]
     assert support == {2}
 
 
@@ -26,7 +25,7 @@ def test_extract_parent_subcorpus_whole_doc_passthrough():
     docs = [[1, 2, 1]]
     s = HDPSampler(docs, 3, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
     s.set_state([[0, 0, 0]], [[0]])
-    sub_docs, _, support = extract_parent_subcorpus(s, 0, ["a"])
+    sub_docs, support = extract_parent_subcorpus(s, 0)
     assert sub_docs == [[1, 2, 1]]
     assert support == {1, 2}
 
@@ -36,7 +35,7 @@ def test_extract_parent_subcorpus_empty_is_fatal():
     s = HDPSampler(docs, 2, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
     s.set_state([[0, 0]], [[1]])
     with pytest.raises(ParentTopicError):
-        extract_parent_subcorpus(s, 0, ["a"])
+        extract_parent_subcorpus(s, 0)
 
 
 def test_phase2_single_word_type_point_mass():
@@ -211,6 +210,7 @@ def test_resumed_fit_hashes_the_token_stream_once(tmp_path, monkeypatch):
     (dict(iterations_phase1=0), "iterations_phase1"),
     (dict(iterations_phase2=0), "iterations_phase2"),
     (dict(target_labels=["a"]), "1 target labels for 2 queries"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
 ])
 def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
     def no_work(*args, **kwargs):

@@ -106,7 +106,7 @@ def test_ranking_matches_bruteforce_oracle():
             continue
         s = 0.0
         for t in q.terms:
-            s += math.log((doc.counts.get(t, 0) + 100.0 * c.background_prob(t))
+            s += math.log((doc.counts.get(t, 0) + 100.0 * c.vocab.background_prob(t))
                           / (len(doc) + 100.0))
         expected.append((idx, s))
     expected.sort(key=lambda e: (-e[1], e[0]))

@@ -13,11 +13,22 @@ def test_spec_validation():
         SyntheticSpec(vocab_size=30, n_topics=6).validate()
     with pytest.raises(SynthError):
         SyntheticSpec(rare_topic_prevalence=0.001).validate()
-    for name in ("n_docs", "doc_length"):
-        for bad in (0, -3):
-            with pytest.raises(SynthError, match=f"{name} must be >= 1, got {bad}"):
+    for name, low in (("n_docs", 1), ("doc_length", 1), ("seed", 0)):
+        for bad in (low - 1, -3):
+            with pytest.raises(SynthError, match=f"{name} must be >= {low}, got {bad}"):
                 SyntheticSpec(**{name: bad}).validate()
     SyntheticSpec().validate()
+
+
+@pytest.mark.parametrize("prevalence, n_rare", [(0.005, 2), (0.01, 5)])
+def test_low_prevalence_with_one_expected_rare_document_generates(prevalence, n_rare):
+    records, truth = generate(SyntheticSpec(n_docs=500, rare_topic_prevalence=prevalence,
+                                            seed=1))
+    assert len(records) == 500
+    rare = [r for r in records if r["label"] == truth["rare_topic"]]
+    assert len(rare) == truth["rare_doc_count"] == n_rare
+    with pytest.raises(SynthError, match="prevalence 0.001 expects 0.5 of 500 documents"):
+        SyntheticSpec(n_docs=500, rare_topic_prevalence=0.001).validate()
 
 
 def test_topic_distributions_normalize():
