@@ -291,10 +291,17 @@ def cmd_fit(args) -> None:
     _emit(result.to_dict(), args)
 
 
+def _read_json(path: str, what: str):
+    with open(_input(path, what)) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValidationError(f"{what} file {path}: invalid JSON ({e})") from None
+
+
 def _result_queries(path: str) -> list[dict]:
     """The query entries of a fit result file, reduced to what eval reads."""
-    with open(_input(path, "result")) as fh:
-        result = json.load(fh)
+    result = _read_json(path, "result")
     fmt = result.get("format") if isinstance(result, dict) else None
     if fmt != RESULT_FORMAT_TAG:
         raise ValidationError(f"unsupported result format: {fmt!r}")
@@ -315,8 +322,7 @@ def cmd_eval(args) -> None:
     table = _load_embeddings(args, corpus)
     queries = _result_queries(args.result)
     if args.labels:
-        with open(_input(args.labels, "labels")) as fh:
-            labels = json.load(fh)
+        labels = _read_json(args.labels, "labels")
         if not isinstance(labels, dict):
             raise ValidationError(f"labels file {args.labels}: expected a JSON object "
                                   f"mapping doc id to label, got {type(labels).__name__}")

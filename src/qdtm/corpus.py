@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import logging
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +122,16 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
+    @cached_property
+    def postings(self) -> list[array]:
+        """Inverted file: `postings[w]` holds the ascending indices of the
+        documents that contain word `w`. Built from `documents` on first use."""
+        postings = [array("i") for _ in range(len(self.vocab))]
+        for j, doc in enumerate(self.documents):
+            for wid in doc.counts:
+                postings[wid].append(j)
+        return postings
+
 
 def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
     """Build a Corpus from (id, text[, label]) records.
@@ -135,6 +147,7 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
 
     tokenized: list[tuple[str, list[str], str | None]] = []
     seen: set[str] = set()
+    canon: dict[str, str] = {}   # one str object per distinct token until ids replace them
     df: Counter = Counter()
     for rec in raw_documents:
         if isinstance(rec, dict):
@@ -149,7 +162,8 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
         if doc_id in seen:
             raise IngestionError(f"duplicate document id: {doc_id!r}")
         seen.add(doc_id)
-        toks = [t for t in options.tokenize(text) if t not in options.stopwords]
+        toks = [canon.setdefault(t, t) for t in options.tokenize(text)
+                if t not in options.stopwords]
         tokenized.append((doc_id, toks, label))
         df.update(set(toks))
 

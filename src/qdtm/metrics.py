@@ -64,21 +64,21 @@ def overall_quality(diversity: float, cohesion: float) -> float:
 def npmi_coherence(top_words: list[str], corpus: Corpus) -> float:
     """Mean pairwise NPMI of the top words over document co-occurrence.
 
-    Add-one smoothed document frequencies; pairs whose words never occur are
-    skipped. This is an internal diagnostic, not comparable to external C_V
-    coherence numbers.
+    Add-one smoothed document frequencies, read off `corpus.postings`; pairs
+    whose words never occur are skipped. This is an internal diagnostic, not
+    comparable to external C_V coherence numbers.
     """
     words = top_words[:NPMI_TOP_N]
     ids = [corpus.vocab.id_of(w) for w in words]
     n_docs = len(corpus.documents)
-    doc_sets = [set(d.counts) for d in corpus.documents]
-    df = {wid: sum(1 for s in doc_sets if wid in s) for wid in ids}
+    doc_sets = {wid: set(corpus.postings[wid]) for wid in ids}
+    df = {wid: len(s) for wid, s in doc_sets.items()}
 
     scores = []
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
             wa, wb = ids[a], ids[b]
-            joint = sum(1 for s in doc_sets if wa in s and wb in s)
+            joint = len(doc_sets[wa] & doc_sets[wb])
             if df[wa] == 0 and df[wb] == 0 and joint == 0:
                 continue
             p_a = (df[wa] + 1) / (n_docs + 1)

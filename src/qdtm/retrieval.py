@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, UnknownTokenError
 
 DEFAULT_MU = 100.0
 DEFAULT_CUTOFF = 200
@@ -29,6 +29,8 @@ class Query:
     oov: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.terms:
+            raise RetrievalError(f"no query term found in vocabulary: {self.raw!r}")
         if self.mode not in ("and", "or"):
             raise RetrievalError(f"unknown query mode: {self.mode!r}")
 
@@ -50,8 +52,6 @@ def parse_query(phrase: str, corpus: Corpus, mode: str = "or") -> Query:
             terms.append(corpus.vocab.id_of(tok))
         else:
             oov.append(tok)
-    if not terms:
-        raise RetrievalError(f"no query term found in vocabulary: {phrase!r}")
     return Query(terms, phrase, mode, oov)
 
 
@@ -83,21 +83,22 @@ def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
     """Top-`cutoff` documents by query likelihood after the mode filter.
 
     AND keeps documents containing every in-vocabulary query term, OR keeps
-    documents containing at least one. Ties break by ascending document index.
+    documents containing at least one; both read the candidates off
+    `corpus.postings`. Ties break by ascending document index.
     """
     if cutoff < 1:
         raise RetrievalError("cutoff must be >= 1")
     _check_mu(mu)
-    term_set = set(query.terms)
-    candidates = []
-    for idx, doc in enumerate(corpus.documents):
-        if query.mode == "and":
-            if not term_set.issubset(doc.counts):
-                continue
-        else:
-            if term_set.isdisjoint(doc.counts):
-                continue
-        candidates.append(idx)
+    postings = corpus.postings
+    lists = []
+    for wid in set(query.terms):
+        if not 0 <= wid < len(postings):
+            raise UnknownTokenError(wid)
+        lists.append(postings[wid])
+    if query.mode == "and":
+        candidates = set(lists[0]).intersection(*lists[1:])
+    else:
+        candidates = set().union(*lists)
     if not candidates:
         raise EmptyResultError(f"no document passes the {query.mode.upper()} filter for {query.raw!r}")
     scored = [(idx, query_likelihood(corpus.documents[idx], query, corpus, mu))

@@ -452,6 +452,21 @@ def test_eval_labels_not_a_mapping_is_validation_error(small_corpus, tmp_path, c
     assert f"labels file {labels}: expected a JSON object" in message
 
 
+def test_eval_malformed_labels_json_names_the_file(small_corpus, tmp_path, capsys):
+    labels = tmp_path / "labels.json"
+    labels.write_text('{"doc00000": ')
+    message = _eval_error(small_corpus, _fit_result(small_corpus, tmp_path), capsys,
+                          "--labels", str(labels))
+    assert f"labels file {labels}: invalid JSON" in message
+
+
+def test_eval_truncated_result_json_names_the_file(small_corpus, tmp_path, capsys):
+    result = _fit_result(small_corpus, tmp_path)
+    result.write_bytes(result.read_bytes()[:50])
+    message = _eval_error(small_corpus, result, capsys)
+    assert f"result file {result}: invalid JSON" in message
+
+
 def test_eval_result_without_queries_is_validation_error(small_corpus, tmp_path, capsys):
     result = tmp_path / "r.json"
     result.write_text(json.dumps({"format": "qdtm-result-v1", "metadata": {}}))

@@ -6,7 +6,8 @@ are not pinned, because they hold paths.
 
 The runs: `synth` with embeddings; a checkpointed `kld` fit with embeddings
 and the full posterior, resumed to more phase-1 sweeps; a two-query `fre`
-fit with target labels; `eval` of the resumed fit.
+fit with target labels; `eval` of the resumed fit; `retrieve` in both modes
+and `expand` with every method, for the rare topic's query.
 """
 
 import hashlib
@@ -27,6 +28,11 @@ GOLDEN = {
     "checkpoint.json": "84a63838d9fd1ee8b7f3625b933bf08e4c40dbe0c5961ff1132eea03ef55f6e8",
     "fre.json": "781b91986d35a2f66c5914c403f0d2143f10f4affbd5394276812914b922a56c",
     "eval.json": "b05b777a04437e4418989fd68c2879ca6de0f303bce5bdf52591757cce9d0995",
+    "retrieve.or.json": "91f7bb768e73ba346aed627cdff820f546c1d5cdcb4ec3913ae4cd6e20b1fde0",
+    "retrieve.and.json": "1c9688f822404c86981df5d9158373aacad74a42725bb12015be0d4aa5e4b591",
+    "expand.fre.json": "320d44d9a058dcb523e5854c51796ebda7d0b5492c22e0235499ac718c77f0d4",
+    "expand.kld.json": "6b637f358b7610bd71d71a4ea465563489e6475816109907fe49720a7018a05c",
+    "expand.rel.json": "84986439aff4a162e192a35243ebe5f1646b3908342a29728b4b64f587ea15b2",
 }
 
 
@@ -53,6 +59,13 @@ def digests(tmp_path_factory):
                  "--out", str(d / "fre.json")]) == EXIT_OK
     assert main(["eval", "--corpus", corpus, "--result", str(d / "kld.resumed.json"),
                  "--embeddings", vectors, "--out", str(d / "eval.json")]) == EXIT_OK
+    for mode in ("or", "and"):
+        assert main(["retrieve", "--corpus", corpus, "--query", rare, "--mode", mode,
+                     "--out", str(d / f"retrieve.{mode}.json")]) == EXIT_OK
+    for method in ("fre", "kld", "rel"):
+        assert main(["expand", "--corpus", corpus, "--query", rare, "--method", method,
+                     "--embeddings", vectors,
+                     "--out", str(d / f"expand.{method}.json")]) == EXIT_OK
     return {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in GOLDEN}
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdtm.corpus import ingest
+from qdtm.corpus import UnknownTokenError, ingest
 from qdtm.retrieval import (NEG_INF, EmptyResultError, Query, RetrievalError,
                             parse_query, precision_at_k, query_likelihood, retrieve)
 
@@ -150,3 +150,16 @@ def test_precision_at_k_planted_category():
 def test_query_mode_validation():
     with pytest.raises(RetrievalError):
         Query([0], "x", "xor")
+
+
+@pytest.mark.parametrize("mode", ["and", "or"])
+def test_term_id_outside_vocabulary_is_unknown_token(abc_corpus, mode):
+    vocab_size = len(abc_corpus.vocab)
+    for wid in (-1, vocab_size):
+        with pytest.raises(UnknownTokenError):
+            retrieve(abc_corpus, Query([0, wid], "x", mode))
+
+
+def test_query_without_terms_rejected():
+    with pytest.raises(RetrievalError, match="no query term"):
+        Query([], "x", "and")
