@@ -7,8 +7,7 @@ from .corpus import Corpus, Document, PreprocessOptions, Vocabulary, ingest, ing
 from .embeddings import EmbeddingTable, build_promotion, cosine, load_embeddings
 from .metrics import npmi_coherence, overall_quality, topic_cohesion, topic_diversity
 from .pipeline import TopicModelResult, fit_topics
-from .retrieval import (Query, RetrievedSet, parse_query, precision_at_k,
-                        query_likelihood, retrieve)
+from .retrieval import Query, RetrievedSet, parse_query, precision_at_k, retrieve
 from .sampler import HDPSampler, Hyperparameters
 from .synth import SyntheticSpec, generate
 
@@ -19,6 +18,6 @@ __all__ = [
     "build_promotion", "cosine",
     "extract_concept_words", "fit_topics", "generate", "ingest", "ingest_jsonl",
     "load_embeddings", "npmi_coherence", "overall_quality", "parse_query",
-    "precision_at_k", "query_likelihood", "retrieve", "topic_cohesion",
+    "precision_at_k", "retrieve", "topic_cohesion",
     "topic_diversity",
 ]

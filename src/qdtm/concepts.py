@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +34,16 @@ class ConceptWordSet:
         return [w for w, _ in self.words]
 
 
-def retrieved_counts(corpus: Corpus, retrieved: RetrievedSet) -> tuple[Counter, int]:
-    """Term counts and total token count over the retrieved sub-corpus."""
-    counts: Counter = Counter()
-    total = 0
-    for idx, _ in retrieved.entries:
-        doc = corpus.documents[idx]
-        counts.update(doc.tokens)   # counting an iterable runs in C
-        total += len(doc)
-    return counts, total
+def _doc_indices(retrieved: RetrievedSet) -> np.ndarray:
+    return np.array([idx for idx, _ in retrieved.entries], dtype=np.intp)
 
 
 def relevance_model_distribution(corpus: Corpus, retrieved: RetrievedSet) -> np.ndarray:
     """p(w|RM) over the vocabulary: sum_d p(w|d) * p_hat(d|q).
 
     Document weights are the query likelihoods renormalized to sum to 1 over
-    the retrieved set (log-sum-exp in log space).
+    the retrieved set (log-sum-exp in log space). Documents of weight 0 are
+    skipped; each word's terms are added in retrieval order.
     """
     log_scores = np.array([s for _, s in retrieved.entries])
     finite = log_scores > NEG_INF
@@ -60,15 +53,11 @@ def relevance_model_distribution(corpus: Corpus, retrieved: RetrievedSet) -> np.
     weights = np.where(finite, np.exp(np.clip(log_scores - m, -700, 0)), 0.0)
     weights /= weights.sum()
 
-    dist = np.zeros(len(corpus.vocab))
-    for (idx, _), wt in zip(retrieved.entries, weights):
-        if wt == 0.0:
-            continue
-        doc = corpus.documents[idx]
-        inv = wt / len(doc)
-        for wid, n in doc.counts.items():
-            dist[wid] += n * inv
-    return dist
+    kept = np.flatnonzero(weights != 0.0)
+    docs = _doc_indices(retrieved)[kept]
+    inv = weights[kept] / corpus.index.lengths[docs]
+    words, counts, sizes = corpus.index.rows(docs)
+    return np.bincount(words, counts * np.repeat(inv, sizes), len(corpus.vocab))
 
 
 def normalized_query_similarity(query: Query, table: EmbeddingTable,
@@ -110,19 +99,7 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
     if n < 1:
         raise ExtractionError("n must be >= 1")
 
-    vocab_size = len(corpus.vocab)
-    scores = np.zeros(vocab_size)
-    if method == "fre":
-        counts, _ = retrieved_counts(corpus, retrieved)
-        for wid, c in counts.items():
-            scores[wid] = float(c)
-    elif method == "kld":
-        # P_R(w) * ln(P_R(w)/P_C(w)) over the words the retrieved set contains
-        counts, total = retrieved_counts(corpus, retrieved)
-        for wid, c in counts.items():
-            pr = c / total
-            scores[wid] = pr * math.log(pr / corpus.vocab.background_prob(wid))
-    else:
+    if method == "rel":
         if table is None:
             raise ExtractionError("REL extraction requires embeddings")
         if not 0 <= lam <= 1:
@@ -137,11 +114,20 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
         scores = lam * rm
         for wid, s in sim.items():
             scores[wid] += (1 - lam) * s
+    else:
+        docs = _doc_indices(retrieved)
+        words, counts, _ = corpus.index.rows(docs)
+        scores = np.bincount(words, counts, len(corpus.vocab))   # exact integer counts
+        if method == "kld":
+            # P_R(w) * ln(P_R(w)/P_C(w)) over the words the retrieved set contains
+            present = np.flatnonzero(scores)
+            pr = scores[present] / corpus.index.lengths[docs].sum()
+            ratio = pr / (corpus.index.corpus_freq[present] / corpus.vocab.total_tokens)
+            scores[present] = pr * np.array(list(map(math.log, ratio.tolist())))
 
-    positive = np.nonzero(scores > 0)[0]
-    ranked = sorted(positive, key=lambda w: (-scores[w], w))
-    if len(ranked) < n:
+    positive = np.flatnonzero(scores > 0)
+    if len(positive) < n:
         logger.warning("only %d positive-scoring words for query %r (requested %d)",
-                       len(ranked), query.raw, n)
-    chosen = ranked[:n]
-    return ConceptWordSet(query, [(int(w), float(scores[w])) for w in chosen])
+                       len(positive), query.raw, n)
+    chosen = positive[np.argsort(-scores[positive], kind="stable")[:n]]
+    return ConceptWordSet(query, list(zip(chosen.tolist(), scores[chosen].tolist())))

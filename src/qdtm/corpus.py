@@ -10,6 +10,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 MIN_TOKEN_LEN = 2   # shorter tokens are dropped, as are all-digit ones
@@ -61,7 +63,7 @@ class Vocabulary:
     def __init__(self):
         self.tokens: list[str] = []
         self.index: dict[str, int] = {}
-        self.corpus_freq: list[int] = []
+        self.corpus_freq: list[int] = []   # both set by ingest, from the index
         self.total_tokens: int = 0
 
     def __len__(self) -> int:
@@ -76,7 +78,6 @@ class Vocabulary:
             wid = len(self.tokens)
             self.index[token] = wid
             self.tokens.append(token)
-            self.corpus_freq.append(0)
         return wid
 
     def id_of(self, token: str) -> int:
@@ -102,14 +103,78 @@ class Document:
     doc_id: str
     tokens: list[int]
     label: str | None = None
-    counts: Counter = field(default_factory=Counter, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.counts:
-            self.counts = Counter(self.tokens)
+    @cached_property
+    def counts(self) -> Counter:
+        """Term frequencies, counted on first use; the query path reads
+        `Corpus.index` instead."""
+        return Counter(self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+@dataclass(frozen=True)
+class CorpusIndex:
+    """The corpus as flat integer arrays in CSR layout.
+
+    Forward half: document j's distinct word ids are
+    `words[doc_ptr[j]:doc_ptr[j + 1]]`, in first-occurrence order, with their
+    term frequencies at the same positions of `counts`; `lengths[j]` is its
+    token count and `corpus_freq[w]` the count of word w in the corpus.
+    Inverted half: word w's documents are `docs[word_ptr[w]:word_ptr[w + 1]]`,
+    ascending, with w's term frequency in each at the same positions of `tfs`.
+
+    Pointers, lengths and corpus frequencies are int32. Word ids, document
+    indices and term frequencies take the narrowest unsigned type that holds
+    them (uint16 ids and uint8 counts on a 500k-token corpus of 5000
+    documents, 1.8 MB against 4.7 MB in int32), so widen them before any
+    arithmetic that could leave their range.
+    """
+
+    doc_ptr: np.ndarray
+    words: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+    corpus_freq: np.ndarray
+    word_ptr: np.ndarray
+    docs: np.ndarray
+    tfs: np.ndarray
+
+    @classmethod
+    def build(cls, doc_ptr: array, words: array, counts: array, lengths: array,
+              vocab_size: int) -> CorpusIndex:
+        """Index the int32 forward half; the inverted half is its stable sort
+        by word."""
+        doc_ptr, words, counts, lengths = (np.frombuffer(a, np.int32)
+                                           for a in (doc_ptr, words, counts, lengths))
+        order = np.argsort(words, kind="stable")
+        doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), np.diff(doc_ptr))
+        word_ptr = np.zeros(vocab_size + 1, np.int32)
+        word_ptr[1:] = np.cumsum(np.bincount(words, minlength=vocab_size))
+        corpus_freq = np.bincount(words, counts, vocab_size).astype(np.int32)
+        return cls(doc_ptr, _narrow(words), _narrow(counts), lengths, corpus_freq,
+                   word_ptr, _narrow(doc_of[order]), _narrow(counts[order]))
+
+    def posting(self, wid: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending documents that contain word `wid`, and its term
+        frequency in each."""
+        lo, hi = self.word_ptr[wid], self.word_ptr[wid + 1]
+        return self.docs[lo:hi], self.tfs[lo:hi]
+
+    def rows(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The forward entries of `docs` (an intp array), document by document
+        in the order given: word ids, term frequencies, and each document's
+        entry count."""
+        starts = self.doc_ptr[docs]
+        sizes = self.doc_ptr[docs + 1] - starts
+        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        return self.words[at], self.counts[at], sizes
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """`a` in the narrowest unsigned integer type that holds its values."""
+    return a.astype(np.min_scalar_type(a.max(initial=0)))
 
 
 @dataclass
@@ -117,20 +182,11 @@ class Corpus:
     documents: list[Document]
     vocab: Vocabulary
     options: PreprocessOptions
+    index: CorpusIndex = field(repr=False, compare=False)
     dropped_documents: int = 0
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    @cached_property
-    def postings(self) -> list[array]:
-        """Inverted file: `postings[w]` holds the ascending indices of the
-        documents that contain word `w`. Built from `documents` on first use."""
-        postings = [array("i") for _ in range(len(self.vocab))]
-        for j, doc in enumerate(self.documents):
-            for wid in doc.counts:
-                postings[wid].append(j)
-        return postings
 
 
 def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
@@ -172,22 +228,27 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
     vocab = Vocabulary()
     documents: list[Document] = []
     dropped = 0
+    doc_ptr, words, counts, lengths = array("i", [0]), array("i"), array("i"), array("i")
     for doc_id, toks, label in tokenized:
         ids = [vocab.add(t) for t in toks if t in kept]
         if not ids:
             dropped += 1
             continue
-        doc = Document(doc_id, ids, label)
-        documents.append(doc)
-        for wid, n in doc.counts.items():
-            vocab.corpus_freq[wid] += n
-        vocab.total_tokens += len(ids)
+        documents.append(Document(doc_id, ids, label))
+        tf = Counter(ids)   # first-occurrence order
+        words.fromlist(list(tf))
+        counts.fromlist(list(tf.values()))
+        doc_ptr.append(len(words))
+        lengths.append(len(ids))
 
     if dropped:
         logger.warning("dropped %d documents emptied by preprocessing", dropped)
     if not documents:
         raise EmptyCorpusError("empty corpus: all documents dropped by preprocessing")
-    return Corpus(documents, vocab, options, dropped)
+    index = CorpusIndex.build(doc_ptr, words, counts, lengths, len(vocab))
+    vocab.corpus_freq = index.corpus_freq.tolist()
+    vocab.total_tokens = sum(lengths)
+    return Corpus(documents, vocab, options, index, dropped)
 
 
 def read_jsonl(path) -> list[dict]:

@@ -64,28 +64,26 @@ def overall_quality(diversity: float, cohesion: float) -> float:
 def npmi_coherence(top_words: list[str], corpus: Corpus) -> float:
     """Mean pairwise NPMI of the top words over document co-occurrence.
 
-    Add-one smoothed document frequencies, read off `corpus.postings`; pairs
-    whose words never occur are skipped. This is an internal diagnostic, not
-    comparable to external C_V coherence numbers.
+    Add-one smoothed document frequencies, read off a 0/1 incidence product
+    of the words' postings in `corpus.index`. A pair that occurs in every
+    document has p(a,b) = 1 and gets NPMI 1 (Bouma's convention). This is an
+    internal diagnostic, not comparable to external C_V coherence numbers.
     """
-    words = top_words[:NPMI_TOP_N]
-    ids = [corpus.vocab.id_of(w) for w in words]
+    ids = [corpus.vocab.id_of(w) for w in top_words[:NPMI_TOP_N]]
     n_docs = len(corpus.documents)
-    doc_sets = {wid: set(corpus.postings[wid]) for wid in ids}
-    df = {wid: len(s) for wid, s in doc_sets.items()}
+    incidence = np.zeros((len(ids), n_docs))
+    for row, wid in zip(incidence, ids):
+        row[corpus.index.posting(wid)[0]] = 1.0
+    joint = (incidence @ incidence.T).astype(int).tolist()
 
     scores = []
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            wa, wb = ids[a], ids[b]
-            joint = len(doc_sets[wa] & doc_sets[wb])
-            if df[wa] == 0 and df[wb] == 0 and joint == 0:
-                continue
-            p_a = (df[wa] + 1) / (n_docs + 1)
-            p_b = (df[wb] + 1) / (n_docs + 1)
-            p_ab = (joint + 1) / (n_docs + 1)
+            p_a = (joint[a][a] + 1) / (n_docs + 1)
+            p_b = (joint[b][b] + 1) / (n_docs + 1)
+            p_ab = (joint[a][b] + 1) / (n_docs + 1)
             pmi = math.log(p_ab / (p_a * p_b))
-            scores.append(pmi / -math.log(p_ab))
+            scores.append(pmi / -math.log(p_ab) if p_ab < 1.0 else 1.0)
     if not scores:
         return 0.0
     return sum(scores) / len(scores)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, Document, UnknownTokenError
+import numpy as np
+
+from .corpus import Corpus, UnknownTokenError
 
 DEFAULT_MU = 100.0
 DEFAULT_CUTOFF = 200
@@ -60,51 +63,50 @@ def _check_mu(mu: float) -> None:
         raise RetrievalError(f"mu must be finite and >= 0, got {mu}")
 
 
-def query_likelihood(doc: Document, query: Query, corpus: Corpus, mu: float = DEFAULT_MU) -> float:
-    """Log query likelihood under a Dirichlet-smoothed document language model.
-
-    p(q_i|d) = (tf(q_i,d) + mu * P_C(q_i)) / (|d| + mu); mu=0 is the MLE and
-    yields -inf for documents missing a query term.
-    """
-    _check_mu(mu)
-    n = len(doc)
-    score = 0.0
-    for wid in query.terms:
-        tf = doc.counts.get(wid, 0)
-        p = (tf + mu * corpus.vocab.background_prob(wid)) / (n + mu)
-        if p <= 0.0:
-            return NEG_INF
-        score += math.log(p)
-    return score
-
-
 def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
              mu: float = DEFAULT_MU) -> RetrievedSet:
     """Top-`cutoff` documents by query likelihood after the mode filter.
 
-    AND keeps documents containing every in-vocabulary query term, OR keeps
-    documents containing at least one; both read the candidates off
-    `corpus.postings`. Ties break by ascending document index.
+    A document's score is its log query likelihood under a Dirichlet-smoothed
+    language model, p(q_i|d) = (tf(q_i,d) + mu * P_C(q_i)) / (|d| + mu). AND
+    keeps documents containing every in-vocabulary query term, OR keeps
+    documents containing at least one; both read the candidates and their
+    term frequencies off the inverted half of `corpus.index`. Ties break by
+    ascending document index.
     """
     if cutoff < 1:
         raise RetrievalError("cutoff must be >= 1")
     _check_mu(mu)
-    postings = corpus.postings
-    lists = []
-    for wid in set(query.terms):
-        if not 0 <= wid < len(postings):
+    index = corpus.index
+    postings = {}
+    for wid in query.terms:
+        if not 0 <= wid < len(corpus.vocab):
             raise UnknownTokenError(wid)
-        lists.append(postings[wid])
+        postings[wid] = index.posting(wid)
+    docs = [d for d, _ in postings.values()]
     if query.mode == "and":
-        candidates = set(lists[0]).intersection(*lists[1:])
+        candidates = functools.reduce(
+            lambda a, b: np.intersect1d(a, b, assume_unique=True), docs)
     else:
-        candidates = set().union(*lists)
-    if not candidates:
+        # sorted and deduplicated by hand: np.unique imports numpy.ma (0.7 MB)
+        merged = np.sort(np.concatenate(docs))
+        candidates = merged[np.append(True, merged[1:] != merged[:-1])]
+    if not candidates.size:
         raise EmptyResultError(f"no document passes the {query.mode.upper()} filter for {query.raw!r}")
-    scored = [(idx, query_likelihood(corpus.documents[idx], query, corpus, mu))
-              for idx in candidates]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return RetrievedSet(scored[:cutoff])
+    tf = {}
+    for wid, (d, n) in postings.items():
+        pos = np.minimum(np.searchsorted(d, candidates), len(d) - 1)
+        tf[wid] = np.where(d[pos] == candidates, n[pos], 0).astype(float)
+    # log p(q_i|d) term by term, each value through math.log (np.log can
+    # differ in the last bit); mu=0 is the MLE and gives -inf to a document
+    # missing a query term
+    denominator = index.lengths[candidates] + mu
+    scores = np.zeros(len(candidates))
+    for wid in query.terms:
+        p = (tf[wid] + mu * corpus.vocab.background_prob(wid)) / denominator
+        scores += [math.log(x) if x > 0.0 else NEG_INF for x in p.tolist()]
+    top = np.argsort(-scores, kind="stable")[:cutoff]
+    return RetrievedSet(list(zip(candidates[top].tolist(), scores[top].tolist())))
 
 
 def precision_at_k(ranked_docs, relevant, k: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import threading
@@ -141,6 +142,23 @@ def test_fit_then_eval_smoke(small_corpus, tmp_path, capsys):
     assert entry["precision_at_k"] is not None
     assert entry["diversity"] is not None
     assert "npmi" in entry
+
+
+def test_eval_with_top_words_in_every_document_has_finite_npmi(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"d{j:02d}", "text": f"alpha beta w{j % 7} v{j % 5} u{j % 3}"}) + "\n"
+        for j in range(30)))
+    out = tmp_path / "result.json"
+    assert main(["fit", "--corpus", str(corpus), "--query", "alpha beta",
+                 "--method", "fre", "--iters1", "5", "--iters2", "3",
+                 "--out", str(out)]) == EXIT_OK
+    parent = json.loads(out.read_text())["queries"][0]["parent"]["top_words"]
+    assert {w for w, _ in parent[:2]} == {"alpha", "beta"}
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(corpus), "--result", str(out)]) == EXIT_OK
+    npmi = json.loads(capsys.readouterr().out)["queries"][0]["npmi"]
+    assert math.isfinite(npmi) and -1.0 <= npmi <= 1.0
 
 
 def test_failed_run_keeps_existing_out_file(small_corpus, tmp_path, capsys):

@@ -7,7 +7,11 @@ are not pinned, because they hold paths.
 The runs: `synth` with embeddings; a checkpointed `kld` fit with embeddings
 and the full posterior, resumed to more phase-1 sweeps; a two-query `fre`
 fit with target labels; `eval` of the resumed fit; `retrieve` in both modes
-and `expand` with every method, for the rare topic's query.
+and `expand` with every method, for the rare topic's query. Three more pin the
+edge cases of the array scorers: `retrieve --mode and` with a repeated query
+term, and `kld`/`rel` expansion at mu = 0, where documents missing a query
+term score -inf (the top 4 of the 6 candidates hold one such document, which
+`rel` gives zero weight).
 """
 
 import hashlib
@@ -33,6 +37,9 @@ GOLDEN = {
     "expand.fre.json": "320d44d9a058dcb523e5854c51796ebda7d0b5492c22e0235499ac718c77f0d4",
     "expand.kld.json": "6b637f358b7610bd71d71a4ea465563489e6475816109907fe49720a7018a05c",
     "expand.rel.json": "84986439aff4a162e192a35243ebe5f1646b3908342a29728b4b64f587ea15b2",
+    "retrieve.and.repeated.json": "27b8960178a42f3234c92a04ea92232de4f4e3bf4a9879b13a7badd7cd0dc654",
+    "expand.kld.mu0.json": "2c00a3c271eaffaeff3efb52e4c5fd216d02122ced30ee9edb3ff0e06cebce4c",
+    "expand.rel.mu0.json": "aef5c69435b6e4143285d88e02d8036100b16cdb067dbb69f5da53fe13e4ff6d",
 }
 
 
@@ -44,7 +51,8 @@ def digests(tmp_path_factory):
                  "--doc-length", "25", "--rare-prevalence", "0.05", "--seed", "2",
                  "--out", corpus, "--embeddings-out", vectors]) == EXIT_OK
     truth = json.loads((d / "corpus.jsonl.truth.json").read_text())
-    rare = " ".join(truth["topic_top_words"][truth["rare_topic"]][:2])
+    rare_words = truth["topic_top_words"][truth["rare_topic"]][:2]
+    rare = " ".join(rare_words)
     common = " ".join(truth["topic_top_words"]["topic0"][:2])
 
     kld = ["fit", "--corpus", corpus, "--query", rare, "--method", "kld",
@@ -66,6 +74,13 @@ def digests(tmp_path_factory):
         assert main(["expand", "--corpus", corpus, "--query", rare, "--method", method,
                      "--embeddings", vectors,
                      "--out", str(d / f"expand.{method}.json")]) == EXIT_OK
+    repeated = " ".join(rare_words + rare_words[:1])
+    assert main(["retrieve", "--corpus", corpus, "--query", repeated, "--mode", "and",
+                 "--out", str(d / "retrieve.and.repeated.json")]) == EXIT_OK
+    for method in ("kld", "rel"):
+        assert main(["expand", "--corpus", corpus, "--query", rare, "--method", method,
+                     "--embeddings", vectors, "--mu", "0", "--top", "4",
+                     "--out", str(d / f"expand.{method}.mu0.json")]) == EXIT_OK
     return {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in GOLDEN}
 
 

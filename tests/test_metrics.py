@@ -91,6 +91,14 @@ def test_npmi_always_cooccurring_words():
     assert score > 0.9
 
 
+def test_npmi_pair_in_every_document_is_one():
+    # p(a,b) = 1 makes -log p(a,b) zero; such a pair counts as NPMI 1 (Bouma)
+    c = ingest([(f"d{j}", f"alpha beta w{j:02d}") for j in range(30)])
+    assert npmi_coherence(["alpha", "beta"], c) == 1.0
+    score = npmi_coherence(["alpha", "beta", "w00"], c)
+    assert math.isfinite(score) and -1.0 <= score <= 1.0
+
+
 def test_npmi_independent_words_near_zero():
     rng = np.random.default_rng(2)
     docs = []

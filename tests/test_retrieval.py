@@ -5,7 +5,7 @@ import pytest
 
 from qdtm.corpus import UnknownTokenError, ingest
 from qdtm.retrieval import (NEG_INF, EmptyResultError, Query, RetrievalError,
-                            parse_query, precision_at_k, query_likelihood, retrieve)
+                            parse_query, precision_at_k, retrieve)
 
 
 @pytest.fixture
@@ -17,30 +17,32 @@ def abc_corpus():
     ])
 
 
+def _score(corpus, phrase, doc, mu):
+    """A document's log query likelihood, read off an OR retrieval of every
+    candidate."""
+    entries = retrieve(corpus, parse_query(phrase, corpus), cutoff=len(corpus), mu=mu).entries
+    return dict(entries)[doc]
+
+
 def test_mle_single_term(abc_corpus):
-    d0 = abc_corpus.documents[0]
-    q = parse_query("aa", abc_corpus)
-    assert query_likelihood(d0, q, abc_corpus, mu=0) == pytest.approx(math.log(2 / 3))
+    assert _score(abc_corpus, "aa", 0, mu=0) == pytest.approx(math.log(2 / 3))
 
 
 def test_mle_two_term_product(abc_corpus):
-    d0 = abc_corpus.documents[0]
-    q = parse_query("aa bb", abc_corpus)
-    assert query_likelihood(d0, q, abc_corpus, mu=0) == pytest.approx(math.log(2 / 9))
+    assert _score(abc_corpus, "aa bb", 0, mu=0) == pytest.approx(math.log(2 / 9))
 
 
 def test_absent_term_mle_and_smoothed(abc_corpus):
-    d0 = abc_corpus.documents[0]
-    q = parse_query("cc", abc_corpus)
-    assert query_likelihood(d0, q, abc_corpus, mu=0) == NEG_INF
-    # P_C(cc) = 1/10; (0 + 10 * 0.1) / (3 + 10) = 1/13
-    assert query_likelihood(d0, q, abc_corpus, mu=10) == pytest.approx(math.log(1 / 13))
+    # d0 lacks cc, so its MLE is -inf; smoothed with P_C(cc) = 1/10, cc gets
+    # (0 + 10 * 0.1) / (3 + 10) = 1/13 and aa gets (2 + 10 * 0.2) / 13
+    assert _score(abc_corpus, "aa cc", 0, mu=0) == NEG_INF
+    assert _score(abc_corpus, "aa cc", 0, mu=10) == pytest.approx(math.log(4 / 13 * 1 / 13))
 
 
 def test_negative_mu_rejected(abc_corpus):
     q = parse_query("aa", abc_corpus)
     with pytest.raises(RetrievalError):
-        query_likelihood(abc_corpus.documents[0], q, abc_corpus, mu=-1)
+        retrieve(abc_corpus, q, mu=-1)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf])
@@ -48,8 +50,6 @@ def test_non_finite_mu_rejected(abc_corpus, mu):
     q = parse_query("aa", abc_corpus)
     with pytest.raises(RetrievalError, match="mu"):
         retrieve(abc_corpus, q, mu=mu)
-    with pytest.raises(RetrievalError, match="mu"):
-        query_likelihood(abc_corpus.documents[0], q, abc_corpus, mu=mu)
 
 
 def test_parse_query_records_oov(abc_corpus):
@@ -118,10 +118,7 @@ def test_ranking_matches_bruteforce_oracle():
 def test_monotonicity_on_constructed_pair():
     # same doc with one extra occurrence of the query term
     c = ingest([("d0", "qq aa bb"), ("d1", "qq qq aa bb")])
-    q = parse_query("qq", c)
-    s0 = query_likelihood(c.documents[0], q, c, mu=10)
-    s1 = query_likelihood(c.documents[1], q, c, mu=10)
-    assert s1 >= s0
+    assert _score(c, "qq", 1, mu=10) >= _score(c, "qq", 0, mu=10)
 
 
 def test_full_cutoff_returns_every_passing_doc():
