@@ -6,9 +6,10 @@ import json
 import logging
 import re
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count, filterfalse
 
 import numpy as np
 
@@ -16,8 +17,8 @@ logger = logging.getLogger(__name__)
 
 MIN_TOKEN_LEN = 2   # shorter tokens are dropped, as are all-digit ones
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_TOKEN_RE_CASED = re.compile(r"[A-Za-z0-9]+")
+_TOKEN_RE = re.compile(rf"[a-z0-9]{{{MIN_TOKEN_LEN},}}")
+_TOKEN_RE_CASED = re.compile(rf"[A-Za-z0-9]{{{MIN_TOKEN_LEN},}}")
 
 
 class IngestionError(ValueError):
@@ -37,7 +38,8 @@ class PreprocessOptions:
     """Manifest that fully determines the vocabulary built from raw text.
 
     Re-ingesting the same raw input with an equal manifest reproduces the
-    corpus exactly (same ids, same order).
+    corpus exactly (same ids, same order). Stopwords are matched against the
+    tokens, so under `lowercase` they are lowercased too.
     """
 
     lowercase: bool = True
@@ -47,22 +49,25 @@ class PreprocessOptions:
     def __post_init__(self):
         if self.min_df < 1:
             raise ValueError("min_df must be >= 1")
-        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
+        stopwords = map(str.lower, self.stopwords) if self.lowercase else self.stopwords
+        object.__setattr__(self, "stopwords", frozenset(stopwords))
 
     def tokenize(self, text: str) -> list[str]:
+        """Maximal alphanumeric runs of at least MIN_TOKEN_LEN characters
+        that are not all digits."""
         if self.lowercase:
             tokens = _TOKEN_RE.findall(text.lower())
         else:
             tokens = _TOKEN_RE_CASED.findall(text)
-        return [t for t in tokens if len(t) >= MIN_TOKEN_LEN and not t.isdigit()]
+        return list(filterfalse(str.isdigit, tokens))
 
 
 class Vocabulary:
     """Token <-> id bijection with corpus frequency statistics."""
 
-    def __init__(self):
-        self.tokens: list[str] = []
-        self.index: dict[str, int] = {}
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.index: dict[str, int] = dict(zip(tokens, range(len(tokens))))
         self.corpus_freq: list[int] = []   # both set by ingest, from the index
         self.total_tokens: int = 0
 
@@ -71,14 +76,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
-
-    def add(self, token: str) -> int:
-        wid = self.index.get(token)
-        if wid is None:
-            wid = len(self.tokens)
-            self.index[token] = wid
-            self.tokens.append(token)
-        return wid
 
     def id_of(self, token: str) -> int:
         try:
@@ -201,10 +198,11 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
     if not raw_documents:
         raise IngestionError("no input documents")
 
-    tokenized: list[tuple[str, list[str], str | None]] = []
+    # Each token maps to its id inside C: a lookup of a new token inserts the
+    # next id, so ids follow first occurrence.
+    ids: defaultdict[str, int] = defaultdict(count().__next__)
+    records: list[tuple[str, list[int], str | None]] = []
     seen: set[str] = set()
-    canon: dict[str, str] = {}   # one str object per distinct token until ids replace them
-    df: Counter = Counter()
     for rec in raw_documents:
         if isinstance(rec, dict):
             doc_id, text, label = rec.get("id"), rec.get("text"), rec.get("label")
@@ -218,28 +216,34 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
         if doc_id in seen:
             raise IngestionError(f"duplicate document id: {doc_id!r}")
         seen.add(doc_id)
-        toks = [canon.setdefault(t, t) for t in options.tokenize(text)
-                if t not in options.stopwords]
-        tokenized.append((doc_id, toks, label))
-        df.update(set(toks))
+        toks = options.tokenize(text)
+        if options.stopwords:
+            toks = filterfalse(options.stopwords.__contains__, toks)
+        records.append((doc_id, list(map(ids.__getitem__, toks)), label))
+    tokens = list(ids)
 
-    kept = {t for t, n in df.items() if n >= options.min_df}
+    if options.min_df > 1:
+        df = Counter(chain.from_iterable(map(set, (wids for _, wids, _ in records))))
+        kept = [wid for wid in range(len(tokens)) if df[wid] >= options.min_df]
+        compact = dict(zip(kept, range(len(kept))))   # order-preserving
+        records = [(doc_id, list(map(compact.__getitem__, filter(compact.__contains__, wids))),
+                    label) for doc_id, wids, label in records]
+        tokens = [tokens[wid] for wid in kept]
 
-    vocab = Vocabulary()
+    vocab = Vocabulary(tokens)
     documents: list[Document] = []
     dropped = 0
     doc_ptr, words, counts, lengths = array("i", [0]), array("i"), array("i"), array("i")
-    for doc_id, toks, label in tokenized:
-        ids = [vocab.add(t) for t in toks if t in kept]
-        if not ids:
+    for doc_id, wids, label in records:
+        if not wids:
             dropped += 1
             continue
-        documents.append(Document(doc_id, ids, label))
-        tf = Counter(ids)   # first-occurrence order
+        documents.append(Document(doc_id, wids, label))
+        tf = Counter(wids)   # first-occurrence order
         words.fromlist(list(tf))
         counts.fromlist(list(tf.values()))
         doc_ptr.append(len(words))
-        lengths.append(len(ids))
+        lengths.append(len(wids))
 
     if dropped:
         logger.warning("dropped %d documents emptied by preprocessing", dropped)
@@ -263,6 +267,8 @@ def read_jsonl(path) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise IngestionError(f"line {lineno}: invalid JSON ({e})") from None
+            if not isinstance(obj, dict):
+                raise IngestionError(f"line {lineno}: expected a JSON object")
             if "id" not in obj or "text" not in obj:
                 raise IngestionError(f"line {lineno}: missing 'id' or 'text'")
             records.append(obj)

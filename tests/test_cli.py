@@ -347,6 +347,28 @@ def test_duplicate_document_id_is_validation_error(small_corpus, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["5", '"id text"'])
+def test_corpus_line_that_is_not_an_object_is_validation_error(small_corpus, tmp_path,
+                                                               capsys, line):
+    corpus = tmp_path / "bad.jsonl"
+    lines = small_corpus.read_text().splitlines()
+    corpus.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+    rc = main(["retrieve", "--corpus", str(corpus), "--query", "w0000"])
+    assert rc == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["message"] == "line 3: expected a JSON object"
+
+
+def test_uppercase_stopwords_match_lowercased_text(tmp_path, capsys):
+    corpus, stopwords = tmp_path / "corpus.jsonl", tmp_path / "stop.txt"
+    corpus.write_text(json.dumps({"id": "a", "text": "The aa bb"}) + "\n"
+                      + json.dumps({"id": "b", "text": "the aa cc"}) + "\n")
+    stopwords.write_text("The\nAA\n")
+    assert main(["expand", "--corpus", str(corpus), "--stopwords", str(stopwords),
+                 "--method", "fre", "--query", "bb"]) == EXIT_OK
+    words = {w["token"] for w in json.loads(capsys.readouterr().out)["words"]}
+    assert words == {"bb"}
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     ("synth", "--docs", "0", "n_docs must be >= 1, got 0"),
     ("synth", "--doc-length", "0", "doc_length must be >= 1, got 0"),

@@ -28,6 +28,14 @@ def test_tokenizer_drops_short_and_numeric():
     assert c.vocab.corpus_freq[c.vocab.id_of("cat")] == 2
 
 
+def test_stopwords_are_lowercased_with_the_text():
+    docs = [("a", "The aa bb"), ("b", "the aa cc")]
+    stopwords = frozenset({"The", "AA"})
+    assert ingest(docs, PreprocessOptions(stopwords=stopwords)).vocab.tokens == ["bb", "cc"]
+    cased = ingest(docs, PreprocessOptions(lowercase=False, stopwords=stopwords))
+    assert cased.vocab.tokens == ["aa", "bb", "the", "cc"]
+
+
 def test_empty_documents_dropped_and_counted():
     c = ingest([("a", "cat sat"), ("b", "the"), ("c", "42 x")],
                PreprocessOptions(stopwords=frozenset({"the"})))
@@ -49,6 +57,14 @@ def test_duplicate_document_id_names_it():
     # a repeated id would let one document's score overwrite the other's
     with pytest.raises(IngestionError, match="duplicate document id: 'b'"):
         ingest([("a", "cat sat"), ("b", "dog sat"), ("b", "fish swim")])
+
+
+@pytest.mark.parametrize("line", ["5", '"id text"', "[1, 2]", "null"])
+def test_jsonl_line_that_is_not_an_object_names_the_line(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "a", "text": "cat sat"}) + "\n" + line + "\n")
+    with pytest.raises(IngestionError, match=r"^line 2: expected a JSON object$"):
+        ingest_jsonl(path)
 
 
 def test_term_frequency(tiny_corpus):

@@ -11,7 +11,10 @@ and `expand` with every method, for the rare topic's query. Three more pin the
 edge cases of the array scorers: `retrieve --mode and` with a repeated query
 term, and `kld`/`rel` expansion at mu = 0, where documents missing a query
 term score -inf (the top 4 of the 6 candidates hold one such document, which
-`rel` gives zero weight).
+`rel` gives zero weight). Four pin the ingest options, on a copy of the corpus
+whose every text starts with a capital letter: `retrieve` with `--stopwords`,
+with `--min-df 2` and with `--keep-case`, and `expand --method kld` with all
+three.
 """
 
 import hashlib
@@ -40,6 +43,10 @@ GOLDEN = {
     "retrieve.and.repeated.json": "27b8960178a42f3234c92a04ea92232de4f4e3bf4a9879b13a7badd7cd0dc654",
     "expand.kld.mu0.json": "2c00a3c271eaffaeff3efb52e4c5fd216d02122ced30ee9edb3ff0e06cebce4c",
     "expand.rel.mu0.json": "aef5c69435b6e4143285d88e02d8036100b16cdb067dbb69f5da53fe13e4ff6d",
+    "retrieve.stopwords.json": "10dd841ea41c49c00e8b10da3e8f0624f55710804caeebe5065ea3c2b24d23f9",
+    "retrieve.min-df.json": "faa8a072d83fc52741c107a9492ac7a9315393db0287e0dad99898d22d4e378a",
+    "retrieve.keep-case.json": "015d82caf8497f8df62ea627fa8a93ebd6d7d066efc8211731f41b9aa658263d",
+    "expand.kld.options.json": "cbb77c39401c9eced370efaa95e0e82c9832e65c6d563ed7c68ab327acabc2c7",
 }
 
 
@@ -81,6 +88,23 @@ def digests(tmp_path_factory):
         assert main(["expand", "--corpus", corpus, "--query", rare, "--method", method,
                      "--embeddings", vectors, "--mu", "0", "--top", "4",
                      "--out", str(d / f"expand.{method}.mu0.json")]) == EXIT_OK
+    cased = str(d / "corpus.cased.jsonl")
+    with open(corpus) as src, open(cased, "w") as dst:
+        for line in src:
+            rec = json.loads(line)
+            rec["text"] = rec["text"][0].upper() + rec["text"][1:]
+            dst.write(json.dumps(rec) + "\n")
+    stopwords = d / "stopwords.txt"
+    stopwords.write_text("\n".join(truth["topic_top_words"][truth["rare_topic"]][2:4]
+                                   + truth["topic_top_words"]["topic0"][:1]) + "\n")
+    options = {"stopwords": ["--stopwords", str(stopwords)], "min-df": ["--min-df", "2"],
+               "keep-case": ["--keep-case"]}
+    for name, flags in options.items():
+        assert main(["retrieve", "--corpus", cased, "--query", rare, *flags,
+                     "--out", str(d / f"retrieve.{name}.json")]) == EXIT_OK
+    assert main(["expand", "--corpus", cased, "--query", rare, "--method", "kld",
+                 *(f for flags in options.values() for f in flags),
+                 "--out", str(d / "expand.kld.options.json")]) == EXIT_OK
     return {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in GOLDEN}
 
 
