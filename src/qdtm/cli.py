@@ -178,42 +178,57 @@ def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return args
 
 
-def _input(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise ValidationError(f"{what} file not found: {path}")
-    return path
+# The options that name a file some command reads, and a file it writes.
+INPUT_DESTS = ("config", "corpus", "stopwords", "queries", "embeddings", "result", "labels")
+OUTPUT_DESTS = ("out", "truth_out", "embeddings_out", "checkpoint")
 
 
-def _output(path: str | None, what: str) -> None:
-    """Reject, before any work, a directory or a path in a missing directory."""
-    if path is None:
-        return
-    if os.path.isdir(path):
-        raise ValidationError(f"{what} path is a directory: {path}")
-    if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
-        raise ValidationError(f"{what} directory not found: {path}")
+def _truth_path(args) -> str:
+    return args.truth_out or args.out + ".truth.json"
+
+
+def _check_paths(args) -> None:
+    """Before any work: every input exists, and no output is a directory, lies
+    in a missing one, or is (after `realpath`) another output or an input."""
+    def named(dests):
+        return [(f"--{d.replace('_', '-')}", getattr(args, d)) for d in dests
+                if getattr(args, d, None)]
+    inputs, outputs = named(INPUT_DESTS), named(OUTPUT_DESTS)
+    if args.out:
+        outputs.append(("the manifest of --out", args.out + ".manifest.json"))
+    if args.command == "synth" and not args.truth_out:
+        outputs.append(("the default --truth-out", _truth_path(args)))
+    for flag, path in inputs:
+        if not os.path.exists(path):
+            raise ValidationError(f"{flag} file not found: {path}")
+    taken = {os.path.realpath(path): flag for flag, path in inputs}
+    for flag, path in outputs:
+        if os.path.isdir(path):
+            raise ValidationError(f"{flag} path is a directory: {path}")
+        real = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValidationError(f"{flag} directory not found: {path}")
+        if real in taken:
+            raise ValidationError(f"{flag} and {taken[real]} name the same file: {path}")
+        taken[real] = flag
 
 
 def _load_corpus(args):
     stopwords = frozenset()
     if args.stopwords:
-        with open(_input(args.stopwords, "stopword")) as fh:
+        with open(args.stopwords) as fh:
             stopwords = frozenset(w.strip() for w in fh if w.strip())
     options = PreprocessOptions(lowercase=not args.keep_case, min_df=args.min_df,
                                 stopwords=stopwords)
-    return ingest_jsonl(_input(args.corpus, "corpus"), options)
+    return ingest_jsonl(args.corpus, options)
 
 
 def _load_embeddings(args, corpus):
-    if not args.embeddings:
-        return None
-    return load_embeddings(_input(args.embeddings, "embeddings"), corpus.vocab)
+    return load_embeddings(args.embeddings, corpus.vocab) if args.embeddings else None
 
 
 def _write_manifest(args: argparse.Namespace) -> None:
-    manifest = {k: v for k, v in vars(args).items() if k != "command"}
-    manifest["command"] = args.command
-    manifest["qdtm_version"] = __version__
+    manifest = {**vars(args), "qdtm_version": __version__}
     with atomic_write(args.out + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
 
@@ -265,7 +280,7 @@ def cmd_expand(args) -> None:
 def _fit_queries(args) -> list[str]:
     queries = list(args.query or [])
     if args.queries:
-        with open(_input(args.queries, "queries")) as fh:
+        with open(args.queries) as fh:
             queries.extend(q.strip() for q in fh if q.strip())
     if not queries:
         raise ValidationError("at least one --query (or --queries file) is required")
@@ -273,7 +288,6 @@ def _fit_queries(args) -> list[str]:
 
 
 def cmd_fit(args) -> None:
-    _output(args.checkpoint, "checkpoint")
     queries = _fit_queries(args)
     hp = Hyperparameters(alpha=args.alpha, beta=args.beta, gamma=args.gamma,
                          initial_topics=max(args.k_init, len(queries) + 1),
@@ -292,7 +306,7 @@ def cmd_fit(args) -> None:
 
 
 def _read_json(path: str, what: str):
-    with open(_input(path, what)) as fh:
+    with open(path) as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -307,7 +321,7 @@ def _result_queries(path: str) -> list[dict]:
         raise ValidationError(f"unsupported result format: {fmt!r}")
     try:
         return [{"query": q["query"],
-                 "target_label": q.get("target_label") or q["query"],
+                 "target_label": q.get("target_label"),
                  "scores": q.get("parent_doc_scores", {}),
                  "parent": [(w, s) for w, s in q["parent"]["top_words"]],
                  "subtopics": [[(w, s) for w, s in st["top_words"]] for st in q["subtopics"]]}
@@ -333,13 +347,16 @@ def cmd_eval(args) -> None:
     vocab = corpus.vocab
     report = {"queries": []}
     for q in queries:
-        target, scores, parent_words = q["target_label"], q["scores"], q["parent"]
+        target, scores, parent_words = q["target_label"] or q["query"], q["scores"], q["parent"]
         unknown = [w for w, _ in parent_words if w not in vocab]
         if unknown:
             raise ValidationError(f"result file {args.result}: word {unknown[0]!r} is not "
                                   f"in the vocabulary of {args.corpus}; was the result "
                                   "fitted on another corpus?")
         relevant = {doc_id for doc_id, lab in labels.items() if lab == target}
+        if q["target_label"] and not relevant:
+            raise ValidationError(f"target label {target!r} of query {q['query']!r} is "
+                                  "carried by no document")
         entry = {"query": q["query"], "target_label": target}
         if relevant and scores:
             ranked = sorted(scores, key=lambda d: (-scores[d], doc_order.get(d, 0)))
@@ -355,16 +372,13 @@ def cmd_eval(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    _output(args.truth_out, "truth")
-    _output(args.embeddings_out, "embeddings")
     spec = SyntheticSpec(n_topics=args.topics, vocab_size=args.vocab,
                          n_docs=args.docs, doc_length=args.doc_length,
                          rare_topic_prevalence=args.rare_prevalence,
                          seed=args.seed)
     records, truth = generate(spec)
     write_jsonl(records, args.out)
-    truth_path = args.truth_out or args.out + ".truth.json"
-    with open(truth_path, "w") as fh:
+    with atomic_write(_truth_path(args)) as fh:
         json.dump(truth, fh, indent=2, sort_keys=True, allow_nan=False)
     if args.embeddings_out:
         write_embeddings(block_embeddings(spec), args.embeddings_out)
@@ -387,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = apply_config(parser, args, argv)
-        _output(args.out, "output")
+        _check_paths(args)
         COMMANDS[args.command](args)
     except ValueError as e:   # every qdtm validation error is a ValueError
         print(json.dumps({"error": "validation", "message": str(e)}), file=sys.stderr)

@@ -67,15 +67,15 @@ def normalized_query_similarity(query: Query, table: EmbeddingTable,
     The query vector is the mean of its tokens' embeddings; words outside the
     top-k get 0. Returns an empty map when no query token has an embedding.
     """
-    vecs = [table.get(t) for t in query.terms]
-    vecs = [v for v in vecs if v is not None]
-    if not vecs:
+    terms = np.array(query.terms)
+    vecs = table.matrix[terms[table.embedded[terms]]]
+    if not len(vecs):
         return {}
     qv = np.mean(vecs, axis=0)
     nq = np.linalg.norm(qv)
     if nq == 0:
         return {}
-    sims = table.norm_matrix() @ (qv / nq)
+    sims = table.norms @ (qv / nq)
     order = np.argsort(-sims, kind="stable")[:top_k]
     total = float(sims[order].sum())
     if total <= 0:
@@ -122,7 +122,7 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
             # P_R(w) * ln(P_R(w)/P_C(w)) over the words the retrieved set contains
             present = np.flatnonzero(scores)
             pr = scores[present] / corpus.index.lengths[docs].sum()
-            ratio = pr / (corpus.index.corpus_freq[present] / corpus.vocab.total_tokens)
+            ratio = pr / (corpus.index.corpus_freq[present] / corpus.index.total_tokens)
             scores[present] = pr * np.array(list(map(math.log, ratio.tolist())))
 
     positive = np.flatnonzero(scores > 0)

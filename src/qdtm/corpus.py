@@ -63,13 +63,11 @@ class PreprocessOptions:
 
 
 class Vocabulary:
-    """Token <-> id bijection with corpus frequency statistics."""
+    """Token <-> id bijection."""
 
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.index: dict[str, int] = dict(zip(tokens, range(len(tokens))))
-        self.corpus_freq: list[int] = []   # both set by ingest, from the index
-        self.total_tokens: int = 0
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -87,12 +85,6 @@ class Vocabulary:
         if not 0 <= wid < len(self.tokens):
             raise UnknownTokenError(wid)
         return self.tokens[wid]
-
-    def background_prob(self, wid: int) -> float:
-        """Probability of the word in the whole corpus (corpus freq / total)."""
-        if not 0 <= wid < len(self.tokens):
-            raise UnknownTokenError(wid)
-        return self.corpus_freq[wid] / self.total_tokens
 
 
 @dataclass
@@ -153,9 +145,21 @@ class CorpusIndex:
         return cls(doc_ptr, _narrow(words), _narrow(counts), lengths, corpus_freq,
                    word_ptr, _narrow(doc_of[order]), _narrow(counts[order]))
 
+    @cached_property
+    def total_tokens(self) -> int:
+        return int(self.lengths.sum())
+
+    def background_prob(self, wid: int) -> float:
+        """Probability of the word in the whole corpus (corpus freq / total)."""
+        if not 0 <= wid < len(self.corpus_freq):
+            raise UnknownTokenError(wid)
+        return int(self.corpus_freq[wid]) / self.total_tokens
+
     def posting(self, wid: int) -> tuple[np.ndarray, np.ndarray]:
         """The ascending documents that contain word `wid`, and its term
         frequency in each."""
+        if not 0 <= wid < len(self.corpus_freq):
+            raise UnknownTokenError(wid)
         lo, hi = self.word_ptr[wid], self.word_ptr[wid + 1]
         return self.docs[lo:hi], self.tfs[lo:hi]
 
@@ -213,6 +217,9 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
             label = None
         if not isinstance(doc_id, str) or not isinstance(text, str):
             raise IngestionError(f"unreadable record: {doc_id!r}")
+        if label is not None and not isinstance(label, str):
+            raise IngestionError(f"document {doc_id!r}: label must be a string or null, "
+                                 f"got {label!r}")
         if doc_id in seen:
             raise IngestionError(f"duplicate document id: {doc_id!r}")
         seen.add(doc_id)
@@ -232,11 +239,9 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
 
     vocab = Vocabulary(tokens)
     documents: list[Document] = []
-    dropped = 0
     doc_ptr, words, counts, lengths = array("i", [0]), array("i"), array("i"), array("i")
     for doc_id, wids, label in records:
         if not wids:
-            dropped += 1
             continue
         documents.append(Document(doc_id, wids, label))
         tf = Counter(wids)   # first-occurrence order
@@ -245,13 +250,12 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
         doc_ptr.append(len(words))
         lengths.append(len(wids))
 
+    dropped = len(records) - len(documents)
     if dropped:
         logger.warning("dropped %d documents emptied by preprocessing", dropped)
     if not documents:
         raise EmptyCorpusError("empty corpus: all documents dropped by preprocessing")
     index = CorpusIndex.build(doc_ptr, words, counts, lengths, len(vocab))
-    vocab.corpus_freq = index.corpus_freq.tolist()
-    vocab.total_tokens = sum(lengths)
     return Corpus(documents, vocab, options, index, dropped)
 
 

@@ -21,40 +21,35 @@ class EmbeddingFormatError(EmbeddingError):
 
 
 class EmbeddingTable:
-    """Dense word vectors for the subset of the vocabulary covered by a file."""
+    """Dense word vectors for the subset of the vocabulary covered by a file.
+
+    `matrix` holds the vectors as (vocab_size, dim) rows, zero for a word
+    without one; `embedded` marks the words that have one; `norms` is
+    `matrix` with every nonzero row scaled to unit length, so dot products of
+    its rows are cosine similarities.
+    """
 
     def __init__(self, dim: int, vectors: dict[int, np.ndarray], vocab_size: int):
         if dim <= 0:
             raise EmbeddingError("embedding dimension must be positive")
-        self.dim = dim
-        self.vectors = vectors
-        self.vocab_size = vocab_size
-        self._norm_matrix: np.ndarray | None = None
-
-    @property
-    def coverage(self) -> float:
-        return len(self.vectors) / self.vocab_size if self.vocab_size else 0.0
-
-    def __contains__(self, wid: int) -> bool:
-        return wid in self.vectors
+        self.matrix = np.zeros((vocab_size, dim))
+        self.embedded = np.zeros(vocab_size, dtype=bool)
+        for wid, vec in vectors.items():
+            self.matrix[wid] = vec
+            self.embedded[wid] = True
+        # one length per row, through the same dot as np.linalg.norm of a
+        # vector: a norm over axis 1 rounds some lengths differently, and the
+        # checkpoint fingerprint hashes these bits
+        lengths = np.sqrt([row @ row for row in self.matrix])[:, None]
+        self.norms = np.divide(self.matrix, lengths, out=np.zeros_like(self.matrix),
+                               where=lengths > 0)
 
     def get(self, wid: int) -> np.ndarray | None:
-        return self.vectors.get(wid)
+        return self.matrix[wid] if 0 <= wid < len(self.embedded) and self.embedded[wid] else None
 
     def norm_matrix(self) -> np.ndarray:
-        """Row-normalized (vocab_size, dim) matrix; zero rows for missing words.
-
-        Dot products of rows are cosine similarities, with missing words
-        contributing 0.
-        """
-        if self._norm_matrix is None:
-            m = np.zeros((self.vocab_size, self.dim))
-            for wid, vec in self.vectors.items():
-                n = np.linalg.norm(vec)
-                if n > 0:
-                    m[wid] = vec / n
-            self._norm_matrix = m
-        return self._norm_matrix
+        """`norms`, the matrix whose row dot products are cosines."""
+        return self.norms
 
 
 def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
@@ -96,10 +91,9 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
                 vectors[vocab.id_of(token)] = vec
     if not vectors:
         raise EmbeddingError(f"no in-vocabulary vectors found in {path}")
-    table = EmbeddingTable(dim, vectors, len(vocab))
     logger.info("loaded %d vectors (dim %d), coverage %.1f%%",
-                len(vectors), dim, 100 * table.coverage)
-    return table
+                len(vectors), dim, 100 * len(vectors) / len(vocab))
+    return EmbeddingTable(dim, vectors, len(vocab))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -122,20 +116,18 @@ def build_promotion(table: EmbeddingTable, concept_words,
     rows[w] lists the (target word, is_self) entries of the sampled word w; a
     flagged token adds 1 to a self target and u to every other target.
     Concept words without an embedding are excluded with a warning; self-pairs
-    for embedded concept words are always present (cosine 1 >= tau).
+    for embedded concept words are always present (cosine 1 >= tau), and a
+    concept word whose vector is all zeros gets only its self-pair.
     """
     pairs: set[tuple[int, int]] = set()
-    norms = table.norm_matrix()
-    embedded = np.zeros(table.vocab_size, dtype=bool)
-    embedded[list(table.vectors)] = True
+    norms = table.norms
     for wq in concept_words:
-        qv = table.get(wq)
-        if qv is None:
+        if table.get(wq) is None:
             logger.warning("concept word id %d has no embedding; excluded from relatedness", wq)
             continue
-        nq = np.linalg.norm(qv)
-        sims = norms @ (qv / nq)
-        pairs.update((int(wi), wq) for wi in np.nonzero((sims >= tau) & embedded)[0])
+        if norms[wq].any():   # a zero vector has no cosine, so only its self pair
+            sims = norms @ norms[wq]
+            pairs.update((int(wi), wq) for wi in np.nonzero((sims >= tau) & table.embedded)[0])
         pairs.add((wq, wq))
     rows: dict[int, list[tuple[int, bool]]] = {}
     for (wi, wq) in sorted(pairs):

@@ -36,20 +36,12 @@ def topic_embedding(weighted_words: list[tuple[str, float]], table: EmbeddingTab
                     vocab_index: dict[str, int]) -> np.ndarray | None:
     """Weighted sum of the top words' vectors, weights renormalized over the
     words that actually have an embedding. None when no word is covered."""
-    pairs = []
-    for word, weight in weighted_words[:EMBEDDING_TOP_N]:
-        wid = vocab_index.get(word)
-        if wid is None:
-            continue
-        vec = table.get(wid)
-        if vec is not None:
-            pairs.append((vec, weight))
-    if not pairs:
-        return None
+    pairs = [(wid, weight) for word, weight in weighted_words[:EMBEDDING_TOP_N]
+             if (wid := vocab_index.get(word)) is not None and table.embedded[wid]]
     total = sum(w for _, w in pairs)
-    if total <= 0:
+    if total <= 0:   # also when no word is covered
         return None
-    return sum(vec * (w / total) for vec, w in pairs)
+    return sum(table.matrix[wid] * (w / total) for wid, w in pairs)
 
 
 def topic_cohesion(parent_vec: np.ndarray, sub_vec: np.ndarray) -> float:

@@ -217,6 +217,9 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
     if target_labels and len(target_labels) != len(query_phrases):
         raise SamplerError(f"{len(target_labels)} target labels for "
                            f"{len(query_phrases)} queries")
+    missing = set(target_labels or ()) - {d.label for d in corpus.documents}
+    if missing:
+        raise SamplerError(f"target label {min(missing)!r} is carried by no document")
     vocab = corpus.vocab
 
     concept_sets: list[ConceptWordSet] = []
@@ -270,7 +273,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
 
     topics, theta = sampler.theta()
     col = {k: c for c, k in enumerate(topics)}
-    total_tokens = vocab.total_tokens
+    total_tokens = corpus.index.total_tokens
 
     query_results = []
     for q_idx, cs in enumerate(concept_sets):

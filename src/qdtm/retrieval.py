@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, UnknownTokenError
+from .corpus import Corpus
 
 DEFAULT_MU = 100.0
 DEFAULT_CUTOFF = 200
@@ -58,11 +58,6 @@ def parse_query(phrase: str, corpus: Corpus, mode: str = "or") -> Query:
     return Query(terms, phrase, mode, oov)
 
 
-def _check_mu(mu: float) -> None:
-    if not 0 <= mu < math.inf:
-        raise RetrievalError(f"mu must be finite and >= 0, got {mu}")
-
-
 def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
              mu: float = DEFAULT_MU) -> RetrievedSet:
     """Top-`cutoff` documents by query likelihood after the mode filter.
@@ -76,13 +71,10 @@ def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
     """
     if cutoff < 1:
         raise RetrievalError("cutoff must be >= 1")
-    _check_mu(mu)
+    if not 0 <= mu < math.inf:
+        raise RetrievalError(f"mu must be finite and >= 0, got {mu}")
     index = corpus.index
-    postings = {}
-    for wid in query.terms:
-        if not 0 <= wid < len(corpus.vocab):
-            raise UnknownTokenError(wid)
-        postings[wid] = index.posting(wid)
+    postings = {wid: index.posting(wid) for wid in query.terms}
     docs = [d for d, _ in postings.values()]
     if query.mode == "and":
         candidates = functools.reduce(
@@ -103,7 +95,7 @@ def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
     denominator = index.lengths[candidates] + mu
     scores = np.zeros(len(candidates))
     for wid in query.terms:
-        p = (tf[wid] + mu * corpus.vocab.background_prob(wid)) / denominator
+        p = (tf[wid] + mu * index.background_prob(wid)) / denominator
         scores += [math.log(x) if x > 0.0 else NEG_INF for x in p.tolist()]
     top = np.argsort(-scores, kind="stable")[:cutoff]
     return RetrievedSet(list(zip(candidates[top].tolist(), scores[top].tolist())))

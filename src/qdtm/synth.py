@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pipeline import atomic_write
+
 
 class SynthError(ValueError):
     pass
@@ -100,7 +102,7 @@ def generate(spec: SyntheticSpec) -> tuple[list[dict], dict]:
 
 
 def write_jsonl(records: list[dict], path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -121,7 +123,7 @@ def block_embeddings(spec: SyntheticSpec, dim: int = 16, noise: float = 0.25) ->
 
 
 def write_embeddings(vectors: dict[str, np.ndarray], path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         first = next(iter(vectors.values()))
         fh.write(f"{len(vectors)} {len(first)}\n")
         for token, vec in vectors.items():

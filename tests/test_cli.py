@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from qdtm.cli import EXIT_OK, EXIT_VALIDATION, build_parser, main
+from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from qdtm.sampler import HDPSampler
 
 
@@ -550,3 +550,105 @@ def test_synth_output_in_missing_directory_writes_nothing(tmp_path, capsys, flag
         EXIT_VALIDATION
     assert f"directory not found: {missing}" in json.loads(capsys.readouterr().err)["message"]
     assert not out.exists()
+
+
+def test_label_that_is_not_a_string_is_validation_error(tmp_path, capsys):
+    corpus = tmp_path / "labelled.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{j}", "text": f"aa bb w{j % 3}x",
+                                          "label": ["x"]}) + "\n" for j in range(30)))
+    out = tmp_path / "r.json"
+    rc = main(["fit", "--corpus", str(corpus), "--query", "aa", "--target-label", "x",
+               "--iters1", "2", "--iters2", "1", "--out", str(out)])
+    assert rc == EXIT_VALIDATION and not out.exists()
+    assert "document 'd0': label must be a string or null, got ['x']" in \
+        json.loads(capsys.readouterr().err)["message"]
+
+
+def test_fit_target_label_no_document_carries_is_validation_error(small_corpus, tmp_path,
+                                                                  capsys):
+    out = tmp_path / "r.json"
+    rc = main(["fit", "--corpus", str(small_corpus), "--query", "w0000",
+               "--target-label", "topic9", "--iters1", "2", "--iters2", "1",
+               "--out", str(out)])
+    assert rc == EXIT_VALIDATION and not out.exists()
+    assert "target label 'topic9' is carried by no document" in \
+        json.loads(capsys.readouterr().err)["message"]
+
+
+def test_eval_target_label_no_document_carries_is_validation_error(small_corpus, tmp_path,
+                                                                   capsys):
+    result = _fit_result(small_corpus, tmp_path)
+    payload = json.loads(result.read_text())
+    payload["queries"][0]["target_label"] = "topic9"
+    result.write_text(json.dumps(payload))
+    message = _eval_error(small_corpus, result, capsys)
+    assert "target label 'topic9' of query 'w0000' is carried by no document" in message
+
+    payload["queries"][0]["target_label"] = "topic3"   # carried in the corpus ...
+    result.write_text(json.dumps(payload))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"doc00000": "topic0"}))   # ... but not in --labels
+    message = _eval_error(small_corpus, result, capsys, "--labels", str(labels))
+    assert "target label 'topic3' of query 'w0000' is carried by no document" in message
+
+
+def test_eval_fallback_target_label_keeps_null_precision(small_corpus, tmp_path, capsys):
+    result = _fit_result(small_corpus, tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--corpus", str(small_corpus), "--result", str(result)]) == EXIT_OK
+    entry = json.loads(capsys.readouterr().out)["queries"][0]
+    assert entry["target_label"] == "w0000" and entry["precision_at_k"] is None
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["synth", "--out", "{s}", "--truth-out", "{s}"], "--truth-out", "--out"),
+    (["synth", "--out", "{s}", "--embeddings-out", "{s}"], "--embeddings-out", "--out"),
+    (["synth", "--out", "{s}", "--truth-out", "{s}.manifest.json"],
+     "the manifest of --out", "--truth-out"),
+    (["synth", "--out", "{s}", "--embeddings-out", "{s}.truth.json"],
+     "the default --truth-out", "--embeddings-out"),
+    (["fit", "--corpus", "{c}", "--query", "w0000", "--out", "{c}"], "--out", "--corpus"),
+    (["fit", "--corpus", "{link}", "--query", "w0000", "--out", "{c}"], "--out", "--corpus"),
+    (["fit", "--corpus", "{c}", "--query", "w0000", "--out", "{r}", "--checkpoint", "{r}"],
+     "--checkpoint", "--out"),
+    (["fit", "--corpus", "{c}", "--query", "w0000", "--out", "{r}",
+      "--checkpoint", "{r}.manifest.json"], "the manifest of --out", "--checkpoint"),
+    (["fit", "--corpus", "{c}", "--query", "w0000", "--embeddings", "{v}", "--out", "{v}"],
+     "--out", "--embeddings"),
+    (["eval", "--corpus", "{c}", "--result", "{v}", "--out", "{v}"], "--out", "--result"),
+])
+def test_colliding_paths_fail_before_any_work(small_corpus, tmp_path, capsys, argv, first,
+                                              second):
+    (tmp_path / "link.jsonl").symlink_to(small_corpus)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    names = {"s": tmp_path / "s.jsonl", "c": small_corpus, "r": tmp_path / "r.json",
+             "v": tmp_path / "vec.txt", "link": tmp_path / "link.jsonl"}
+    rc = main([a.format(**names) for a in argv])
+    assert rc == EXIT_VALIDATION
+    assert f"{first} and {second} name the same file" in \
+        json.loads(capsys.readouterr().err)["message"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_synth_failed_write_keeps_the_previous_corpus(tmp_path, monkeypatch):
+    out = tmp_path / "s.jsonl"
+    out.write_text("previous\n")
+    def no_sync(fd):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "fsync", no_sync)
+    assert main(["synth", "--docs", "50", "--out", str(out)]) == EXIT_RUNTIME
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+
+
+@pytest.mark.parametrize("flag", ["--stopwords", "--queries", "--embeddings"])
+def test_missing_input_fails_before_any_work(small_corpus, tmp_path, capsys, monkeypatch,
+                                             flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("fit loaded the corpus before checking its inputs")
+    monkeypatch.setattr("qdtm.cli.ingest_jsonl", no_work)
+    missing = tmp_path / "missing.txt"
+    rc = main(["fit", "--corpus", str(small_corpus), "--query", "w0000", flag, str(missing),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == EXIT_VALIDATION
+    assert f"{flag} file not found: {missing}" in json.loads(capsys.readouterr().err)["message"]

@@ -25,7 +25,7 @@ def test_min_df_two_keeps_only_shared_words():
 def test_tokenizer_drops_short_and_numeric():
     c = ingest([("a", "Cat 42 x CAT dog99 7seven")])
     assert set(c.vocab.tokens) == {"cat", "dog99", "7seven"}
-    assert c.vocab.corpus_freq[c.vocab.id_of("cat")] == 2
+    assert c.index.corpus_freq[c.vocab.id_of("cat")] == 2
 
 
 def test_stopwords_are_lowercased_with_the_text():
@@ -88,12 +88,14 @@ def test_term_frequency_planted_count():
 
 
 def test_background_prob(tiny_corpus):
-    v = tiny_corpus.vocab
+    v, index = tiny_corpus.vocab, tiny_corpus.index
     fish = v.id_of("fish")
-    assert v.background_prob(fish) == 4 / v.total_tokens
-    assert abs(sum(v.background_prob(w) for w in range(len(v))) - 1.0) < 1e-12
-    with pytest.raises(UnknownTokenError):
-        v.background_prob(len(v))
+    assert index.total_tokens == 15
+    assert index.background_prob(fish) == 4 / 15
+    assert abs(sum(index.background_prob(w) for w in range(len(v))) - 1.0) < 1e-12
+    for bad in (-1, len(v)):
+        with pytest.raises(UnknownTokenError):
+            index.background_prob(bad)
 
 
 def test_background_prob_matches_recount(random_corpus):
@@ -105,7 +107,7 @@ def test_background_prob_matches_recount(random_corpus):
             counts[w] = counts.get(w, 0) + 1
             total += 1
     for w, n in counts.items():
-        assert random_corpus.vocab.background_prob(w) == n / total
+        assert random_corpus.index.background_prob(w) == n / total
 
 
 def test_document_lengths_match_counts(random_corpus):
@@ -124,6 +126,16 @@ def test_reingestion_determinism(tmp_path, random_corpus):
     opts = PreprocessOptions(min_df=2)
     a, b = ingest_jsonl(path, opts), ingest_jsonl(path, opts)
     assert a.vocab.tokens == b.vocab.tokens
-    assert a.vocab.corpus_freq == b.vocab.corpus_freq
+    assert np.array_equal(a.index.corpus_freq, b.index.corpus_freq)
     assert a.documents == b.documents   # same ids, token ids and labels, in order
     assert a.dropped_documents == b.dropped_documents
+
+
+@pytest.mark.parametrize("label", [["x"], {"a": 1}, 3, True])
+def test_label_that_is_not_a_string_names_the_document(label):
+    records = [{"id": "d0", "text": "aa bb", "label": "x"},
+               {"id": "d1", "text": "aa cc", "label": label}]
+    with pytest.raises(IngestionError, match=r"document 'd1': label must be a string or null"):
+        ingest(records)
+    assert ingest(records[:1] + [{"id": "d1", "text": "aa cc", "label": None}]).documents[1].label \
+        is None

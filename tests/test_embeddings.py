@@ -20,11 +20,12 @@ def test_load_plain_and_headered(tmp_path, vocab4):
     headered.write_text("4 4\n" + body)
     t1 = load_embeddings(plain, vocab4)
     t2 = load_embeddings(headered, vocab4)
-    assert t1.dim == t2.dim == 4
-    assert set(t1.vectors) == set(t2.vectors) == {0, 1, 2}  # zz skipped
-    for w in t1.vectors:
-        assert np.array_equal(t1.vectors[w], t2.vectors[w])
-    assert t1.coverage == pytest.approx(3 / 4)
+    assert t1.matrix.shape == t2.matrix.shape == (4, 4)
+    assert t1.embedded.tolist() == t2.embedded.tolist() == [True, True, True, False]  # zz skipped
+    assert np.array_equal(t1.matrix, t2.matrix)
+    assert t1.matrix[:3].tolist() == [[1.0, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.5],
+                                      [0.0, 0.0, 1.0, 0.5]]
+    assert t1.get(3) is None and not t1.matrix[3].any()
 
 
 def test_load_malformed_float_names_line(tmp_path, vocab4):
@@ -86,7 +87,7 @@ def test_relatedness_tau_extremes(geometry_table):
     high = build_promotion(geometry_table, concepts, 1.0 + 1e-9)
     assert pairs_of(high) == {(0, 0)}  # only the forced self-pair survives
     low = build_promotion(geometry_table, concepts, -1.0)
-    assert pairs_of(low) == {(w, 0) for w in geometry_table.vectors}
+    assert pairs_of(low) == {(w, 0) for w in np.flatnonzero(geometry_table.embedded)}
 
 
 def test_relatedness_matches_bruteforce(geometry_table):
@@ -95,7 +96,7 @@ def test_relatedness_matches_bruteforce(geometry_table):
     promo = build_promotion(geometry_table, concepts, tau)
     expected = set()
     for wq in concepts:
-        for wi in geometry_table.vectors:
+        for wi in np.flatnonzero(geometry_table.embedded):
             c = cosine(geometry_table.get(wi), geometry_table.get(wq))
             if c >= tau:
                 expected.add((wi, wq))

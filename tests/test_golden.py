@@ -15,6 +15,13 @@ term score -inf (the top 4 of the 6 candidates hold one such document, which
 whose every text starts with a capital letter: `retrieve` with `--stopwords`,
 with `--min-df 2` and with `--keep-case`, and `expand --method kld` with all
 three.
+Three pin a partial-coverage vector file made from the synth vectors: it
+keeps the header, has no vector for every third word (one query word among
+them), an all-zero vector for one rare-topic word, a rare-topic word repeated
+later with another topic's vector (the last line wins) and an
+out-of-vocabulary word: `expand --method rel` and a checkpointed `kld` fit on
+it. They pin the zero rows of the normalized matrix, which the full synth
+vectors never reach.
 """
 
 import hashlib
@@ -47,6 +54,9 @@ GOLDEN = {
     "retrieve.min-df.json": "faa8a072d83fc52741c107a9492ac7a9315393db0287e0dad99898d22d4e378a",
     "retrieve.keep-case.json": "015d82caf8497f8df62ea627fa8a93ebd6d7d066efc8211731f41b9aa658263d",
     "expand.kld.options.json": "cbb77c39401c9eced370efaa95e0e82c9832e65c6d563ed7c68ab327acabc2c7",
+    "expand.rel.partial.json": "86de1664e3aee6ef58901b92560234184443ec1e6533a4a3a1ace3d5c12e4b56",
+    "kld.partial.json": "a8f4dfc19c64af02a82cb2c34a9e74d48b6e41ac77c374b750ed017b29aeb9c0",
+    "checkpoint.partial.json": "52b7765fd3701f61259fd06a0719dd23b4e8d074835c884e2b1ebf99c650817f",
 }
 
 
@@ -105,6 +115,24 @@ def digests(tmp_path_factory):
     assert main(["expand", "--corpus", cased, "--query", rare, "--method", "kld",
                  *(f for flags in options.values() for f in flags),
                  "--out", str(d / "expand.kld.options.json")]) == EXIT_OK
+    header, *rows = (d / "vectors.txt").read_text().splitlines()
+    vec = dict(line.split(" ", 1) for line in rows)
+    zero_word, moved_word = truth["topic_top_words"][truth["rare_topic"]][2:6:3]
+    vec[zero_word] = " ".join(["0.000000"] * int(header.split()[1]))
+    partial = str(d / "vectors.partial.txt")
+    with open(partial, "w") as fh:
+        fh.write(header + "\n")
+        for i, (word, values) in enumerate(vec.items()):
+            if i % 3:
+                fh.write(f"{word} {values}\n")
+        other = vec[truth["topic_top_words"]["topic0"][1]]
+        fh.write(f"zzoov {vec[moved_word]}\n{moved_word} {other}\n")
+    assert main(["expand", "--corpus", corpus, "--query", rare, "--method", "rel",
+                 "--embeddings", partial, "--out", str(d / "expand.rel.partial.json")]) == EXIT_OK
+    assert main(["fit", "--corpus", corpus, "--query", rare, "--method", "kld",
+                 "--embeddings", partial, "--iters1", "6", "--iters2", "5",
+                 "--checkpoint", str(d / "checkpoint.partial.json"),
+                 "--out", str(d / "kld.partial.json")]) == EXIT_OK
     return {name: hashlib.sha256((d / name).read_bytes()).hexdigest() for name in GOLDEN}
 
 

@@ -211,6 +211,7 @@ def test_resumed_fit_hashes_the_token_stream_once(tmp_path, monkeypatch):
     (dict(iterations_phase2=0), "iterations_phase2"),
     (dict(target_labels=["a"]), "1 target labels for 2 queries"),
     (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(target_labels=["planted", "x"]), "target label 'x' is carried by no document"),
 ])
 def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
     def no_work(*args, **kwargs):

@@ -25,12 +25,19 @@ from helpers import make_table
 WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"]
 
 
-def scan_likelihood(doc, query, corpus, mu):
+def recount_background(corpus):
+    """p_C(w) of every word, counted over the documents."""
+    counts = Counter(w for doc in corpus.documents for w in doc.tokens)
+    total = sum(len(doc) for doc in corpus.documents)
+    return {wid: n / total for wid, n in counts.items()}
+
+
+def scan_likelihood(doc, query, background, mu):
     """Log query likelihood of one document, one term at a time."""
     counts = Counter(doc.tokens)
     score = 0.0
     for wid in query.terms:
-        p = (counts[wid] + mu * corpus.vocab.background_prob(wid)) / (len(doc) + mu)
+        p = (counts[wid] + mu * background[wid]) / (len(doc) + mu)
         if p <= 0.0:
             return NEG_INF
         score += math.log(p)
@@ -50,7 +57,8 @@ def scan_retrieve(corpus, query, cutoff, mu):
         candidates.append(idx)
     if not candidates:
         raise EmptyResultError(query.mode)
-    scored = [(idx, scan_likelihood(corpus.documents[idx], query, corpus, mu))
+    background = recount_background(corpus)
+    scored = [(idx, scan_likelihood(corpus.documents[idx], query, background, mu))
               for idx in candidates]
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:cutoff]
@@ -126,12 +134,13 @@ def loop_concept_words(corpus, query, retrieved, method, n, table, lam):
             scores[wid] += (1 - lam) * s
     else:
         counts, total = loop_counts(corpus, retrieved)
+        background = recount_background(corpus)
         for wid, c in counts.items():
             if method == "fre":
                 scores[wid] = float(c)
             else:
                 pr = c / total
-                scores[wid] = pr * math.log(pr / corpus.vocab.background_prob(wid))
+                scores[wid] = pr * math.log(pr / background[wid])
     ranked = sorted(np.nonzero(scores > 0)[0], key=lambda w: (-scores[w], w))
     return [(int(w), float(scores[w])) for w in ranked[:n]]
 
@@ -170,7 +179,9 @@ def test_index_is_flat_narrow_integer_arrays(random_corpus):
         assert getattr(index, name).ndim == 1, name
     assert len(index.doc_ptr) == len(random_corpus) + 1
     assert len(index.word_ptr) == len(random_corpus.vocab) + 1
-    assert index.corpus_freq.tolist() == random_corpus.vocab.corpus_freq
+    recount = Counter(w for doc in random_corpus.documents for w in doc.tokens)
+    assert index.corpus_freq.tolist() == [recount[w] for w in range(len(random_corpus.vocab))]
+    assert index.total_tokens == recount.total()
 
 
 def test_forward_half_holds_each_document_counts(random_corpus):
