@@ -1,0 +1,113 @@
+"""Build, cache and load the compiled Gibbs sweep (`sweep.c`).
+
+The library is built on first use with the interpreter's C compiler
+(`sysconfig` CC) and `FLAGS`: `-O2`, no fused multiply-add and no fast-math,
+so its float arithmetic equals the Python expressions it replaces bit for
+bit. It is cached beside the source in `__pycache__`, under a key of the
+source, the compiler and the flags, and published with `os.replace`, so
+processes that build at the same time each see a complete file.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweep.c")
+CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
+FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-std=c99", "-shared", "-fPIC")
+
+NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+
+
+class BuildError(RuntimeError):
+    """The compiled sweep could not be built or loaded."""
+
+
+class State(ctypes.Structure):
+    """Mirror of `qd_state` in sweep.c; the field order is the C order."""
+    _fields_ = [
+        ("words", _P), ("doc_ptr", _P), ("n_docs", _I), ("V", _I),
+        ("forced", _P), ("promo_ptr", _P), ("promo_target", _P), ("promo_self", _P),
+        ("tok_t", _P), ("tok_flag", _P), ("n_tab", _P), ("tab_col", _P),
+        ("tab_units", _P), ("tab_promos", _P), ("cap", _I), ("topic_of", _P),
+        ("order", _P), ("by_id", _P), ("m", _P), ("nk_units", _P), ("nk_promos", _P),
+        ("den", _P), ("nkw_units", _P), ("nkw_promos", _P), ("num", _P), ("scal", _P),
+        ("tilde", _P), ("tilde_row", _P),
+        ("u", ctypes.c_double), ("beta", ctypes.c_double), ("alpha", ctypes.c_double),
+        ("gamma", ctypes.c_double), ("base_density", ctypes.c_double),
+        ("next_double", NEXT_DOUBLE), ("rng_state", _P), ("work", _P), ("err", _P),
+    ]
+
+
+_S = ctypes.POINTER(State)
+SIGNATURES = {   # name -> argument types; every function returns int64
+    "qd_state_size": [],
+    "qd_sweep": [_S, _I],
+    "qd_detach": [_S, _I, _I, _P],
+    "qd_attach": [_S, _I, _I, _I, _I],
+    "qd_ensure_table": [_S, _I, _I, _I],
+    "qd_table_weights": [_S, _I, _I, _P],
+    "qd_topic_weights": [_S, _I, _P, _P],
+    "qd_draw_table": [_S, _I, _I],
+    "qd_draw_topic": [_S, _I, _P],
+    "qd_draw_flag": [_S, _I, _I],
+}
+
+
+def compiler() -> list[str]:
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def library_path() -> str:
+    with open(SOURCE, "rb") as fh:
+        key = hashlib.sha256(fh.read())
+    key.update(repr((compiler(), FLAGS, sysconfig.get_platform())).encode())
+    return os.path.join(CACHE_DIR, f"sweep-{key.hexdigest()[:16]}.so")
+
+
+def build(path: str) -> None:
+    """Compile SOURCE into a temporary file beside `path`, then publish it."""
+    cc = compiler()
+    try:
+        os.makedirs(CACHE_DIR, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=CACHE_DIR)
+        os.close(fd)
+    except OSError as e:
+        raise BuildError(f"cannot write the compiled-sweep cache {CACHE_DIR}: {e}") from None
+    try:
+        subprocess.run([*cc, *FLAGS, "-o", tmp, SOURCE], check=True,
+                       capture_output=True, text=True)
+        os.replace(tmp, path)
+    except FileNotFoundError:
+        raise BuildError(f"the Gibbs sweep is compiled on first use and needs a C "
+                         f"compiler, but {cc[0]!r} (sysconfig CC) was not found") from None
+    except subprocess.CalledProcessError as e:
+        raise BuildError(f"{cc[0]} failed to compile {SOURCE}:\n{e.stderr}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+@functools.cache
+def library() -> ctypes.CDLL:
+    """The loaded sweep library, built first if the cache has no copy."""
+    path = library_path()
+    if not os.path.exists(path):
+        build(path)
+    lib = ctypes.CDLL(path)
+    for name, argtypes in SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    if lib.qd_state_size() != ctypes.sizeof(State):
+        raise BuildError(f"{path} does not match this qdtm's State layout")
+    return lib

@@ -120,9 +120,8 @@ def extract_parent_subcorpus(sampler: HDPSampler,
     """
     sub_docs = []
     support: set[int] = set()
-    for j, doc in enumerate(sampler.docs):
-        toks = [w for i, w in enumerate(doc)
-                if sampler.table_topic[j][sampler.t[j][i]] == parent]
+    for doc, topics in zip(sampler.docs, sampler.token_topics()):
+        toks = [w for w, k in zip(doc, topics) if k == parent]
         if toks:
             sub_docs.append(toks)
             support.update(toks)

@@ -5,26 +5,35 @@ units + u * promotions, where u is the promotion weight. All count updates are
 integer arithmetic, so remove/add round-trips restore state exactly and
 emptiness checks are exact.
 
-The predictive's numerators and denominators are cached per topic, derived
-from those integers by one expression each and rewritten whenever a count
-they read changes, so the per-token work over all live topics runs in C
-iterators. Float sums go left to right through `_sum` on every Python version.
+The state lives in flat numpy buffers that the compiled per-token steps
+(`sweep.c`, built on first use by `qdtm._native`) update in place:
+- per token: its table slot and promotion flag;
+- per document: its table slots (topic column, unit and promotion mass) at the
+  document's token offsets, since a document never holds more tables than
+  tokens;
+- per topic: one column of the word-major count matrices and of the cached
+  predictive numerators n_kw + beta and denominators n_k + V beta, and its
+  table count. `_order` lists the live columns in `m_k` insertion order, in
+  which the new-table mixture is summed; `_by_id` lists them by ascending
+  topic id, in which a topic is picked. Both orders are visible to the RNG.
+The attributes the rest of qdtm reads (`t`, `flags`, `table_topic`, `m_k`,
+`nkw_units`, ...) are read-only views of these buffers holding plain ints.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import logging
 import math
-from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter, mul, truediv
+from types import MappingProxyType
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
+N_LIVE, M_TOTAL, NEXT_TOPIC = range(3)          # the kernel's `scal` entries
+ERR_NEG_MASS, ERR_RETIRE, ERR_DEAD, ERR_FULL = -2, -3, -4, -5   # its failure codes
+COLUMN_HEADROOM = 4    # free topic columns at install, and at least this many per growth
 
 
 class SamplerError(ValueError):
@@ -66,12 +75,55 @@ class Hyperparameters:
             raise SamplerError("prevalence floor must be in [0,1)")
 
 
+class _Rows(Sequence):
+    """Read-only per-document rows of a flat buffer; row j reads as a list of
+    ints. The rows follow the buffer, so a row read after a sweep is new."""
+
+    def __init__(self, flat: np.ndarray, ptr: np.ndarray, lengths: np.ndarray):
+        self._flat, self._ptr, self._lengths = flat, ptr, lengths
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    def __getitem__(self, j: int) -> list[int]:
+        j = range(len(self))[j]
+        start = self._ptr[j]
+        return self._flat[start:start + self._lengths[j]].tolist()
+
+    def __iter__(self):
+        for start, n in zip(self._ptr.tolist(), self._lengths.tolist()):
+            yield self._flat[start:start + n].tolist()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+class _TopicRows(Mapping):
+    """Read-only topic id -> its row of a word-major count matrix (a list of
+    ints over the vocabulary), in `m_k` order."""
+
+    def __init__(self, matrix: np.ndarray, columns: dict[int, int]):
+        self._matrix, self._columns = matrix, columns
+
+    def __getitem__(self, k: int) -> list[int]:
+        return self._matrix[:, self._columns[k]].tolist()
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+
 class HDPSampler:
     """Chinese-restaurant-franchise Gibbs sampler over one token stream.
 
     Phase 1 uses `forced_topic` to pin concept words to their reserved parent
     topics (ids 0..n_parents-1); phase 2 runs the same machinery over a
     remapped sub-corpus with no constraints and base density 1/|scope vocab|.
+    The per-token steps run in the compiled kernel; the methods named after
+    them (`_detach`, `_attach`, `_ensure_table`, `table_weights`,
+    `topic_weights`, `draw_table`, `draw_topic`, `draw_flag`, `sweep`) call it.
     """
 
     def __init__(self, docs: list[list[int]], vocab_size: int, hp: Hyperparameters,
@@ -92,34 +144,145 @@ class HDPSampler:
         self.promo_rows = promotion or {}
         self.embedding_norms = embedding_norms
         self.parent_representatives = parent_representatives or {}
+        self._lengths = np.array([len(d) for d in docs], dtype=np.int64)
+        self._doc_ptr = np.concatenate(([0], np.cumsum(self._lengths)))
+        # each token's document's first slot: slots sit at their document's token offsets
+        self._tok_base = self._doc_ptr[:-1].repeat(self._lengths).astype(np.int32)
+        self._words = self._token_ids()
+        self._check_constraints()
         self.base_density = 1.0 / vocab_size   # f_new: the uniform base measure
 
-        self.set_state([[] for _ in docs], [[] for _ in docs])   # empty counts
+        self._forced = np.full(vocab_size, -1, dtype=np.int64)
+        self._forced[list(self.forced_topic)] = list(self.forced_topic.values())
+        self._pinned = np.flatnonzero(self._forced[self._words] >= 0)   # their tokens
+        row_len = np.zeros(vocab_size, dtype=np.int64)
+        row_len[list(self.promo_rows)] = [len(r) for r in self.promo_rows.values()]
+        self._promo_ptr = np.concatenate(([0], np.cumsum(row_len)))
+        entries = [e for w in sorted(self.promo_rows) for e in self.promo_rows[w]]
+        self._promo_target = np.array([tgt for tgt, _ in entries], dtype=np.int32)
+        self._promo_self = np.array([bool(s) for _, s in entries], dtype=np.int8)
+        self._err = np.zeros(3, dtype=np.int64)
+        self._out = np.zeros(3, dtype=np.int64)
         # cohesion cache (refreshed once per iteration)
         self.tilde: np.ndarray | None = None
         self.topic_row: dict[int, int] = {}
         self.iterations_done = 0
 
+    def _token_ids(self) -> np.ndarray:
+        words = np.array([w for doc in self.docs for w in doc])
+        if words.dtype.kind not in "iu":
+            raise SamplerError(f"token ids must be integers, got {words.dtype}")
+        bad = np.flatnonzero((words < 0) | (words >= self.V))
+        if bad.size:
+            j, i = self._position(bad[0])
+            raise SamplerError(f"docs[{j}][{i}] = {words[bad[0]]} is not a word id "
+                               f"in [0, {self.V})")
+        return words.astype(np.int32)
+
+    def _check_constraints(self) -> None:
+        V = self.V
+        for w, k in self.forced_topic.items():
+            if not 0 <= w < V:
+                raise SamplerError(f"forced_topic word {w} is not a word id in [0, {V})")
+            if not 0 <= k < self.n_parents:
+                raise SamplerError(f"forced_topic[{w}] = {k} is not a parent topic "
+                                   f"in [0, {self.n_parents})")
+        for w, row in self.promo_rows.items():
+            if not 0 <= w < V:
+                raise SamplerError(f"promotion row of word {w}: not a word id in [0, {V})")
+            if not row:
+                raise SamplerError(f"promotion row of word {w} is empty")
+            for target, _ in row:
+                if not 0 <= target < V:
+                    raise SamplerError(f"promotion row of word {w} targets {target}, "
+                                       f"not a word id in [0, {V})")
+        if self.embedding_norms is not None and len(self.embedding_norms) != V:
+            raise SamplerError(f"embedding_norms has {len(self.embedding_norms)} rows "
+                               f"for {V} words")
+
+    def _position(self, p: int) -> tuple[int, int]:
+        """(document, index within it) of flat token position p."""
+        j = int(np.searchsorted(self._doc_ptr, p, side="right")) - 1
+        return j, int(p - self._doc_ptr[j])
+
     # ------------------------------------------------------------------ state
 
-    def _register_topic(self, k: int) -> None:
-        """Birth of topic k: zero counts, cached as the view's last column."""
-        self.nkw_units[k] = [0] * self.V
-        self.nkw_promos[k] = [0] * self.V
-        self.nk_units[k] = 0
-        self.nk_promos[k] = 0
-        self._col[k] = len(self._num)
-        self._num.append([self.hp.beta] * self.V)   # n_kw + beta at n_kw = 0
-        self._den.append(self.V * self.hp.beta)
+    @property
+    def t(self) -> _Rows:
+        """t[j][i]: the table of token i of document j."""
+        return _Rows(self._tok_t, self._doc_ptr, self._lengths)
+
+    @property
+    def flags(self) -> _Rows:
+        return _Rows(self._tok_flag, self._doc_ptr, self._lengths)
+
+    @property
+    def table_topic(self) -> _Rows:
+        """table_topic[j][t]: the topic of table t of document j, -1 if dead."""
+        cols = self._tab_col
+        return _Rows(np.where(cols >= 0, self._topic_of[cols], -1), self._doc_ptr, self._n_tab)
+
+    @property
+    def table_units(self) -> _Rows:
+        return _Rows(self._tab_units, self._doc_ptr, self._n_tab)
+
+    @property
+    def table_promos(self) -> _Rows:
+        return _Rows(self._tab_promos, self._doc_ptr, self._n_tab)
+
+    def _columns(self) -> dict[int, int]:
+        """Live topic id -> its column, in `m_k` order."""
+        order = self._order[:self._scal[N_LIVE]]
+        return dict(zip(self._topic_of[order].tolist(), order.tolist()))
+
+    def _per_topic(self, values: np.ndarray) -> MappingProxyType:
+        order = self._order[:self._scal[N_LIVE]]
+        return MappingProxyType(dict(zip(self._topic_of[order].tolist(),
+                                         values[order].tolist())))
+
+    @property
+    def m_k(self) -> MappingProxyType:
+        """Tables per live topic, in insertion order (parents count a phantom)."""
+        return self._per_topic(self._m)
+
+    @property
+    def nk_units(self) -> MappingProxyType:
+        return self._per_topic(self._nk_units)
+
+    @property
+    def nk_promos(self) -> MappingProxyType:
+        return self._per_topic(self._nk_promos)
+
+    @property
+    def nkw_units(self) -> _TopicRows:
+        return _TopicRows(self._nkw_units, self._columns())
+
+    @property
+    def nkw_promos(self) -> _TopicRows:
+        return _TopicRows(self._nkw_promos, self._columns())
+
+    @property
+    def m_total(self) -> int:
+        return int(self._scal[M_TOTAL])
+
+    @property
+    def next_topic(self) -> int:
+        return int(self._scal[NEXT_TOPIC])
+
+    @next_topic.setter
+    def next_topic(self, k: int) -> None:
+        self._scal[NEXT_TOPIC] = k
 
     def nkw(self, k: int, w: int) -> float:
-        return self.nkw_units[k][w] + self.u * self.nkw_promos[k][w]
+        c = self._columns()[k]
+        return int(self._nkw_units[w, c]) + self.u * int(self._nkw_promos[w, c])
 
     def nk(self, k: int) -> float:
-        return self.nk_units[k] + self.u * self.nk_promos[k]
+        c = self._columns()[k]
+        return int(self._nk_units[c]) + self.u * int(self._nk_promos[c])
 
     def live_topics(self) -> list[int]:
-        return sorted(self.m_k)
+        return sorted(self._columns())
 
     def initialize(self) -> None:
         """Seed the state: one fresh table per token position.
@@ -139,108 +302,196 @@ class HDPSampler:
         self.set_state([list(range(len(d))) for d in self.docs], table_topics)
         self.next_topic = max(self.n_parents, K)
 
-    def set_state(self, t_assignments: list[list[int]],
-                  table_topics: list[list[int]],
-                  flags: list[list[int]] | None = None) -> None:
-        """Install a state and build every count from it in one pass.
+    def set_state(self, t_assignments: Sequence[Sequence[int]],
+                  table_topics: Sequence[Sequence[int]],
+                  flags: Sequence[Sequence[int]] | None = None) -> None:
+        """Check a state, install it and build every count from it in one pass.
 
         `t_assignments[j][i]` is the table of token i in document j and
-        `table_topics[j][t]` the topic of each table. Topics enter `m_k` in
-        table order, parents first; `next_topic` follows the highest live id.
-        Each cached row is written once, from the final integer counts, with
-        the expressions of `_apply_counts`, so it equals theirs bit for bit.
+        `table_topics[j][t]` the topic of each table (-1 for a dead slot).
+        Topics enter `m_k` in table order, parents first; `next_topic`
+        follows the highest live id. Each cached numerator and denominator is
+        computed once, from the final integer counts, with the expressions of
+        the kernel's count updates, so it equals theirs bit for bit. A state
+        the sampler could not be in raises `SamplerError` naming the field.
         """
-        self.t = [list(r) for r in t_assignments]
-        self.flags = [list(r) for r in (flags or [[0] * len(d) for d in self.docs])]
-        # per-document tables; a slot may be dead (topic -1, zero mass)
-        self.table_topic = [list(r) for r in table_topics]
-        self.table_units = [[0] * len(r) for r in table_topics]
-        self.table_promos = [[0] * len(r) for r in table_topics]
+        self._install(*self._checked(t_assignments, table_topics, flags))
+
+    def _checked(self, t_assignments, table_topics, flags):
+        """The fields of a state as flat arrays (`tab`: the topic of every
+        slot), or `SamplerError` naming the first field that is wrong."""
+        ptr, lengths, words, N = self._doc_ptr, self._lengths, self._words, len(self._words)
+        t = _flat_rows("t", t_assignments, lengths)
+        fl = np.zeros(N, np.int64) if flags is None else _flat_rows("flags", flags, lengths)
+        n_tab = _row_lengths("table_topic", table_topics, len(lengths))
+        over = np.flatnonzero(n_tab > lengths)
+        if over.size:
+            j = int(over[0])
+            raise SamplerError(f"table_topic[{j}] has {n_tab[j]} tables for "
+                               f"{lengths[j]} tokens")
+        topics = _flat_rows("table_topic", table_topics, n_tab)
+        slot_doc = np.repeat(np.arange(len(lengths)), n_tab)
+        tab_ptr = np.concatenate(([0], np.cumsum(n_tab)))
+        slot_pos = ptr[slot_doc] + np.arange(len(topics)) - tab_ptr[slot_doc]
+        if topics.size and topics.min() < -1:
+            s = int(np.argmax(topics < -1))
+            raise SamplerError(f"table_topic[{slot_doc[s]}][{s - tab_ptr[slot_doc[s]]}] = "
+                               f"{topics[s]} is neither a topic id nor -1")
+        tab = np.full(N, -1, np.int64)
+        tab[slot_pos] = topics
+
+        def token_error(positions: np.ndarray, what: str):
+            p = int(positions[0])
+            j, i = self._position(p)
+            return SamplerError(what.format(j=j, i=i, t=t[p], f=fl[p], w=words[p],
+                                            n=n_tab[j], k=tab[ptr[j] + t[p]]))
+
+        outside = np.flatnonzero((t < 0) | (t >= np.repeat(n_tab, lengths)))
+        if outside.size:
+            raise token_error(outside, "t[{j}][{i}] = {t} is not a table of document {j}, "
+                                       "which has {n}")
+        slot = self._tok_base + t
+        dead = np.flatnonzero(tab[slot] < 0)
+        if dead.size:
+            raise token_error(dead, "t[{j}][{i}] = {t} is a dead table (topic -1)")
+        flagged = np.flatnonzero(fl)
+        if (fl[flagged] != 1).any():
+            raise token_error(flagged[fl[flagged] != 1],
+                              "flags[{j}][{i}] = {f} is neither 0 nor 1")
+        w = words[flagged]
+        no_row = flagged[self._promo_ptr[w] == self._promo_ptr[w + 1]]
+        if no_row.size:
+            raise token_error(no_row, "flags[{j}][{i}] = 1 on word {w}, which has no "
+                                      "promotion row")
+        off = self._pinned[tab[slot[self._pinned]] != self._forced[words[self._pinned]]]
+        if off.size:
+            raise token_error(off, "t[{j}][{i}]: word {w} is pinned to a parent topic but "
+                                   "its table serves topic {k}")
+        seated = np.zeros(N, bool)
+        seated[slot] = True
+        empty = np.flatnonzero((tab >= 0) & ~seated)
+        if empty.size:
+            j, s = self._position(empty[0])
+            raise SamplerError(f"table_topic[{j}][{s}] = {tab[ptr[j] + s]} is live "
+                               "but seats no token")
+        return t.astype(np.int32), fl.astype(np.int8), n_tab, tab, slot
+
+    def _install(self, t: np.ndarray, fl: np.ndarray, n_tab: np.ndarray,
+                 tab: np.ndarray, slot: np.ndarray) -> None:
+        """Build the buffers of a checked state."""
+        N, V, u, beta = len(self._words), self.V, self.u, self.hp.beta
         # parents get a phantom table so they can never retire during phase 1
-        self.m_k = {q: 1 for q in range(self.n_parents)}
-        for topics in table_topics:
-            for k in topics:
-                if k >= 0:
-                    self.m_k[k] = self.m_k.get(k, 0) + 1
-        self.m_total = sum(self.m_k.values())
-        self.next_topic = max(self.m_k, default=-1) + 1
-        self.nkw_units = {k: [0] * self.V for k in self.m_k}
-        self.nkw_promos = {k: [0] * self.V for k in self.m_k}
-        for j, doc in enumerate(self.docs):
-            topics, units, promos = self.table_topic[j], self.table_units[j], self.table_promos[j]
-            for w, t, flag in zip(doc, self.t[j], self.flags[j]):
-                k = topics[t]
-                if flag:
-                    for target, is_self in self.promo_rows[w]:
-                        if is_self:
-                            units[t] += 1
-                            self.nkw_units[k][target] += 1
-                        else:
-                            promos[t] += 1
-                            self.nkw_promos[k][target] += 1
-                else:
-                    units[t] += 1
-                    self.nkw_units[k][w] += 1
-        self.nk_units = {k: sum(row) for k, row in self.nkw_units.items()}
-        self.nk_promos = {k: sum(row) for k, row in self.nkw_promos.items()}
-        # the column view: live topic k's predictive numerators (by word) and
-        # denominator sit at position _col[k], in `m_k` order
-        u, beta = self.u, self.hp.beta
-        self._col = {k: c for c, k in enumerate(self.m_k)}
-        # cells at n_kw = 0 share one float, beta, as `_register_topic` writes them
-        self._num = [[cu + u * cp + beta if cu or cp else beta
-                      for cu, cp in zip(self.nkw_units[k], self.nkw_promos[k])]
-                     for k in self.m_k]
-        self._den = [self.nk_units[k] + u * self.nk_promos[k] + self.V * beta
-                     for k in self.m_k]
+        live = tab[tab >= 0]
+        ids, first, counts = np.unique(live, return_index=True, return_counts=True)
+        seen = np.argsort(first, kind="stable")
+        m_k = {q: 1 for q in range(self.n_parents)}
+        for k, n in zip(ids[seen].tolist(), counts[seen].tolist()):
+            m_k[k] = m_k.get(k, 0) + n
+        topic_ids = np.array(list(m_k), dtype=np.int64)
+        K = len(topic_ids)
+        cap = self._cap = K + COLUMN_HEADROOM
+        by_id = np.argsort(topic_ids, kind="stable")
+        tab_col = np.full(N, -1, np.int32)
+        tab_col[tab >= 0] = by_id[np.searchsorted(topic_ids[by_id], live)]
+        del tab, live
+        self._tok_t, self._tok_flag = t, fl
+        self._n_tab, self._tab_col = n_tab.astype(np.int32), tab_col
+        col = tab_col[slot]
+        # counted in place: a flagged token adds its promotion row, others 1
+        self._tab_units, self._tab_promos = np.zeros(N, np.int32), np.zeros(N, np.int32)
+        self._nkw_units = np.zeros((V, cap), np.int32)
+        self._nkw_promos = np.zeros((V, cap), np.int32)
+        plain = fl == 0
+        np.add.at(self._tab_units, slot[plain], 1)
+        np.add.at(self._nkw_units, (self._words[plain], col[plain]), 1)
+        flagged = np.flatnonzero(~plain)
+        del t, fl, plain
+        starts = self._promo_ptr[self._words[flagged]]
+        reps = self._promo_ptr[self._words[flagged] + 1] - starts
+        tok = np.repeat(flagged, reps)
+        entry = np.repeat(starts - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+        target, is_self = self._promo_target[entry], self._promo_self[entry] == 1
+        for pairs, tab_mass, nkw in ((is_self, self._tab_units, self._nkw_units),
+                                     (~is_self, self._tab_promos, self._nkw_promos)):
+            np.add.at(tab_mass, slot[tok[pairs]], 1)
+            np.add.at(nkw, (target[pairs], col[tok[pairs]]), 1)
+        del slot, col
+        self._nk_units = self._nkw_units.sum(axis=0, dtype=np.int64)
+        self._nk_promos = self._nkw_promos.sum(axis=0, dtype=np.int64)
+        # n_kw + beta and n_k + V beta, each sum in the kernel's order (a + b
+        # is b + a in IEEE arithmetic); a free column reads as a newborn topic
+        self._num = u * self._nkw_promos
+        self._num += self._nkw_units
+        self._num += beta
+        self._den = self._nk_units + u * self._nk_promos + V * beta
+        self._topic_of = np.full(cap, -1, np.int64)
+        self._topic_of[:K] = topic_ids
+        self._order = np.zeros(cap, np.int32)
+        self._order[:K] = np.arange(K)
+        self._by_id = np.zeros(cap, np.int32)
+        self._by_id[:K] = by_id
+        self._m = np.zeros(cap, np.int64)
+        self._m[:K] = list(m_k.values())
+        self._tilde_row = np.full(cap, -1, np.int32)
+        self._scal = np.array([K, self._m.sum(), topic_ids.max(initial=-1) + 1], np.int64)
+        self._bind()
 
-    # --------------------------------------------------------------- counters
+    def _grow(self) -> None:
+        """Add a quarter more topic columns; every live topic keeps its column."""
+        old = self._cap
+        cap = old + max(COLUMN_HEADROOM, old // 4)
+        for name, fill in (("_nkw_units", 0), ("_nkw_promos", 0), ("_num", self.hp.beta),
+                           ("_topic_of", -1), ("_order", 0), ("_by_id", 0), ("_m", 0),
+                           ("_nk_units", 0), ("_nk_promos", 0), ("_den", 0.0),
+                           ("_tilde_row", -1)):
+            a = getattr(self, name)
+            wide = np.full(a.shape[:-1] + (cap,), fill, a.dtype)
+            wide[..., :old] = a
+            setattr(self, name, wide)
+        self._cap = cap
+        self._bind()
 
-    def _apply_counts(self, j: int, t: int, w: int, flag: int, sign: int) -> None:
-        """UpdateCounter core: plain +-1, or the word's promotion row when
-        the flag is set (self-pairs move unit counts, cross-pairs move
-        promotion counts of the target concept word). Every cached numerator
-        n_kw + beta and denominator n_k + V beta a move touches is rewritten
-        from its integers, in the expression order of the uncached predictive."""
-        k = self.table_topic[j][t]
-        c = self._col[k]
-        ku, kp, num = self.nkw_units[k], self.nkw_promos[k], self._num[c]
-        u, beta = self.u, self.hp.beta
-        if flag:
-            for target, is_self in self.promo_rows[w]:
-                if is_self:
-                    self.table_units[j][t] += sign
-                    ku[target] += sign
-                    self.nk_units[k] += sign
-                else:
-                    self.table_promos[j][t] += sign
-                    kp[target] += sign
-                    self.nk_promos[k] += sign
-                num[target] = ku[target] + u * kp[target] + beta
-        else:
-            self.table_units[j][t] += sign
-            ku[w] += sign
-            self.nk_units[k] += sign
-            num[w] = ku[w] + u * kp[w] + beta
-        self._den[c] = self.nk_units[k] + u * self.nk_promos[k] + self.V * beta
+    def _bind(self) -> None:
+        """Point the kernel's state at the current buffers."""
+        from . import _native   # built and loaded on first use, never at import
+        self._lib = _native.library()
+        self._work = np.empty(3 * self._cap + 2 * int(self._lengths.max()) + 4)
+        hp = self.hp
+        self._c = _native.State(
+            n_docs=len(self.docs), V=self.V, cap=self._cap, u=self.u, beta=hp.beta,
+            alpha=hp.alpha, gamma=hp.gamma, base_density=self.base_density,
+            **{name: getattr(self, "_" + name).ctypes.data for name in (
+                "words", "doc_ptr", "forced", "promo_ptr", "promo_target", "promo_self",
+                "tok_t", "tok_flag", "n_tab", "tab_col", "tab_units", "tab_promos",
+                "topic_of", "order", "by_id", "m", "nk_units", "nk_promos", "den",
+                "nkw_units", "nkw_promos", "num", "scal", "tilde_row", "work", "err")})
+        self._sync_tilde()
 
-    def _open_table(self, j: int, k: int) -> int:
-        """Create (or revive a dead slot as) a table serving topic k."""
-        topics = self.table_topic[j]
-        try:
-            t = topics.index(-1)
-        except ValueError:
-            t = len(topics)
-            topics.append(-1)
-            self.table_units[j].append(0)
-            self.table_promos[j].append(0)
-        self._ensure_table(j, t, k)
-        return t
+    def _sync_tilde(self) -> None:
+        """Give the kernel the cohesion cache: `tilde` and each column's row."""
+        self._tilde_row[:] = -1
+        for k, c in self._columns().items():
+            self._tilde_row[c] = self.topic_row.get(k, -1)
+        self._c.tilde = None if self.tilde is None else self.tilde.ctypes.data
 
-    def _attach(self, j: int, i: int, t: int, flag: int) -> None:
-        self.t[j][i] = t
-        self.flags[j][i] = flag
-        self._apply_counts(j, t, self.docs[j][i], flag, +1)
+    # ---------------------------------------------------------------- kernel
+
+    def _kernel(self, fn, *args) -> int:
+        """Call a kernel function with this sampler's generator, under its lock."""
+        bg = self.rng.bit_generator
+        gen = bg.ctypes
+        self._c.next_double = gen.next_double
+        self._c.rng_state = gen.state
+        with bg.lock:
+            rc = fn(self._c, *args)
+        if rc < -1:
+            a, b, _ = self._err.tolist()
+            raise {ERR_NEG_MASS: ConsistencyError(f"negative table mass at doc {a} table {b}"),
+                   ERR_RETIRE: ConsistencyError(f"retiring topic {a} with mass left"),
+                   ERR_DEAD: ConsistencyError(f"doc {a} table {b} is not a live table"),
+                   ERR_FULL: ConsistencyError(f"doc {a} has no free table slot"),
+                   }.get(rc, IndexError(f"kernel arguments out of range: {self._err.tolist()}"))
+        return rc
 
     def _detach(self, j: int, i: int) -> tuple[int, int, int]:
         """Remove a token's counts; returns (table, topic, flag used at add).
@@ -248,43 +499,25 @@ class HDPSampler:
         A table emptied by the removal is retired (m_k decremented); a
         non-parent topic with no tables left is dropped entirely.
         """
-        t = self.t[j][i]
-        k = self.table_topic[j][t]
-        flag = self.flags[j][i]
-        self._apply_counts(j, t, self.docs[j][i], flag, -1)
-        if self.table_units[j][t] < 0 or self.table_promos[j][t] < 0:
-            raise ConsistencyError(f"negative table mass at doc {j} table {t}")
-        if self.table_units[j][t] == 0 and self.table_promos[j][t] == 0:
-            self.table_topic[j][t] = -1
-            self.m_k[k] -= 1
-            self.m_total -= 1
-            if self.m_k[k] == 0:
-                if self.nk_units[k] != 0 or self.nk_promos[k] != 0:
-                    raise ConsistencyError(f"retiring topic {k} with mass left")
-                del self.m_k[k]
-                del self.nkw_units[k], self.nkw_promos[k]
-                del self.nk_units[k], self.nk_promos[k]
-                c = self._col.pop(k)
-                del self._num[c], self._den[c]
-                self._col = {q: n for n, q in enumerate(self.m_k)}
-        self.t[j][i] = -1
+        self._kernel(self._lib.qd_detach, j, i, self._out.ctypes.data)
+        t, k, flag = self._out.tolist()
         return t, k, flag
+
+    def _attach(self, j: int, i: int, t: int, flag: int) -> None:
+        """Seat token i of document j at live table t and add its counts."""
+        self._kernel(self._lib.qd_attach, j, i, t, flag)
 
     def _ensure_table(self, j: int, t: int, k: int) -> None:
         """Revive dead slot t of document j as a table serving topic k."""
-        if self.table_topic[j][t] == -1:
-            if k not in self.m_k:
-                self._register_topic(k)
-            self.table_topic[j][t] = k
-            self.m_k[k] = self.m_k.get(k, 0) + 1
-            self.m_total += 1
-
-    # --------------------------------------------------------------- weights
+        if self._scal[N_LIVE] >= self._cap:   # k may be born: keep a column free
+            self._grow()
+        self._kernel(self._lib.qd_ensure_table, j, t, k)
 
     def predictive(self, w: int) -> list[float]:
         """Dirichlet-multinomial predictive f_k(w) = (n_kw + beta) / (n_k + V beta)
-        of word w under every live topic k, in `m_k` order (column `_col[k]`)."""
-        return list(map(truediv, map(itemgetter(w), self._num), self._den))
+        of word w under every live topic k, in `m_k` order."""
+        order = self._order[:self._scal[N_LIVE]]
+        return (self._num[w, order] / self._den[order]).tolist()
 
     def table_weights(self, j: int, w: int) -> tuple[list[float], float]:
         """Unnormalized table-choice weights for word w in document j.
@@ -292,62 +525,39 @@ class HDPSampler:
         The token itself must not be counted. Returns per-slot weights
         (0 for dead or constraint-violating tables) and the new-table weight
         alpha p(w | t_new), with p(w | t_new) the mixture
-        sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new.
-        Constrained words zero out every table not serving their parent topic.
+        sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new, summed in
+        `m_k` order. Constrained words zero out every table not serving their
+        parent topic.
         """
-        forced = self.forced_topic.get(w)
-        f = self.predictive(w)
-        u, col = self.u, self._col
-        units, promos = self.table_units[j], self.table_promos[j]
-        weights = [0.0 if k < 0 or (forced is not None and k != forced)
-                   else (units[t] + u * promos[t]) * f[col[k]]
-                   for t, k in enumerate(self.table_topic[j])]
-        gamma = self.hp.gamma
-        mixture = _sum(map(mul, self.m_k.values(), f))
-        new_table = (mixture + gamma * self.base_density) / (self.m_total + gamma)
-        return weights, self.hp.alpha * new_table
+        out = np.empty(int(self._lengths[j]) + 1)
+        n = self._kernel(self._lib.qd_table_weights, j, w, out.ctypes.data)
+        weights = out[:n].tolist()
+        return weights[:-1], weights[-1]
 
     def topic_weights(self, j: int, w: int) -> tuple[list[tuple[int, float]], float]:
         """Unnormalized topic-choice weights for a freshly drawn table of an
-        unconstrained word (`draw_topic` pins a constrained one to its parent)."""
-        f, col = self.predictive(w), self._col
-        return ([(k, self.m_k[k] * f[col[k]]) for k in sorted(col)],
-                self.hp.gamma * self.base_density)
-
-    # ---------------------------------------------------------------- draws
-
-    def _pick(self, weights: list[float], cum: list[float]) -> int:
-        """Index of the first running total `cum` (of `weights`, left to right)
-        above a uniform draw on [0, total). Zero weights are never picked; a
-        draw that rounds up to the total takes the last positive weight."""
-        i = bisect_right(cum, self.rng.random() * cum[-1])
-        if i < len(cum):
-            return i
-        return max((i for i, wt in enumerate(weights) if wt > 0.0), default=0)
+        unconstrained word, by ascending topic id (`draw_topic` pins a
+        constrained one to its parent)."""
+        n_live = int(self._scal[N_LIVE])
+        ids, out = np.empty(n_live, np.int64), np.empty(n_live + 1)
+        self._kernel(self._lib.qd_topic_weights, w, ids.ctypes.data, out.ctypes.data)
+        weights = out.tolist()
+        return list(zip(ids.tolist(), weights[:-1])), weights[-1]
 
     def draw_table(self, j: int, w: int) -> int:
         """Sample a table for word w in document j; -1 means a new table.
 
-        The token's own counts must already be removed. If every weight is
-        zero (possible only through underflow) a new table is forced.
+        The token's own counts must already be removed. A uniform u picks the
+        first running total of the weights above u times their sum; a draw
+        that rounds up to the sum takes the last positive weight. If every
+        weight is zero (possible only through underflow) a new table is forced.
         """
-        weights, new_weight = self.table_weights(j, w)
-        weights.append(new_weight)
-        cum = list(accumulate(weights))
-        if cum[-1] <= 0.0:
-            return -1
-        idx = self._pick(weights, cum)
-        return -1 if idx == len(weights) - 1 else idx
+        return self._kernel(self._lib.qd_draw_table, j, w)
 
     def draw_topic(self, j: int, w: int) -> int:
         """Sample a topic for a new table; -1 means a brand-new topic."""
-        forced = self.forced_topic.get(w)
-        if forced is not None:
-            return forced
-        existing, new_weight = self.topic_weights(j, w)
-        weights = [wt for _, wt in existing] + [new_weight]
-        idx = self._pick(weights, list(accumulate(weights)))
-        return -1 if idx == len(existing) else existing[idx][0]
+        self._kernel(self._lib.qd_draw_topic, w, self._out.ctypes.data)
+        return int(self._out[0])
 
     def draw_flag(self, w: int, k: int) -> int:
         """Word-filtering gate: Bernoulli(rank-normalized cohesion of (k, w)).
@@ -355,17 +565,7 @@ class HDPSampler:
         Words with no promotion row never apply promotion; topics born after
         the last cache refresh count as rank 0 until the next one.
         """
-        if w not in self.promo_rows:
-            return 0
-        row = self.topic_row.get(k)
-        if row is None:
-            return 0
-        lam = self.tilde[row, w]
-        if lam <= 0.0:
-            return 0
-        if lam >= 1.0:
-            return 1
-        return 1 if self.rng.random() < lam else 0
+        return self._kernel(self._lib.qd_draw_flag, w, k)
 
     # -------------------------------------------------------------- cohesion
 
@@ -379,9 +579,8 @@ class HDPSampler:
             reps = list(self.parent_representatives[k])
         else:
             reps = _top(self.counts(k), self.hp.n_representatives)
-        c = self._col[k]
-        num, den = self._num[c], self._den[c]
-        return reps, [num[w] / den for w in reps]
+        c = self._columns()[k]
+        return reps, (self._num[reps, c] / self._den[c]).tolist()
 
     def refresh_cohesion(self) -> None:
         """Rebuild CV and its per-word rank normalization for live topics.
@@ -411,37 +610,34 @@ class HDPSampler:
         self.cv = cv
         self.tilde = tilde
         self.topic_row = {k: row for row, k in enumerate(topics)}
+        self._sync_tilde()
 
     # ------------------------------------------------------------------ loop
 
     def sweep(self) -> None:
-        for j, doc in enumerate(self.docs):
-            for i, w in enumerate(doc):
-                self._detach(j, i)
-                t = self.draw_table(j, w)
-                if t == -1:
-                    k = self.draw_topic(j, w)
-                    if k == -1:
-                        k = self.next_topic
-                        self.next_topic += 1
-                    t = self._open_table(j, k)
-                else:
-                    k = self.table_topic[j][t]
-                flag = self.draw_flag(w, k)
-                self._attach(j, i, t, flag)
+        """Resample every token in order: detach, draw a table (and for a new
+        one a topic), draw the promotion flag, attach."""
+        p, n = 0, len(self._words)
+        while (p := self._kernel(self._lib.qd_sweep, p)) < n:
+            self._grow()   # every column was in use; resume at token p
 
     def compact_tables(self) -> None:
         """Drop dead table slots and remap token assignments."""
-        for j in range(len(self.docs)):
-            topics = self.table_topic[j]
-            live = [t for t, k in enumerate(topics) if k >= 0]
-            if len(live) == len(topics):
-                continue
-            remap = {t: n for n, t in enumerate(live)}
-            self.table_topic[j] = [topics[t] for t in live]
-            self.table_units[j] = [self.table_units[j][t] for t in live]
-            self.table_promos[j] = [self.table_promos[j][t] for t in live]
-            self.t[j] = [remap[t] for t in self.t[j]]
+        live = self._tab_col >= 0
+        seen = np.cumsum(live, dtype=np.int32)   # live slots up to each position
+        if seen[-1] == self._n_tab.sum():
+            return
+        starts = self._doc_ptr[:-1]
+        before = seen[starts] - live[starts]     # live slots before each document
+        self._n_tab[:] = seen[self._doc_ptr[1:] - 1] - before
+        first = np.repeat(before, self._lengths)
+        src = np.flatnonzero(live)
+        dst = self._tok_base[src] + seen[src] - 1 - first[src]
+        for buf, empty in ((self._tab_col, -1), (self._tab_units, 0), (self._tab_promos, 0)):
+            kept = buf[src]
+            buf.fill(empty)
+            buf[dst] = kept
+        self._tok_t[:] = seen[self._tok_base + self._tok_t] - 1 - first
 
     def run(self, iterations: int, check_invariants: bool = False) -> None:
         """Main Gibbs loop: refresh the cohesion cache, sweep every token."""
@@ -462,42 +658,63 @@ class HDPSampler:
 
         Besides the constraint and the live tables' mass, every structure is
         compared with `==` to a rebuild by `set_state` from the raw
-        assignments. The builder shares no code with the incremental
-        `_apply_counts`, so a fault in the updates shows.
+        assignments. The rebuild shares no code with the kernel's incremental
+        updates, so a fault in the updates shows.
         """
-        for j, doc in enumerate(self.docs):
-            topics = self.table_topic[j]
-            for i, (w, t) in enumerate(zip(doc, self.t[j])):
-                k = topics[t]   # a dead table (-1) is forbidden to all
-                if k < 0 or self.forced_topic.get(w, k) != k:
-                    raise ConsistencyError(f"token ({j},{i}) word {w} at forbidden topic {k}")
-            for t, k in enumerate(topics):
-                if k >= 0 and self.table_units[j][t] == 0 and self.table_promos[j][t] == 0:
-                    raise ConsistencyError(f"live table ({j},{t}) with zero mass")
+        cols = self._token_columns()
+        topics = np.where((self._tok_t >= 0) & (cols >= 0), self._topic_of[cols], -1)
+        bad = topics < 0   # a dead table (-1) is forbidden to all
+        pinned = self._pinned
+        bad[pinned] |= topics[pinned] != self._forced[self._words[pinned]]
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            j, i = self._position(bad[0])
+            raise ConsistencyError(f"token ({j},{i}) word {self._words[bad[0]]} at "
+                                   f"forbidden topic {topics[bad[0]]}")
+        empty = np.flatnonzero((self._tab_col >= 0) & (self._tab_units == 0)
+                               & (self._tab_promos == 0))
+        if empty.size:
+            j, t = self._position(empty[0])
+            raise ConsistencyError(f"live table ({j},{t}) with zero mass")
         ref = copy.copy(self)
         ref.set_state(self.t, self.table_topic, self.flags)
         for name in ("m_k", "m_total", "table_units", "table_promos",
                      "nkw_units", "nkw_promos", "nk_units", "nk_promos"):
             if getattr(self, name) != getattr(ref, name):
                 raise ConsistencyError(f"{name} disagrees with a rebuild from the assignments")
-        if (list(self._col.items()) != [(k, c) for c, k in enumerate(self.m_k)]
-                or len(self._num) != len(self.m_k) or len(self._den) != len(self.m_k)):
+        n = self._scal[N_LIVE]
+        used = np.flatnonzero(self._topic_of >= 0).tolist()
+        free = self._topic_of < 0
+        if (sorted(self._order[:n].tolist()) != used or sorted(self._by_id[:n].tolist()) != used
+                or (np.diff(self._topic_of[self._by_id[:n]]) <= 0).any()
+                or self._nkw_units[:, free].any() or self._nkw_promos[:, free].any()
+                or (self._num[:, free] != self.hp.beta).any()):
             raise ConsistencyError("the column view disagrees with m_k")
-        for k, c in self._col.items():
-            if self._num[c] != ref._num[ref._col[k]] or self._den[c] != ref._den[ref._col[k]]:
+        ref_cols = ref._columns()
+        for k, c in self._columns().items():
+            if (not np.array_equal(self._num[:, c], ref._num[:, ref_cols[k]])
+                    or self._den[c] != ref._den[ref_cols[k]]):
                 raise ConsistencyError(f"topic {k}: cached predictive disagrees with counts")
 
     # ------------------------------------------------------------- posterior
 
+    def _token_columns(self) -> np.ndarray:
+        return self._tab_col[self._tok_base + self._tok_t]
+
+    def token_topics(self) -> _Rows:
+        """token_topics()[j][i]: the topic of the table of token i of document j."""
+        return _Rows(self._topic_of[self._token_columns()], self._doc_ptr, self._lengths)
+
     def counts(self, k: int) -> np.ndarray:
         """Real-valued topic-word counts n_kw = units + u * promotions."""
-        return (np.array(self.nkw_units[k], dtype=float)
-                + self.u * np.array(self.nkw_promos[k], dtype=float))
+        c = self._columns()[k]
+        return (self._nkw_units[:, c].astype(float)
+                + self.u * self._nkw_promos[:, c].astype(float))
 
     def phi(self, k: int) -> np.ndarray:
         """Topic-word distribution (n_kw + beta) / (n_k + V beta)."""
-        c = self._col[k]
-        return np.array(self._num[c]) / self._den[c]
+        c = self._columns()[k]
+        return self._num[:, c] / self._den[c]
 
     def theta(self) -> tuple[list[int], np.ndarray]:
         """Document-topic proportions from table masses, smoothed by alpha/K."""
@@ -505,22 +722,18 @@ class HDPSampler:
         col = {k: c for c, k in enumerate(topics)}
         prior = self.hp.alpha / len(topics)
         out = np.full((len(self.docs), len(topics)), prior)
-        for j in range(len(self.docs)):
-            units, promos = self.table_units[j], self.table_promos[j]
-            for t, k in enumerate(self.table_topic[j]):
+        for j, (ks, units, promos) in enumerate(zip(self.table_topic, self.table_units,
+                                                    self.table_promos)):
+            for k, n_units, n_promos in zip(ks, units, promos):
                 if k >= 0:
-                    out[j, col[k]] += units[t] + self.u * promos[t]
+                    out[j, col[k]] += n_units + self.u * n_promos
         out /= out.sum(axis=1, keepdims=True)
         return topics, out
 
     def topic_token_counts(self) -> dict[int, int]:
         """Raw token counts per topic (promotion mass excluded)."""
-        counts = {k: 0 for k in self.m_k}
-        for j, doc in enumerate(self.docs):
-            for i in range(len(doc)):
-                k = self.table_topic[j][self.t[j][i]]
-                counts[k] += 1
-        return counts
+        per_column = np.bincount(self._token_columns(), minlength=self._cap)
+        return {k: int(per_column[c]) for k, c in self._columns().items()}
 
     def top_words(self, k: int, n: int = 10) -> list[tuple[int, float]]:
         p = self.phi(k)
@@ -550,32 +763,62 @@ class HDPSampler:
             "format": "qdtm-checkpoint-v2",
             "fingerprint": self.fingerprint,
             "iterations_done": self.iterations_done,
-            "t": self.t,
-            "flags": self.flags,
-            "table_topic": self.table_topic,
+            "t": list(self.t),
+            "flags": list(self.flags),
+            "table_topic": list(self.table_topic),
             "next_topic": self.next_topic,
             "rng": self.rng.bit_generator.state,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if state.get("format") != "qdtm-checkpoint-v2":
-            raise SamplerError(f"unsupported checkpoint format: {state.get('format')!r}")
+        """Resume from `state_dict()`; a field the sampler could not have
+        written raises `SamplerError` naming it."""
+        fmt = state.get("format") if isinstance(state, dict) else None
+        if fmt != "qdtm-checkpoint-v2":
+            raise SamplerError(f"unsupported checkpoint format: {fmt!r}")
         if state.get("fingerprint") != self.fingerprint:
             raise SamplerError("fingerprint mismatch: the checkpoint was written for "
                                "another corpus, query or sampling hyperparameters")
+        missing = [key for key in ("iterations_done", "t", "flags", "table_topic",
+                                   "next_topic", "rng") if key not in state]
+        if missing:
+            raise SamplerError(f"the checkpoint has no {', '.join(missing)}")
         self.set_state(state["t"], state["table_topic"], state["flags"])
-        self.next_topic = state["next_topic"]
-        self.iterations_done = state["iterations_done"]
+        next_topic, done, top = state["next_topic"], state["iterations_done"], max(self._columns())
+        if type(next_topic) is not int or not top < next_topic < 2**63:
+            raise SamplerError(f"next_topic = {next_topic!r} is not an int64 above "
+                               f"every live topic id (the highest is {top})")
+        if type(done) is not int or done < 0:
+            raise SamplerError(f"iterations_done = {done!r} is not a count of sweeps")
+        self.next_topic = next_topic
+        self.iterations_done = done
         self.rng.bit_generator.state = state["rng"]
 
 
-def _sum(values) -> float:
-    """Left-to-right float sum: `sum()` is compensated from Python 3.12 on, and
-    the draws must not depend on the interpreter's version."""
-    total = 0.0
-    for v in values:   # a plain loop: faster here than functools.reduce(add, ...)
-        total += v
-    return total
+def _row_lengths(name: str, rows, n_rows: int) -> np.ndarray:
+    try:
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    except TypeError:
+        raise SamplerError(f"{name} must be a list of lists") from None
+    if len(lengths) != n_rows:
+        raise SamplerError(f"{name} has {len(lengths)} rows for {n_rows} documents")
+    return lengths
+
+
+def _flat_rows(name: str, rows, lengths: np.ndarray) -> np.ndarray:
+    """A list-of-lists field as one int64 array; row j must have lengths[j] entries."""
+    got = _row_lengths(name, rows, len(lengths))
+    bad = np.flatnonzero(got != lengths)
+    if bad.size:
+        j = int(bad[0])
+        raise SamplerError(f"{name}[{j}] has {got[j]} entries, expected {lengths[j]}")
+    try:
+        flat = np.array([v for r in rows for v in r])
+    except (TypeError, ValueError, OverflowError):
+        flat = None
+    if flat is None or (flat.size and flat.dtype.kind not in "iu"):
+        raise SamplerError(f"{name} must hold integers")
+    return flat.astype(np.int64, copy=False)
 
 
 def _top(values: np.ndarray, n: int) -> list[int]:

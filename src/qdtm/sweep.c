@@ -1,0 +1,427 @@
+/* The per-token steps of the constrained CRF-HDP Gibbs sampler (qdtm.sampler).
+ *
+ * Python owns every buffer; `qd_state` holds pointers into them. Counts are
+ * integers and the cached predictive numerators n_kw + beta and denominators
+ * n_k + V beta are rewritten from them by the expressions the Python code
+ * used, so results equal it bit for bit when built with -ffp-contract=off
+ * (no fused multiply-add) and without fast-math. Float sums run left to
+ * right, in the orders the sampler documents: the new-table mixture in
+ * `m_k` order, the topic draw in ascending topic id. Every uniform comes from
+ * the caller's numpy bit generator through its `next_double`.
+ *
+ * A live topic owns one column of the word-major count matrices
+ * (cell w * cap + c). A freed column keeps zero counts and numerators equal
+ * to beta, which is what a newborn topic needs, so a birth writes no cells.
+ * Document j's table slots sit at doc_ptr[j] .. doc_ptr[j] + n_tab[j]; a
+ * document never holds more slots than tokens, because a slot is appended
+ * only when every slot is live and each live slot seats a token.
+ */
+#include <stdint.h>
+
+typedef double (*next_double_fn)(void *);
+
+typedef struct {
+    const int32_t *words;        /* N token word ids */
+    const int64_t *doc_ptr;      /* n_docs + 1 token offsets */
+    int64_t n_docs;
+    int64_t V;
+    const int64_t *forced;       /* V: parent topic of a constrained word, else -1 */
+    const int64_t *promo_ptr;    /* V + 1 offsets; rows are never empty */
+    const int32_t *promo_target;
+    const int8_t *promo_self;
+    int32_t *tok_t;              /* N: table slot of each token */
+    int8_t *tok_flag;            /* N: promotion flag used at its add */
+    int32_t *n_tab;              /* n_docs: slots in use */
+    int32_t *tab_col;            /* N: column of a slot's topic, -1 for a dead slot */
+    int32_t *tab_units;
+    int32_t *tab_promos;
+    int64_t cap;                 /* columns */
+    int64_t *topic_of;           /* cap: topic id of a column, -1 when free */
+    int32_t *order;              /* cap: live columns in m_k order */
+    int32_t *by_id;              /* cap: live columns by ascending topic id */
+    int64_t *m;                  /* cap: tables per topic */
+    int64_t *nk_units;
+    int64_t *nk_promos;
+    double *den;
+    int32_t *nkw_units;          /* V x cap */
+    int32_t *nkw_promos;         /* V x cap */
+    double *num;                 /* V x cap */
+    int64_t *scal;               /* live topics, m_total, next_topic */
+    const double *tilde;         /* cohesion gate, rows x V; NULL before a refresh */
+    int32_t *tilde_row;          /* cap: row of a column's topic, -1 if born since */
+    double u, beta, alpha, gamma, base_density;
+    next_double_fn next_double;
+    void *rng_state;
+    double *work;                /* 3 * cap + 2 * longest document + 4 */
+    int64_t *err;                /* 3 integers describing a failure */
+} qd_state;
+
+enum { N_LIVE = 0, M_TOTAL = 1, NEXT_TOPIC = 2 };
+/* -1 means "new" (table or topic); failures are below it */
+enum { ERR_NEG_MASS = -2, ERR_RETIRE = -3, ERR_DEAD = -4, ERR_FULL = -5, ERR_INDEX = -6 };
+
+int64_t qd_state_size(void) { return (int64_t)sizeof(qd_state); }
+
+static int64_t fail(qd_state *s, int64_t code, int64_t a, int64_t b, int64_t c) {
+    s->err[0] = a;
+    s->err[1] = b;
+    s->err[2] = c;
+    return code;
+}
+
+static int32_t column_of(const qd_state *s, int64_t k) {
+    for (int64_t i = 0; i < s->scal[N_LIVE]; i++)
+        if (s->topic_of[s->order[i]] == k)
+            return s->order[i];
+    return -1;
+}
+
+static void apply_counts(qd_state *s, int64_t slot, int64_t w, int flag, int32_t sign) {
+    const int64_t cap = s->cap;
+    const int32_t c = s->tab_col[slot];
+    const double u = s->u, beta = s->beta;
+    if (flag) {
+        for (int64_t e = s->promo_ptr[w]; e < s->promo_ptr[w + 1]; e++) {
+            const int64_t cell = (int64_t)s->promo_target[e] * cap + c;
+            if (s->promo_self[e]) {
+                s->tab_units[slot] += sign;
+                s->nkw_units[cell] += sign;
+                s->nk_units[c] += sign;
+            } else {
+                s->tab_promos[slot] += sign;
+                s->nkw_promos[cell] += sign;
+                s->nk_promos[c] += sign;
+            }
+            s->num[cell] = (double)s->nkw_units[cell] + u * (double)s->nkw_promos[cell] + beta;
+        }
+    } else {
+        const int64_t cell = w * cap + c;
+        s->tab_units[slot] += sign;
+        s->nkw_units[cell] += sign;
+        s->nk_units[c] += sign;
+        s->num[cell] = (double)s->nkw_units[cell] + u * (double)s->nkw_promos[cell] + beta;
+    }
+    s->den[c] = (double)s->nk_units[c] + u * (double)s->nk_promos[c] + (double)s->V * beta;
+}
+
+/* Birth of topic k in a free column; the caller guarantees one is free. */
+static int32_t register_topic(qd_state *s, int64_t k) {
+    int32_t c = 0;
+    while (s->topic_of[c] != -1)
+        c++;
+    int64_t n = s->scal[N_LIVE];
+    s->topic_of[c] = k;
+    s->m[c] = 0;
+    s->den[c] = (double)s->V * s->beta;
+    s->tilde_row[c] = -1;
+    s->order[n] = c;
+    int64_t pos = n;
+    while (pos > 0 && s->topic_of[s->by_id[pos - 1]] > k) {
+        s->by_id[pos] = s->by_id[pos - 1];
+        pos--;
+    }
+    s->by_id[pos] = c;
+    s->scal[N_LIVE] = n + 1;
+    return c;
+}
+
+static void drop(int32_t *cols, int64_t n, int32_t c) {
+    int64_t i = 0;
+    while (cols[i] != c)
+        i++;
+    for (; i + 1 < n; i++)
+        cols[i] = cols[i + 1];
+}
+
+static void retire_topic(qd_state *s, int32_t c) {
+    int64_t n = s->scal[N_LIVE];
+    drop(s->order, n, c);
+    drop(s->by_id, n, c);
+    s->topic_of[c] = -1;
+    s->scal[N_LIVE] = n - 1;
+}
+
+/* Revive dead slot `slot` as a table serving column c. */
+static void ensure_table(qd_state *s, int64_t slot, int32_t c) {
+    if (s->tab_col[slot] == -1) {
+        s->tab_col[slot] = c;
+        s->m[c] += 1;
+        s->scal[M_TOTAL] += 1;
+    }
+}
+
+static int64_t open_table(qd_state *s, int64_t j, int32_t c) {
+    const int64_t base = s->doc_ptr[j];
+    int64_t t = 0;
+    while (t < s->n_tab[j] && s->tab_col[base + t] != -1)
+        t++;
+    if (t == s->n_tab[j]) {
+        if (t == s->doc_ptr[j + 1] - base)
+            return fail(s, ERR_FULL, j, t, 0);
+        s->n_tab[j] = (int32_t)(t + 1);
+        s->tab_col[base + t] = -1;
+        s->tab_units[base + t] = 0;
+        s->tab_promos[base + t] = 0;
+    }
+    ensure_table(s, base + t, c);
+    return t;
+}
+
+static int64_t detach(qd_state *s, int64_t j, int64_t i, int64_t *out) {
+    const int64_t p = s->doc_ptr[j] + i;
+    const int64_t t = s->tok_t[p];
+    const int64_t slot = s->doc_ptr[j] + t;
+    const int32_t c = s->tab_col[slot];
+    const int flag = s->tok_flag[p];
+    out[0] = t;
+    out[1] = s->topic_of[c];
+    out[2] = flag;
+    apply_counts(s, slot, s->words[p], flag, -1);
+    if (s->tab_units[slot] < 0 || s->tab_promos[slot] < 0)
+        return fail(s, ERR_NEG_MASS, j, t, 0);
+    if (s->tab_units[slot] == 0 && s->tab_promos[slot] == 0) {
+        s->tab_col[slot] = -1;
+        s->m[c] -= 1;
+        s->scal[M_TOTAL] -= 1;
+        if (s->m[c] == 0) {
+            if (s->nk_units[c] != 0 || s->nk_promos[c] != 0)
+                return fail(s, ERR_RETIRE, s->topic_of[c], 0, 0);
+            retire_topic(s, c);
+        }
+    }
+    s->tok_t[p] = -1;
+    return 0;
+}
+
+static void attach(qd_state *s, int64_t j, int64_t i, int64_t t, int flag) {
+    const int64_t p = s->doc_ptr[j] + i;
+    s->tok_t[p] = (int32_t)t;
+    s->tok_flag[p] = (int8_t)flag;
+    apply_counts(s, s->doc_ptr[j] + t, s->words[p], flag, +1);
+}
+
+/* f[c] = (n_kw + beta) / (n_k + V beta) for every live column c. */
+static void predictive(const qd_state *s, int64_t w, double *f) {
+    const double *row = s->num + w * s->cap;
+    for (int64_t i = 0; i < s->scal[N_LIVE]; i++) {
+        const int32_t c = s->order[i];
+        f[c] = row[c] / s->den[c];
+    }
+}
+
+/* Per-slot table weights of word w in document j, then the new-table weight
+ * alpha * (sum_k m_k f_k(w) + gamma f_new) / (m. + gamma); returns the count. */
+static int64_t table_weights(const qd_state *s, int64_t j, int64_t w, double *f, double *wt) {
+    predictive(s, w, f);
+    const int64_t base = s->doc_ptr[j], nt = s->n_tab[j], forced = s->forced[w];
+    const double u = s->u;
+    for (int64_t t = 0; t < nt; t++) {
+        const int32_t c = s->tab_col[base + t];
+        if (c < 0 || (forced >= 0 && s->topic_of[c] != forced))
+            wt[t] = 0.0;
+        else
+            wt[t] = ((double)s->tab_units[base + t] + u * (double)s->tab_promos[base + t]) * f[c];
+    }
+    double mixture = 0.0;
+    for (int64_t i = 0; i < s->scal[N_LIVE]; i++) {
+        const int32_t c = s->order[i];
+        mixture += (double)s->m[c] * f[c];
+    }
+    const double new_table = (mixture + s->gamma * s->base_density)
+                             / ((double)s->scal[M_TOTAL] + s->gamma);
+    wt[nt] = s->alpha * new_table;
+    return nt + 1;
+}
+
+/* Topic weights of a fresh table for word w, in ascending topic id, then
+ * gamma f_new; returns the count. */
+static int64_t topic_weights(const qd_state *s, int64_t w, double *f, double *wt) {
+    predictive(s, w, f);
+    const int64_t n = s->scal[N_LIVE];
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t c = s->by_id[i];
+        wt[i] = (double)s->m[c] * f[c];
+    }
+    wt[n] = s->gamma * s->base_density;
+    return n + 1;
+}
+
+/* Index of the first running total above a uniform draw on [0, total): the
+ * rule of bisect_right. A draw that rounds up to the total takes the last
+ * positive weight. */
+static int64_t pick(qd_state *s, const double *wt, double *cum, int64_t n) {
+    const double x = s->next_double(s->rng_state) * cum[n - 1];
+    for (int64_t i = 0; i < n; i++)
+        if (x < cum[i])
+            return i;
+    for (int64_t i = n - 1; i >= 0; i--)
+        if (wt[i] > 0.0)
+            return i;
+    return 0;
+}
+
+static void running_totals(const double *wt, double *cum, int64_t n) {
+    cum[0] = wt[0];
+    for (int64_t i = 1; i < n; i++)
+        cum[i] = cum[i - 1] + wt[i];
+}
+
+/* A table slot for word w in document j, or -1 for a new table. */
+static int64_t draw_table(qd_state *s, int64_t j, int64_t w) {
+    double *f = s->work, *wt = f + s->cap, *cum = wt + s->doc_ptr[j + 1] - s->doc_ptr[j] + 1;
+    const int64_t n = table_weights(s, j, w, f, wt);
+    running_totals(wt, cum, n);
+    if (cum[n - 1] <= 0.0)
+        return -1;
+    const int64_t idx = pick(s, wt, cum, n);
+    return idx == n - 1 ? -1 : idx;
+}
+
+/* The column of a new table's topic for an unconstrained word w, or -1 for
+ * a brand-new topic. */
+static int32_t draw_topic(qd_state *s, int64_t w) {
+    double *f = s->work, *wt = f + s->cap, *cum = wt + s->cap + 1;
+    const int64_t n = topic_weights(s, w, f, wt);
+    running_totals(wt, cum, n);
+    const int64_t idx = pick(s, wt, cum, n);
+    return idx == n - 1 ? -1 : s->by_id[idx];
+}
+
+/* Word-filtering gate: Bernoulli of the rank-normalized cohesion of the
+ * topic in column c and word w. */
+static int draw_flag(qd_state *s, int64_t w, int32_t c) {
+    if (s->promo_ptr[w] == s->promo_ptr[w + 1] || s->tilde == 0 || c < 0 || s->tilde_row[c] < 0)
+        return 0;
+    const double lam = s->tilde[(int64_t)s->tilde_row[c] * s->V + w];
+    if (lam <= 0.0)
+        return 0;
+    if (lam >= 1.0)
+        return 1;
+    return s->next_double(s->rng_state) < lam ? 1 : 0;
+}
+
+/* One sweep over tokens p0.. in order. Returns the token count when done,
+ * the position to resume from when every column is in use (the caller
+ * grows the buffers first), or a negative error code. */
+int64_t qd_sweep(qd_state *s, int64_t p0) {
+    const int64_t n_tokens = s->doc_ptr[s->n_docs];
+    int64_t j = 0, out[3];
+    while (s->doc_ptr[j + 1] <= p0 && j + 1 < s->n_docs)
+        j++;
+    for (int64_t p = p0; p < n_tokens; p++) {
+        while (s->doc_ptr[j + 1] <= p)
+            j++;
+        if (s->scal[N_LIVE] >= s->cap)
+            return p;
+        const int64_t w = s->words[p], i = p - s->doc_ptr[j];
+        int64_t rc = detach(s, j, i, out);
+        if (rc < 0)
+            return rc;
+        int64_t t = draw_table(s, j, w);
+        int32_t c;
+        if (t == -1) {
+            if (s->forced[w] >= 0) {   /* a constrained word's table serves its parent */
+                c = column_of(s, s->forced[w]);
+                if (c == -1)
+                    c = register_topic(s, s->forced[w]);
+            } else {
+                c = draw_topic(s, w);
+                if (c == -1)
+                    c = register_topic(s, s->scal[NEXT_TOPIC]++);
+            }
+            t = open_table(s, j, c);
+            if (t < 0)
+                return t;
+        } else {
+            c = s->tab_col[s->doc_ptr[j] + t];
+            if (c < 0)   /* a zero weight is never picked; never write through -1 */
+                return fail(s, ERR_DEAD, j, t, 0);
+        }
+        attach(s, j, i, t, draw_flag(s, w, c));
+    }
+    return n_tokens;
+}
+
+/* ---- the single steps, for the Python wrappers; indices are checked ---- */
+
+static int bad_token(const qd_state *s, int64_t j, int64_t i) {
+    return j < 0 || j >= s->n_docs || i < 0 || i >= s->doc_ptr[j + 1] - s->doc_ptr[j];
+}
+
+static int bad_slot(const qd_state *s, int64_t j, int64_t t) {
+    return j < 0 || j >= s->n_docs || t < 0 || t >= s->n_tab[j];
+}
+
+static int bad_word(const qd_state *s, int64_t w) { return w < 0 || w >= s->V; }
+
+int64_t qd_detach(qd_state *s, int64_t j, int64_t i, int64_t *out) {
+    if (bad_token(s, j, i))
+        return fail(s, ERR_INDEX, j, i, 0);
+    const int64_t t = s->tok_t[s->doc_ptr[j] + i];
+    if (bad_slot(s, j, t) || s->tab_col[s->doc_ptr[j] + t] < 0)
+        return fail(s, ERR_DEAD, j, t, 0);
+    return detach(s, j, i, out);
+}
+
+int64_t qd_attach(qd_state *s, int64_t j, int64_t i, int64_t t, int64_t flag) {
+    if (bad_token(s, j, i) || bad_slot(s, j, t))
+        return fail(s, ERR_INDEX, j, i, t);
+    const int64_t w = s->words[s->doc_ptr[j] + i];
+    if (flag != 0 && s->promo_ptr[w] == s->promo_ptr[w + 1])   /* no row: no mass to add */
+        return fail(s, ERR_INDEX, j, i, flag);
+    if (s->tab_col[s->doc_ptr[j] + t] < 0)
+        return fail(s, ERR_DEAD, j, t, 0);
+    attach(s, j, i, t, flag != 0);
+    return 0;
+}
+
+/* The caller guarantees a free column. */
+int64_t qd_ensure_table(qd_state *s, int64_t j, int64_t t, int64_t k) {
+    if (bad_slot(s, j, t))
+        return fail(s, ERR_INDEX, j, t, 0);
+    if (s->tab_col[s->doc_ptr[j] + t] == -1) {
+        int32_t c = column_of(s, k);
+        ensure_table(s, s->doc_ptr[j] + t, c >= 0 ? c : register_topic(s, k));
+    }
+    return 0;
+}
+
+int64_t qd_table_weights(qd_state *s, int64_t j, int64_t w, double *out) {
+    if (j < 0 || j >= s->n_docs || bad_word(s, w))
+        return fail(s, ERR_INDEX, j, w, 0);
+    return table_weights(s, j, w, s->work, out);
+}
+
+int64_t qd_topic_weights(qd_state *s, int64_t w, int64_t *ids, double *out) {
+    if (bad_word(s, w))
+        return fail(s, ERR_INDEX, w, 0, 0);
+    const int64_t n = topic_weights(s, w, s->work, out);
+    for (int64_t i = 0; i + 1 < n; i++)
+        ids[i] = s->topic_of[s->by_id[i]];
+    return n;
+}
+
+int64_t qd_draw_table(qd_state *s, int64_t j, int64_t w) {
+    if (j < 0 || j >= s->n_docs || bad_word(s, w))
+        return fail(s, ERR_INDEX, j, w, 0);
+    return draw_table(s, j, w);
+}
+
+/* The topic id of a new table, or -1 for a brand-new topic. */
+int64_t qd_draw_topic(qd_state *s, int64_t w, int64_t *topic) {
+    if (bad_word(s, w))
+        return fail(s, ERR_INDEX, w, 0, 0);
+    if (s->forced[w] >= 0) {
+        *topic = s->forced[w];
+        return 0;
+    }
+    const int32_t c = draw_topic(s, w);
+    *topic = c < 0 ? -1 : s->topic_of[c];
+    return 0;
+}
+
+int64_t qd_draw_flag(qd_state *s, int64_t w, int64_t k) {
+    if (bad_word(s, w))
+        return fail(s, ERR_INDEX, w, 0, 0);
+    return draw_flag(s, w, column_of(s, k));
+}

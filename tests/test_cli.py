@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
+from qdtm.corpus import ingest_jsonl
 from qdtm.sampler import HDPSampler
 
 
@@ -274,6 +275,71 @@ def test_mismatched_checkpoint_is_validation_error(small_corpus, tmp_path, capsy
     assert _fit_with_checkpoint(corpus, tmp_path, *flags) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation" and str(ckpt) in err["message"]
+    assert ckpt.read_bytes() == before
+
+
+def _pinned_token(corpus_path, result_path):
+    """(document, index) of the first token of a concept word of the result."""
+    corpus = ingest_jsonl(str(corpus_path))
+    result = json.loads(result_path.read_text())
+    pinned = {corpus.vocab.id_of(w) for w, _ in result["queries"][0]["concept_words"]}
+    return next((j, i) for j, doc in enumerate(corpus.documents)
+                for i, w in enumerate(doc.tokens) if w in pinned)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("negative_table", "t[0][0] = -2 is not a table of document 0"),
+    ("table_past_the_last", "t[0][0] = 999 is not a table of document 0"),
+    ("short_row", "t[0] has 24 entries, expected 25"),
+    ("missing_row", "t has 79 rows for 80 documents"),
+    ("token_at_a_dead_table", "t[0][0] = 0 is a dead table"),
+    ("topic_below_minus_one", "table_topic[0][0] = -5 is neither a topic id nor -1"),
+    ("live_table_without_a_token", "is live but seats no token"),
+    ("flag_without_a_promotion_row", "flags[0][0] = 1 on word"),
+    ("flag_neither_0_nor_1", "flags[0][0] = 2 is neither 0 nor 1"),
+    ("pinned_word_off_its_parent", "is pinned to a parent topic but its table serves"),
+    ("next_topic_not_above_the_live_ids", "is not an int64 above every live topic id"),
+    ("next_topic_past_int64", "next_topic = 18446744073709551616 is not an int64"),
+])
+def test_corrupt_checkpoint_is_validation_error_naming_the_field(
+        small_corpus, tmp_path, capsys, case, message):
+    assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
+    ckpt = tmp_path / "ck.json"
+    state = json.loads(ckpt.read_text())
+    t, topics = state["t"], state["table_topic"]
+    if case == "negative_table":
+        t[0][0] = -2
+    elif case == "table_past_the_last":
+        t[0][0] = 999
+    elif case == "short_row":
+        t[0].pop()
+    elif case == "missing_row":
+        t.pop()
+    elif case == "token_at_a_dead_table":
+        t[0][0] = 0
+        topics[0][0] = -1
+    elif case == "topic_below_minus_one":
+        topics[0][0] = -5
+    elif case == "live_table_without_a_token":
+        topics[0].append(topics[0][0])
+    elif case == "flag_without_a_promotion_row":   # no embeddings, so no word has a row
+        state["flags"][0][0] = 1
+    elif case == "flag_neither_0_nor_1":
+        state["flags"][0][0] = 2
+    elif case == "pinned_word_off_its_parent":
+        j, i = _pinned_token(small_corpus, tmp_path / "r.json")
+        topics[j][t[j][i]] = max(map(max, topics))
+    elif case == "next_topic_not_above_the_live_ids":
+        state["next_topic"] = max(map(max, topics))
+    else:
+        state["next_topic"] = 2**64
+    ckpt.write_text(json.dumps(state))
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    assert _fit_with_checkpoint(small_corpus, tmp_path, "--iters1", "3") == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert str(ckpt) in err["message"] and message in err["message"], err["message"]
     assert ckpt.read_bytes() == before
 
 

@@ -1,0 +1,222 @@
+"""The compiled sweep against the pure-Python oracle, and how it is built and loaded."""
+
+import os
+import subprocess
+import sys
+import sysconfig
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qdtm
+from qdtm import _native
+from qdtm.concepts import extract_concept_words
+from qdtm.embeddings import build_promotion
+from qdtm.retrieval import parse_query, retrieve
+from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters
+from qdtm.synth import SyntheticSpec
+
+from sampler_oracle import OracleSampler, quarters
+from test_acceptance import embedding_table, synthetic_corpus
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qdtm.__file__)))
+
+
+def generator_state(rng):
+    return (rng.gen if hasattr(rng, "gen") else rng).bit_generator.state
+
+
+def assert_same_state(kernel: HDPSampler, oracle: OracleSampler) -> None:
+    assert list(kernel.t) == oracle.t and list(kernel.flags) == oracle.flags
+    assert list(kernel.table_topic) == oracle.table_topic
+    assert list(kernel.table_units) == oracle.table_units
+    assert list(kernel.table_promos) == oracle.table_promos
+    assert list(kernel.m_k.items()) == list(oracle.m_k.items())   # insertion order too
+    assert (kernel.m_total, kernel.next_topic) == (oracle.m_total, oracle.next_topic)
+    assert dict(kernel.nkw_units) == oracle.nkw_units
+    assert dict(kernel.nkw_promos) == oracle.nkw_promos
+    assert (kernel.nk_units, kernel.nk_promos) == (oracle.nk_units, oracle.nk_promos)
+    for k, c in kernel._columns().items():
+        assert kernel._num[:, c].tolist() == oracle._num[oracle._col[k]]
+        assert kernel._den[c] == oracle._den[oracle._col[k]]
+    assert generator_state(kernel.rng) == generator_state(oracle.rng)
+    # the weights hold what no state does: the mixture sum and the topic order
+    for j, doc in enumerate(oracle.docs):
+        for w in sorted(set(doc)):
+            assert kernel.table_weights(j, w) == oracle.table_weights(j, w)
+            assert kernel.topic_weights(j, w) == oracle.topic_weights(j, w)
+
+
+@st.composite
+def sampler_cases(draw):
+    """A small corpus in a phase-1 setting (parents, forced words) or a
+    phase-2 one (neither), with promotion rows with and without a self pair."""
+    V = draw(st.integers(2, 10))
+    words = st.integers(0, V - 1)
+    docs = draw(st.lists(st.lists(words, min_size=1, max_size=9), min_size=1, max_size=7))
+    n_parents = draw(st.integers(0, 2))
+    forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3))
+              if n_parents else {})
+    rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=4))
+    promotion = {w: [(t, t == w) for t in sorted(ts)] for w, ts in rows.items()}
+    seed = draw(st.integers(0, 2**32 - 1))
+    norms = None
+    if draw(st.booleans()):
+        norms = np.random.default_rng(seed).normal(size=(V, 3))
+        norms /= np.linalg.norm(norms, axis=1, keepdims=True)
+    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
+                  embedding_norms=norms,
+                  parent_representatives={q: sorted(w for w, k in forced.items() if k == q)
+                                          for q in range(n_parents)})
+    hp = Hyperparameters(initial_topics=n_parents + draw(st.integers(1, 3)),
+                         alpha=draw(st.sampled_from([0.3, 1.0, 4.0])),
+                         gamma=draw(st.sampled_from([0.5, 1.5, 6.0])))
+    return docs, V, hp, seed, kwargs, draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampler_cases(), st.sampled_from(["numpy", "quarters"]))
+def test_kernel_equals_the_python_oracle(case, stream):
+    docs, V, hp, seed, kwargs, sweeps = case
+    kernel = HDPSampler(docs, V, hp, seed, **kwargs)
+    oracle = OracleSampler(docs, V, hp, seed, **kwargs)
+    kernel.initialize()
+    oracle.initialize()
+    if stream == "quarters":
+        kernel.rng, oracle.rng = quarters(seed), quarters(seed)
+    kernel.run(sweeps, check_invariants=True)
+    oracle.run(sweeps)
+    assert_same_state(kernel, oracle)
+
+
+def test_kernel_equals_the_oracle_on_a_larger_corpus():
+    """A last-bit difference rarely moves a draw on a small corpus: the
+    default synth corpus (20k tokens, V = 1000) with embeddings and one kld
+    query, 3 sweeps on numpy's stream, then one on a stream of quarters."""
+    spec = SyntheticSpec(seed=1)
+    corpus, truth = synthetic_corpus(spec)
+    table = embedding_table(spec, corpus)
+    hp = Hyperparameters()
+    rare = truth["rare_topic"]
+    query = parse_query(" ".join(truth["topic_top_words"][rare][:2]), corpus, "or")
+    cs = extract_concept_words(corpus, query, retrieve(corpus, query, 200, 100.0), "kld", 10)
+    kwargs = dict(forced_topic={w: 0 for w in cs.word_ids()}, n_parents=1,
+                  promotion=build_promotion(table, cs.word_ids(), hp.cosine_threshold),
+                  embedding_norms=table.norm_matrix(),
+                  parent_representatives={0: cs.word_ids()})
+    docs = [d.tokens for d in corpus.documents]
+    kernel = HDPSampler(docs, len(corpus.vocab), hp, 3, **kwargs)
+    oracle = OracleSampler(docs, len(corpus.vocab), hp, 3, **kwargs)
+    kernel.initialize()
+    oracle.initialize()
+    kernel.run(3)
+    oracle.run(3)
+    assert sum(map(sum, kernel.flags)) > 0 and len(kernel.m_k) > 2
+    assert_same_state(kernel, oracle)
+    kernel.rng, oracle.rng = quarters(7), quarters(7)
+    kernel.run(1)
+    oracle.run(1)
+    assert_same_state(kernel, oracle)
+
+
+def test_single_steps_reject_arguments_outside_the_state():
+    s = HDPSampler([[0, 1, 2], [2]], 3, Hyperparameters(initial_topics=2), seed=0,
+                   promotion={0: [(0, True)]})
+    s.set_state([[0, 0, 1], [0]], [[1, 1], [1]])
+    for step, args in ((s._detach, (2, 0)), (s._detach, (0, 3)), (s.draw_table, (0, 3)),
+                       (s.draw_table, (-1, 0)), (s.draw_topic, (0, -1)), (s.draw_flag, (3, 1)),
+                       (s.table_weights, (0, 3)), (s._ensure_table, (0, 2, 1))):
+        with pytest.raises(IndexError, match="out of range"):
+            step(*args)
+    t, _, _ = s._detach(0, 1)   # table 0 keeps token 0
+    with pytest.raises(IndexError, match="out of range"):
+        s._attach(0, 1, t, 1)   # word 1 has no promotion row to add
+    s._attach(0, 1, t, 0)
+    t, k, _ = s._detach(0, 2)   # table 1 seated token 2 only, so it is dead now
+    with pytest.raises(ConsistencyError, match="not a live table"):
+        s._attach(0, 2, t, 0)
+    s._ensure_table(0, t, k)
+    s._attach(0, 2, t, 0)
+    s.check_invariants()
+
+
+# ------------------------------------------------------------------- build
+
+
+def small_run() -> HDPSampler:
+    s = HDPSampler([[0, 1, 2, 1], [2, 0]], 3, Hyperparameters(initial_topics=2), seed=4)
+    s.initialize()
+    s.run(2)
+    return s
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """An empty cache directory, and no library loaded in this process."""
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path / "cache"))
+    _native.library.cache_clear()
+    yield tmp_path / "cache"
+    _native.library.cache_clear()
+
+
+def test_import_qdtm_neither_builds_nor_loads_the_kernel():
+    code = ("import sys; import numpy; before = 'ctypes' in sys.modules; "
+            "import qdtm, qdtm.cli, qdtm.pipeline, qdtm.sampler; "
+            "print('qdtm._native' in sys.modules, 'ctypes' in sys.modules and not before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_a_second_sampler_loads_the_cache_without_the_compiler(cold_cache, monkeypatch):
+    first = small_run()
+    assert [p.name for p in cold_cache.iterdir()] == [os.path.basename(_native.library_path())]
+    _native.library.cache_clear()   # as in a new process
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the cached library was compiled again")
+    monkeypatch.setattr(_native.subprocess, "run", no_compiler)
+    assert list(small_run().t) == list(first.t)
+
+
+def test_a_missing_compiler_is_an_error_that_names_it(cold_cache, monkeypatch):
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+        "qdtm-no-such-cc -pthread" if name == "CC" else config_var(name)))
+    with pytest.raises(_native.BuildError, match="needs a C compiler.*'qdtm-no-such-cc'"):
+        small_run()
+    assert list(cold_cache.iterdir()) == []   # no partial library left behind
+
+
+def test_an_unwritable_cache_is_an_error_that_names_it(cold_cache, monkeypatch):
+    cold_cache.write_text("a file where the cache directory should be")
+    monkeypatch.setattr(_native, "CACHE_DIR", str(cold_cache / "sub"))
+    with pytest.raises(_native.BuildError, match=f"cannot write the compiled-sweep cache "
+                                                 f"{cold_cache / 'sub'}"):
+        small_run()
+
+
+def test_two_processes_building_on_a_cold_cache_both_succeed(tmp_path):
+    code = ("import sys; from qdtm import _native; _native.CACHE_DIR = sys.argv[1]; "
+            "from qdtm.sampler import HDPSampler, Hyperparameters; "
+            "s = HDPSampler([[0, 1, 2, 1], [2, 0]], 3, Hyperparameters(initial_topics=2)); "
+            "s.initialize(); s.run(2); print(list(s.t))")
+    start = time.monotonic()
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}) for _ in range(2)]
+    try:
+        outs = [p.communicate(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            if p.poll() is None:
+                p.kill()
+                p.wait(timeout=10)
+    assert [p.returncode for p in procs] == [0, 0], outs
+    assert outs[0][0] == outs[1][0]
+    assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(_native.library_path())]
+    assert time.monotonic() - start < 120

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters, SamplerError, _sum
+from qdtm.sampler import M_TOTAL, ConsistencyError, HDPSampler, Hyperparameters, SamplerError
+
+from sampler_oracle import UniformStream, _sum
 
 
 def snapshot(s):
@@ -45,6 +47,25 @@ def test_non_finite_hyperparameter_rejected(name, value):
         Hyperparameters(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("docs, kwargs, message", [
+    ([[-1, 0, 1], [2, 2]], {}, r"docs\[0\]\[0\] = -1 is not a word id in \[0, 3\)"),
+    ([[0, 1], [2, 3]], {}, r"docs\[1\]\[1\] = 3 is not a word id in \[0, 3\)"),
+    ([[0, 1.5]], {}, "token ids must be integers"),
+    ([[0, 1]], {"promotion": {0: [(0, True), (3, False)]}}, "word 0 targets 3"),
+    ([[0, 1]], {"promotion": {0: [(-1, False)]}}, "word 0 targets -1"),
+    ([[0, 1]], {"promotion": {4: [(0, False)]}}, "promotion row of word 4"),
+    ([[0, 1]], {"promotion": {0: []}}, "promotion row of word 0 is empty"),
+    ([[0, 1]], {"forced_topic": {0: 1}, "n_parents": 1},
+     r"forced_topic\[0\] = 1 is not a parent topic in \[0, 1\)"),
+    ([[0, 1]], {"forced_topic": {0: -1}, "n_parents": 1}, r"forced_topic\[0\] = -1"),
+    ([[0, 1]], {"forced_topic": {3: 0}, "n_parents": 1}, "forced_topic word 3"),
+    ([[0, 1]], {"embedding_norms": np.eye(2)}, "embedding_norms has 2 rows for 3 words"),
+])
+def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
+    with pytest.raises(SamplerError, match=message):
+        HDPSampler(docs, 3, small_hp(), seed=0, **kwargs)
+
+
 def test_initialize_one_table_per_token():
     docs = [[0, 1, 2, 3, 4]]
     s = HDPSampler(docs, 5, small_hp(), seed=0)
@@ -71,11 +92,10 @@ def test_initialize_pins_concept_words():
 
 
 def test_predictive_prob_symmetric_prior():
-    docs = [[0]]
+    docs = [[0, 1]]
     s = HDPSampler(docs, 100, Hyperparameters(beta=0.5, initial_topics=2), seed=0)
-    s._register_topic(5)
-    s.m_k[5] = 1
-    s.m_total += 1
+    s.set_state([[0, 0]], [[3, -1]])
+    s._ensure_table(0, 1, 5)   # topic 5 is born at an empty table
     assert dict(zip(s.m_k, s.predictive(7)))[5] == pytest.approx(0.5 / 50)  # == 1/|V|
     assert s.base_density == pytest.approx(1 / 100)
 
@@ -245,7 +265,7 @@ def test_check_invariants_catches_corruption():
     docs = [[0, 1]]
     s = HDPSampler(docs, 2, small_hp(), seed=12)
     s.initialize()
-    s.nk_units[s.live_topics()[0]] += 1
+    s._nk_units[s._columns()[s.live_topics()[0]]] += 1
     with pytest.raises(ConsistencyError):
         s.check_invariants()
 
@@ -253,7 +273,7 @@ def test_check_invariants_catches_corruption():
 def test_check_invariants_catches_a_corrupt_cached_numerator():
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
     s.initialize()
-    s._num[s._col[s.live_topics()[0]]][1] += 1e-9
+    s._num[1, s._columns()[s.live_topics()[0]]] += 1e-9
     with pytest.raises(ConsistencyError, match="cached predictive"):
         s.check_invariants()
 
@@ -261,12 +281,12 @@ def test_check_invariants_catches_a_corrupt_cached_numerator():
 def test_check_invariants_catches_a_stale_view_after_a_topic_birth():
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
     s.initialize()
-    s._detach(0, 1)
-    stale = (dict(s._col), list(s._num), list(s._den))
-    t = s._open_table(0, s.next_topic)   # a topic birth
+    t, _, _ = s._detach(0, 1)   # one table per token, so table t dies
+    stale = s._by_id.copy()   # the columns by topic id, before the birth
+    s._ensure_table(0, t, s.next_topic)   # a topic birth
     s._attach(0, 1, t, 0)
     s.check_invariants()
-    s._col, s._num, s._den = stale
+    s._by_id[:] = stale
     with pytest.raises(ConsistencyError, match="column view"):
         s.check_invariants()
 
@@ -274,39 +294,41 @@ def test_check_invariants_catches_a_stale_view_after_a_topic_birth():
 def test_check_invariants_catches_a_table_count_without_a_table():
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
     s.initialize()
-    s.m_k[s.live_topics()[0]] += 1
-    s.m_total += 1
+    s._m[s._columns()[s.live_topics()[0]]] += 1
+    s._scal[M_TOTAL] += 1
     with pytest.raises(ConsistencyError, match="m_k"):
         s.check_invariants()
 
-def test_check_invariants_catches_a_fault_in_the_count_updates(monkeypatch):
-    # a fault that acts alike for +1 and -1: cross-pairs counted as self-pairs
-    def faulty_apply_counts(self, j, t, w, flag, sign):
-        k = self.table_topic[j][t]
-        for target, _ in (self.promo_rows[w] if flag else [(w, True)]):
-            self.table_units[j][t] += sign
-            self.nkw_units[k][target] += sign
-            self.nk_units[k] += sign
-
+def test_check_invariants_catches_a_fault_in_the_count_updates():
+    # the footprint of a fault that acts alike for +1 and -1: a flagged add
+    # that counts its cross-pair as a self-pair, leaving every total right
     promo = {0: [(0, True), (1, False)]}
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
     s.set_state([[0, 0]], [[2]])
-    monkeypatch.setattr(HDPSampler, "_apply_counts", faulty_apply_counts)
     s._detach(0, 0)
     s._attach(0, 0, 0, flag=1)
+    s.check_invariants()
+    c, u, beta = s._columns()[2], s.u, s.hp.beta
+    for units, promos, i in ((s._tab_units, s._tab_promos, 0),
+                             (s._nkw_units[1], s._nkw_promos[1], c),
+                             (s._nk_units, s._nk_promos, c)):
+        units[i] += 1
+        promos[i] -= 1
+    s._num[1, c] = s._nkw_units[1, c] + u * s._nkw_promos[1, c] + beta
+    s._den[c] = s._nk_units[c] + u * s._nk_promos[c] + 2 * beta
     with pytest.raises(ConsistencyError):
         s.check_invariants()
 
 
 def test_set_state_builds_flagged_counts_without_the_incremental_updates(monkeypatch):
-    def no_apply_counts(self, *args):
-        raise AssertionError("set_state must not replay tokens through _apply_counts")
+    def no_kernel(self, *args):
+        raise AssertionError("set_state must not replay tokens through the kernel")
 
     promo = {0: [(0, True), (1, False)]}
     s = HDPSampler([[0, 1, 0]], 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
-    monkeypatch.setattr(HDPSampler, "_apply_counts", no_apply_counts)
+    monkeypatch.setattr(HDPSampler, "_kernel", no_kernel)
     s.set_state([[0, 0, 1]], [[2, 1]], flags=[[1, 0, 1]])
     s.check_invariants()
     assert s.table_units == [[2, 1]] and s.table_promos == [[1, 1]]
@@ -314,21 +336,19 @@ def test_set_state_builds_flagged_counts_without_the_incremental_updates(monkeyp
     assert s.nkw_promos == {2: [0, 1], 1: [0, 1]}
     assert (s.nk_units, s.nk_promos) == ({2: 2, 1: 1}, {2: 1, 1: 1})
     u, beta = s.u, s.hp.beta
-    assert s._num[s._col[1]] == [1 + u * 0 + beta, 0 + u * 1 + beta]
-    assert s._den[s._col[1]] == 1 + u * 1 + 2 * beta
+    assert s._num[:, s._columns()[1]].tolist() == [1 + u * 0 + beta, 0 + u * 1 + beta]
+    assert s._den[s._columns()[1]] == 1 + u * 1 + 2 * beta
 
 
 # -------------------------------------------------------------- table draws
 
 
-class StubRng:
-    """Returns the given uniforms in turn; any other draw is an error."""
+class StubRng(UniformStream):
+    """Returns the given uniforms in turn; any other draw sets `overdrawn`."""
 
     def __init__(self, *values):
         self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
+        super().__init__(lambda: self.values.pop(0))
 
 
 def test_sum_is_left_to_right():
@@ -346,7 +366,7 @@ def test_table_draw_never_picks_dead_or_constraint_violating_slots():
     for w, allowed in ((4, {1, -1}), (1, {1, 2, -1})):
         s.rng = StubRng(*uniforms)
         draws = {s.draw_table(0, w) for _ in uniforms}
-        assert draws == allowed
+        assert draws == allowed and not s.rng.overdrawn
 
 
 def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
@@ -359,7 +379,7 @@ def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
     weights, new_w = s.table_weights(0, 4)
     assert weights[0] > 0.0 and weights[1:] == [0.0, 0.0] and new_w == 0.0
     s.rng = StubRng(1.0)   # rng.random() * total == total
-    assert s.draw_table(0, 4) == 0
+    assert s.draw_table(0, 4) == 0 and not s.rng.values
 
 
 def test_table_draw_with_zero_total_forces_a_new_table():
@@ -370,7 +390,7 @@ def test_table_draw_with_zero_total_forces_a_new_table():
     weights, new_w = s.table_weights(0, 4)
     assert weights == [0.0, 0.0] and new_w == 0.0
     s.rng = StubRng()   # no uniform is drawn
-    assert s.draw_table(0, 4) == -1
+    assert s.draw_table(0, 4) == -1 and not s.rng.overdrawn
 
 
 # ------------------------------------------------------------------ cohesion
