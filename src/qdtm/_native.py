@@ -40,8 +40,7 @@ class State(ctypes.Structure):
         ("tok_t", _P), ("tok_flag", _P), ("n_tab", _P), ("tab_col", _P),
         ("tab_units", _P), ("tab_promos", _P), ("cap", _I), ("topic_of", _P),
         ("order", _P), ("by_id", _P), ("m", _P), ("nk_units", _P), ("nk_promos", _P),
-        ("den", _P), ("nkw_units", _P), ("nkw_promos", _P), ("num", _P), ("scal", _P),
-        ("tilde", _P), ("tilde_row", _P),
+        ("nkw_units", _P), ("nkw_promos", _P), ("scal", _P), ("tilde", _P), ("tilde_row", _P),
         ("u", ctypes.c_double), ("beta", ctypes.c_double), ("alpha", ctypes.c_double),
         ("gamma", ctypes.c_double), ("base_density", ctypes.c_double),
         ("next_double", NEXT_DOUBLE), ("rng_state", _P), ("work", _P), ("err", _P),

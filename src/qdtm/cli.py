@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -313,6 +314,16 @@ def _read_json(path: str, what: str):
             raise ValidationError(f"{what} file {path}: invalid JSON ({e})") from None
 
 
+def _doc_scores(q: dict) -> dict:
+    """The parent_doc_scores of a result's query, by which eval ranks documents."""
+    scores = q.get("parent_doc_scores", {})
+    if not isinstance(scores, dict) or not all(
+            type(v) in (int, float) and math.isfinite(v) for v in scores.values()):
+        raise ValueError(f"parent_doc_scores of query {q['query']!r} must map doc ids "
+                         "to finite numbers")
+    return scores
+
+
 def _result_queries(path: str) -> list[dict]:
     """The query entries of a fit result file, reduced to what eval reads."""
     result = _read_json(path, "result")
@@ -322,7 +333,7 @@ def _result_queries(path: str) -> list[dict]:
     try:
         return [{"query": q["query"],
                  "target_label": q.get("target_label"),
-                 "scores": q.get("parent_doc_scores", {}),
+                 "scores": _doc_scores(q),
                  "parent": [(w, s) for w, s in q["parent"]["top_words"]],
                  "subtopics": [[(w, s) for w, s in st["top_words"]] for st in q["subtopics"]]}
                 for q in result["queries"]]

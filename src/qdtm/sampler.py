@@ -11,11 +11,12 @@ The state lives in flat numpy buffers that the compiled per-token steps
 - per document: its table slots (topic column, unit and promotion mass) at the
   document's token offsets, since a document never holds more tables than
   tokens;
-- per topic: one column of the word-major count matrices and of the cached
-  predictive numerators n_kw + beta and denominators n_k + V beta, and its
+- per topic: one column of the word-major count matrices, its totals and its
   table count. `_order` lists the live columns in `m_k` insertion order, in
   which the new-table mixture is summed; `_by_id` lists them by ascending
   topic id, in which a topic is picked. Both orders are visible to the RNG.
+The integer counts are the only count state; the kernel and `_predictive`
+compute f_k(w) = (n_kw + beta) / (n_k + V beta) from them by one expression.
 The attributes the rest of qdtm reads (`t`, `flags`, `table_topic`, `m_k`,
 `nkw_units`, ...) are read-only views of these buffers holding plain ints.
 """
@@ -236,9 +237,7 @@ class HDPSampler:
         return dict(zip(self._topic_of[order].tolist(), order.tolist()))
 
     def _per_topic(self, values: np.ndarray) -> MappingProxyType:
-        order = self._order[:self._scal[N_LIVE]]
-        return MappingProxyType(dict(zip(self._topic_of[order].tolist(),
-                                         values[order].tolist())))
+        return MappingProxyType({k: int(values[c]) for k, c in self._columns().items()})
 
     @property
     def m_k(self) -> MappingProxyType:
@@ -310,10 +309,9 @@ class HDPSampler:
         `t_assignments[j][i]` is the table of token i in document j and
         `table_topics[j][t]` the topic of each table (-1 for a dead slot).
         Topics enter `m_k` in table order, parents first; `next_topic`
-        follows the highest live id. Each cached numerator and denominator is
-        computed once, from the final integer counts, with the expressions of
-        the kernel's count updates, so it equals theirs bit for bit. A state
-        the sampler could not be in raises `SamplerError` naming the field.
+        follows the highest live id. The counts are built by array operations,
+        not by the kernel's updates, so `check_invariants` can compare the two.
+        A state the sampler could not be in raises `SamplerError` naming the field.
         """
         self._install(*self._checked(t_assignments, table_topics, flags))
 
@@ -379,7 +377,7 @@ class HDPSampler:
     def _install(self, t: np.ndarray, fl: np.ndarray, n_tab: np.ndarray,
                  tab: np.ndarray, slot: np.ndarray) -> None:
         """Build the buffers of a checked state."""
-        N, V, u, beta = len(self._words), self.V, self.u, self.hp.beta
+        N, V = len(self._words), self.V
         # parents get a phantom table so they can never retire during phase 1
         live = tab[tab >= 0]
         ids, first, counts = np.unique(live, return_index=True, return_counts=True)
@@ -418,12 +416,6 @@ class HDPSampler:
         del slot, col
         self._nk_units = self._nkw_units.sum(axis=0, dtype=np.int64)
         self._nk_promos = self._nkw_promos.sum(axis=0, dtype=np.int64)
-        # n_kw + beta and n_k + V beta, each sum in the kernel's order (a + b
-        # is b + a in IEEE arithmetic); a free column reads as a newborn topic
-        self._num = u * self._nkw_promos
-        self._num += self._nkw_units
-        self._num += beta
-        self._den = self._nk_units + u * self._nk_promos + V * beta
         self._topic_of = np.full(cap, -1, np.int64)
         self._topic_of[:K] = topic_ids
         self._order = np.zeros(cap, np.int32)
@@ -440,10 +432,9 @@ class HDPSampler:
         """Add a quarter more topic columns; every live topic keeps its column."""
         old = self._cap
         cap = old + max(COLUMN_HEADROOM, old // 4)
-        for name, fill in (("_nkw_units", 0), ("_nkw_promos", 0), ("_num", self.hp.beta),
-                           ("_topic_of", -1), ("_order", 0), ("_by_id", 0), ("_m", 0),
-                           ("_nk_units", 0), ("_nk_promos", 0), ("_den", 0.0),
-                           ("_tilde_row", -1)):
+        for name, fill in (("_nkw_units", 0), ("_nkw_promos", 0), ("_topic_of", -1),
+                           ("_order", 0), ("_by_id", 0), ("_m", 0), ("_nk_units", 0),
+                           ("_nk_promos", 0), ("_tilde_row", -1)):
             a = getattr(self, name)
             wide = np.full(a.shape[:-1] + (cap,), fill, a.dtype)
             wide[..., :old] = a
@@ -463,8 +454,8 @@ class HDPSampler:
             **{name: getattr(self, "_" + name).ctypes.data for name in (
                 "words", "doc_ptr", "forced", "promo_ptr", "promo_target", "promo_self",
                 "tok_t", "tok_flag", "n_tab", "tab_col", "tab_units", "tab_promos",
-                "topic_of", "order", "by_id", "m", "nk_units", "nk_promos", "den",
-                "nkw_units", "nkw_promos", "num", "scal", "tilde_row", "work", "err")})
+                "topic_of", "order", "by_id", "m", "nk_units", "nk_promos",
+                "nkw_units", "nkw_promos", "scal", "tilde_row", "work", "err")})
         self._sync_tilde()
 
     def _sync_tilde(self) -> None:
@@ -512,12 +503,6 @@ class HDPSampler:
         if self._scal[N_LIVE] >= self._cap:   # k may be born: keep a column free
             self._grow()
         self._kernel(self._lib.qd_ensure_table, j, t, k)
-
-    def predictive(self, w: int) -> list[float]:
-        """Dirichlet-multinomial predictive f_k(w) = (n_kw + beta) / (n_k + V beta)
-        of word w under every live topic k, in `m_k` order."""
-        order = self._order[:self._scal[N_LIVE]]
-        return (self._num[w, order] / self._den[order]).tolist()
 
     def table_weights(self, j: int, w: int) -> tuple[list[float], float]:
         """Unnormalized table-choice weights for word w in document j.
@@ -579,8 +564,7 @@ class HDPSampler:
             reps = list(self.parent_representatives[k])
         else:
             reps = _top(self.counts(k), self.hp.n_representatives)
-        c = self._columns()[k]
-        return reps, (self._num[reps, c] / self._den[c]).tolist()
+        return reps, self._predictive(k, reps).tolist()
 
     def refresh_cohesion(self) -> None:
         """Rebuild CV and its per-word rank normalization for live topics.
@@ -687,14 +671,8 @@ class HDPSampler:
         free = self._topic_of < 0
         if (sorted(self._order[:n].tolist()) != used or sorted(self._by_id[:n].tolist()) != used
                 or (np.diff(self._topic_of[self._by_id[:n]]) <= 0).any()
-                or self._nkw_units[:, free].any() or self._nkw_promos[:, free].any()
-                or (self._num[:, free] != self.hp.beta).any()):
+                or self._nkw_units[:, free].any() or self._nkw_promos[:, free].any()):
             raise ConsistencyError("the column view disagrees with m_k")
-        ref_cols = ref._columns()
-        for k, c in self._columns().items():
-            if (not np.array_equal(self._num[:, c], ref._num[:, ref_cols[k]])
-                    or self._den[c] != ref._den[ref_cols[k]]):
-                raise ConsistencyError(f"topic {k}: cached predictive disagrees with counts")
 
     # ------------------------------------------------------------- posterior
 
@@ -711,22 +689,27 @@ class HDPSampler:
         return (self._nkw_units[:, c].astype(float)
                 + self.u * self._nkw_promos[:, c].astype(float))
 
+    def _predictive(self, k: int, words=slice(None)) -> np.ndarray:
+        """f_k(w) = (n_kw + beta) / (n_k + V beta) of topic k at `words`, by the
+        kernel's expression and order of additions."""
+        c, u, beta = self._columns()[k], self.u, self.hp.beta
+        num = self._nkw_units[words, c] + u * self._nkw_promos[words, c] + beta
+        return num / (self._nk_units[c] + u * self._nk_promos[c] + self.V * beta)
+
     def phi(self, k: int) -> np.ndarray:
         """Topic-word distribution (n_kw + beta) / (n_k + V beta)."""
-        c = self._columns()[k]
-        return self._num[:, c] / self._den[c]
+        return self._predictive(k)
 
     def theta(self) -> tuple[list[int], np.ndarray]:
         """Document-topic proportions from table masses, smoothed by alpha/K."""
         topics = self.live_topics()
-        col = {k: c for c, k in enumerate(topics)}
-        prior = self.hp.alpha / len(topics)
-        out = np.full((len(self.docs), len(topics)), prior)
-        for j, (ks, units, promos) in enumerate(zip(self.table_topic, self.table_units,
-                                                    self.table_promos)):
-            for k, n_units, n_promos in zip(ks, units, promos):
-                if k >= 0:
-                    out[j, col[k]] += n_units + self.u * n_promos
+        position = np.zeros(self._cap, np.int64)   # column -> index in `topics`
+        position[self._by_id[:len(topics)]] = np.arange(len(topics))
+        out = np.full((len(self.docs), len(topics)), self.hp.alpha / len(topics))
+        live = np.flatnonzero(self._tab_col >= 0)   # in slot order, as the masses add up
+        doc = np.searchsorted(self._doc_ptr, live, side="right") - 1
+        np.add.at(out, (doc, position[self._tab_col[live]]),
+                  self._tab_units[live] + self.u * self._tab_promos[live])
         out /= out.sum(axis=1, keepdims=True)
         return topics, out
 
@@ -790,9 +773,15 @@ class HDPSampler:
                                f"every live topic id (the highest is {top})")
         if type(done) is not int or done < 0:
             raise SamplerError(f"iterations_done = {done!r} is not a count of sweeps")
+        bg, rng = self.rng.bit_generator, state["rng"]
+        try:   # numpy checks the values and assigns all of them or none
+            if _shape(rng) != _shape(bg.state):
+                raise ValueError(repr(rng))
+            bg.state = rng
+        except (ValueError, OverflowError) as e:
+            raise SamplerError(f"rng is not a {type(bg).__name__} generator state: {e}") from None
         self.next_topic = next_topic
         self.iterations_done = done
-        self.rng.bit_generator.state = state["rng"]
 
 
 def _row_lengths(name: str, rows, n_rows: int) -> np.ndarray:
@@ -819,6 +808,11 @@ def _flat_rows(name: str, rows, lengths: np.ndarray) -> np.ndarray:
     if flat is None or (flat.size and flat.dtype.kind not in "iu"):
         raise SamplerError(f"{name} must hold integers")
     return flat.astype(np.int64, copy=False)
+
+
+def _shape(value):
+    """The keys of a nested dict, with the type of each leaf."""
+    return {k: _shape(v) for k, v in value.items()} if isinstance(value, dict) else type(value)
 
 
 def _top(values: np.ndarray, n: int) -> list[int]:

@@ -1,17 +1,17 @@
 /* The per-token steps of the constrained CRF-HDP Gibbs sampler (qdtm.sampler).
  *
  * Python owns every buffer; `qd_state` holds pointers into them. Counts are
- * integers and the cached predictive numerators n_kw + beta and denominators
- * n_k + V beta are rewritten from them by the expressions the Python code
- * used, so results equal it bit for bit when built with -ffp-contract=off
- * (no fused multiply-add) and without fast-math. Float sums run left to
- * right, in the orders the sampler documents: the new-table mixture in
- * `m_k` order, the topic draw in ascending topic id. Every uniform comes from
- * the caller's numpy bit generator through its `next_double`.
+ * integers, the only count state; the predictive f_k(w) = (n_kw + beta) /
+ * (n_k + V beta) is computed from them where it is read, by the expression the
+ * Python code uses, so results equal it bit for bit when built with
+ * -ffp-contract=off (no fused multiply-add) and without fast-math. Float sums
+ * run left to right, in the orders the sampler documents: the new-table
+ * mixture in `m_k` order, the topic draw in ascending topic id. Every uniform
+ * comes from the caller's numpy bit generator through its `next_double`.
  *
  * A live topic owns one column of the word-major count matrices
- * (cell w * cap + c). A freed column keeps zero counts and numerators equal
- * to beta, which is what a newborn topic needs, so a birth writes no cells.
+ * (cell w * cap + c). A freed column keeps zero counts, which is what a
+ * newborn topic needs, so a birth writes no cells.
  * Document j's table slots sit at doc_ptr[j] .. doc_ptr[j] + n_tab[j]; a
  * document never holds more slots than tokens, because a slot is appended
  * only when every slot is live and each live slot seats a token.
@@ -42,10 +42,8 @@ typedef struct {
     int64_t *m;                  /* cap: tables per topic */
     int64_t *nk_units;
     int64_t *nk_promos;
-    double *den;
     int32_t *nkw_units;          /* V x cap */
     int32_t *nkw_promos;         /* V x cap */
-    double *num;                 /* V x cap */
     int64_t *scal;               /* live topics, m_total, next_topic */
     const double *tilde;         /* cohesion gate, rows x V; NULL before a refresh */
     int32_t *tilde_row;          /* cap: row of a column's topic, -1 if born since */
@@ -79,7 +77,6 @@ static int32_t column_of(const qd_state *s, int64_t k) {
 static void apply_counts(qd_state *s, int64_t slot, int64_t w, int flag, int32_t sign) {
     const int64_t cap = s->cap;
     const int32_t c = s->tab_col[slot];
-    const double u = s->u, beta = s->beta;
     if (flag) {
         for (int64_t e = s->promo_ptr[w]; e < s->promo_ptr[w + 1]; e++) {
             const int64_t cell = (int64_t)s->promo_target[e] * cap + c;
@@ -92,16 +89,13 @@ static void apply_counts(qd_state *s, int64_t slot, int64_t w, int flag, int32_t
                 s->nkw_promos[cell] += sign;
                 s->nk_promos[c] += sign;
             }
-            s->num[cell] = (double)s->nkw_units[cell] + u * (double)s->nkw_promos[cell] + beta;
         }
     } else {
         const int64_t cell = w * cap + c;
         s->tab_units[slot] += sign;
         s->nkw_units[cell] += sign;
         s->nk_units[c] += sign;
-        s->num[cell] = (double)s->nkw_units[cell] + u * (double)s->nkw_promos[cell] + beta;
     }
-    s->den[c] = (double)s->nk_units[c] + u * (double)s->nk_promos[c] + (double)s->V * beta;
 }
 
 /* Birth of topic k in a free column; the caller guarantees one is free. */
@@ -112,7 +106,6 @@ static int32_t register_topic(qd_state *s, int64_t k) {
     int64_t n = s->scal[N_LIVE];
     s->topic_of[c] = k;
     s->m[c] = 0;
-    s->den[c] = (double)s->V * s->beta;
     s->tilde_row[c] = -1;
     s->order[n] = c;
     int64_t pos = n;
@@ -202,10 +195,12 @@ static void attach(qd_state *s, int64_t j, int64_t i, int64_t t, int flag) {
 
 /* f[c] = (n_kw + beta) / (n_k + V beta) for every live column c. */
 static void predictive(const qd_state *s, int64_t w, double *f) {
-    const double *row = s->num + w * s->cap;
+    const int32_t *units = s->nkw_units + w * s->cap, *promos = s->nkw_promos + w * s->cap;
+    const double u = s->u, beta = s->beta, v_beta = (double)s->V * s->beta;
     for (int64_t i = 0; i < s->scal[N_LIVE]; i++) {
         const int32_t c = s->order[i];
-        f[c] = row[c] / s->den[c];
+        f[c] = ((double)units[c] + u * (double)promos[c] + beta)
+               / ((double)s->nk_units[c] + u * (double)s->nk_promos[c] + v_beta);
     }
 }
 

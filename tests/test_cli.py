@@ -300,6 +300,13 @@ def _pinned_token(corpus_path, result_path):
     ("pinned_word_off_its_parent", "is pinned to a parent topic but its table serves"),
     ("next_topic_not_above_the_live_ids", "is not an int64 above every live topic id"),
     ("next_topic_past_int64", "next_topic = 18446744073709551616 is not an int64"),
+    ("rng_not_a_dict", "rng is not a PCG64 generator state: 'x'"),
+    ("rng_without_its_state", "rng is not a PCG64 generator state: {'bit_generator': 'PCG64'}"),
+    ("rng_with_an_empty_state", "generator state: {'bit_generator': 'PCG64', 'state': {}, "),
+    ("rng_state_a_string", "generator state: {'bit_generator': 'PCG64', 'state': {'state': '12'"),
+    ("rng_state_negative", "rng is not a PCG64 generator state: "),
+    ("rng_has_uint32_a_string", "'has_uint32': 'x'"),
+    ("rng_of_another_generator", "rng is not a PCG64 generator state: "),
 ])
 def test_corrupt_checkpoint_is_validation_error_naming_the_field(
         small_corpus, tmp_path, capsys, case, message):
@@ -331,8 +338,22 @@ def test_corrupt_checkpoint_is_validation_error_naming_the_field(
         topics[j][t[j][i]] = max(map(max, topics))
     elif case == "next_topic_not_above_the_live_ids":
         state["next_topic"] = max(map(max, topics))
-    else:
+    elif case == "next_topic_past_int64":
         state["next_topic"] = 2**64
+    elif case == "rng_not_a_dict":
+        state["rng"] = "x"
+    elif case == "rng_without_its_state":
+        state["rng"] = {"bit_generator": "PCG64"}
+    elif case == "rng_with_an_empty_state":
+        state["rng"]["state"] = {}
+    elif case == "rng_state_a_string":
+        state["rng"]["state"]["state"] = "12"
+    elif case == "rng_state_negative":
+        state["rng"]["state"]["state"] = -1
+    elif case == "rng_has_uint32_a_string":
+        state["rng"]["has_uint32"] = "x"
+    else:
+        state["rng"]["bit_generator"] = "MT19937"
     ckpt.write_text(json.dumps(state))
     before = ckpt.read_bytes()
     capsys.readouterr()
@@ -587,6 +608,24 @@ def test_eval_result_of_another_corpus_is_validation_error(small_corpus, tmp_pat
     result.write_text(json.dumps(payload))
     message = _eval_error(small_corpus, result, capsys)
     assert f"result file {result}: word 'w9999' is not in the vocabulary" in message
+
+
+@pytest.mark.parametrize("bad", ["list", "0.5", None, float("nan"), float("inf"), True, False])
+def test_eval_parent_doc_scores_that_are_not_finite_numbers_are_validation_error(
+        small_corpus, tmp_path, capsys, bad):
+    result = _fit_result(small_corpus, tmp_path)
+    payload = json.loads(result.read_text())
+    query = payload["queries"][0]
+    query["target_label"] = "topic3"   # carried in the corpus, so eval ranks the scores
+    scores = query["parent_doc_scores"]
+    if bad == "list":
+        query["parent_doc_scores"] = list(scores)
+    else:
+        scores[next(iter(scores))] = bad
+    result.write_text(json.dumps(payload))
+    message = _eval_error(small_corpus, result, capsys)
+    assert (f"result file {result}: malformed result, parent_doc_scores of query 'w0000' "
+            "must map doc ids to finite numbers") in message
 
 
 @pytest.mark.parametrize("flag, bad, message", [

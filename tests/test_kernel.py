@@ -39,9 +39,8 @@ def assert_same_state(kernel: HDPSampler, oracle: OracleSampler) -> None:
     assert dict(kernel.nkw_units) == oracle.nkw_units
     assert dict(kernel.nkw_promos) == oracle.nkw_promos
     assert (kernel.nk_units, kernel.nk_promos) == (oracle.nk_units, oracle.nk_promos)
-    for k, c in kernel._columns().items():
-        assert kernel._num[:, c].tolist() == oracle._num[oracle._col[k]]
-        assert kernel._den[c] == oracle._den[oracle._col[k]]
+    for k, c in oracle._col.items():   # phi from the counts, against the oracle's cache
+        assert kernel.phi(k).tolist() == [n / oracle._den[c] for n in oracle._num[c]]
     assert generator_state(kernel.rng) == generator_state(oracle.rng)
     # the weights hold what no state does: the mixture sum and the topic order
     for j, doc in enumerate(oracle.docs):

@@ -96,7 +96,7 @@ def test_predictive_prob_symmetric_prior():
     s = HDPSampler(docs, 100, Hyperparameters(beta=0.5, initial_topics=2), seed=0)
     s.set_state([[0, 0]], [[3, -1]])
     s._ensure_table(0, 1, 5)   # topic 5 is born at an empty table
-    assert dict(zip(s.m_k, s.predictive(7)))[5] == pytest.approx(0.5 / 50)  # == 1/|V|
+    assert s.phi(5)[7] == pytest.approx(0.5 / 50)  # == 1/|V|
     assert s.base_density == pytest.approx(1 / 100)
 
 
@@ -270,14 +270,6 @@ def test_check_invariants_catches_corruption():
         s.check_invariants()
 
 
-def test_check_invariants_catches_a_corrupt_cached_numerator():
-    s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
-    s.initialize()
-    s._num[1, s._columns()[s.live_topics()[0]]] += 1e-9
-    with pytest.raises(ConsistencyError, match="cached predictive"):
-        s.check_invariants()
-
-
 def test_check_invariants_catches_a_stale_view_after_a_topic_birth():
     s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
     s.initialize()
@@ -309,14 +301,12 @@ def test_check_invariants_catches_a_fault_in_the_count_updates():
     s._detach(0, 0)
     s._attach(0, 0, 0, flag=1)
     s.check_invariants()
-    c, u, beta = s._columns()[2], s.u, s.hp.beta
+    c = s._columns()[2]
     for units, promos, i in ((s._tab_units, s._tab_promos, 0),
                              (s._nkw_units[1], s._nkw_promos[1], c),
                              (s._nk_units, s._nk_promos, c)):
         units[i] += 1
         promos[i] -= 1
-    s._num[1, c] = s._nkw_units[1, c] + u * s._nkw_promos[1, c] + beta
-    s._den[c] = s._nk_units[c] + u * s._nk_promos[c] + 2 * beta
     with pytest.raises(ConsistencyError):
         s.check_invariants()
 
@@ -336,8 +326,8 @@ def test_set_state_builds_flagged_counts_without_the_incremental_updates(monkeyp
     assert s.nkw_promos == {2: [0, 1], 1: [0, 1]}
     assert (s.nk_units, s.nk_promos) == ({2: 2, 1: 1}, {2: 1, 1: 1})
     u, beta = s.u, s.hp.beta
-    assert s._num[:, s._columns()[1]].tolist() == [1 + u * 0 + beta, 0 + u * 1 + beta]
-    assert s._den[s._columns()[1]] == 1 + u * 1 + 2 * beta
+    den = 1 + u * 1 + 2 * beta
+    assert s.phi(1).tolist() == [(1 + u * 0 + beta) / den, (0 + u * 1 + beta) / den]
 
 
 # -------------------------------------------------------------- table draws
@@ -548,7 +538,7 @@ def test_cached_predictive_equals_the_count_expression(case):
     for w in range(V):
         expected = [(s.nkw_units[k][w] + u * s.nkw_promos[k][w] + beta)
                     / (s.nk_units[k] + u * s.nk_promos[k] + V * beta) for k in s.m_k]
-        assert s.predictive(w) == expected
+        assert [s.phi(k)[w] for k in s.m_k] == expected
 
 
 def test_checkpoint_of_another_stream_is_rejected():
