@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import logging
 import os
@@ -21,6 +22,7 @@ logger = logging.getLogger(__name__)
 
 RESULT_FORMAT_TAG = "qdtm-result-v1"
 N_TOP_WORDS = 10   # words reported per parent topic and subtopic
+ROWS_PER_WRITE = 64   # checkpoint rows encoded per call, to amortize the call's set-up
 
 
 class ParentTopicError(SamplerError):
@@ -112,24 +114,44 @@ def atomic_write(path: str):
             os.remove(tmp)
 
 
+class _CheckpointEncoder(json.JSONEncoder):
+    """`json.dump` of a checkpoint state through the C encoder.
+
+    The text equals `json.dumps` of the state, but it is written one
+    top-level field and one block of `ROWS_PER_WRITE` document rows at a
+    time, so the whole text is never held at once.
+    """
+
+    def iterencode(self, o, _one_shot=False):
+        return super().iterencode(o, True) if _one_shot else self._fields(o)
+
+    def _fields(self, state: dict):
+        encode, sep = self.encode, self.item_separator
+        yield "{"
+        for n, (key, value) in enumerate(state.items()):
+            yield (sep if n else "") + encode(key) + self.key_separator
+            if not isinstance(value, list):
+                yield encode(value)
+                continue
+            yield "["
+            for a in range(0, len(value), ROWS_PER_WRITE):
+                yield (sep if a else "") + encode(value[a:a + ROWS_PER_WRITE])[1:-1]
+            yield "]"
+        yield "}"
+
+
 def extract_parent_subcorpus(sampler: HDPSampler,
                              parent: int) -> tuple[list[list[int]], set[int]]:
     """Tokens the parent topic claimed in phase 1, grouped per document.
 
     Returns (the non-empty sub-documents, the parent's word-type set).
     """
-    sub_docs = []
-    support: set[int] = set()
-    for doc, topics in zip(sampler.docs, sampler.token_topics()):
-        toks = [w for w, k in zip(doc, topics) if k == parent]
-        if toks:
-            sub_docs.append(toks)
-            support.update(toks)
+    sub_docs = sampler.tokens_of(parent)
     if not sub_docs:
         raise ParentTopicError(
             f"parent topic {parent} claimed no tokens; try more iterations or "
             "a different query")
-    return sub_docs, support
+    return sub_docs, set(itertools.chain.from_iterable(sub_docs))
 
 
 def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters,
@@ -148,7 +170,7 @@ def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters
     """
     scope = sorted(support)
     local = {w: i for i, w in enumerate(scope)}
-    docs = [[local[w] for w in d] for d in sub_docs]
+    docs = [list(map(local.__getitem__, d)) for d in sub_docs]
 
     if len(scope) == 1:
         # a single word type cannot be split; sampling would only shuffle
@@ -268,7 +290,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
         sampler.run(remaining, check_invariants=check_invariants)
     if checkpoint_path is not None:
         with atomic_write(checkpoint_path) as fh:
-            json.dump(sampler.state_dict(), fh, allow_nan=False)
+            json.dump(sampler.state_dict(), fh, allow_nan=False, cls=_CheckpointEncoder)
 
     topics, theta = sampler.theta()
     col = {k: c for c, k in enumerate(topics)}
@@ -308,8 +330,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
             parent_topic=q_idx,
             concept_words=[(vocab.token_of(w), s) for w, s in cs.words],
             parent_top_words=parent_top,
-            parent_doc_scores={doc_ids[j]: float(theta[j, col[q_idx]])
-                               for j in range(len(docs))},
+            parent_doc_scores=dict(zip(doc_ids, theta[:, col[q_idx]].tolist())),
             subtopics=subtopics,
             target_label=(target_labels[q_idx] if target_labels else None),
         ))
@@ -329,7 +350,6 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
     result = TopicModelResult(query_results, metadata)
     if full_posterior:
         result.topic_order = topics
-        result.phi = {k: [float(x) for x in sampler.phi(k)] for k in topics}
-        result.theta = {doc_ids[j]: [float(x) for x in theta[j]]
-                        for j in range(len(docs))}
+        result.phi = {k: sampler.phi(k).tolist() for k in topics}
+        result.theta = dict(zip(doc_ids, theta.tolist()))
     return result

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -92,8 +93,9 @@ class _Rows(Sequence):
         return self._flat[start:start + self._lengths[j]].tolist()
 
     def __iter__(self):
+        flat = self._flat.tolist()
         for start, n in zip(self._ptr.tolist(), self._lengths.tolist()):
-            yield self._flat[start:start + n].tolist()
+            yield flat[start:start + n]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -170,7 +172,7 @@ class HDPSampler:
         self.iterations_done = 0
 
     def _token_ids(self) -> np.ndarray:
-        words = np.array([w for doc in self.docs for w in doc])
+        words = np.array(list(itertools.chain.from_iterable(self.docs)))
         if words.dtype.kind not in "iu":
             raise SamplerError(f"token ids must be integers, got {words.dtype}")
         bad = np.flatnonzero((words < 0) | (words >= self.V))
@@ -288,17 +290,20 @@ class HDPSampler:
 
         Each document draws one non-parent topic uniformly from the K initial
         topics; tokens matching a concept set are pinned to that parent topic
-        instead. All promotion flags start at 0.
+        instead. All promotion flags start at 0. The state is valid by
+        construction, so it is built as flat arrays and installed without
+        `set_state`'s checks.
         """
         K = self.hp.initial_topics
         free = [k for k in range(K) if k >= self.n_parents]
         if not free:
             raise SamplerError("no non-parent topic available at initialization")
-        table_topics = []
-        for doc in self.docs:
-            base = free[int(self.rng.integers(len(free)))]
-            table_topics.append([self.forced_topic.get(w, base) for w in doc])
-        self.set_state([list(range(len(d))) for d in self.docs], table_topics)
+        base = np.array([free[int(self.rng.integers(len(free)))] for _ in self.docs])
+        forced = self._forced[self._words]
+        tab = np.where(forced >= 0, forced, base.repeat(self._lengths))
+        slot = np.arange(len(self._words))   # token p sits alone at slot p
+        self._install((slot - self._tok_base).astype(np.int32), np.zeros(len(slot), np.int8),
+                      self._lengths, tab, slot)
         self.next_topic = max(self.n_parents, K)
 
     def set_state(self, t_assignments: Sequence[Sequence[int]],
@@ -395,13 +400,16 @@ class HDPSampler:
         self._tok_t, self._tok_flag = t, fl
         self._n_tab, self._tab_col = n_tab.astype(np.int32), tab_col
         col = tab_col[slot]
-        # counted in place: a flagged token adds its promotion row, others 1
+        # counted in place: a flagged token adds its promotion row, others 1.
+        # `one` has the counts' dtype: a Python 1 sends np.add.at down its
+        # casting path, about 40 times slower
+        one = np.int32(1)
         self._tab_units, self._tab_promos = np.zeros(N, np.int32), np.zeros(N, np.int32)
         self._nkw_units = np.zeros((V, cap), np.int32)
         self._nkw_promos = np.zeros((V, cap), np.int32)
         plain = fl == 0
-        np.add.at(self._tab_units, slot[plain], 1)
-        np.add.at(self._nkw_units, (self._words[plain], col[plain]), 1)
+        np.add.at(self._tab_units, slot[plain], one)
+        np.add.at(self._nkw_units, (self._words[plain], col[plain]), one)
         flagged = np.flatnonzero(~plain)
         del t, fl, plain
         starts = self._promo_ptr[self._words[flagged]]
@@ -411,8 +419,8 @@ class HDPSampler:
         target, is_self = self._promo_target[entry], self._promo_self[entry] == 1
         for pairs, tab_mass, nkw in ((is_self, self._tab_units, self._nkw_units),
                                      (~is_self, self._tab_promos, self._nkw_promos)):
-            np.add.at(tab_mass, slot[tok[pairs]], 1)
-            np.add.at(nkw, (target[pairs], col[tok[pairs]]), 1)
+            np.add.at(tab_mass, slot[tok[pairs]], one)
+            np.add.at(nkw, (target[pairs], col[tok[pairs]]), one)
         del slot, col
         self._nk_units = self._nkw_units.sum(axis=0, dtype=np.int64)
         self._nk_promos = self._nkw_promos.sum(axis=0, dtype=np.int64)
@@ -679,9 +687,13 @@ class HDPSampler:
     def _token_columns(self) -> np.ndarray:
         return self._tab_col[self._tok_base + self._tok_t]
 
-    def token_topics(self) -> _Rows:
-        """token_topics()[j][i]: the topic of the table of token i of document j."""
-        return _Rows(self._topic_of[self._token_columns()], self._doc_ptr, self._lengths)
+    def tokens_of(self, k: int) -> list[list[int]]:
+        """The word ids of topic k's tokens, per document that has any, in
+        corpus order."""
+        held = np.flatnonzero(self._topic_of[self._token_columns()] == k)
+        cuts = np.searchsorted(held, self._doc_ptr).tolist()
+        words = self._words[held].tolist()
+        return [words[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
 
     def counts(self, k: int) -> np.ndarray:
         """Real-valued topic-word counts n_kw = units + u * promotions."""
@@ -766,6 +778,9 @@ class HDPSampler:
                                    "next_topic", "rng") if key not in state]
         if missing:
             raise SamplerError(f"the checkpoint has no {', '.join(missing)}")
+        for key in ("t", "flags", "table_topic"):   # set_state reads flags=None as all 0
+            if type(state[key]) is not list:
+                raise SamplerError(f"{key} must be a list of lists")
         self.set_state(state["t"], state["table_topic"], state["flags"])
         next_topic, done, top = state["next_topic"], state["iterations_done"], max(self._columns())
         if type(next_topic) is not int or not top < next_topic < 2**63:
@@ -786,7 +801,7 @@ class HDPSampler:
 
 def _row_lengths(name: str, rows, n_rows: int) -> np.ndarray:
     try:
-        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        lengths = np.fromiter(map(len, rows), np.int64)
     except TypeError:
         raise SamplerError(f"{name} must be a list of lists") from None
     if len(lengths) != n_rows:
@@ -801,13 +816,13 @@ def _flat_rows(name: str, rows, lengths: np.ndarray) -> np.ndarray:
     if bad.size:
         j = int(bad[0])
         raise SamplerError(f"{name}[{j}] has {got[j]} entries, expected {lengths[j]}")
-    try:
-        flat = np.array([v for r in rows for v in r])
-    except (TypeError, ValueError, OverflowError):
-        flat = None
-    if flat is None or (flat.size and flat.dtype.kind not in "iu"):
-        raise SamplerError(f"{name} must hold integers")
-    return flat.astype(np.int64, copy=False)
+    flat = list(itertools.chain.from_iterable(rows))
+    if set(map(type, flat)) <= {int}:   # exact ints: numpy would read a bool as 1 or 0
+        try:
+            return np.fromiter(flat, np.int64, len(flat))
+        except OverflowError:
+            pass
+    raise SamplerError(f"{name} must hold integers")
 
 
 def _shape(value):

@@ -1,11 +1,61 @@
 """Plain helpers shared by the test modules (fixtures live in conftest.py)."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qdtm.embeddings import EmbeddingTable
+from qdtm.pipeline import ParentTopicError
+from qdtm.sampler import HDPSampler, Hyperparameters
 
 
 def make_table(vectors: dict[int, list[float]], vocab_size: int) -> EmbeddingTable:
     dim = len(next(iter(vectors.values())))
     return EmbeddingTable(dim, {k: np.array(v, dtype=float) for k, v in vectors.items()},
                           vocab_size)
+
+
+@st.composite
+def sampler_cases(draw):
+    """A small corpus in a phase-1 setting (parents, forced words) or a
+    phase-2 one (neither), with promotion rows with and without a self pair.
+    beta and u are not powers of two, so a reordered sum of the predictive
+    changes its last bits."""
+    V = draw(st.integers(2, 10))
+    words = st.integers(0, V - 1)
+    docs = draw(st.lists(st.lists(words, min_size=1, max_size=9), min_size=1, max_size=7))
+    n_parents = draw(st.integers(0, 2))
+    forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3))
+              if n_parents else {})
+    rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=4))
+    promotion = {w: [(t, t == w) for t in sorted(ts)] for w, ts in rows.items()}
+    seed = draw(st.integers(0, 2**32 - 1))
+    norms = None
+    if draw(st.booleans()):
+        norms = np.random.default_rng(seed).normal(size=(V, 3))
+        norms /= np.linalg.norm(norms, axis=1, keepdims=True)
+    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
+                  embedding_norms=norms,
+                  parent_representatives={q: sorted(w for w, k in forced.items() if k == q)
+                                          for q in range(n_parents)})
+    hp = Hyperparameters(initial_topics=n_parents + draw(st.integers(1, 3)),
+                         alpha=draw(st.sampled_from([0.3, 1.0, 4.0])),
+                         beta=draw(st.sampled_from([0.01, 0.13, 0.5])),
+                         gamma=draw(st.sampled_from([0.5, 1.5, 6.0])),
+                         promotion_weight=draw(st.sampled_from([0.1, 0.3, 0.77])))
+    return docs, V, hp, seed, kwargs, draw(st.integers(1, 5))
+
+
+def parent_subcorpus_oracle(sampler: HDPSampler,
+                            parent: int) -> tuple[list[list[int]], set[int]]:
+    """`pipeline.extract_parent_subcorpus` as a per-token loop over the
+    public assignments: token i of document j belongs to topic
+    table_topic[j][t[j][i]]."""
+    sub_docs, support = [], set()
+    for doc, t, topics in zip(sampler.docs, sampler.t, sampler.table_topic):
+        toks = [w for w, table in zip(doc, t) if topics[table] == parent]
+        if toks:
+            sub_docs.append(toks)
+            support.update(toks)
+    if not sub_docs:
+        raise ParentTopicError(f"parent topic {parent} claimed no tokens")
+    return sub_docs, support

@@ -307,6 +307,10 @@ def _pinned_token(corpus_path, result_path):
     ("rng_state_negative", "rng is not a PCG64 generator state: "),
     ("rng_has_uint32_a_string", "'has_uint32': 'x'"),
     ("rng_of_another_generator", "rng is not a PCG64 generator state: "),
+    ("t_entry_true", "t must hold integers"),
+    ("flags_entry_false", "flags must hold integers"),
+    ("table_topic_entry_a_bool", "table_topic must hold integers"),
+    ("flags_null", "flags must be a list of lists"),
 ])
 def test_corrupt_checkpoint_is_validation_error_naming_the_field(
         small_corpus, tmp_path, capsys, case, message):
@@ -314,7 +318,18 @@ def test_corrupt_checkpoint_is_validation_error_naming_the_field(
     ckpt = tmp_path / "ck.json"
     state = json.loads(ckpt.read_text())
     t, topics = state["t"], state["table_topic"]
-    if case == "negative_table":
+    if case == "t_entry_true":   # in a row of ints, which numpy would read as 1
+        j, i = next((j, i) for j, row in enumerate(t) for i, v in enumerate(row) if v == 1)
+        t[j][i] = True
+    elif case == "flags_entry_false":
+        state["flags"][0][0] = False
+    elif case == "table_topic_entry_a_bool":
+        j, s = next((j, s) for j, row in enumerate(topics) for s, k in enumerate(row)
+                    if k in (0, 1) and len(row) > 1)
+        topics[j][s] = bool(topics[j][s])
+    elif case == "flags_null":   # was read as "no flags": every flag 0
+        state["flags"] = None
+    elif case == "negative_table":
         t[0][0] = -2
     elif case == "table_past_the_last":
         t[0][0] = 999
@@ -354,14 +369,45 @@ def test_corrupt_checkpoint_is_validation_error_naming_the_field(
         state["rng"]["has_uint32"] = "x"
     else:
         state["rng"]["bit_generator"] = "MT19937"
+    _assert_resume_rejected(small_corpus, tmp_path, capsys, state, message)
+
+
+def _assert_resume_rejected(corpus, tmp_path, capsys, state, message):
+    """Resuming from `state` exits 2 naming the checkpoint and `message`,
+    and leaves the checkpoint as it was."""
+    ckpt = tmp_path / "ck.json"
     ckpt.write_text(json.dumps(state))
     before = ckpt.read_bytes()
     capsys.readouterr()
-    assert _fit_with_checkpoint(small_corpus, tmp_path, "--iters1", "3") == EXIT_VALIDATION
+    assert _fit_with_checkpoint(corpus, tmp_path, "--iters1", "3") == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation"
     assert str(ckpt) in err["message"] and message in err["message"], err["message"]
     assert ckpt.read_bytes() == before
+
+
+@pytest.mark.parametrize("field", ["t", "table_topic"])
+@pytest.mark.parametrize("value", [1.5, 0.0, "0", [0], None, 2**70])
+def test_checkpoint_entry_that_is_not_an_int_is_validation_error(
+        small_corpus, tmp_path, capsys, field, value):
+    assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
+    state = json.loads((tmp_path / "ck.json").read_text())
+    state[field][0][0] = value
+    _assert_resume_rejected(small_corpus, tmp_path, capsys, state,
+                            f"{field} must hold integers")
+
+
+@pytest.mark.parametrize("case", ["row_an_int", "field_an_int"])
+def test_checkpoint_t_that_is_not_a_list_of_lists_is_validation_error(
+        small_corpus, tmp_path, capsys, case):
+    assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
+    state = json.loads((tmp_path / "ck.json").read_text())
+    if case == "row_an_int":
+        state["t"][0] = 0
+    else:
+        state["t"] = 0
+    _assert_resume_rejected(small_corpus, tmp_path, capsys, state,
+                            "t must be a list of lists")
 
 
 def test_checkpoint_resumes_with_more_iterations_and_another_floor(small_corpus, tmp_path):

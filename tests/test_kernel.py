@@ -19,6 +19,7 @@ from qdtm.retrieval import parse_query, retrieve
 from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters
 from qdtm.synth import SyntheticSpec
 
+from helpers import sampler_cases
 from sampler_oracle import OracleSampler, quarters
 from test_acceptance import embedding_table, synthetic_corpus
 
@@ -47,33 +48,6 @@ def assert_same_state(kernel: HDPSampler, oracle: OracleSampler) -> None:
         for w in sorted(set(doc)):
             assert kernel.table_weights(j, w) == oracle.table_weights(j, w)
             assert kernel.topic_weights(j, w) == oracle.topic_weights(j, w)
-
-
-@st.composite
-def sampler_cases(draw):
-    """A small corpus in a phase-1 setting (parents, forced words) or a
-    phase-2 one (neither), with promotion rows with and without a self pair."""
-    V = draw(st.integers(2, 10))
-    words = st.integers(0, V - 1)
-    docs = draw(st.lists(st.lists(words, min_size=1, max_size=9), min_size=1, max_size=7))
-    n_parents = draw(st.integers(0, 2))
-    forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3))
-              if n_parents else {})
-    rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=4))
-    promotion = {w: [(t, t == w) for t in sorted(ts)] for w, ts in rows.items()}
-    seed = draw(st.integers(0, 2**32 - 1))
-    norms = None
-    if draw(st.booleans()):
-        norms = np.random.default_rng(seed).normal(size=(V, 3))
-        norms /= np.linalg.norm(norms, axis=1, keepdims=True)
-    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
-                  embedding_norms=norms,
-                  parent_representatives={q: sorted(w for w, k in forced.items() if k == q)
-                                          for q in range(n_parents)})
-    hp = Hyperparameters(initial_topics=n_parents + draw(st.integers(1, 3)),
-                         alpha=draw(st.sampled_from([0.3, 1.0, 4.0])),
-                         gamma=draw(st.sampled_from([0.5, 1.5, 6.0])))
-    return docs, V, hp, seed, kwargs, draw(st.integers(1, 5))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,14 +1,22 @@
 import hashlib
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdtm import pipeline
 from qdtm.corpus import ingest
 from qdtm.pipeline import (ParentTopicError, extract_parent_subcorpus, fit_topics,
                            prune_subtopics, run_phase2)
 from qdtm.sampler import HDPSampler, Hyperparameters, SamplerError
+from qdtm.synth import SyntheticSpec
+
+from helpers import parent_subcorpus_oracle, sampler_cases
+from test_acceptance import embedding_table, synthetic_corpus
 
 
 def test_extract_parent_subcorpus_matches_assignments():
@@ -36,6 +44,61 @@ def test_extract_parent_subcorpus_empty_is_fatal():
     s.set_state([[0, 0]], [[1]])
     with pytest.raises(ParentTopicError):
         extract_parent_subcorpus(s, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler_cases())
+def test_extract_parent_subcorpus_equals_the_per_token_loop(case):
+    docs, V, hp, seed, kwargs, sweeps = case
+    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s.initialize()
+    s.run(sweeps)
+    for k in range(s.next_topic + 1):   # every live topic, and ids with no tokens
+        try:
+            expected = parent_subcorpus_oracle(s, k)
+        except ParentTopicError:
+            with pytest.raises(ParentTopicError, match=f"parent topic {k} claimed no tokens"):
+                extract_parent_subcorpus(s, k)
+        else:
+            assert extract_parent_subcorpus(s, k) == expected
+
+
+def _checkpoint_text(state: dict) -> str:
+    out = io.StringIO()
+    json.dump(state, out, allow_nan=False, cls=pipeline._CheckpointEncoder)
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler_cases(), st.integers(1, 4))
+def test_checkpoint_text_equals_json_dumps_of_the_state(case, rows_per_write):
+    docs, V, hp, seed, kwargs, sweeps = case
+    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s.initialize()
+    s.run(sweeps)
+    state = s.state_dict()
+    with mock.patch.object(pipeline, "ROWS_PER_WRITE", rows_per_write):
+        assert _checkpoint_text(state) == json.dumps(state, allow_nan=False)
+
+
+def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path):
+    """The default synth corpus with embeddings and a kld query flags
+    tokens in both phases; every sweep compares the kernel's counts with a
+    rebuild, and the resumed fit starts from a loaded flagged state."""
+    spec = SyntheticSpec(seed=1)
+    corpus, truth = synthetic_corpus(spec)
+    rare = truth["rare_topic"]
+    query = " ".join(truth["topic_top_words"][rare][:2])
+    ckpt = tmp_path / "state.json"
+    kw = dict(embeddings=embedding_table(spec, corpus), seed=3, iterations_phase2=3,
+              check_invariants=True, checkpoint_path=str(ckpt))
+    fit_topics(corpus, [query], "kld", iterations_phase1=3, **kw)
+    state = json.loads(ckpt.read_text())
+    assert sum(map(sum, state["flags"])) > 0
+    assert ckpt.read_text() == json.dumps(state, allow_nan=False)
+    resumed = fit_topics(corpus, [query], "kld", iterations_phase1=5, **kw)
+    assert json.loads(ckpt.read_text())["iterations_done"] == 5
+    assert resumed.queries[0].subtopics
 
 
 def test_phase2_single_word_type_point_mass():
