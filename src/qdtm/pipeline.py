@@ -16,13 +16,12 @@ from .concepts import (DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, ConceptWord
 from .corpus import Corpus
 from .embeddings import EmbeddingTable, build_promotion
 from .retrieval import DEFAULT_CUTOFF, DEFAULT_MU, parse_query, retrieve
-from .sampler import HDPSampler, Hyperparameters, SamplerError
+from .sampler import HDPSampler, Hyperparameters, SamplerError, _Rows
 
 logger = logging.getLogger(__name__)
 
 RESULT_FORMAT_TAG = "qdtm-result-v1"
 N_TOP_WORDS = 10   # words reported per parent topic and subtopic
-ROWS_PER_WRITE = 64   # checkpoint rows encoded per call, to amortize the call's set-up
 
 
 class ParentTopicError(SamplerError):
@@ -115,11 +114,11 @@ def atomic_write(path: str):
 
 
 class _CheckpointEncoder(json.JSONEncoder):
-    """`json.dump` of a checkpoint state through the C encoder.
+    """`json.dump` of a `state_dict()`, one top-level field at a time.
 
-    The text equals `json.dumps` of the state, but it is written one
-    top-level field and one block of `ROWS_PER_WRITE` document rows at a
-    time, so the whole text is never held at once.
+    The per-document rows (`_Rows`) are written by the compiled formatter,
+    every other field by the C JSON encoder; the text equals `json.dumps` of
+    the state with its rows as lists.
     """
 
     def iterencode(self, o, _one_shot=False):
@@ -130,13 +129,7 @@ class _CheckpointEncoder(json.JSONEncoder):
         yield "{"
         for n, (key, value) in enumerate(state.items()):
             yield (sep if n else "") + encode(key) + self.key_separator
-            if not isinstance(value, list):
-                yield encode(value)
-                continue
-            yield "["
-            for a in range(0, len(value), ROWS_PER_WRITE):
-                yield (sep if a else "") + encode(value[a:a + ROWS_PER_WRITE])[1:-1]
-            yield "]"
+            yield value.json() if isinstance(value, _Rows) else encode(value)
         yield "}"
 
 
@@ -282,10 +275,14 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
                 sampler.load_state_dict(json.load(fh))
         except ValueError as e:   # a SamplerError or malformed JSON
             raise SamplerError(f"cannot resume from checkpoint {checkpoint_path}: {e}") from None
+        if sampler.iterations_done > iterations_phase1:
+            raise SamplerError(f"cannot resume from checkpoint {checkpoint_path}: it holds "
+                               f"{sampler.iterations_done} phase-1 sweeps, more than "
+                               f"iterations_phase1 = {iterations_phase1}")
         logger.info("resumed checkpoint at iteration %d", sampler.iterations_done)
     else:
         sampler.initialize()
-    remaining = max(0, iterations_phase1 - sampler.iterations_done)
+    remaining = iterations_phase1 - sampler.iterations_done
     if remaining:
         sampler.run(remaining, check_invariants=check_invariants)
     if checkpoint_path is not None:

@@ -100,6 +100,22 @@ class _Rows(Sequence):
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
 
+    def copy(self) -> _Rows:
+        """The rows as they are now; later sweeps leave the copy as it is."""
+        return _Rows(self._flat.copy(), self._ptr, self._lengths.copy())
+
+    def json(self) -> str:
+        """`json.dumps(list(self))`, which is also `repr(list(self))`, written
+        by the compiled formatter."""
+        from . import _native
+        flat, ptr, lengths = (np.ascontiguousarray(a, np.int64)
+                              for a in (self._flat, self._ptr, self._lengths))
+        out = np.empty(22 * int(lengths.sum()) + 4 * len(lengths) + 2, np.uint8)
+        n = _native.library().qd_format_rows(flat.ctypes.data, ptr.ctypes.data,
+                                             lengths.ctypes.data, len(lengths),
+                                             out.ctypes.data)
+        return out[:n].tobytes().decode("ascii")
+
 
 class _TopicRows(Mapping):
     """Read-only topic id -> its row of a word-major count matrix (a list of
@@ -298,7 +314,7 @@ class HDPSampler:
         free = [k for k in range(K) if k >= self.n_parents]
         if not free:
             raise SamplerError("no non-parent topic available at initialization")
-        base = np.array([free[int(self.rng.integers(len(free)))] for _ in self.docs])
+        base = np.array(free)[self.rng.integers(len(free), size=len(self.docs))]
         forced = self._forced[self._words]
         tab = np.where(forced >= 0, forced, base.repeat(self._lengths))
         slot = np.arange(len(self._words))   # token p sits alone at slot p
@@ -744,23 +760,27 @@ class HDPSampler:
         Computed once per sampler, since none of these change after construction."""
         import hashlib   # loads OpenSSL, 3.4 MB resident; only checkpoints need it
         hp = self.hp
-        digest = hashlib.sha256(repr((
-            self.docs, self.V, self.base_density, self.n_parents,
-            sorted(self.forced_topic.items()), sorted(self.parent_representatives.items()),
-            sorted(self.promo_rows.items()), hp.n_representatives,
-            [float(x) for x in (hp.alpha, hp.beta, hp.gamma, self.u)])).encode())
+        rest = repr((self.V, self.base_density, self.n_parents,
+                     sorted(self.forced_topic.items()), sorted(self.parent_representatives.items()),
+                     sorted(self.promo_rows.items()), hp.n_representatives,
+                     [float(x) for x in (hp.alpha, hp.beta, hp.gamma, self.u)]))
+        # the text of repr((docs, V, ...)), the token stream formatted in C
+        docs = _Rows(self._words, self._doc_ptr, self._lengths).json()
+        digest = hashlib.sha256(f"({docs}, {rest[1:]}".encode())
         if self.embedding_norms is not None:
             digest.update(self.embedding_norms.tobytes())
         return digest.hexdigest()
 
     def state_dict(self) -> dict:
+        """The phase-1 state as of now. Its rows are `_Rows`, which
+        `pipeline._CheckpointEncoder` writes and `load_state_dict` reads."""
         return {
             "format": "qdtm-checkpoint-v2",
             "fingerprint": self.fingerprint,
             "iterations_done": self.iterations_done,
-            "t": list(self.t),
-            "flags": list(self.flags),
-            "table_topic": list(self.table_topic),
+            "t": self.t.copy(),
+            "flags": self.flags.copy(),
+            "table_topic": self.table_topic.copy(),
             "next_topic": self.next_topic,
             "rng": self.rng.bit_generator.state,
         }
@@ -779,7 +799,7 @@ class HDPSampler:
         if missing:
             raise SamplerError(f"the checkpoint has no {', '.join(missing)}")
         for key in ("t", "flags", "table_topic"):   # set_state reads flags=None as all 0
-            if type(state[key]) is not list:
+            if type(state[key]) not in (list, _Rows):   # JSON's lists, or `state_dict()`'s
                 raise SamplerError(f"{key} must be a list of lists")
         self.set_state(state["t"], state["table_topic"], state["flags"])
         next_topic, done, top = state["next_topic"], state["iterations_done"], max(self._columns())

@@ -1,10 +1,13 @@
 """Plain helpers shared by the test modules (fixtures live in conftest.py)."""
 
+import io
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 
 from qdtm.embeddings import EmbeddingTable
-from qdtm.pipeline import ParentTopicError
+from qdtm.pipeline import ParentTopicError, _CheckpointEncoder
 from qdtm.sampler import HDPSampler, Hyperparameters
 
 
@@ -59,3 +62,16 @@ def parent_subcorpus_oracle(sampler: HDPSampler,
     if not sub_docs:
         raise ParentTopicError(f"parent topic {parent} claimed no tokens")
     return sub_docs, support
+
+
+def checkpoint_text(state: dict) -> str:
+    """The text `fit --checkpoint` writes for a `state_dict()`."""
+    out = io.StringIO()
+    json.dump(state, out, allow_nan=False, cls=_CheckpointEncoder)
+    return out.getvalue()
+
+
+def start_topics_oracle(rng: np.random.Generator, free: list[int], n_docs: int) -> list[int]:
+    """`HDPSampler.initialize`'s start topic of each document, drawn by one
+    generator call per document."""
+    return [free[int(rng.integers(len(free)))] for _ in range(n_docs)]

@@ -410,6 +410,15 @@ def test_checkpoint_t_that_is_not_a_list_of_lists_is_validation_error(
                             "t must be a list of lists")
 
 
+def test_checkpoint_ahead_of_iters1_is_validation_error(small_corpus, tmp_path, capsys):
+    assert _fit_with_checkpoint(small_corpus, tmp_path, "--iters1", "8") == EXIT_OK
+    state = json.loads((tmp_path / "ck.json").read_text())
+    _assert_resume_rejected(small_corpus, tmp_path, capsys, state,
+                            "it holds 8 phase-1 sweeps, more than iterations_phase1 = 3")
+    assert _fit_with_checkpoint(small_corpus, tmp_path, "--iters1", "8") == EXIT_OK
+    assert json.loads((tmp_path / "ck.json").read_text())["iterations_done"] == 8
+
+
 def test_checkpoint_resumes_with_more_iterations_and_another_floor(small_corpus, tmp_path):
     assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
     assert _fit_with_checkpoint(small_corpus, tmp_path, "--iters1", "4",

@@ -1,6 +1,8 @@
 """The compiled sweep against the pure-Python oracle, and how it is built and loaded."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -16,7 +18,7 @@ from qdtm import _native
 from qdtm.concepts import extract_concept_words
 from qdtm.embeddings import build_promotion
 from qdtm.retrieval import parse_query, retrieve
-from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters
+from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters, _Rows
 from qdtm.synth import SyntheticSpec
 
 from helpers import sampler_cases
@@ -95,6 +97,31 @@ def test_kernel_equals_the_oracle_on_a_larger_corpus():
     assert_same_state(kernel, oracle)
 
 
+def test_kernel_weights_equal_the_oracle_on_a_state_with_promotion_counts():
+    """Every word's weights in every document, on a state built with flagged
+    tokens. At u = 0.3 and beta = 0.13 the predictive of a cell with one unit
+    and one promotion depends on the order of its sum, so a reordered sum in
+    the kernel shows on every run, not only when a drawn state holds such a cell."""
+    docs = [[0, 1, 2, 3, 0, 4], [1, 3, 0, 0, 2], [4, 4, 1, 5]]
+    hp = Hyperparameters(initial_topics=3, beta=0.13, promotion_weight=0.3)
+    kwargs = dict(promotion={0: [(0, True), (1, False), (2, False)], 1: [(3, False)],
+                             4: [(4, True), (0, False), (5, False)]})
+    state = ([[0, 0, 1, 1, 2, 0], [0, 1, 2, 2, 0], [0, 1, 0, 1]],
+             [[1, 2, 3], [2, 1, 3], [1, 3]],
+             [[1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 0], [1, 0, 0, 0]])
+    kernel = HDPSampler(docs, 6, hp, 0, **kwargs)
+    oracle = OracleSampler(docs, 6, hp, 0, **kwargs)
+    kernel.set_state(*state)
+    oracle.set_state(*state)
+    u, beta = hp.promotion_weight, hp.beta
+    units, promos = kernel.nkw_units[1][1], kernel.nkw_promos[1][1]
+    assert units + u * promos + beta != units + (u * promos + beta)
+    for j in range(len(docs)):
+        for w in range(6):
+            assert kernel.table_weights(j, w) == oracle.table_weights(j, w)
+            assert kernel.topic_weights(j, w) == oracle.topic_weights(j, w)
+
+
 def test_single_steps_reject_arguments_outside_the_state():
     s = HDPSampler([[0, 1, 2], [2]], 3, Hyperparameters(initial_topics=2), seed=0,
                    promotion={0: [(0, True)]})
@@ -114,6 +141,38 @@ def test_single_steps_reject_arguments_outside_the_state():
     s._ensure_table(0, t, k)
     s._attach(0, 2, t, 0)
     s.check_invariants()
+
+
+# ------------------------------------------------------------------- text
+
+
+ROW_VALUES = st.one_of(st.sampled_from([-2**63, 2**63 - 1, -1, 0]),
+                       st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(ROW_VALUES, max_size=6), st.integers(0, 2)), max_size=8))
+def test_row_text_is_json_dumps_and_repr_of_the_rows(padded_rows):
+    """Rows at offsets with unused entries between them, as table slots are."""
+    flat, ptr = [], []
+    for row, gap in padded_rows:
+        ptr.append(len(flat))
+        flat += row + [7] * gap
+    rows = _Rows(np.array(flat, np.int64), np.array(ptr, np.int64),
+                 np.array([len(row) for row, _ in padded_rows], np.int64))
+    assert rows.json() == json.dumps(list(rows)) == repr(list(rows))
+    assert list(rows) == [row for row, _ in padded_rows]
+
+
+def test_every_exported_kernel_function_has_a_signature():
+    """ctypes passes the arguments of a function it has no argtypes for as C
+    ints, which truncate 64-bit pointers."""
+    with open(_native.SOURCE) as fh:
+        prototypes = re.findall(r"^int64_t (qd_\w+)\(([^)]*)\)", fh.read(), re.M)
+    assert len(prototypes) > 10
+    arity = {name: 0 if params.strip() in ("", "void") else params.count(",") + 1
+             for name, params in prototypes}
+    assert arity == {name: len(args) for name, args in _native.SIGNATURES.items()}
 
 
 # ------------------------------------------------------------------- build

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qdtm.sampler import M_TOTAL, ConsistencyError, HDPSampler, Hyperparameters, SamplerError
 
+from helpers import checkpoint_text, sampler_cases, start_topics_oracle
 from sampler_oracle import UniformStream, _sum
 
 
@@ -89,6 +91,18 @@ def test_initialize_pins_concept_words():
                 assert k != 0  # base topic drawn among non-parents
     assert s.nkw_units[0][2] == 3
     s.check_invariants()
+
+
+@pytest.mark.parametrize("n_free", [1, 2, 3, 7, 19, 1000])
+def test_initialize_draws_the_start_topics_of_the_per_document_loop(n_free):
+    docs = [[0, 1], [1], [2, 0, 1]] * 13
+    for seed in range(20):
+        s = HDPSampler(docs, 3, small_hp(initial_topics=n_free + 1), seed=seed, n_parents=1)
+        s.initialize()
+        rng = np.random.default_rng(seed)
+        assert ([row[0] for row in s.table_topic]
+                == start_topics_oracle(rng, list(range(1, n_free + 1)), len(docs)))
+        assert s.rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_predictive_prob_symmetric_prior():
@@ -476,13 +490,36 @@ def test_checkpoint_roundtrip():
     s = HDPSampler([list(d) for d in docs], 15, small_hp(), seed=21)
     s.initialize()
     s.run(5)
-    state = json.loads(json.dumps(s.state_dict()))
+    state = s.state_dict()
+    text = checkpoint_text(state)
     s2 = HDPSampler([list(d) for d in docs], 15, small_hp(), seed=99)
-    s2.load_state_dict(state)
+    s2.load_state_dict(json.loads(text))
     s2.check_invariants()
     s.run(5)
     s2.run(5)
     assert s.t == s2.t and s.table_topic == s2.table_topic
+    assert checkpoint_text(state) == text   # a snapshot, not a view of the live rows
+
+
+def fingerprint_oracle(s: HDPSampler) -> str:
+    """The fingerprint as the digest of `repr` of its inputs, docs first."""
+    hp = s.hp
+    digest = hashlib.sha256(repr((
+        s.docs, s.V, s.base_density, s.n_parents,
+        sorted(s.forced_topic.items()), sorted(s.parent_representatives.items()),
+        sorted(s.promo_rows.items()), hp.n_representatives,
+        [float(x) for x in (hp.alpha, hp.beta, hp.gamma, s.u)])).encode())
+    if s.embedding_norms is not None:
+        digest.update(s.embedding_norms.tobytes())
+    return digest.hexdigest()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler_cases())
+def test_fingerprint_is_the_digest_of_the_repr_of_its_inputs(case):
+    docs, V, hp, seed, kwargs, _ = case
+    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    assert s.fingerprint == fingerprint_oracle(s)
 
 
 @st.composite
@@ -519,7 +556,7 @@ def test_resume_equals_uninterrupted_run(case):
     first.initialize()
     first.run(a)
     resumed = HDPSampler(docs, V, hp, seed + 1, **kwargs)
-    resumed.load_state_dict(json.loads(json.dumps(first.state_dict())))
+    resumed.load_state_dict(json.loads(checkpoint_text(first.state_dict())))
     resumed.run(b, check_invariants=True)
     assert resumed.t == full.t and resumed.flags == full.flags
     assert resumed.table_topic == full.table_topic
