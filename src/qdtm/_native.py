@@ -43,7 +43,8 @@ class State(ctypes.Structure):
         ("nkw_units", _P), ("nkw_promos", _P), ("scal", _P), ("tilde", _P), ("tilde_row", _P),
         ("u", ctypes.c_double), ("beta", ctypes.c_double), ("alpha", ctypes.c_double),
         ("gamma", ctypes.c_double), ("base_density", ctypes.c_double),
-        ("next_double", NEXT_DOUBLE), ("rng_state", _P), ("work", _P), ("err", _P),
+        ("next_double", NEXT_DOUBLE), ("rng_state", _P), ("work", _P), ("slot_map", _P),
+        ("err", _P),
     ]
 
 
@@ -51,6 +52,7 @@ _S = ctypes.POINTER(State)
 SIGNATURES = {   # name -> argument types; every function returns int64
     "qd_state_size": [],
     "qd_sweep": [_S, _I],
+    "qd_compact": [_S],
     "qd_detach": [_S, _I, _I, _P],
     "qd_attach": [_S, _I, _I, _I, _I],
     "qd_ensure_table": [_S, _I, _I, _I],

@@ -10,6 +10,7 @@ import numpy as np
 from .corpus import Vocabulary
 
 logger = logging.getLogger(__name__)
+NORMAL_MIN = float(np.finfo(np.float64).tiny)   # the smallest normal float64
 
 
 class EmbeddingError(ValueError):
@@ -18,6 +19,16 @@ class EmbeddingError(ValueError):
 
 class EmbeddingFormatError(EmbeddingError):
     pass
+
+
+class EmbeddingLengthError(EmbeddingFormatError):
+    """Nonzero vectors whose squared length overflows or falls below the
+    normal floats: their unit rows would be zeros, or off unit length."""
+
+    def __init__(self, where: str, words: list[int]):
+        super().__init__(f"{where}: the vector's length is too large or too small for a "
+                         f"float64 to hold its square, so it has no unit direction")
+        self.words = words
 
 
 class EmbeddingTable:
@@ -40,7 +51,13 @@ class EmbeddingTable:
         # one length per row, through the same dot as np.linalg.norm of a
         # vector: a norm over axis 1 rounds some lengths differently, and the
         # checkpoint fingerprint hashes these bits
-        lengths = np.sqrt([row @ row for row in self.matrix])[:, None]
+        with np.errstate(over="ignore"):
+            squared = np.array([row @ row for row in self.matrix])
+        lost = np.flatnonzero(self.matrix.any(axis=1)
+                              & ~((squared >= NORMAL_MIN) & (squared < math.inf)))
+        if lost.size:
+            raise EmbeddingLengthError(f"word id {lost[0]}", lost.tolist())
+        lengths = np.sqrt(squared)[:, None]
         self.norms = np.divide(self.matrix, lengths, out=np.zeros_like(self.matrix),
                                where=lengths > 0)
 
@@ -56,10 +73,12 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     """Load whitespace-separated text vectors for in-vocabulary tokens.
 
     An optional "count dim" header line is auto-detected. Inconsistent
-    dimensions, malformed floats and non-finite values are format errors
+    dimensions, malformed floats, non-finite values and an in-vocabulary
+    vector with no unit direction (`EmbeddingLengthError`) are format errors
     naming the line.
     """
     vectors: dict[int, np.ndarray] = {}
+    line_of: dict[int, int] = {}
     dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -88,12 +107,17 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
                 raise EmbeddingFormatError(
                     f"line {lineno}: dimension {len(vec)} != expected {dim}")
             if token in vocab:
-                vectors[vocab.id_of(token)] = vec
+                wid = vocab.id_of(token)
+                vectors[wid], line_of[wid] = vec, lineno
     if not vectors:
         raise EmbeddingError(f"no in-vocabulary vectors found in {path}")
     logger.info("loaded %d vectors (dim %d), coverage %.1f%%",
                 len(vectors), dim, 100 * len(vectors) / len(vocab))
-    return EmbeddingTable(dim, vectors, len(vocab))
+    try:
+        return EmbeddingTable(dim, vectors, len(vocab))
+    except EmbeddingLengthError as e:
+        raise EmbeddingLengthError(f"line {min(line_of[w] for w in e.words)}",
+                                   e.words) from None
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,8 +15,9 @@ The state lives in flat numpy buffers that the compiled per-token steps
   table count. `_order` lists the live columns in `m_k` insertion order, in
   which the new-table mixture is summed; `_by_id` lists them by ascending
   topic id, in which a topic is picked. Both orders are visible to the RNG.
-The integer counts are the only count state; the kernel and `_predictive`
-compute f_k(w) = (n_kw + beta) / (n_k + V beta) from them by one expression.
+The integer counts are the only count state; the kernel, `phi` and
+`refresh_cohesion` compute f_k(w) = (n_kw + beta) / (n_k + V beta) from them
+by one expression.
 The attributes the rest of qdtm reads (`t`, `flags`, `table_topic`, `m_k`,
 `nkw_units`, ...) are read-only views of these buffers holding plain ints.
 """
@@ -182,6 +183,7 @@ class HDPSampler:
         self._promo_self = np.array([bool(s) for _, s in entries], dtype=np.int8)
         self._err = np.zeros(3, dtype=np.int64)
         self._out = np.zeros(3, dtype=np.int64)
+        self._slot_map = np.empty(int(self._lengths.max()), np.int32)   # `qd_compact`'s scratch
         # cohesion cache (refreshed once per iteration)
         self.tilde: np.ndarray | None = None
         self.topic_row: dict[int, int] = {}
@@ -479,7 +481,8 @@ class HDPSampler:
                 "words", "doc_ptr", "forced", "promo_ptr", "promo_target", "promo_self",
                 "tok_t", "tok_flag", "n_tab", "tab_col", "tab_units", "tab_promos",
                 "topic_of", "order", "by_id", "m", "nk_units", "nk_promos",
-                "nkw_units", "nkw_promos", "scal", "tilde_row", "work", "err")})
+                "nkw_units", "nkw_promos", "scal", "tilde_row", "work", "slot_map",
+                "err")})
         self._sync_tilde()
 
     def _sync_tilde(self) -> None:
@@ -578,43 +581,56 @@ class HDPSampler:
 
     # -------------------------------------------------------------- cohesion
 
-    def representatives(self, k: int) -> tuple[list[int], list[float]]:
-        """Representative words of a topic with their topic-word probabilities.
-
-        Parent topics use their concept words; every other topic uses its
-        top-M words by count (ties by word id).
-        """
-        if k in self.parent_representatives:
-            reps = list(self.parent_representatives[k])
-        else:
-            reps = _top(self.counts(k), self.hp.n_representatives)
-        return reps, self._predictive(k, reps).tolist()
-
     def refresh_cohesion(self) -> None:
         """Rebuild CV and its per-word rank normalization for live topics.
 
-        CV[k,w] = sum_m p(k,m) cos(w, rep_m); per word, live topics ranked by
-        CV ascending get equally spaced values 0..1 (single topic -> 1).
+        CV[k,w] = sum_m p(k,m) cos(w, rep_m) over topic k's representative
+        words rep_m with their probabilities p(k,m) = f_k(rep_m): a parent's
+        concept words, or another topic's top-M words by count, ties by word
+        id. Per word, live topics ranked by CV ascending get equally spaced
+        values 0..1 (single topic -> 1).
+
+        All topics are done at once, in ascending topic id, and each row of
+        r_k = sum_m p(k,m) norms[rep_m] adds its terms in rank order, so CV
+        has the bits of a per-topic loop.
         """
-        if self.embedding_norms is None:
+        norms = self.embedding_norms
+        if norms is None:
             return
-        topics = self.live_topics()
+        u, beta = self.u, self.hp.beta
+        cols = self._by_id[:self._scal[N_LIVE]]
+        topics = self._topic_of[cols].tolist()
+        units, promos = self._nkw_units[:, cols], self._nkw_promos[:, cols]
+        den = self._nk_units[cols] + u * self._nk_promos[cols] + self.V * beta
+
+        def prob(words, at):   # f_k(words) of the topics in rows `at`, as `phi` has it
+            return (units[words, at] + u * promos[words, at] + beta) / den[at]
+
         T = len(topics)
-        cv = np.zeros((T, self.V))
-        for row, k in enumerate(topics):
-            reps, probs = self.representatives(k)
-            r = np.zeros(self.embedding_norms.shape[1])
-            for wid, p in zip(reps, probs):
-                r += p * self.embedding_norms[wid]
-            cv[row] = self.embedding_norms @ r
+        r = np.zeros((T, norms.shape[1]))
+        plain = np.array([i for i, k in enumerate(topics)
+                          if k not in self.parent_representatives], dtype=np.intp)
+        top = np.argsort(-(units[:, plain] + u * promos[:, plain]), axis=0,
+                         kind="stable")[:self.hp.n_representatives]
+        p, sums = prob(top, plain), r[plain]
+        for m in range(len(top)):
+            sums += p[m][:, None] * norms[top[m]]
+        r[plain] = sums
+        for i, k in enumerate(topics):
+            if k in self.parent_representatives:
+                reps = np.array(self.parent_representatives[k], dtype=np.intp)
+                for w, pw in zip(reps, prob(reps, i)):
+                    r[i] += pw * norms[w]
+        cv = np.empty((T, self.V))
+        for i in range(T):   # one product per row: a single r @ norms.T rounds differently
+            cv[i] = norms @ r[i]
         if T == 1:
             tilde = np.ones_like(cv)
         else:
             order = np.argsort(cv, axis=0, kind="stable")
             levels = np.linspace(0.0, 1.0, T)
             tilde = np.empty_like(cv)
-            cols = np.arange(self.V)[None, :]
-            tilde[order, cols] = levels[:, None]
+            tilde[order, np.arange(self.V)[None, :]] = levels[:, None]
         self.cv = cv
         self.tilde = tilde
         self.topic_row = {k: row for row, k in enumerate(topics)}
@@ -630,22 +646,9 @@ class HDPSampler:
             self._grow()   # every column was in use; resume at token p
 
     def compact_tables(self) -> None:
-        """Drop dead table slots and remap token assignments."""
-        live = self._tab_col >= 0
-        seen = np.cumsum(live, dtype=np.int32)   # live slots up to each position
-        if seen[-1] == self._n_tab.sum():
-            return
-        starts = self._doc_ptr[:-1]
-        before = seen[starts] - live[starts]     # live slots before each document
-        self._n_tab[:] = seen[self._doc_ptr[1:] - 1] - before
-        first = np.repeat(before, self._lengths)
-        src = np.flatnonzero(live)
-        dst = self._tok_base[src] + seen[src] - 1 - first[src]
-        for buf, empty in ((self._tab_col, -1), (self._tab_units, 0), (self._tab_promos, 0)):
-            kept = buf[src]
-            buf.fill(empty)
-            buf[dst] = kept
-        self._tok_t[:] = seen[self._tok_base + self._tok_t] - 1 - first
+        """Drop dead table slots and remap token assignments, keeping the
+        live slots' order."""
+        self._kernel(self._lib.qd_compact)
 
     def run(self, iterations: int, check_invariants: bool = False) -> None:
         """Main Gibbs loop: refresh the cohesion cache, sweep every token."""
@@ -717,16 +720,12 @@ class HDPSampler:
         return (self._nkw_units[:, c].astype(float)
                 + self.u * self._nkw_promos[:, c].astype(float))
 
-    def _predictive(self, k: int, words=slice(None)) -> np.ndarray:
-        """f_k(w) = (n_kw + beta) / (n_k + V beta) of topic k at `words`, by the
-        kernel's expression and order of additions."""
-        c, u, beta = self._columns()[k], self.u, self.hp.beta
-        num = self._nkw_units[words, c] + u * self._nkw_promos[words, c] + beta
-        return num / (self._nk_units[c] + u * self._nk_promos[c] + self.V * beta)
-
     def phi(self, k: int) -> np.ndarray:
-        """Topic-word distribution (n_kw + beta) / (n_k + V beta)."""
-        return self._predictive(k)
+        """Topic-word distribution f_k(w) = (n_kw + beta) / (n_k + V beta), by
+        the kernel's expression and order of additions."""
+        c, u, beta = self._columns()[k], self.u, self.hp.beta
+        num = self._nkw_units[:, c] + u * self._nkw_promos[:, c] + beta
+        return num / (self._nk_units[c] + u * self._nk_promos[c] + self.V * beta)
 
     def theta(self) -> tuple[list[int], np.ndarray]:
         """Document-topic proportions from table masses, smoothed by alpha/K."""

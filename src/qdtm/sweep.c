@@ -16,8 +16,8 @@
  * document never holds more slots than tokens, because a slot is appended
  * only when every slot is live and each live slot seats a token.
  *
- * `qd_format_rows` writes per-document rows as text, for the checkpoint and
- * the sampler's fingerprint.
+ * `qd_compact` drops the dead slots between sweeps. `qd_format_rows` writes
+ * per-document rows as text, for the checkpoint and the sampler's fingerprint.
  */
 #include <stdint.h>
 
@@ -54,6 +54,7 @@ typedef struct {
     next_double_fn next_double;
     void *rng_state;
     double *work;                /* 3 * cap + 2 * longest document + 4 */
+    int32_t *slot_map;           /* longest document: a slot's index after compaction */
     int64_t *err;                /* 3 integers describing a failure */
 } qd_state;
 
@@ -338,6 +339,39 @@ int64_t qd_sweep(qd_state *s, int64_t p0) {
         attach(s, j, i, t, draw_flag(s, w, c));
     }
     return n_tokens;
+}
+
+/* Drop dead table slots: in each document the live slots move down in slot
+ * order, its tokens follow their tables and the freed tail is cleared, so
+ * every slot at or past n_tab stays dead and empty. */
+int64_t qd_compact(qd_state *s) {
+    for (int64_t j = 0; j < s->n_docs; j++) {
+        const int64_t base = s->doc_ptr[j], nt = s->n_tab[j];
+        int32_t n = 0;
+        for (int64_t t = 0; t < nt; t++) {
+            if (s->tab_col[base + t] < 0)
+                continue;
+            s->slot_map[t] = n;
+            if (n < t) {
+                s->tab_col[base + n] = s->tab_col[base + t];
+                s->tab_units[base + n] = s->tab_units[base + t];
+                s->tab_promos[base + n] = s->tab_promos[base + t];
+            }
+            n++;
+        }
+        if (n == nt)
+            continue;
+        for (int64_t t = n; t < nt; t++) {
+            s->tab_col[base + t] = -1;
+            s->tab_units[base + t] = 0;
+            s->tab_promos[base + t] = 0;
+        }
+        for (int64_t p = base; p < s->doc_ptr[j + 1]; p++)
+            if (s->tok_t[p] >= 0)   /* a detached token (-1) stays detached */
+                s->tok_t[p] = s->slot_map[s->tok_t[p]];
+        s->n_tab[j] = n;
+    }
+    return 0;
 }
 
 /* ---- the single steps, for the Python wrappers; indices are checked ---- */

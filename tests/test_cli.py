@@ -474,6 +474,20 @@ def test_non_finite_embedding_value_is_validation_error(small_corpus, tmp_path, 
     assert not out.exists() and result.read_bytes() == before
 
 
+def test_embedding_with_no_unit_direction_is_validation_error(small_corpus, tmp_path, capsys):
+    lines = (tmp_path / "vec.txt").read_text().splitlines()
+    lineno = next(n for n, line in enumerate(lines, start=1) if line.startswith("w0090 "))
+    token, *values = lines[lineno - 1].split()
+    lines[lineno - 1] = " ".join([token] + ["1e200"] * len(values))   # its square overflows
+    bad = tmp_path / "vec_huge.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["expand", "--corpus", str(small_corpus), "--query", "w0090", "--method", "rel",
+               "--embeddings", str(bad)])
+    assert rc == EXIT_VALIDATION
+    assert f"line {lineno}: the vector's length" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_duplicate_document_id_is_validation_error(small_corpus, tmp_path, capsys):
     corpus = tmp_path / "dup.jsonl"
     lines = small_corpus.read_text().splitlines()

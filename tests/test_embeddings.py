@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qdtm.corpus import ingest
-from qdtm.embeddings import (EmbeddingError, EmbeddingFormatError, build_promotion,
-                             cosine, load_embeddings)
+from qdtm.embeddings import (EmbeddingError, EmbeddingFormatError, EmbeddingLengthError,
+                             EmbeddingTable, build_promotion, cosine, load_embeddings)
 from qdtm.sampler import Hyperparameters, SamplerError
 
 
@@ -41,6 +41,30 @@ def test_load_non_finite_value_names_line(tmp_path, vocab4, value):
     path.write_text(f"aa 1.0 2.0\nbb 1.0 {value}\n")
     with pytest.raises(EmbeddingFormatError, match="line 2: non-finite"):
         load_embeddings(path, vocab4)
+
+
+@pytest.mark.parametrize("values", ["1e200 1e200", "1e-200 2e-200", "0 -1e-170"])
+def test_load_vector_whose_length_overflows_or_underflows_names_line(tmp_path, vocab4, values):
+    """Its squared length is inf or below the smallest normal float, so its
+    unit row would be all zeros, or off unit length, with `embedded` True."""
+    path = tmp_path / "bad.txt"
+    path.write_text(f"aa 1.0 2.0\nbb {values}\n")
+    with pytest.raises(EmbeddingFormatError, match="line 2: the vector's length"):
+        load_embeddings(path, vocab4)
+
+
+def test_table_refuses_a_vector_with_no_unit_direction():
+    with pytest.raises(EmbeddingLengthError, match="word id 2: the vector's length"):
+        EmbeddingTable(2, {0: np.array([1.0, 0.0]), 2: np.array([1e-170, 0.0]),
+                           3: np.array([1e170, 1e170])}, 4)
+
+
+def test_load_keeps_extreme_but_representable_vectors_and_zero_vectors(tmp_path, vocab4):
+    path = tmp_path / "ok.txt"
+    path.write_text("aa 1e150 1e150\nbb 1e-150 -1e-150\ncc 0 0\n")
+    table = load_embeddings(path, vocab4)
+    assert np.allclose(table.norms[:2], [[2 ** -0.5, 2 ** -0.5], [2 ** -0.5, -2 ** -0.5]])
+    assert table.embedded[2] and not table.norms[2].any()
 
 
 def test_load_dimension_mismatch_names_line(tmp_path, vocab4):

@@ -45,11 +45,23 @@ def assert_same_state(kernel: HDPSampler, oracle: OracleSampler) -> None:
     for k, c in oracle._col.items():   # phi from the counts, against the oracle's cache
         assert kernel.phi(k).tolist() == [n / oracle._den[c] for n in oracle._num[c]]
     assert generator_state(kernel.rng) == generator_state(oracle.rng)
+    assert_same_cohesion(kernel, oracle)
     # the weights hold what no state does: the mixture sum and the topic order
     for j, doc in enumerate(oracle.docs):
         for w in sorted(set(doc)):
             assert kernel.table_weights(j, w) == oracle.table_weights(j, w)
             assert kernel.topic_weights(j, w) == oracle.topic_weights(j, w)
+
+
+def assert_same_cohesion(kernel: HDPSampler, oracle: OracleSampler) -> None:
+    """The cohesion cache bit for bit: a `cv` change that moves no rank would
+    leave every draw alone."""
+    assert (kernel.tilde is None) == (oracle.tilde is None)
+    if oracle.tilde is not None:
+        assert kernel.cv.shape == oracle.cv.shape and kernel.tilde.shape == oracle.tilde.shape
+        assert kernel.cv.tobytes() == oracle.cv.tobytes()
+        assert kernel.tilde.tobytes() == oracle.tilde.tobytes()
+        assert kernel.topic_row == oracle.topic_row
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,6 +134,64 @@ def test_kernel_weights_equal_the_oracle_on_a_state_with_promotion_counts():
             assert kernel.topic_weights(j, w) == oracle.topic_weights(j, w)
 
 
+def unit_rows(V: int, dim: int, seed: int) -> np.ndarray:
+    norms = np.random.default_rng(seed).normal(size=(V, dim))
+    return norms / np.linalg.norm(norms, axis=1, keepdims=True)
+
+
+# docs, V, hp, state (t, table_topic[, flags]), embedding norms, sampler keywords
+COHESION_CASES = {
+    "fewer words than M": (
+        [[0, 1, 2, 3, 1], [2, 2, 3]], 4, Hyperparameters(initial_topics=2, beta=0.13),
+        ([[0, 0, 1, 1, 0], [0, 0, 1]], [[0, 1], [1, 0]]), unit_rows(4, 3, 0), {}),
+    "one live topic": (
+        [[0, 1, 1], [2]], 3, Hyperparameters(initial_topics=1),
+        ([[0, 0, 0], [0]], [[5], [5]]), unit_rows(3, 2, 1), {}),
+    "tied counts": (   # topic 0 holds words 1, 2, 3 once and word 4 twice
+        [[3, 1, 2, 4, 4], [0, 0, 2]], 5, Hyperparameters(initial_topics=2, n_representatives=2),
+        ([[0, 0, 0, 0, 0], [0, 0, 0]], [[0], [1]]), np.eye(5), {}),
+    "promotion mass": (
+        [[0, 1, 0, 2], [1, 2, 2]], 3,
+        Hyperparameters(initial_topics=2, n_representatives=2, promotion_weight=0.3),
+        ([[0, 1, 0, 1], [0, 1, 1]], [[0, 1], [0, 1]], [[1, 0, 1, 0], [0, 0, 0]]),
+        unit_rows(3, 4, 2), dict(promotion={0: [(0, True), (2, False)]})),
+    "empty parent list": (
+        [[2, 0, 1], [2, 1]], 3, Hyperparameters(initial_topics=2),
+        ([[0, 1, 1], [0, 1]], [[0, 1], [0, 1]]), unit_rows(3, 2, 3),
+        dict(forced_topic={2: 0}, n_parents=1, parent_representatives={0: []})),
+    "parent list longer than M": (
+        [[2, 0, 1, 3], [2, 1, 3]], 4, Hyperparameters(initial_topics=3, n_representatives=1),
+        ([[0, 1, 2, 0], [0, 1, 0]], [[0, 1, 2], [0, 2]]), unit_rows(4, 3, 4),
+        dict(forced_topic={2: 0, 3: 0}, n_parents=1, parent_representatives={0: [3, 0, 2]})),
+    "zero embedding row": (
+        [[1, 1, 0], [2, 1, 3]], 4, Hyperparameters(initial_topics=2),
+        ([[0, 0, 1], [0, 1, 1]], [[0, 1], [1, 0]]),
+        np.vstack([unit_rows(1, 3, 5), np.zeros(3), unit_rows(2, 3, 6)]), {}),
+}
+
+
+@pytest.mark.parametrize("case", list(COHESION_CASES))
+def test_cohesion_cache_equals_the_oracle(case):
+    docs, V, hp, state, norms, kwargs = COHESION_CASES[case]
+    kernel = HDPSampler(docs, V, hp, 0, embedding_norms=norms, **kwargs)
+    oracle = OracleSampler(docs, V, hp, 0, embedding_norms=norms, **kwargs)
+    kernel.set_state(*state)
+    oracle.set_state(*state)
+    kernel.refresh_cohesion()
+    oracle.refresh_cohesion()
+    assert_same_cohesion(kernel, oracle)
+    cv = kernel.cv
+    if case == "one live topic":
+        assert kernel.tilde.tolist() == [[1.0, 1.0, 1.0]]
+    elif case == "tied counts":   # unit rows: a topic's CV is nonzero at its reps only
+        assert np.flatnonzero(cv[kernel.topic_row[0]]).tolist() == [1, 4]
+        assert np.flatnonzero(cv[kernel.topic_row[1]]).tolist() == [0, 2]
+    elif case == "empty parent list":
+        assert not cv[kernel.topic_row[0]].any() and cv[kernel.topic_row[1]].all()
+    elif case == "zero embedding row":
+        assert not cv[:, 1].any() and cv[:, [0, 2, 3]].all()
+
+
 def test_single_steps_reject_arguments_outside_the_state():
     s = HDPSampler([[0, 1, 2], [2]], 3, Hyperparameters(initial_topics=2), seed=0,
                    promotion={0: [(0, True)]})
@@ -141,6 +211,40 @@ def test_single_steps_reject_arguments_outside_the_state():
     s._ensure_table(0, t, k)
     s._attach(0, 2, t, 0)
     s.check_invariants()
+
+
+# ------------------------------------------------------------- compaction
+
+
+COMPACTION_DOCS = [[0, 1, 2], [1, 2, 3], [2, 3, 0], [0, 1], [3, 3, 1, 0]]
+COMPACTION_STATE = (   # dead slots first, in the middle and last; none; all but one
+    [[1, 2, 2], [0, 2, 0], [0, 1, 1], [0, 1], [1, 1, 1, 1]],
+    [[-1, 3, 4], [3, -1, 4], [3, 4, -1], [3, 4], [-1, 4, -1]],
+    [[1, 0, 0], [0, 0, 0], [0, 0, 1], [1, 0], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_compaction_equals_the_oracle(grow):
+    hp = Hyperparameters(initial_topics=2, promotion_weight=0.3)
+    kwargs = dict(promotion={0: [(0, True), (1, False)], 2: [(3, False)]})
+    kernel = HDPSampler(COMPACTION_DOCS, 4, hp, 5, **kwargs)
+    oracle = OracleSampler(COMPACTION_DOCS, 4, hp, 5, **kwargs)
+    kernel.set_state(*COMPACTION_STATE)
+    oracle.set_state(*COMPACTION_STATE)
+    if grow:
+        kernel._grow()
+    kernel.compact_tables()
+    oracle.compact_tables()
+    assert oracle.table_topic == [[3, 4], [3, 4], [3, 4], [3, 4], [4]]
+    assert_same_state(kernel, oracle)
+    slot = np.arange(len(kernel._tab_col)) - kernel._tok_base   # index in its document
+    past = slot >= np.repeat(kernel._n_tab, kernel._lengths)
+    assert (kernel._tab_col[past] == -1).all()
+    assert not kernel._tab_units[past].any() and not kernel._tab_promos[past].any()
+    kernel.check_invariants()
+    kernel.run(2, check_invariants=True)
+    oracle.run(2)
+    assert_same_state(kernel, oracle)
 
 
 # ------------------------------------------------------------------- text
@@ -176,6 +280,13 @@ def test_every_exported_kernel_function_has_a_signature():
 
 
 # ------------------------------------------------------------------- build
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    out = subprocess.run([*_native.compiler(), *_native.FLAGS, "-Wall", "-Wextra",
+                          "-Wconversion", "-Werror", "-o", str(tmp_path / "sweep.so"),
+                          _native.SOURCE], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def small_run() -> HDPSampler:

@@ -447,22 +447,23 @@ def test_cohesion_single_rep_identical_word():
                    embedding_norms=norms)
     s.set_state([[0, 0, 0, 0]], [[0]])
     s.refresh_cohesion()
-    reps, probs = s.representatives(0)
-    assert reps == [0]
-    # CV = p * cos(w, w) = p for the rep itself
-    assert s.cv[s.topic_row[0], 0] == pytest.approx(probs[0])
+    # the rep is word 0, so CV = p * cos(w, rep) is p for the rep itself and 0
+    # for the orthogonal word 1
+    assert s.cv[s.topic_row[0]].tolist() == [s.phi(0)[0], 0.0]
 
 
 def test_parent_representatives_are_concept_words():
+    """Topic 0 holds word 0 twice and its concept word 2 once; with M = 1 a
+    non-parent topic's rep would be word 0."""
     norms = np.eye(3)
-    docs = [[0, 1, 2]]
-    s = HDPSampler(docs, 3, small_hp(), seed=0, forced_topic={2: 0}, n_parents=1,
-                   parent_representatives={0: [2]},
-                   promotion={2: [(2, True)]},
-                   embedding_norms=norms)
-    s.initialize()
-    reps, _ = s.representatives(0)
-    assert reps == [2]  # concept words regardless of topic-word probabilities
+    docs = [[0, 0, 1, 2]]
+    s = HDPSampler(docs, 3, small_hp(initial_topics=2, n_representatives=1), seed=0,
+                   forced_topic={2: 0}, n_parents=1, parent_representatives={0: [2]},
+                   promotion={2: [(2, True)]}, embedding_norms=norms)
+    s.set_state([[0, 0, 1, 0]], [[0, 1]])
+    s.refresh_cohesion()
+    assert s.cv[s.topic_row[0]].tolist() == [0.0, 0.0, s.phi(0)[2]]
+    assert s.cv[s.topic_row[1]].tolist() == [0.0, s.phi(1)[1], 0.0]
 
 
 def test_flag_extremes_and_frequency():
