@@ -61,7 +61,6 @@ SIGNATURES = {   # name -> argument types; every function returns int64
     "qd_draw_table": [_S, _I, _I],
     "qd_draw_topic": [_S, _I, _P],
     "qd_draw_flag": [_S, _I, _I],
-    "qd_format_rows": [_P, _P, _P, _I, _P],
 }
 
 

@@ -16,7 +16,7 @@ from .concepts import (DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, ConceptWord
 from .corpus import Corpus
 from .embeddings import EmbeddingTable, build_promotion
 from .retrieval import DEFAULT_CUTOFF, DEFAULT_MU, parse_query, retrieve
-from .sampler import HDPSampler, Hyperparameters, SamplerError, _Rows
+from .sampler import HDPSampler, Hyperparameters, SamplerError
 
 logger = logging.getLogger(__name__)
 
@@ -111,26 +111,6 @@ def atomic_write(path: str):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-class _CheckpointEncoder(json.JSONEncoder):
-    """`json.dump` of a `state_dict()`, one top-level field at a time.
-
-    The per-document rows (`_Rows`) are written by the compiled formatter,
-    every other field by the C JSON encoder; the text equals `json.dumps` of
-    the state with its rows as lists.
-    """
-
-    def iterencode(self, o, _one_shot=False):
-        return super().iterencode(o, True) if _one_shot else self._fields(o)
-
-    def _fields(self, state: dict):
-        encode, sep = self.encode, self.item_separator
-        yield "{"
-        for n, (key, value) in enumerate(state.items()):
-            yield (sep if n else "") + encode(key) + self.key_separator
-            yield value.json() if isinstance(value, _Rows) else encode(value)
-        yield "}"
 
 
 def extract_parent_subcorpus(sampler: HDPSampler,
@@ -287,7 +267,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
         sampler.run(remaining, check_invariants=check_invariants)
     if checkpoint_path is not None:
         with atomic_write(checkpoint_path) as fh:
-            json.dump(sampler.state_dict(), fh, allow_nan=False, cls=_CheckpointEncoder)
+            json.dump(sampler.state_dict(), fh, allow_nan=False)
 
     topics, theta = sampler.theta()
     col = {k: c for c, k in enumerate(topics)}

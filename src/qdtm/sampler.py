@@ -37,6 +37,8 @@ import numpy as np
 N_LIVE, M_TOTAL, NEXT_TOPIC = range(3)          # the kernel's `scal` entries
 ERR_NEG_MASS, ERR_RETIRE, ERR_DEAD, ERR_FULL = -2, -3, -4, -5   # its failure codes
 COLUMN_HEADROOM = 4    # free topic columns at install, and at least this many per growth
+# the checkpoint's array fields, each stored as base64 of a little-endian array
+CHECKPOINT_ARRAYS = {"t": "<i4", "flags": "i1", "n_tab": "<i4", "table_topic": "<i8"}
 
 
 class SamplerError(ValueError):
@@ -100,22 +102,6 @@ class _Rows(Sequence):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
-
-    def copy(self) -> _Rows:
-        """The rows as they are now; later sweeps leave the copy as it is."""
-        return _Rows(self._flat.copy(), self._ptr, self._lengths.copy())
-
-    def json(self) -> str:
-        """`json.dumps(list(self))`, which is also `repr(list(self))`, written
-        by the compiled formatter."""
-        from . import _native
-        flat, ptr, lengths = (np.ascontiguousarray(a, np.int64)
-                              for a in (self._flat, self._ptr, self._lengths))
-        out = np.empty(22 * int(lengths.sum()) + 4 * len(lengths) + 2, np.uint8)
-        n = _native.library().qd_format_rows(flat.ctypes.data, ptr.ctypes.data,
-                                             lengths.ctypes.data, len(lengths),
-                                             out.ctypes.data)
-        return out[:n].tobytes().decode("ascii")
 
 
 class _TopicRows(Mapping):
@@ -334,38 +320,45 @@ class HDPSampler:
         Topics enter `m_k` in table order, parents first; `next_topic`
         follows the highest live id. The counts are built by array operations,
         not by the kernel's updates, so `check_invariants` can compare the two.
-        A state the sampler could not be in raises `SamplerError` naming the field.
+        A state the sampler could not be in raises `SamplerError` naming the
+        field, and leaves the sampler as it was.
         """
-        self._install(*self._checked(t_assignments, table_topics, flags))
+        lengths, n_tab = self._lengths, _row_lengths("table_topic", table_topics, len(self.docs))
+        self._install(*self._checked(
+            _flat_rows("t", t_assignments, lengths),
+            None if flags is None else _flat_rows("flags", flags, lengths),
+            n_tab, _flat_rows("table_topic", table_topics, n_tab)))
 
-    def _checked(self, t_assignments, table_topics, flags):
-        """The fields of a state as flat arrays (`tab`: the topic of every
-        slot), or `SamplerError` naming the first field that is wrong."""
+    def _checked(self, t: np.ndarray, fl: np.ndarray | None, n_tab: np.ndarray,
+                 topics: np.ndarray):
+        """The flat fields of a state (flags None: all 0; `topics`: each slot
+        in use, in document then slot order) made ready for `_install`, or
+        `SamplerError` naming the first field that is wrong. Reads only."""
         ptr, lengths, words, N = self._doc_ptr, self._lengths, self._words, len(self._words)
-        t = _flat_rows("t", t_assignments, lengths)
-        fl = np.zeros(N, np.int64) if flags is None else _flat_rows("flags", flags, lengths)
-        n_tab = _row_lengths("table_topic", table_topics, len(lengths))
-        over = np.flatnonzero(n_tab > lengths)
-        if over.size:
-            j = int(over[0])
-            raise SamplerError(f"table_topic[{j}] has {n_tab[j]} tables for "
-                               f"{lengths[j]} tokens")
-        topics = _flat_rows("table_topic", table_topics, n_tab)
-        slot_doc = np.repeat(np.arange(len(lengths)), n_tab)
-        tab_ptr = np.concatenate(([0], np.cumsum(n_tab)))
-        slot_pos = ptr[slot_doc] + np.arange(len(topics)) - tab_ptr[slot_doc]
-        if topics.size and topics.min() < -1:
-            s = int(np.argmax(topics < -1))
-            raise SamplerError(f"table_topic[{slot_doc[s]}][{s - tab_ptr[slot_doc[s]]}] = "
-                               f"{topics[s]} is neither a topic id nor -1")
+        fl = np.zeros(N, np.int8) if fl is None else fl
+        bad = np.flatnonzero((n_tab < 0) | (n_tab > lengths))
+        if bad.size:
+            j = int(bad[0])
+            raise SamplerError(f"n_tab[{j}] = {n_tab[j]} is not a table count of document "
+                               f"{j}, which has {lengths[j]} tokens")
+        if len(topics) != n_tab.sum():
+            raise SamplerError(f"table_topic has {len(topics)} entries for the "
+                               f"{n_tab.sum()} tables of n_tab")
+        slot_pos = self._slots_in_use(n_tab)
+        below = np.flatnonzero(topics < -1)
+        if below.size:
+            j, s = self._position(slot_pos[below[0]])
+            raise SamplerError(f"table_topic[{j}][{s}] = {topics[below[0]]} is neither a "
+                               "topic id nor -1")
         tab = np.full(N, -1, np.int64)
         tab[slot_pos] = topics
 
         def token_error(positions: np.ndarray, what: str):
             p = int(positions[0])
             j, i = self._position(p)
-            return SamplerError(what.format(j=j, i=i, t=t[p], f=fl[p], w=words[p],
-                                            n=n_tab[j], k=tab[ptr[j] + t[p]]))
+            return SamplerError(what.format(   # k: the topic of the token's table, if it has one
+                j=j, i=i, t=t[p], f=fl[p], w=words[p], n=n_tab[j],
+                k=tab[ptr[j] + t[p]] if 0 <= t[p] < n_tab[j] else None))
 
         outside = np.flatnonzero((t < 0) | (t >= np.repeat(n_tab, lengths)))
         if outside.size:
@@ -396,6 +389,11 @@ class HDPSampler:
             raise SamplerError(f"table_topic[{j}][{s}] = {tab[ptr[j] + s]} is live "
                                "but seats no token")
         return t.astype(np.int32), fl.astype(np.int8), n_tab, tab, slot
+
+    def _slots_in_use(self, n_tab: np.ndarray) -> np.ndarray:
+        """Buffer positions of the slots in use, in document then slot order."""
+        first = self._doc_ptr[:-1] - (np.cumsum(n_tab) - n_tab)   # slot minus entry index
+        return np.arange(n_tab.sum()) + np.repeat(first, n_tab)
 
     def _install(self, t: np.ndarray, fl: np.ndarray, n_tab: np.ndarray,
                  tab: np.ndarray, slot: np.ndarray) -> None:
@@ -753,55 +751,60 @@ class HDPSampler:
 
     @functools.cached_property
     def fingerprint(self) -> str:
-        """Digest of what phase-1 sampling depends on: the token stream, V,
-        the constraints, the promotion rows, the embedding norms and alpha,
-        beta, gamma, u and M; not the seed, iteration counts or phase 2.
-        Computed once per sampler, since none of these change after construction."""
+        """Digest of what phase-1 sampling depends on: `repr` of the document and
+        token counts, V, the constraints, promotion rows, alpha, beta, gamma, u
+        and M, then the bytes of the document lengths, token ids and embedding
+        norms; not the seed, iteration counts or phase 2. Computed once per sampler."""
         import hashlib   # loads OpenSSL, 3.4 MB resident; only checkpoints need it
         hp = self.hp
-        rest = repr((self.V, self.base_density, self.n_parents,
-                     sorted(self.forced_topic.items()), sorted(self.parent_representatives.items()),
-                     sorted(self.promo_rows.items()), hp.n_representatives,
-                     [float(x) for x in (hp.alpha, hp.beta, hp.gamma, self.u)]))
-        # the text of repr((docs, V, ...)), the token stream formatted in C
-        docs = _Rows(self._words, self._doc_ptr, self._lengths).json()
-        digest = hashlib.sha256(f"({docs}, {rest[1:]}".encode())
-        if self.embedding_norms is not None:
-            digest.update(self.embedding_norms.tobytes())
+        digest = hashlib.sha256(repr((
+            len(self.docs), len(self._words), self.V, self.base_density, self.n_parents,
+            sorted(self.forced_topic.items()), sorted(self.parent_representatives.items()),
+            sorted(self.promo_rows.items()), hp.n_representatives,
+            [float(x) for x in (hp.alpha, hp.beta, hp.gamma, self.u)])).encode())
+        for a in (self._lengths, self._words, self.embedding_norms):
+            if a is not None:
+                digest.update(a.tobytes())
         return digest.hexdigest()
 
     def state_dict(self) -> dict:
-        """The phase-1 state as of now. Its rows are `_Rows`, which
-        `pipeline._CheckpointEncoder` writes and `load_state_dict` reads."""
+        """The phase-1 state as of now, as JSON values. The fields in
+        `CHECKPOINT_ARRAYS` are base64 text of little-endian arrays: `t` and
+        `flags` per token, `n_tab` per document and `table_topic` per slot in
+        use, in document then slot order."""
+        import base64   # like hashlib, only checkpoints need it
+        cols = self._tab_col[self._slots_in_use(self._n_tab)]
+        arrays = {"t": self._tok_t, "flags": self._tok_flag, "n_tab": self._n_tab,
+                  "table_topic": np.where(cols >= 0, self._topic_of[cols], -1)}
         return {
-            "format": "qdtm-checkpoint-v2",
+            "format": "qdtm-checkpoint-v3",
             "fingerprint": self.fingerprint,
             "iterations_done": self.iterations_done,
-            "t": self.t.copy(),
-            "flags": self.flags.copy(),
-            "table_topic": self.table_topic.copy(),
+            **{key: base64.b64encode(a.astype(CHECKPOINT_ARRAYS[key], copy=False)).decode()
+               for key, a in arrays.items()},
             "next_topic": self.next_topic,
             "rng": self.rng.bit_generator.state,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Resume from `state_dict()`; a field the sampler could not have
-        written raises `SamplerError` naming it."""
+        """Resume from `state_dict()`. Every field is checked before any is
+        installed: one the sampler could not have written raises
+        `SamplerError` naming it and leaves the sampler as it was."""
         fmt = state.get("format") if isinstance(state, dict) else None
-        if fmt != "qdtm-checkpoint-v2":
+        if fmt != "qdtm-checkpoint-v3":
             raise SamplerError(f"unsupported checkpoint format: {fmt!r}")
         if state.get("fingerprint") != self.fingerprint:
             raise SamplerError("fingerprint mismatch: the checkpoint was written for "
                                "another corpus, query or sampling hyperparameters")
-        missing = [key for key in ("iterations_done", "t", "flags", "table_topic",
-                                   "next_topic", "rng") if key not in state]
+        missing = [key for key in ("iterations_done", *CHECKPOINT_ARRAYS, "next_topic", "rng")
+                   if key not in state]
         if missing:
             raise SamplerError(f"the checkpoint has no {', '.join(missing)}")
-        for key in ("t", "flags", "table_topic"):   # set_state reads flags=None as all 0
-            if type(state[key]) not in (list, _Rows):   # JSON's lists, or `state_dict()`'s
-                raise SamplerError(f"{key} must be a list of lists")
-        self.set_state(state["t"], state["table_topic"], state["flags"])
-        next_topic, done, top = state["next_topic"], state["iterations_done"], max(self._columns())
+        N, topics = len(self._words), _decoded(state, "table_topic")
+        checked = self._checked(_decoded(state, "t", N), _decoded(state, "flags", N),
+                                _decoded(state, "n_tab", len(self.docs)), topics)
+        next_topic, done = state["next_topic"], state["iterations_done"]
+        top = max(self.n_parents - 1, int(topics.max(initial=-1)))
         if type(next_topic) is not int or not top < next_topic < 2**63:
             raise SamplerError(f"next_topic = {next_topic!r} is not an int64 above "
                                f"every live topic id (the highest is {top})")
@@ -811,11 +814,28 @@ class HDPSampler:
         try:   # numpy checks the values and assigns all of them or none
             if _shape(rng) != _shape(bg.state):
                 raise ValueError(repr(rng))
-            bg.state = rng
+            type(bg)().state = rng
         except (ValueError, OverflowError) as e:
             raise SamplerError(f"rng is not a {type(bg).__name__} generator state: {e}") from None
+        self._install(*checked)
+        bg.state = rng
         self.next_topic = next_topic
         self.iterations_done = done
+
+
+def _decoded(state: dict, key: str, n: int | None = None) -> np.ndarray:
+    """Checkpoint field `key` as a read-only array of its `CHECKPOINT_ARRAYS`
+    dtype; `n` is the number of entries it must hold, if known."""
+    import base64
+    try:
+        raw = base64.b64decode(state[key], validate=True)
+    except (TypeError, ValueError) as e:   # not text, not ASCII, or not base64
+        raise SamplerError(f"{key} must be base64 text: {e}") from None
+    dtype = np.dtype(CHECKPOINT_ARRAYS[key])
+    expected = (len(raw) // dtype.itemsize if n is None else n) * dtype.itemsize
+    if len(raw) != expected:
+        raise SamplerError(f"{key} holds {len(raw)} bytes, not {expected}")
+    return np.frombuffer(raw, dtype)
 
 
 def _row_lengths(name: str, rows, n_rows: int) -> np.ndarray:

@@ -16,8 +16,7 @@
  * document never holds more slots than tokens, because a slot is appended
  * only when every slot is live and each live slot seats a token.
  *
- * `qd_compact` drops the dead slots between sweeps. `qd_format_rows` writes
- * per-document rows as text, for the checkpoint and the sampler's fingerprint.
+ * `qd_compact` drops the dead slots between sweeps.
  */
 #include <stdint.h>
 
@@ -456,43 +455,4 @@ int64_t qd_draw_flag(qd_state *s, int64_t w, int64_t k) {
     if (bad_word(s, w))
         return fail(s, ERR_INDEX, w, 0, 0);
     return draw_flag(s, w, column_of(s, k));
-}
-
-/* ---- text ---- */
-
-/* Rows flat[ptr[r] .. ptr[r] + len[r]] for r < n_rows, written as
- * "[[a, b], [c]]": the text both json.dumps and repr give a list of lists of
- * ints. `out` holds 22 bytes per value (a sign, up to 19 digits and ", ")
- * and 4 per row, plus 2; returns the bytes written. */
-int64_t qd_format_rows(const int64_t *flat, const int64_t *ptr, const int64_t *len,
-                       int64_t n_rows, char *out) {
-    char *o = out, digits[20];
-    *o++ = '[';
-    for (int64_t r = 0; r < n_rows; r++) {
-        if (r) {
-            *o++ = ',';
-            *o++ = ' ';
-        }
-        *o++ = '[';
-        for (int64_t i = 0; i < len[r]; i++) {
-            if (i) {
-                *o++ = ',';
-                *o++ = ' ';
-            }
-            const int64_t v = flat[ptr[r] + i];
-            uint64_t mag = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;   /* INT64_MIN too */
-            int n = 0;
-            do {
-                digits[n++] = (char)('0' + mag % 10);
-                mag /= 10;
-            } while (mag);
-            if (v < 0)
-                *o++ = '-';
-            while (n)
-                *o++ = digits[--n];
-        }
-        *o++ = ']';
-    }
-    *o++ = ']';
-    return o - out;
 }

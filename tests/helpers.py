@@ -1,13 +1,12 @@
 """Plain helpers shared by the test modules (fixtures live in conftest.py)."""
 
-import io
-import json
+import base64
 
 import numpy as np
 from hypothesis import strategies as st
 
 from qdtm.embeddings import EmbeddingTable
-from qdtm.pipeline import ParentTopicError, _CheckpointEncoder
+from qdtm.pipeline import ParentTopicError
 from qdtm.sampler import HDPSampler, Hyperparameters
 
 
@@ -64,11 +63,22 @@ def parent_subcorpus_oracle(sampler: HDPSampler,
     return sub_docs, support
 
 
-def checkpoint_text(state: dict) -> str:
-    """The text `fit --checkpoint` writes for a `state_dict()`."""
-    out = io.StringIO()
-    json.dump(state, out, allow_nan=False, cls=_CheckpointEncoder)
-    return out.getvalue()
+# a v3 checkpoint's array fields: base64 of little-endian arrays of these types
+CHECKPOINT_ARRAYS = {"t": "<i4", "flags": "i1", "n_tab": "<i4", "table_topic": "<i8"}
+
+
+def checkpoint_array(state: dict, key: str) -> np.ndarray:
+    """Array field `key` of a checkpoint, decoded to a writable array."""
+    return np.frombuffer(base64.b64decode(state[key]), CHECKPOINT_ARRAYS[key]).copy()
+
+
+def edit_checkpoint_array(state: dict, key: str, edit) -> None:
+    """Decode array field `key`, let `edit` change the array in place or
+    return a new one, and store the result back as base64."""
+    array = checkpoint_array(state, key)
+    new = edit(array)
+    array = array if new is None else np.asarray(new, CHECKPOINT_ARRAYS[key])
+    state[key] = base64.b64encode(array.tobytes()).decode("ascii")
 
 
 def start_topics_oracle(rng: np.random.Generator, free: list[int], n_docs: int) -> list[int]:

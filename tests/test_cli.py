@@ -1,14 +1,21 @@
+import base64
+import copy
 import json
 import math
 import os
 import stat
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from qdtm.corpus import ingest_jsonl
 from qdtm.sampler import HDPSampler
+
+from helpers import CHECKPOINT_ARRAYS, checkpoint_array, edit_checkpoint_array
 
 
 @pytest.fixture
@@ -252,7 +259,7 @@ def _fit_with_checkpoint(corpus, tmp_path, *flags):
                  "--out", str(tmp_path / "r.json"), *flags])
 
 
-@pytest.mark.parametrize("change", ["corpus", "query", "alpha", "v1"])
+@pytest.mark.parametrize("change", ["corpus", "query", "alpha", "v1", "v2"])
 def test_mismatched_checkpoint_is_validation_error(small_corpus, tmp_path, capsys, change):
     assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
     ckpt = tmp_path / "ck.json"
@@ -267,8 +274,9 @@ def test_mismatched_checkpoint_is_validation_error(small_corpus, tmp_path, capsy
         flags = ["--alpha", "2.0"]
     else:
         state = json.loads(ckpt.read_text())
-        state["format"] = "qdtm-checkpoint-v1"
-        del state["fingerprint"]
+        state["format"] = f"qdtm-checkpoint-{change}"
+        if change == "v1":
+            del state["fingerprint"]
         ckpt.write_text(json.dumps(state))
     before = ckpt.read_bytes()
     capsys.readouterr()
@@ -279,19 +287,19 @@ def test_mismatched_checkpoint_is_validation_error(small_corpus, tmp_path, capsy
 
 
 def _pinned_token(corpus_path, result_path):
-    """(document, index) of the first token of a concept word of the result."""
+    """(document, position in the token stream) of the first token of a
+    concept word of the result."""
     corpus = ingest_jsonl(str(corpus_path))
     result = json.loads(result_path.read_text())
     pinned = {corpus.vocab.id_of(w) for w, _ in result["queries"][0]["concept_words"]}
-    return next((j, i) for j, doc in enumerate(corpus.documents)
-                for i, w in enumerate(doc.tokens) if w in pinned)
+    tokens = [(j, w) for j, doc in enumerate(corpus.documents) for w in doc.tokens]
+    return next((j, p) for p, (j, w) in enumerate(tokens) if w in pinned)
 
 
 @pytest.mark.parametrize("case, message", [
     ("negative_table", "t[0][0] = -2 is not a table of document 0"),
     ("table_past_the_last", "t[0][0] = 999 is not a table of document 0"),
-    ("short_row", "t[0] has 24 entries, expected 25"),
-    ("missing_row", "t has 79 rows for 80 documents"),
+    ("table_past_the_stream", "t[0][0] = 2147483647 is not a table of document 0"),
     ("token_at_a_dead_table", "t[0][0] = 0 is a dead table"),
     ("topic_below_minus_one", "table_topic[0][0] = -5 is neither a topic id nor -1"),
     ("live_table_without_a_token", "is live but seats no token"),
@@ -307,52 +315,47 @@ def _pinned_token(corpus_path, result_path):
     ("rng_state_negative", "rng is not a PCG64 generator state: "),
     ("rng_has_uint32_a_string", "'has_uint32': 'x'"),
     ("rng_of_another_generator", "rng is not a PCG64 generator state: "),
-    ("t_entry_true", "t must hold integers"),
-    ("flags_entry_false", "flags must hold integers"),
-    ("table_topic_entry_a_bool", "table_topic must hold integers"),
-    ("flags_null", "flags must be a list of lists"),
+    ("flags_null", "flags must be base64 text"),
+    ("t_not_base64", "t must be base64 text"),
+    ("t_not_ascii", "t must be base64 text"),
+    ("flags_one_entry_short", "flags holds 1999 bytes, not 2000"),
+    ("table_topic_not_whole_entries", "table_topic holds"),
+    ("n_tab_negative", "n_tab[0] = -1 is not a table count of document 0, which has 25"),
+    ("n_tab_above_the_document_length", "n_tab[0] = 26 is not a table count of document 0"),
+    ("n_tab_disagreeing_with_table_topic", "tables of n_tab"),
+    ("n_tab_missing", "the checkpoint has no n_tab"),
 ])
 def test_corrupt_checkpoint_is_validation_error_naming_the_field(
         small_corpus, tmp_path, capsys, case, message):
     assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
-    ckpt = tmp_path / "ck.json"
-    state = json.loads(ckpt.read_text())
-    t, topics = state["t"], state["table_topic"]
-    if case == "t_entry_true":   # in a row of ints, which numpy would read as 1
-        j, i = next((j, i) for j, row in enumerate(t) for i, v in enumerate(row) if v == 1)
-        t[j][i] = True
-    elif case == "flags_entry_false":
-        state["flags"][0][0] = False
-    elif case == "table_topic_entry_a_bool":
-        j, s = next((j, s) for j, row in enumerate(topics) for s, k in enumerate(row)
-                    if k in (0, 1) and len(row) > 1)
-        topics[j][s] = bool(topics[j][s])
-    elif case == "flags_null":   # was read as "no flags": every flag 0
-        state["flags"] = None
-    elif case == "negative_table":
-        t[0][0] = -2
+    state = json.loads((tmp_path / "ck.json").read_text())
+    t, n_tab, topics = (checkpoint_array(state, key) for key in ("t", "n_tab", "table_topic"))
+
+    def put(key, index, value):
+        edit_checkpoint_array(state, key, lambda a: np.put(a, index, value))
+    if case == "negative_table":
+        put("t", 0, -2)
     elif case == "table_past_the_last":
-        t[0][0] = 999
-    elif case == "short_row":
-        t[0].pop()
-    elif case == "missing_row":
-        t.pop()
+        put("t", 0, 999)
+    elif case == "table_past_the_stream":   # was an IndexError, exit 3
+        put("t", 0, 2**31 - 1)
     elif case == "token_at_a_dead_table":
-        t[0][0] = 0
-        topics[0][0] = -1
+        put("t", 0, 0)
+        put("table_topic", 0, -1)
     elif case == "topic_below_minus_one":
-        topics[0][0] = -5
-    elif case == "live_table_without_a_token":
-        topics[0].append(topics[0][0])
+        put("table_topic", 0, -5)
+    elif case == "live_table_without_a_token":   # a copy of document 0's first table
+        put("n_tab", 0, n_tab[0] + 1)
+        edit_checkpoint_array(state, "table_topic", lambda a: np.insert(a, n_tab[0], a[0]))
     elif case == "flag_without_a_promotion_row":   # no embeddings, so no word has a row
-        state["flags"][0][0] = 1
+        put("flags", 0, 1)
     elif case == "flag_neither_0_nor_1":
-        state["flags"][0][0] = 2
+        put("flags", 0, 2)
     elif case == "pinned_word_off_its_parent":
-        j, i = _pinned_token(small_corpus, tmp_path / "r.json")
-        topics[j][t[j][i]] = max(map(max, topics))
+        j, p = _pinned_token(small_corpus, tmp_path / "r.json")
+        put("table_topic", n_tab[:j].sum() + t[p], topics.max())
     elif case == "next_topic_not_above_the_live_ids":
-        state["next_topic"] = max(map(max, topics))
+        state["next_topic"] = int(topics.max())
     elif case == "next_topic_past_int64":
         state["next_topic"] = 2**64
     elif case == "rng_not_a_dict":
@@ -367,8 +370,27 @@ def test_corrupt_checkpoint_is_validation_error_naming_the_field(
         state["rng"]["state"]["state"] = -1
     elif case == "rng_has_uint32_a_string":
         state["rng"]["has_uint32"] = "x"
-    else:
+    elif case == "rng_of_another_generator":
         state["rng"]["bit_generator"] = "MT19937"
+    elif case == "flags_null":   # v2 read this as "no flags": every flag 0
+        state["flags"] = None
+    elif case == "t_not_base64":
+        state["t"] = state["t"][:-4] + "!!!!"
+    elif case == "t_not_ascii":
+        state["t"] = state["t"][:-4] + "éé=="
+    elif case == "flags_one_entry_short":
+        edit_checkpoint_array(state, "flags", lambda a: a[:-1])
+    elif case == "table_topic_not_whole_entries":
+        raw = base64.b64decode(state["table_topic"]) + b"\0"
+        state["table_topic"] = base64.b64encode(raw).decode()
+    elif case == "n_tab_negative":
+        put("n_tab", 0, -1)
+    elif case == "n_tab_above_the_document_length":
+        put("n_tab", 0, 26)
+    elif case == "n_tab_disagreeing_with_table_topic":
+        put("n_tab", 0, n_tab[0] + 1)
+    else:
+        del state["n_tab"]
     _assert_resume_rejected(small_corpus, tmp_path, capsys, state, message)
 
 
@@ -386,28 +408,76 @@ def _assert_resume_rejected(corpus, tmp_path, capsys, state, message):
     assert ckpt.read_bytes() == before
 
 
-@pytest.mark.parametrize("field", ["t", "table_topic"])
+@pytest.mark.parametrize("field", ["t", "table_topic", "flags", "n_tab"])
 @pytest.mark.parametrize("value", [1.5, 0.0, "0", [0], None, 2**70])
 def test_checkpoint_entry_that_is_not_an_int_is_validation_error(
         small_corpus, tmp_path, capsys, field, value):
+    """An array field's entry in the checkpoint is base64 text of its ints;
+    a number, a list, null or text that is not base64 in its place is
+    rejected naming the field."""
     assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
     state = json.loads((tmp_path / "ck.json").read_text())
-    state[field][0][0] = value
+    state[field] = value
     _assert_resume_rejected(small_corpus, tmp_path, capsys, state,
-                            f"{field} must hold integers")
+                            f"{field} must be base64 text")
 
 
-@pytest.mark.parametrize("case", ["row_an_int", "field_an_int"])
-def test_checkpoint_t_that_is_not_a_list_of_lists_is_validation_error(
-        small_corpus, tmp_path, capsys, case):
-    assert _fit_with_checkpoint(small_corpus, tmp_path) == EXIT_OK
-    state = json.loads((tmp_path / "ck.json").read_text())
-    if case == "row_an_int":
-        state["t"][0] = 0
+@pytest.fixture(scope="module")
+def resumable(tmp_path_factory):
+    """A small corpus and the checkpoint of a 2-sweep fit on it."""
+    d = tmp_path_factory.mktemp("resumable")
+    assert main(["synth", "--topics", "4", "--vocab", "120", "--docs", "80",
+                 "--doc-length", "25", "--seed", "1", "--out", str(d / "corpus.jsonl")]) == EXIT_OK
+    assert _fit_with_checkpoint(d / "corpus.jsonl", d) == EXIT_OK
+    return d, json.loads((d / "ck.json").read_text())
+
+
+ODD_VALUES = [None, True, 0, -1, 1.5, 2**64, "", "x", "AAAA", [], [[0]], {}]
+
+
+def _corrupt(state: dict, key: str, how: str, draw) -> None:
+    """Corrupt one field of a checkpoint: drop it, give it another JSON type,
+    truncate or edit its text, or set one of its values out of range."""
+    value = state[key]
+    if how == "drop":
+        del state[key]
+    elif how == "truncate" and isinstance(value, str):
+        state[key] = value[:draw(st.integers(0, len(value) - 1))]
+    elif how == "edit" and isinstance(value, str):
+        i = draw(st.integers(0, len(value) - 1))
+        state[key] = value[:i] + draw(st.sampled_from("A/+=!é")) + value[i + 1:]
+    elif how == "range" and key in CHECKPOINT_ARRAYS:
+        info = np.iinfo(CHECKPOINT_ARRAYS[key])
+        i = draw(st.integers(0, len(checkpoint_array(state, key)) - 1))
+        v = draw(st.sampled_from([v for v in (info.min, -2, -1, 0, 1, 2, 25, 26, 999, info.max)
+                                  if info.min <= v <= info.max]))
+        edit_checkpoint_array(state, key, lambda a: np.put(a, i, v))
+    elif how == "range" and key == "rng":
+        state[key]["state"]["state"] = draw(st.sampled_from([-1, 0, 2**128 - 1, 2**128]))
+    elif how == "range" and isinstance(value, int):
+        state[key] = draw(st.sampled_from([-2**63 - 1, -1, 0, 1, 2**63 - 1, 2**63]))
     else:
-        state["t"] = 0
-    _assert_resume_rejected(small_corpus, tmp_path, capsys, state,
-                            "t must be a list of lists")
+        state[key] = draw(st.sampled_from(ODD_VALUES))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_a_corrupt_checkpoint_exits_0_or_2_and_is_kept_on_2(resumable, capsys, data):
+    d, good = resumable
+    state = copy.deepcopy(good)
+    key = data.draw(st.sampled_from(sorted(good)), label="field")
+    how = data.draw(st.sampled_from(["type", "truncate", "edit", "range", "drop"]), label="how")
+    _corrupt(state, key, how, data.draw)
+    ckpt = d / "ck.json"
+    ckpt.write_text(json.dumps(state))
+    before = ckpt.read_bytes()
+    capsys.readouterr()
+    rc = _fit_with_checkpoint(d / "corpus.jsonl", d, "--iters1", "3")
+    assert rc in (EXIT_OK, EXIT_VALIDATION)
+    if rc == EXIT_VALIDATION:
+        assert str(ckpt) in json.loads(capsys.readouterr().err)["message"]
+        assert ckpt.read_bytes() == before
 
 
 def test_checkpoint_ahead_of_iters1_is_validation_error(small_corpus, tmp_path, capsys):

@@ -37,9 +37,9 @@ GOLDEN = {
     "corpus.jsonl.truth.json": "6fe1b920dfee5bd3ce9e109953ac8288bf978735477a24a9574489fa3b46c3a0",
     "vectors.txt": "c40b2490b4ae90a4851446c5effbc117d8a024e58a57c282a69970bda948c719",
     "kld.json": "2daef1bcfe4b854c1495a7eb02aa9cc1c5fdb5c9b1bee99da24a3afdb1cff4c7",
-    "checkpoint.first.json": "376120fbada4f12a2f63fd46e99b182f80e4a77628c5298d796c2394f9b6e401",
+    "checkpoint.first.json": "75a233229b40214709447fde76855879cfd74c13566ced51569ff0518f8694c0",
     "kld.resumed.json": "fd01dc58db79c032aed8679e302274d66ae85dad9ff318ff2d1fc5c27e39645f",
-    "checkpoint.json": "84a63838d9fd1ee8b7f3625b933bf08e4c40dbe0c5961ff1132eea03ef55f6e8",
+    "checkpoint.json": "7537ec2a0d5ab97adf86b6317c8835ff24aa0c0309c5afc576af23dc5a2ba747",
     "fre.json": "781b91986d35a2f66c5914c403f0d2143f10f4affbd5394276812914b922a56c",
     "eval.json": "b05b777a04437e4418989fd68c2879ca6de0f303bce5bdf52591757cce9d0995",
     "retrieve.or.json": "91f7bb768e73ba346aed627cdff820f546c1d5cdcb4ec3913ae4cd6e20b1fde0",
@@ -56,7 +56,7 @@ GOLDEN = {
     "expand.kld.options.json": "cbb77c39401c9eced370efaa95e0e82c9832e65c6d563ed7c68ab327acabc2c7",
     "expand.rel.partial.json": "86de1664e3aee6ef58901b92560234184443ec1e6533a4a3a1ace3d5c12e4b56",
     "kld.partial.json": "a8f4dfc19c64af02a82cb2c34a9e74d48b6e41ac77c374b750ed017b29aeb9c0",
-    "checkpoint.partial.json": "52b7765fd3701f61259fd06a0719dd23b4e8d074835c884e2b1ebf99c650817f",
+    "checkpoint.partial.json": "ea348dfa758decf1e73a58d839381b039918af64cded35ffd04d0dbc2bd4f681",
 }
 
 

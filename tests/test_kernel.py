@@ -1,6 +1,5 @@
 """The compiled sweep against the pure-Python oracle, and how it is built and loaded."""
 
-import json
 import os
 import re
 import subprocess
@@ -18,7 +17,7 @@ from qdtm import _native
 from qdtm.concepts import extract_concept_words
 from qdtm.embeddings import build_promotion
 from qdtm.retrieval import parse_query, retrieve
-from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters, _Rows
+from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters
 from qdtm.synth import SyntheticSpec
 
 from helpers import sampler_cases
@@ -247,27 +246,6 @@ def test_compaction_equals_the_oracle(grow):
     assert_same_state(kernel, oracle)
 
 
-# ------------------------------------------------------------------- text
-
-
-ROW_VALUES = st.one_of(st.sampled_from([-2**63, 2**63 - 1, -1, 0]),
-                       st.integers(-2**63, 2**63 - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.lists(ROW_VALUES, max_size=6), st.integers(0, 2)), max_size=8))
-def test_row_text_is_json_dumps_and_repr_of_the_rows(padded_rows):
-    """Rows at offsets with unused entries between them, as table slots are."""
-    flat, ptr = [], []
-    for row, gap in padded_rows:
-        ptr.append(len(flat))
-        flat += row + [7] * gap
-    rows = _Rows(np.array(flat, np.int64), np.array(ptr, np.int64),
-                 np.array([len(row) for row, _ in padded_rows], np.int64))
-    assert rows.json() == json.dumps(list(rows)) == repr(list(rows))
-    assert list(rows) == [row for row, _ in padded_rows]
-
-
 def test_every_exported_kernel_function_has_a_signature():
     """ctypes passes the arguments of a function it has no argtypes for as C
     ints, which truncate 64-bit pointers."""
@@ -309,6 +287,16 @@ def test_import_qdtm_neither_builds_nor_loads_the_kernel():
     code = ("import sys; import numpy; before = 'ctypes' in sys.modules; "
             "import qdtm, qdtm.cli, qdtm.pipeline, qdtm.sampler; "
             "print('qdtm._native' in sys.modules, 'ctypes' in sys.modules and not before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_import_qdtm_loads_neither_base64_nor_hashlib():
+    """Only checkpoints need them; hashlib loads OpenSSL."""
+    code = ("import sys; import qdtm, qdtm.cli, qdtm.pipeline, qdtm.sampler; "
+            "print('base64' in sys.modules, 'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, env={**os.environ, "PYTHONPATH": SRC})
     assert out.returncode == 0, out.stderr

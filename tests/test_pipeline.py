@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from qdtm.pipeline import (ParentTopicError, extract_parent_subcorpus, fit_topic
 from qdtm.sampler import HDPSampler, Hyperparameters, SamplerError
 from qdtm.synth import SyntheticSpec
 
-from helpers import checkpoint_text, parent_subcorpus_oracle, sampler_cases
+from helpers import checkpoint_array, parent_subcorpus_oracle, sampler_cases
 from test_acceptance import embedding_table, synthetic_corpus
 
 
@@ -63,13 +64,17 @@ def test_extract_parent_subcorpus_equals_the_per_token_loop(case):
 @settings(max_examples=100, deadline=None)
 @given(sampler_cases())
 def test_checkpoint_text_equals_json_dumps_of_the_state(case):
+    """`state_dict()` holds plain JSON values: `json.dump`, as `fit` writes
+    it, gives the text of `json.dumps`, and that text reads back as the state."""
     docs, V, hp, seed, kwargs, sweeps = case
     s = HDPSampler(docs, V, hp, seed, **kwargs)
     s.initialize()
     s.run(sweeps)
     state = s.state_dict()
-    listed = {**state, **{key: list(state[key]) for key in ("t", "flags", "table_topic")}}
-    assert checkpoint_text(state) == json.dumps(listed, allow_nan=False)
+    out = io.StringIO()
+    json.dump(state, out, allow_nan=False)
+    assert out.getvalue() == json.dumps(state, allow_nan=False)
+    assert json.loads(out.getvalue()) == state
 
 
 def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path):
@@ -85,7 +90,7 @@ def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path):
               check_invariants=True, checkpoint_path=str(ckpt))
     fit_topics(corpus, [query], "kld", iterations_phase1=3, **kw)
     state = json.loads(ckpt.read_text())
-    assert sum(map(sum, state["flags"])) > 0
+    assert checkpoint_array(state, "flags").any()
     assert ckpt.read_text() == json.dumps(state, allow_nan=False)
     resumed = fit_topics(corpus, [query], "kld", iterations_phase1=5, **kw)
     assert json.loads(ckpt.read_text())["iterations_done"] == 5

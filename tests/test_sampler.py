@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qdtm.sampler import M_TOTAL, ConsistencyError, HDPSampler, Hyperparameters, SamplerError
 
-from helpers import checkpoint_text, sampler_cases, start_topics_oracle
+from helpers import checkpoint_array, sampler_cases, start_topics_oracle
 from sampler_oracle import UniformStream, _sum
 
 
@@ -492,24 +492,57 @@ def test_checkpoint_roundtrip():
     s.initialize()
     s.run(5)
     state = s.state_dict()
-    text = checkpoint_text(state)
+    text = json.dumps(state)
     s2 = HDPSampler([list(d) for d in docs], 15, small_hp(), seed=99)
     s2.load_state_dict(json.loads(text))
     s2.check_invariants()
     s.run(5)
     s2.run(5)
     assert s.t == s2.t and s.table_topic == s2.table_topic
-    assert checkpoint_text(state) == text   # a snapshot, not a view of the live rows
+    assert json.dumps(state) == text   # a snapshot, not a view of the live rows
+
+
+def assert_arrays_are_the_rows(s: HDPSampler) -> None:
+    state = s.state_dict()
+    assert checkpoint_array(state, "t").tolist() == [v for row in s.t for v in row]
+    assert checkpoint_array(state, "flags").tolist() == [v for row in s.flags for v in row]
+    assert checkpoint_array(state, "n_tab").tolist() == [len(row) for row in s.table_topic]
+    assert checkpoint_array(state, "table_topic").tolist() == [
+        k for row in s.table_topic for k in row]
+
+
+@settings(max_examples=50, deadline=None)
+@given(sampler_cases())
+def test_checkpoint_arrays_are_the_rows_flattened(case):
+    docs, V, hp, seed, kwargs, sweeps = case
+    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s.initialize()
+    s.run(sweeps)
+    assert_arrays_are_the_rows(s)
+
+
+def test_checkpoint_arrays_keep_a_dead_slot():
+    s = HDPSampler([[0, 1], [1, 1, 2]], 3, small_hp(), seed=0)
+    s.set_state([[1, 1], [0, 0, 2]], [[-1, 3], [0, -1, 5]])
+    assert_arrays_are_the_rows(s)
+    assert checkpoint_array(s.state_dict(), "table_topic").tolist() == [-1, 3, 0, -1, 5]
+    resumed = HDPSampler([[0, 1], [1, 1, 2]], 3, small_hp(), seed=1)
+    resumed.load_state_dict(json.loads(json.dumps(s.state_dict())))
+    assert resumed.table_topic == s.table_topic and resumed.next_topic == s.next_topic == 6
 
 
 def fingerprint_oracle(s: HDPSampler) -> str:
-    """The fingerprint as the digest of `repr` of its inputs, docs first."""
+    """The fingerprint from the sampler's inputs: the digest of `repr` of the
+    scalars and constraints, then the bytes of the document lengths (int64),
+    the token stream (int32) and the embedding norms."""
     hp = s.hp
     digest = hashlib.sha256(repr((
-        s.docs, s.V, s.base_density, s.n_parents,
+        len(s.docs), sum(map(len, s.docs)), s.V, s.base_density, s.n_parents,
         sorted(s.forced_topic.items()), sorted(s.parent_representatives.items()),
         sorted(s.promo_rows.items()), hp.n_representatives,
         [float(x) for x in (hp.alpha, hp.beta, hp.gamma, s.u)])).encode())
+    digest.update(np.array([len(d) for d in s.docs], np.int64).tobytes())
+    digest.update(np.array([w for d in s.docs for w in d], np.int32).tobytes())
     if s.embedding_norms is not None:
         digest.update(s.embedding_norms.tobytes())
     return digest.hexdigest()
@@ -521,6 +554,33 @@ def test_fingerprint_is_the_digest_of_the_repr_of_its_inputs(case):
     docs, V, hp, seed, kwargs, _ = case
     s = HDPSampler(docs, V, hp, seed, **kwargs)
     assert s.fingerprint == fingerprint_oracle(s)
+
+
+def fingerprinted(docs=((0, 1, 2), (2, 3)), V=5, seed=0, forced=None, promotion=None,
+                  norm=0.5, **hp):
+    norms = np.full((V, 2), 0.25)
+    norms[1, 0] = norm
+    return HDPSampler([list(d) for d in docs], V, small_hp(**hp), seed, n_parents=1,
+                      forced_topic=forced or {2: 0}, parent_representatives={0: [2]},
+                      promotion=promotion or {1: [(1, True), (3, False)]},
+                      embedding_norms=norms).fingerprint
+
+
+@pytest.mark.parametrize("change", [
+    dict(docs=((0, 1), (2, 2, 3))), dict(docs=((0, 1, 2), (2, 4))), dict(V=6),
+    dict(forced={3: 0}), dict(forced={2: 0, 3: 0}), dict(promotion={1: [(1, True)]}),
+    dict(promotion={1: [(1, True), (3, False)], 4: [(0, False)]}), dict(norm=0.5000001),
+    dict(alpha=1.1), dict(beta=0.4), dict(gamma=1.6), dict(promotion_weight=0.31),
+    dict(n_representatives=11)], ids=repr)
+def test_fingerprint_changes_with_each_input(change):
+    """The first change keeps the token stream and moves a document boundary."""
+    assert fingerprinted(**change) != fingerprinted()
+
+
+@pytest.mark.parametrize("change", [dict(seed=7), dict(initial_topics=5),
+                                    dict(prevalence_floor=0.1)], ids=repr)
+def test_fingerprint_ignores_what_phase_1_does_not_depend_on(change):
+    assert fingerprinted(**change) == fingerprinted()
 
 
 @st.composite
@@ -557,7 +617,7 @@ def test_resume_equals_uninterrupted_run(case):
     first.initialize()
     first.run(a)
     resumed = HDPSampler(docs, V, hp, seed + 1, **kwargs)
-    resumed.load_state_dict(json.loads(checkpoint_text(first.state_dict())))
+    resumed.load_state_dict(json.loads(json.dumps(first.state_dict())))
     resumed.run(b, check_invariants=True)
     assert resumed.t == full.t and resumed.flags == full.flags
     assert resumed.table_topic == full.table_topic
@@ -577,6 +637,30 @@ def test_cached_predictive_equals_the_count_expression(case):
         expected = [(s.nkw_units[k][w] + u * s.nkw_promos[k][w] + beta)
                     / (s.nk_units[k] + u * s.nk_promos[k] + V * beta) for k in s.m_k]
         assert [s.phi(k)[w] for k in s.m_k] == expected
+
+
+@pytest.mark.parametrize("key, value", [("next_topic", -1), ("iterations_done", -3),
+                                        ("rng", "x"), ("flags", None)])
+def test_rejected_checkpoint_leaves_the_sampler_as_it_was(key, value):
+    """Every field is checked before the state is installed."""
+    rng = np.random.default_rng(5)
+    docs = [list(rng.integers(12, size=9)) for _ in range(6)]
+
+    def sampler(seed, sweeps):
+        s = HDPSampler(docs, 12, small_hp(), seed=seed)
+        s.initialize()
+        s.run(sweeps)
+        return s
+    state = {**sampler(1, 1).state_dict(), key: value}
+    s, twin = sampler(2, 4), sampler(2, 4)
+    assert s.t != sampler(1, 1).t   # the checkpoint holds another state
+    with pytest.raises(SamplerError, match=key):
+        s.load_state_dict(state)
+    assert s.iterations_done == twin.iterations_done and s.next_topic == twin.next_topic
+    s.run(2, check_invariants=True)
+    twin.run(2)
+    assert s.t == twin.t and s.table_topic == twin.table_topic and s.flags == twin.flags
+    assert s.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def test_checkpoint_of_another_stream_is_rejected():
