@@ -41,6 +41,8 @@ class State(ctypes.Structure):
         ("tab_units", _P), ("tab_promos", _P), ("cap", _I), ("topic_of", _P),
         ("order", _P), ("by_id", _P), ("m", _P), ("nk_units", _P), ("nk_promos", _P),
         ("nkw_units", _P), ("nkw_promos", _P), ("scal", _P), ("tilde", _P), ("tilde_row", _P),
+        ("norms", _P), ("dim", _I), ("n_reps", _I), ("rep_topic", _P), ("rep_ptr", _P),
+        ("rep_words", _P), ("n_rep_topics", _I), ("top", _P), ("rank", _P),
         ("u", ctypes.c_double), ("beta", ctypes.c_double), ("alpha", ctypes.c_double),
         ("gamma", ctypes.c_double), ("base_density", ctypes.c_double),
         ("next_double", NEXT_DOUBLE), ("rng_state", _P), ("work", _P), ("slot_map", _P),
@@ -61,6 +63,8 @@ SIGNATURES = {   # name -> argument types; every function returns int64
     "qd_draw_table": [_S, _I, _I],
     "qd_draw_topic": [_S, _I, _P],
     "qd_draw_flag": [_S, _I, _I],
+    "qd_cohesion_sums": [_S, _P],
+    "qd_cohesion_rank": [_S, _P, _P],
 }
 
 

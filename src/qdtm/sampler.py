@@ -35,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 N_LIVE, M_TOTAL, NEXT_TOPIC = range(3)          # the kernel's `scal` entries
-ERR_NEG_MASS, ERR_RETIRE, ERR_DEAD, ERR_FULL = -2, -3, -4, -5   # its failure codes
+ERR_NEG_MASS, ERR_RETIRE, ERR_DEAD, ERR_FULL, ERR_NO_ID = -2, -3, -4, -5, -7   # its failures
 COLUMN_HEADROOM = 4    # free topic columns at install, and at least this many per growth
 # the checkpoint's array fields, each stored as base64 of a little-endian array
 CHECKPOINT_ARRAYS = {"t": "<i4", "flags": "i1", "n_tab": "<i4", "table_topic": "<i8"}
@@ -170,6 +170,14 @@ class HDPSampler:
         self._err = np.zeros(3, dtype=np.int64)
         self._out = np.zeros(3, dtype=np.int64)
         self._slot_map = np.empty(int(self._lengths.max()), np.int32)   # `qd_compact`'s scratch
+        # the cohesion cache's fixed inputs, flat for the kernel, and its scratch
+        self._norms = (None if embedding_norms is None
+                       else np.ascontiguousarray(embedding_norms, dtype=np.float64))
+        parents = sorted(self.parent_representatives.items())
+        self._rep_topic = np.array([k for k, _ in parents], np.int64)
+        self._rep_ptr = np.cumsum([0] + [len(reps) for _, reps in parents], dtype=np.int64)
+        self._rep_words = np.array([w for _, reps in parents for w in reps], np.int32)
+        self._top = np.empty(min(hp.n_representatives, vocab_size), np.int32)
         # cohesion cache (refreshed once per iteration)
         self.tilde: np.ndarray | None = None
         self.topic_row: dict[int, int] = {}
@@ -203,9 +211,20 @@ class HDPSampler:
                 if not 0 <= target < V:
                     raise SamplerError(f"promotion row of word {w} targets {target}, "
                                        f"not a word id in [0, {V})")
-        if self.embedding_norms is not None and len(self.embedding_norms) != V:
-            raise SamplerError(f"embedding_norms has {len(self.embedding_norms)} rows "
-                               f"for {V} words")
+        if self.hp.n_representatives < 1:
+            raise SamplerError("n_representatives must be >= 1")
+        norms = self.embedding_norms
+        if norms is not None and np.ndim(norms) != 2:
+            raise SamplerError(f"embedding_norms must be a matrix, got {np.ndim(norms)} axes")
+        if norms is not None and len(norms) != V:
+            raise SamplerError(f"embedding_norms has {len(norms)} rows for {V} words")
+        for k, reps in self.parent_representatives.items():
+            if not isinstance(k, (int, np.integer)) or k < 0:
+                raise SamplerError(f"parent_representatives key {k!r} is not a topic id")
+            for w in reps:
+                if not 0 <= w < V:
+                    raise SamplerError(f"parent_representatives[{k}] holds {w}, not a word id "
+                                       f"in [0, {V})")
 
     def _position(self, p: int) -> tuple[int, int]:
         """(document, index within it) of flat token position p."""
@@ -316,9 +335,9 @@ class HDPSampler:
         """Check a state, install it and build every count from it in one pass.
 
         `t_assignments[j][i]` is the table of token i in document j and
-        `table_topics[j][t]` the topic of each table (-1 for a dead slot).
-        Topics enter `m_k` in table order, parents first; `next_topic`
-        follows the highest live id. The counts are built by array operations,
+        `table_topics[j][t]` the topic of each table (-1 for a dead slot), an
+        id below 2**63 - 1. Topics enter `m_k` in table order, parents first;
+        `next_topic` follows the highest live id. The counts are built by array operations,
         not by the kernel's updates, so `check_invariants` can compare the two.
         A state the sampler could not be in raises `SamplerError` naming the
         field, and leaves the sampler as it was.
@@ -345,7 +364,7 @@ class HDPSampler:
             raise SamplerError(f"table_topic has {len(topics)} entries for the "
                                f"{n_tab.sum()} tables of n_tab")
         slot_pos = self._slots_in_use(n_tab)
-        below = np.flatnonzero(topics < -1)
+        below = np.flatnonzero((topics < -1) | (topics == 2**63 - 1))   # leaves no next_topic
         if below.size:
             j, s = self._position(slot_pos[below[0]])
             raise SamplerError(f"table_topic[{j}][{s}] = {topics[below[0]]} is neither a "
@@ -448,7 +467,8 @@ class HDPSampler:
         self._by_id[:K] = by_id
         self._m = np.zeros(cap, np.int64)
         self._m[:K] = list(m_k.values())
-        self._tilde_row = np.full(cap, -1, np.int32)
+        self._tilde_row = np.full(cap, -1, np.int32)   # the cache keeps its rows by topic id
+        self._tilde_row[:K] = [self.topic_row.get(k, -1) for k in m_k]
         self._scal = np.array([K, self._m.sum(), topic_ids.max(initial=-1) + 1], np.int64)
         self._bind()
 
@@ -471,24 +491,23 @@ class HDPSampler:
         from . import _native   # built and loaded on first use, never at import
         self._lib = _native.library()
         self._work = np.empty(3 * self._cap + 2 * int(self._lengths.max()) + 4)
-        hp = self.hp
+        self._rank = np.empty(self._cap, np.int32)
+        norms, hp = self._norms, self.hp
+        if norms is not None:
+            self._r = np.empty((self._cap, norms.shape[1]))   # a representative sum per topic
         self._c = _native.State(
             n_docs=len(self.docs), V=self.V, cap=self._cap, u=self.u, beta=hp.beta,
             alpha=hp.alpha, gamma=hp.gamma, base_density=self.base_density,
+            tilde=None if self.tilde is None else self.tilde.ctypes.data,
+            norms=None if norms is None else norms.ctypes.data,
+            dim=0 if norms is None else norms.shape[1],
+            n_reps=len(self._top), n_rep_topics=len(self._rep_topic),
             **{name: getattr(self, "_" + name).ctypes.data for name in (
                 "words", "doc_ptr", "forced", "promo_ptr", "promo_target", "promo_self",
                 "tok_t", "tok_flag", "n_tab", "tab_col", "tab_units", "tab_promos",
                 "topic_of", "order", "by_id", "m", "nk_units", "nk_promos",
-                "nkw_units", "nkw_promos", "scal", "tilde_row", "work", "slot_map",
-                "err")})
-        self._sync_tilde()
-
-    def _sync_tilde(self) -> None:
-        """Give the kernel the cohesion cache: `tilde` and each column's row."""
-        self._tilde_row[:] = -1
-        for k, c in self._columns().items():
-            self._tilde_row[c] = self.topic_row.get(k, -1)
-        self._c.tilde = None if self.tilde is None else self.tilde.ctypes.data
+                "nkw_units", "nkw_promos", "scal", "tilde_row", "rep_topic", "rep_ptr",
+                "rep_words", "top", "rank", "work", "slot_map", "err")})
 
     # ---------------------------------------------------------------- kernel
 
@@ -506,6 +525,8 @@ class HDPSampler:
                    ERR_RETIRE: ConsistencyError(f"retiring topic {a} with mass left"),
                    ERR_DEAD: ConsistencyError(f"doc {a} table {b} is not a live table"),
                    ERR_FULL: ConsistencyError(f"doc {a} has no free table slot"),
+                   ERR_NO_ID: ConsistencyError("no topic id is left for a birth: next_topic "
+                                               "is the largest int64"),
                    }.get(rc, IndexError(f"kernel arguments out of range: {self._err.tolist()}"))
         return rc
 
@@ -586,53 +607,24 @@ class HDPSampler:
         words rep_m with their probabilities p(k,m) = f_k(rep_m): a parent's
         concept words, or another topic's top-M words by count, ties by word
         id. Per word, live topics ranked by CV ascending get equally spaced
-        values 0..1 (single topic -> 1).
+        values 0..1 (single topic -> 1). Rows follow ascending topic id.
 
-        All topics are done at once, in ascending topic id, and each row of
-        r_k = sum_m p(k,m) norms[rep_m] adds its terms in rank order, so CV
-        has the bits of a per-topic loop.
+        The kernel picks the representatives and sums each topic's
+        r_k = sum_m p(k,m) norms[rep_m] in rank order (`qd_cohesion_sums`),
+        then ranks CV into `tilde` (`qd_cohesion_rank`); the products
+        CV[k] = norms @ r_k between the two stay in BLAS, one per row.
         """
-        norms = self.embedding_norms
+        norms = self._norms
         if norms is None:
             return
-        u, beta = self.u, self.hp.beta
-        cols = self._by_id[:self._scal[N_LIVE]]
-        topics = self._topic_of[cols].tolist()
-        units, promos = self._nkw_units[:, cols], self._nkw_promos[:, cols]
-        den = self._nk_units[cols] + u * self._nk_promos[cols] + self.V * beta
-
-        def prob(words, at):   # f_k(words) of the topics in rows `at`, as `phi` has it
-            return (units[words, at] + u * promos[words, at] + beta) / den[at]
-
-        T = len(topics)
-        r = np.zeros((T, norms.shape[1]))
-        plain = np.array([i for i, k in enumerate(topics)
-                          if k not in self.parent_representatives], dtype=np.intp)
-        top = np.argsort(-(units[:, plain] + u * promos[:, plain]), axis=0,
-                         kind="stable")[:self.hp.n_representatives]
-        p, sums = prob(top, plain), r[plain]
-        for m in range(len(top)):
-            sums += p[m][:, None] * norms[top[m]]
-        r[plain] = sums
-        for i, k in enumerate(topics):
-            if k in self.parent_representatives:
-                reps = np.array(self.parent_representatives[k], dtype=np.intp)
-                for w, pw in zip(reps, prob(reps, i)):
-                    r[i] += pw * norms[w]
+        T = self._lib.qd_cohesion_sums(self._c, self._r.ctypes.data)
         cv = np.empty((T, self.V))
-        for i in range(T):   # one product per row: a single r @ norms.T rounds differently
-            cv[i] = norms @ r[i]
-        if T == 1:
-            tilde = np.ones_like(cv)
-        else:
-            order = np.argsort(cv, axis=0, kind="stable")
-            levels = np.linspace(0.0, 1.0, T)
-            tilde = np.empty_like(cv)
-            tilde[order, np.arange(self.V)[None, :]] = levels[:, None]
-        self.cv = cv
-        self.tilde = tilde
-        self.topic_row = {k: row for row, k in enumerate(topics)}
-        self._sync_tilde()
+        for r, row in zip(self._r[:T], cv):   # one R @ norms.T, or C, rounds differently
+            np.matmul(norms, r, out=row)
+        tilde = np.empty_like(cv)
+        self._lib.qd_cohesion_rank(self._c, cv.ctypes.data, tilde.ctypes.data)
+        self.cv, self.tilde = cv, tilde
+        self.topic_row = dict(zip(self._topic_of[self._by_id[:T]].tolist(), range(T)))
 
     # ------------------------------------------------------------------ loop
 
@@ -789,7 +781,9 @@ class HDPSampler:
     def load_state_dict(self, state: dict) -> None:
         """Resume from `state_dict()`. Every field is checked before any is
         installed: one the sampler could not have written raises
-        `SamplerError` naming it and leaves the sampler as it was."""
+        `SamplerError` naming it and leaves the sampler as it was. A
+        `next_topic` above max(n_parents, initial_topics, highest live id + 1)
+        + tokens * iterations_done is one no sweep reaches."""
         fmt = state.get("format") if isinstance(state, dict) else None
         if fmt != "qdtm-checkpoint-v3":
             raise SamplerError(f"unsupported checkpoint format: {fmt!r}")
@@ -810,6 +804,12 @@ class HDPSampler:
                                f"every live topic id (the highest is {top})")
         if type(done) is not int or done < 0:
             raise SamplerError(f"iterations_done = {done!r} is not a count of sweeps")
+        # a sweep births at most one topic per token, from `initialize`'s first
+        # free id or from one above a `set_state`'s highest live id
+        reach = max(self.n_parents, self.hp.initial_topics, top + 1) + N * done
+        if next_topic > reach:
+            raise SamplerError(f"next_topic = {next_topic} is above {reach}, the most "
+                               f"{done} sweeps of {N} tokens reach")
         bg, rng = self.rng.bit_generator, state["rng"]
         try:   # numpy checks the values and assigns all of them or none
             if _shape(rng) != _shape(bg.state):

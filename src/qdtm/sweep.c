@@ -17,6 +17,14 @@
  * only when every slot is live and each live slot seats a token.
  *
  * `qd_compact` drops the dead slots between sweeps.
+ *
+ * The cohesion cache is rebuilt before each sweep by two calls with the
+ * products cv[i] = norms r[i] between them, which stay in BLAS (a dot
+ * product written here rounds differently): `qd_cohesion_sums` takes each
+ * live topic's representatives (a parent's fixed list, or the top M words by
+ * count) and sums r[i] = sum_m f_k(rep_m) norms[rep_m]; `qd_cohesion_rank`
+ * ranks the topics of each word by cv into `tilde`, as numpy's stable
+ * argsort and linspace do, and points every column at its row.
  */
 #include <stdint.h>
 
@@ -49,17 +57,27 @@ typedef struct {
     int64_t *scal;               /* live topics, m_total, next_topic */
     const double *tilde;         /* cohesion gate, rows x V; NULL before a refresh */
     int32_t *tilde_row;          /* cap: row of a column's topic, -1 if born since */
+    const double *norms;         /* V x dim embedding rows over their lengths, or NULL */
+    int64_t dim;
+    int64_t n_reps;              /* M, at most V: a topic's representatives by count */
+    const int64_t *rep_topic;    /* n_rep_topics topics with a fixed list, ascending */
+    const int64_t *rep_ptr;      /* n_rep_topics + 1 offsets into rep_words */
+    const int32_t *rep_words;
+    int64_t n_rep_topics;
+    int32_t *top;                /* n_reps: scratch, one topic's top words */
+    int32_t *rank;               /* cap: scratch, one word's topics by cohesion */
     double u, beta, alpha, gamma, base_density;
     next_double_fn next_double;
     void *rng_state;
-    double *work;                /* 3 * cap + 2 * longest document + 4 */
+    double *work;                /* 3 * cap + 2 * longest document + 4: scratch */
     int32_t *slot_map;           /* longest document: a slot's index after compaction */
     int64_t *err;                /* 3 integers describing a failure */
 } qd_state;
 
 enum { N_LIVE = 0, M_TOTAL = 1, NEXT_TOPIC = 2 };
 /* -1 means "new" (table or topic); failures are below it */
-enum { ERR_NEG_MASS = -2, ERR_RETIRE = -3, ERR_DEAD = -4, ERR_FULL = -5, ERR_INDEX = -6 };
+enum { ERR_NEG_MASS = -2, ERR_RETIRE = -3, ERR_DEAD = -4, ERR_FULL = -5, ERR_INDEX = -6,
+       ERR_NO_ID = -7 };
 
 int64_t qd_state_size(void) { return (int64_t)sizeof(qd_state); }
 
@@ -196,14 +214,21 @@ static void attach(qd_state *s, int64_t j, int64_t i, int64_t t, int flag) {
     apply_counts(s, s->doc_ptr[j] + t, s->words[p], flag, +1);
 }
 
-/* f[c] = (n_kw + beta) / (n_k + V beta) for every live column c. */
+/* f_k(w) = (n_kw + beta) / (n_k + V beta) from the counts of one cell and
+ * its column, the expression of `HDPSampler.phi`. */
+static inline double f_kw(int32_t units, int32_t promos, int64_t nk_units, int64_t nk_promos,
+                          double u, double beta, double v_beta) {
+    return ((double)units + u * (double)promos + beta)
+           / ((double)nk_units + u * (double)nk_promos + v_beta);
+}
+
+/* f[c] = f_k(w) for every live column c. */
 static void predictive(const qd_state *s, int64_t w, double *f) {
     const int32_t *units = s->nkw_units + w * s->cap, *promos = s->nkw_promos + w * s->cap;
     const double u = s->u, beta = s->beta, v_beta = (double)s->V * s->beta;
     for (int64_t i = 0; i < s->scal[N_LIVE]; i++) {
         const int32_t c = s->order[i];
-        f[c] = ((double)units[c] + u * (double)promos[c] + beta)
-               / ((double)s->nk_units[c] + u * (double)s->nk_promos[c] + v_beta);
+        f[c] = f_kw(units[c], promos[c], s->nk_units[c], s->nk_promos[c], u, beta, v_beta);
     }
 }
 
@@ -324,8 +349,11 @@ int64_t qd_sweep(qd_state *s, int64_t p0) {
                     c = register_topic(s, s->forced[w]);
             } else {
                 c = draw_topic(s, w);
-                if (c == -1)
+                if (c == -1) {
+                    if (s->scal[NEXT_TOPIC] == INT64_MAX)   /* no id is left for a birth */
+                        return fail(s, ERR_NO_ID, j, i, 0);
                     c = register_topic(s, s->scal[NEXT_TOPIC]++);
+                }
             }
             t = open_table(s, j, c);
             if (t < 0)
@@ -371,6 +399,104 @@ int64_t qd_compact(qd_state *s) {
         s->n_tab[j] = n;
     }
     return 0;
+}
+
+/* ---- the cohesion cache ---- */
+
+/* n_kw = units + u * promos of word w in column c */
+static double count_of(const qd_state *s, int64_t w, int32_t c) {
+    const int64_t cell = w * s->cap + c;
+    return (double)s->nkw_units[cell] + s->u * (double)s->nkw_promos[cell];
+}
+
+/* Column c's n_reps words with the largest n_kw into `top`, descending, ties
+ * to the lower word id (numpy's stable argsort of the negated counts);
+ * returns how many, min(M, V). */
+static int64_t top_words(qd_state *s, int32_t c) {
+    const int64_t M = s->n_reps;
+    int32_t *top = s->top;
+    int64_t n = 0;
+    double least = 0.0;   /* the count of top[M - 1] once `top` is full */
+    for (int64_t w = 0; w < s->V; w++) {
+        const double x = count_of(s, w, c);
+        if (n == M && !(x > least))   /* an equal count keeps the lower id */
+            continue;
+        int64_t i = n < M ? n++ : M - 1;
+        for (; i > 0 && count_of(s, top[i - 1], c) < x; i--)
+            top[i] = top[i - 1];
+        top[i] = (int32_t)w;
+        if (n == M)
+            least = count_of(s, top[M - 1], c);
+    }
+    return n;
+}
+
+/* r[i] = sum_m f_k(rep_m) norms[rep_m] (dim entries) for the i-th live topic
+ * k by ascending id, summed in representative order from +0.0; returns the
+ * number of live topics. */
+int64_t qd_cohesion_sums(qd_state *s, double *r) {
+    const int64_t T = s->scal[N_LIVE], dim = s->dim, cap = s->cap;
+    const double u = s->u, beta = s->beta, v_beta = (double)s->V * s->beta;
+    int64_t q = 0;   /* rep_topic and by_id both ascend, so one walk finds every list */
+    for (int64_t i = 0; i < T; i++) {
+        const int32_t c = s->by_id[i];
+        const int64_t k = s->topic_of[c];
+        while (q < s->n_rep_topics && s->rep_topic[q] < k)
+            q++;
+        const int32_t *reps = s->top;
+        int64_t n;
+        if (q < s->n_rep_topics && s->rep_topic[q] == k) {
+            reps = s->rep_words + s->rep_ptr[q];
+            n = s->rep_ptr[q + 1] - s->rep_ptr[q];
+        } else {
+            n = top_words(s, c);
+        }
+        double *ri = r + i * dim;
+        for (int64_t d = 0; d < dim; d++)
+            ri[d] = 0.0;
+        for (int64_t m = 0; m < n; m++) {
+            const int64_t cell = (int64_t)reps[m] * cap + c;
+            const double p = f_kw(s->nkw_units[cell], s->nkw_promos[cell], s->nk_units[c],
+                                  s->nk_promos[c], u, beta, v_beta);
+            const double *row = s->norms + (int64_t)reps[m] * dim;
+            for (int64_t d = 0; d < dim; d++)
+                ri[d] += p * row[d];
+        }
+    }
+    return T;
+}
+
+/* a after b in numpy's sort order, which puts NaN last */
+static int after(double a, double b) { return a > b || (a != a && b == b); }
+
+/* tilde[i][w]: per word w, the live topics ranked by cv[i][w] ascending (a
+ * stable insertion sort: ties in row order) get np.linspace(0, 1, T), that
+ * is rank * (1 / (T - 1)) and exactly 1 for the last; a lone topic gets 1.
+ * Then the gate reads this `tilde`, each live column at its row (a column
+ * born later is set to none at its birth). Returns the number of rows. */
+int64_t qd_cohesion_rank(qd_state *s, const double *cv, double *tilde) {
+    const int64_t T = s->scal[N_LIVE], V = s->V;
+    const double step = T > 1 ? 1.0 / (double)(T - 1) : 0.0;
+    int32_t *row = s->rank;
+    double *key = s->work;   /* the sweep's scratch is free between sweeps */
+    for (int64_t w = 0; w < V; w++) {
+        for (int64_t i = 0; i < T; i++) {
+            const double x = cv[i * V + w];
+            int64_t j = i;
+            for (; j > 0 && after(key[j - 1], x); j--) {
+                key[j] = key[j - 1];
+                row[j] = row[j - 1];
+            }
+            key[j] = x;
+            row[j] = (int32_t)i;
+        }
+        for (int64_t j = 0; j < T; j++)
+            tilde[row[j] * V + w] = j == T - 1 ? 1.0 : (double)j * step;
+    }
+    for (int64_t i = 0; i < T; i++)
+        s->tilde_row[s->by_id[i]] = (int32_t)i;
+    s->tilde = tilde;
+    return T;
 }
 
 /* ---- the single steps, for the Python wrappers; indices are checked ---- */

@@ -308,6 +308,7 @@ def _pinned_token(corpus_path, result_path):
     ("pinned_word_off_its_parent", "is pinned to a parent topic but its table serves"),
     ("next_topic_not_above_the_live_ids", "is not an int64 above every live topic id"),
     ("next_topic_past_int64", "next_topic = 18446744073709551616 is not an int64"),
+    ("next_topic_no_sweep_reaches", "next_topic = 9223372036854775807 is above "),
     ("rng_not_a_dict", "rng is not a PCG64 generator state: 'x'"),
     ("rng_without_its_state", "rng is not a PCG64 generator state: {'bit_generator': 'PCG64'}"),
     ("rng_with_an_empty_state", "generator state: {'bit_generator': 'PCG64', 'state': {}, "),
@@ -358,6 +359,8 @@ def test_corrupt_checkpoint_is_validation_error_naming_the_field(
         state["next_topic"] = int(topics.max())
     elif case == "next_topic_past_int64":
         state["next_topic"] = 2**64
+    elif case == "next_topic_no_sweep_reaches":   # resumed with exit 0, then overflowed
+        state["next_topic"] = 2**63 - 1
     elif case == "rng_not_a_dict":
         state["rng"] = "x"
     elif case == "rng_without_its_state":

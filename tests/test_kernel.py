@@ -17,7 +17,7 @@ from qdtm import _native
 from qdtm.concepts import extract_concept_words
 from qdtm.embeddings import build_promotion
 from qdtm.retrieval import parse_query, retrieve
-from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters
+from qdtm.sampler import COLUMN_HEADROOM, ConsistencyError, HDPSampler, Hyperparameters
 from qdtm.synth import SyntheticSpec
 
 from helpers import sampler_cases
@@ -166,6 +166,10 @@ COHESION_CASES = {
         [[1, 1, 0], [2, 1, 3]], 4, Hyperparameters(initial_topics=2),
         ([[0, 0, 1], [0, 1, 1]], [[0, 1], [1, 0]]),
         np.vstack([unit_rows(1, 3, 5), np.zeros(3), unit_rows(2, 3, 6)]), {}),
+    "non-finite embedding rows": (   # topic 1's one representative has the NaN row
+        [[0, 1, 2], [3, 4, 3]], 5, Hyperparameters(initial_topics=2, n_representatives=1),
+        ([[0, 1, 1], [0, 0, 0]], [[1, 2], [3]]),
+        np.vstack([np.full(3, np.nan), unit_rows(3, 3, 8), [np.inf, 0.0, 1.0]]), {}),
 }
 
 
@@ -189,6 +193,96 @@ def test_cohesion_cache_equals_the_oracle(case):
         assert not cv[kernel.topic_row[0]].any() and cv[kernel.topic_row[1]].all()
     elif case == "zero embedding row":
         assert not cv[:, 1].any() and cv[:, [0, 2, 3]].all()
+    elif case == "non-finite embedding rows":   # numpy sorts NaN last, ties in row order
+        assert np.isnan(cv[kernel.topic_row[1]]).all() and np.isnan(cv[:, 0]).all()
+        assert kernel.tilde[kernel.topic_row[1]].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+
+
+@st.composite
+def cohesion_states(draw):
+    """A state for `set_state` with embeddings: rows drawn from a small pool
+    with a zero row, so CV ties across topics and the stable rank shows; M
+    below and above V; one to a few live topics; parent lists that are empty,
+    longer than M or repeat a word; flagged tokens. With `retire`, document 0
+    is one token of its own topic, which the test retires after `_grow` and
+    replaces by a birth in the freed column, so columns leave id order."""
+    V = draw(st.integers(1, 7))
+    words = st.integers(0, V - 1)
+    n_parents = draw(st.integers(0, 2))
+    M = draw(st.integers(1, V + 2))
+    forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=2))
+              if n_parents else {})
+    rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=3))
+    promotion = {w: [(t, t == w) for t in sorted(ts)] for w, ts in rows.items()}
+    plain = draw(st.lists(st.integers(n_parents, n_parents + 6), min_size=1, max_size=3,
+                          unique=True))
+    docs, t, topics, flags = [], [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        doc = draw(st.lists(words, min_size=1, max_size=6))
+        docs.append(doc)
+        t.append(list(range(len(doc))))   # one table per token
+        topics.append([forced[w] if w in forced
+                       else draw(st.sampled_from(plain + list(range(n_parents))))
+                       for w in doc])
+        flags.append([int(w in promotion and draw(st.booleans())) for w in doc])
+    free = [w for w in range(V) if w not in forced]
+    retire = bool(free) and draw(st.booleans())
+    if retire:   # a topic id above every other, alone in document 0
+        docs.insert(0, [draw(st.sampled_from(free))])
+        t.insert(0, [0])
+        topics.insert(0, [max(plain) + 1])
+        flags.insert(0, [0])
+    seed = draw(st.integers(0, 2**32 - 1))
+    pool = np.vstack([np.zeros(3), np.random.default_rng(seed).normal(size=(2, 3))])
+    norms = pool[draw(st.lists(st.integers(0, 2), min_size=V, max_size=V))]
+    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
+                  embedding_norms=norms,
+                  parent_representatives={q: draw(st.lists(words, max_size=M + 2))
+                                          for q in range(n_parents)})
+    hp = Hyperparameters(initial_topics=n_parents + 1, n_representatives=M,
+                         beta=draw(st.sampled_from([0.01, 0.13, 0.5])),
+                         promotion_weight=draw(st.sampled_from([0.1, 0.3, 0.77])))
+    return docs, V, hp, (t, topics, flags), kwargs, retire
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cohesion_states())
+def test_cohesion_cache_of_a_drawn_state_equals_the_oracle(case):
+    docs, V, hp, state, kwargs, retire = case
+    kernel = HDPSampler(docs, V, hp, 0, **kwargs)
+    oracle = OracleSampler(docs, V, hp, 0, **kwargs)
+    kernel.set_state(*state)
+    oracle.set_state(*state)
+    if retire:
+        kernel._grow()
+        born, freed = kernel.next_topic, kernel._columns()[state[1][0][0]]
+        for s in (kernel, oracle):
+            s._detach(0, 0)   # its topic retires and frees a column
+            s._ensure_table(0, 0, born)
+            s._attach(0, 0, 0, 0)
+        assert kernel._columns()[born] == freed   # below the columns of older topics
+    kernel.refresh_cohesion()
+    oracle.refresh_cohesion()
+    assert_same_cohesion(kernel, oracle)
+    assert kernel._tilde_row[kernel._by_id[:len(kernel.topic_row)]].tolist() == list(
+        range(len(kernel.topic_row)))
+
+
+def test_norms_of_any_layout_or_float_type_give_the_same_cache():
+    """The kernel reads the norms through one pointer as C-ordered float64, so
+    the sampler converts them once; the fingerprint hashes them as given."""
+    docs, V, hp, state, _, kwargs = COHESION_CASES["promotion mass"]
+    single = unit_rows(V, 4, 7).astype(np.float32)
+    double = single.astype(np.float64)
+
+    def cache(norms):
+        s = HDPSampler(docs, V, hp, 0, embedding_norms=norms, **kwargs)
+        s.set_state(*state)
+        s.refresh_cohesion()
+        return s.cv.tobytes(), s.tilde.tobytes(), s.topic_row
+    expected = cache(double)
+    for norms in (np.asfortranarray(double), single, np.repeat(double, 2, axis=1)[:, ::2]):
+        assert cache(norms) == expected
 
 
 def test_single_steps_reject_arguments_outside_the_state():
@@ -281,6 +375,59 @@ def cold_cache(tmp_path, monkeypatch):
     _native.library.cache_clear()
     yield tmp_path / "cache"
     _native.library.cache_clear()
+
+
+UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+UBSAN_RUN = """
+import sys
+import numpy as np
+from qdtm import _native
+_native.CACHE_DIR, _native.FLAGS = sys.argv[1], _native.FLAGS + tuple(sys.argv[2:])
+from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters
+rng = np.random.default_rng(0)
+norms = rng.normal(size=(12, 4))
+s = HDPSampler([rng.integers(12, size=8).tolist() for _ in range(10)], 12,
+               Hyperparameters(initial_topics=3, n_representatives=3, gamma=6.0), 1,
+               forced_topic={0: 0, 1: 0}, n_parents=1, parent_representatives={0: [0, 1, 0]},
+               promotion={0: [(0, True), (2, False)], 5: [(5, True), (1, False), (7, False)]},
+               embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True))
+s.initialize()
+s.run(8, check_invariants=True)   # a refresh, a sweep and a compaction each
+s.load_state_dict(s.state_dict())
+s.run(2, check_invariants=True)
+s.next_topic = 2**63 - 1
+try:
+    for _ in range(20):
+        s.run(1)
+except ConsistencyError as e:
+    print(e)
+print(len(s.m_k), s._cap, sum(map(sum, s.flags)), _native.library_path())
+"""
+
+
+def test_the_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path, monkeypatch):
+    """A fit with embeddings and promotion, compactions, a growth of the topic
+    columns, a resume and a birth past the largest topic id, on a build that
+    aborts at any undefined behaviour (a signed overflow, an out-of-range
+    shift, a misaligned read)."""
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + UBSAN)
+    try:
+        _native.build(_native.library_path())
+    except _native.BuildError as e:
+        if "sanitize" in str(e) or "ubsan" in str(e):
+            pytest.skip(f"the compiler has no undefined-behaviour sanitizer: {e}")
+        raise
+    out = subprocess.run([sys.executable, "-c", UBSAN_RUN, str(tmp_path), *UBSAN],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert "runtime error" not in out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("no topic id is left")
+    live, cap, flagged, path = lines[1].split()
+    assert int(live) > 3 and int(cap) > 3 + COLUMN_HEADROOM and int(flagged) > 0
+    assert path == _native.library_path()
 
 
 def test_import_qdtm_neither_builds_nor_loads_the_kernel():

@@ -62,10 +62,22 @@ def test_non_finite_hyperparameter_rejected(name, value):
     ([[0, 1]], {"forced_topic": {0: -1}, "n_parents": 1}, r"forced_topic\[0\] = -1"),
     ([[0, 1]], {"forced_topic": {3: 0}, "n_parents": 1}, "forced_topic word 3"),
     ([[0, 1]], {"embedding_norms": np.eye(2)}, "embedding_norms has 2 rows for 3 words"),
+    ([[0, 1]], {"embedding_norms": np.ones(3)}, "embedding_norms must be a matrix, got 1 axes"),
+    ([[0, 1]], {"parent_representatives": {0: [1, 3]}},
+     r"parent_representatives\[0\] holds 3, not a word id in \[0, 3\)"),
+    ([[0, 1]], {"parent_representatives": {0: [-1]}}, r"parent_representatives\[0\] holds -1"),
+    ([[0, 1]], {"parent_representatives": {"0": [1]}}, "key '0' is not a topic id"),
 ])
 def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
     with pytest.raises(SamplerError, match=message):
         HDPSampler(docs, 3, small_hp(), seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_constructor_rejects_fewer_than_one_representative(m):
+    """The kernel keeps a topic's top M words in a buffer of M entries."""
+    with pytest.raises(SamplerError, match="n_representatives must be >= 1"):
+        HDPSampler([[0, 1]], 3, small_hp(n_representatives=m), seed=0)
 
 
 def test_initialize_one_table_per_token():
@@ -295,6 +307,24 @@ def test_check_invariants_catches_a_stale_view_after_a_topic_birth():
     s._by_id[:] = stale
     with pytest.raises(ConsistencyError, match="column view"):
         s.check_invariants()
+
+
+def test_a_birth_past_the_largest_topic_id_is_an_error():
+    """At alpha = gamma = 1e6 the first token opens a table of a new topic;
+    its id would overflow int64."""
+    s = HDPSampler([[0, 1, 2]], 3, small_hp(alpha=1e6, gamma=1e6), seed=0)
+    s.initialize()
+    s.next_topic = 2**63 - 1
+    with pytest.raises(ConsistencyError, match="no topic id is left"):
+        s.sweep()
+
+
+def test_a_topic_id_that_leaves_no_next_topic_is_rejected():
+    """next_topic is one above the highest live id and an int64 too."""
+    s = HDPSampler([[0, 1]], 2, small_hp(), seed=0)
+    with pytest.raises(SamplerError, match=r"table_topic\[0\]\[0\] = 9223372036854775807 is "
+                                           "neither a topic id nor -1"):
+        s.set_state([[0, 0]], [[2**63 - 1]])
 
 
 def test_check_invariants_catches_a_table_count_without_a_table():
