@@ -36,7 +36,7 @@ class State(ctypes.Structure):
     """Mirror of `qd_state` in sweep.c; the field order is the C order."""
     _fields_ = [
         ("words", _P), ("doc_ptr", _P), ("n_docs", _I), ("V", _I),
-        ("forced", _P), ("promo_ptr", _P), ("promo_target", _P), ("promo_self", _P),
+        ("forced", _P), ("promo_ptr", _P), ("promo_target", _P),
         ("tok_t", _P), ("tok_flag", _P), ("n_tab", _P), ("tab_col", _P),
         ("tab_units", _P), ("tab_promos", _P), ("cap", _I), ("topic_of", _P),
         ("order", _P), ("by_id", _P), ("m", _P), ("nk_units", _P), ("nk_promos", _P),

@@ -20,6 +20,8 @@ The integer counts are the only count state; the kernel, `phi` and
 by one expression.
 The attributes the rest of qdtm reads (`t`, `flags`, `table_topic`, `m_k`,
 `nkw_units`, ...) are read-only views of these buffers holding plain ints.
+Each input rule lives once: the hyperparameters' in `Hyperparameters.validate`,
+the other constructor inputs' in `_check_constraints`, a state's in `_checked`.
 """
 
 from __future__ import annotations
@@ -61,23 +63,23 @@ class Hyperparameters:
     prevalence_floor: float = 0.005  # subtopics below this corpus share are pruned
 
     def validate(self, n_queries: int = 0) -> None:
-        for name in ("alpha", "beta", "gamma", "cosine_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise SamplerError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
-            raise SamplerError("alpha, beta and gamma must be positive")
-        if not -1 <= self.cosine_threshold <= 1:
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SamplerError(f"{name} must be finite and positive, got {value}")
+        if not -1 <= self.cosine_threshold <= 1:   # NaN and inf fail it too
             raise SamplerError(
                 f"cosine_threshold must be in [-1, 1], got {self.cosine_threshold}")
-        if self.initial_topics < n_queries + 1:
-            raise SamplerError(
-                f"initial_topics must be >= n_queries + 1 ({n_queries + 1})")
+        # counts: a float such as inf passes `>=`; initial_topics leaves a non-parent topic
+        for name, low in (("initial_topics", n_queries + 1), ("n_representatives", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise SamplerError(f"{name} must be >= {low} and an integer, got {value}")
         if not 0 < self.promotion_weight < 1:
-            raise SamplerError("promotion weight u must be in (0,1)")
-        if self.n_representatives < 1:
-            raise SamplerError("n_representatives must be >= 1")
+            raise SamplerError(f"promotion_weight, the promotion weight u, must be in (0, 1), "
+                               f"got {self.promotion_weight}")
         if not 0 <= self.prevalence_floor < 1:
-            raise SamplerError("prevalence floor must be in [0,1)")
+            raise SamplerError(f"prevalence_floor must be in [0, 1), got {self.prevalence_floor}")
 
 
 class _Rows(Sequence):
@@ -138,6 +140,7 @@ class HDPSampler:
                  promotion: dict[int, list[tuple[int, bool]]] | None = None,
                  embedding_norms: np.ndarray | None = None,
                  parent_representatives: dict[int, list[int]] | None = None):
+        hp.validate(n_queries=n_parents)
         if not docs or any(len(d) == 0 for d in docs):
             raise SamplerError("documents must be non-empty")
         self.docs = docs
@@ -164,9 +167,8 @@ class HDPSampler:
         row_len = np.zeros(vocab_size, dtype=np.int64)
         row_len[list(self.promo_rows)] = [len(r) for r in self.promo_rows.values()]
         self._promo_ptr = np.concatenate(([0], np.cumsum(row_len)))
-        entries = [e for w in sorted(self.promo_rows) for e in self.promo_rows[w]]
-        self._promo_target = np.array([tgt for tgt, _ in entries], dtype=np.int32)
-        self._promo_self = np.array([bool(s) for _, s in entries], dtype=np.int8)
+        self._promo_target = np.array([tgt for w in sorted(self.promo_rows)
+                                       for tgt, _ in self.promo_rows[w]], dtype=np.int32)
         self._err = np.zeros(3, dtype=np.int64)
         self._out = np.zeros(3, dtype=np.int64)
         self._slot_map = np.empty(int(self._lengths.max()), np.int32)   # `qd_compact`'s scratch
@@ -196,6 +198,8 @@ class HDPSampler:
 
     def _check_constraints(self) -> None:
         V = self.V
+        if not (isinstance(self.n_parents, (int, np.integer)) and self.n_parents >= 0):
+            raise SamplerError(f"n_parents must be >= 0 and an integer, got {self.n_parents}")
         for w, k in self.forced_topic.items():
             if not 0 <= w < V:
                 raise SamplerError(f"forced_topic word {w} is not a word id in [0, {V})")
@@ -207,12 +211,13 @@ class HDPSampler:
                 raise SamplerError(f"promotion row of word {w}: not a word id in [0, {V})")
             if not row:
                 raise SamplerError(f"promotion row of word {w} is empty")
-            for target, _ in row:
+            for target, is_self in row:
                 if not 0 <= target < V:
                     raise SamplerError(f"promotion row of word {w} targets {target}, "
                                        f"not a word id in [0, {V})")
-        if self.hp.n_representatives < 1:
-            raise SamplerError("n_representatives must be >= 1")
+                if bool(is_self) != (target == w):   # a self pair targets its own word
+                    raise SamplerError(f"promotion row of word {w} holds {(target, is_self)}: "
+                                       f"is_self must be {target == w}")
         norms = self.embedding_norms
         if norms is not None and np.ndim(norms) != 2:
             raise SamplerError(f"embedding_norms must be a matrix, got {np.ndim(norms)} axes")
@@ -317,17 +322,14 @@ class HDPSampler:
         construction, so it is built as flat arrays and installed without
         `set_state`'s checks.
         """
-        K = self.hp.initial_topics
-        free = [k for k in range(K) if k >= self.n_parents]
-        if not free:
-            raise SamplerError("no non-parent topic available at initialization")
-        base = np.array(free)[self.rng.integers(len(free), size=len(self.docs))]
+        K, P = self.hp.initial_topics, self.n_parents   # validate: K > P
+        base = P + self.rng.integers(K - P, size=len(self.docs))
         forced = self._forced[self._words]
         tab = np.where(forced >= 0, forced, base.repeat(self._lengths))
         slot = np.arange(len(self._words))   # token p sits alone at slot p
         self._install((slot - self._tok_base).astype(np.int32), np.zeros(len(slot), np.int8),
                       self._lengths, tab, slot)
-        self.next_topic = max(self.n_parents, K)
+        self.next_topic = K
 
     def set_state(self, t_assignments: Sequence[Sequence[int]],
                   table_topics: Sequence[Sequence[int]],
@@ -337,10 +339,10 @@ class HDPSampler:
         `t_assignments[j][i]` is the table of token i in document j and
         `table_topics[j][t]` the topic of each table (-1 for a dead slot), an
         id below 2**63 - 1. Topics enter `m_k` in table order, parents first;
-        `next_topic` follows the highest live id. The counts are built by array operations,
-        not by the kernel's updates, so `check_invariants` can compare the two.
-        A state the sampler could not be in raises `SamplerError` naming the
-        field, and leaves the sampler as it was.
+        `next_topic` follows the highest live id. The counts are built by
+        array operations, not by the kernel's updates. A state the sampler
+        could not be in raises `SamplerError` naming the field, and leaves
+        the sampler as it was.
         """
         lengths, n_tab = self._lengths, _row_lengths("table_topic", table_topics, len(self.docs))
         self._install(*self._checked(
@@ -409,6 +411,13 @@ class HDPSampler:
                                "but seats no token")
         return t.astype(np.int32), fl.astype(np.int8), n_tab, tab, slot
 
+    def _assignments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`t` and `flags` per token, `n_tab` per document and the topic of each
+        slot in use (-1 if dead), in document then slot order: `_checked`'s input."""
+        cols = self._tab_col[self._slots_in_use(self._n_tab)]
+        return (self._tok_t, self._tok_flag, self._n_tab,
+                np.where(cols >= 0, self._topic_of[cols], -1))
+
     def _slots_in_use(self, n_tab: np.ndarray) -> np.ndarray:
         """Buffer positions of the slots in use, in document then slot order."""
         first = self._doc_ptr[:-1] - (np.cumsum(n_tab) - n_tab)   # slot minus entry index
@@ -451,7 +460,8 @@ class HDPSampler:
         reps = self._promo_ptr[self._words[flagged] + 1] - starts
         tok = np.repeat(flagged, reps)
         entry = np.repeat(starts - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
-        target, is_self = self._promo_target[entry], self._promo_self[entry] == 1
+        target = self._promo_target[entry]
+        is_self = target == self._words[tok]
         for pairs, tab_mass, nkw in ((is_self, self._tab_units, self._nkw_units),
                                      (~is_self, self._tab_promos, self._nkw_promos)):
             np.add.at(tab_mass, slot[tok[pairs]], one)
@@ -503,7 +513,7 @@ class HDPSampler:
             dim=0 if norms is None else norms.shape[1],
             n_reps=len(self._top), n_rep_topics=len(self._rep_topic),
             **{name: getattr(self, "_" + name).ctypes.data for name in (
-                "words", "doc_ptr", "forced", "promo_ptr", "promo_target", "promo_self",
+                "words", "doc_ptr", "forced", "promo_ptr", "promo_target",
                 "tok_t", "tok_flag", "n_tab", "tab_col", "tab_units", "tab_promos",
                 "topic_of", "order", "by_id", "m", "nk_units", "nk_promos",
                 "nkw_units", "nkw_promos", "scal", "tilde_row", "rep_topic", "rep_ptr",
@@ -657,28 +667,21 @@ class HDPSampler:
     def check_invariants(self) -> None:
         """Exact consistency checks; raises ConsistencyError on violation.
 
-        Besides the constraint and the live tables' mass, every structure is
-        compared with `==` to a rebuild by `set_state` from the raw
-        assignments. The rebuild shares no code with the kernel's incremental
-        updates, so a fault in the updates shows.
+        The assignments must pass `_checked` and each slot past its document's
+        `n_tab` must be dead and empty. Every count structure must equal (`==`)
+        a rebuild by `_install`, which shares no code with the kernel's updates.
         """
-        cols = self._token_columns()
-        topics = np.where((self._tok_t >= 0) & (cols >= 0), self._topic_of[cols], -1)
-        bad = topics < 0   # a dead table (-1) is forbidden to all
-        pinned = self._pinned
-        bad[pinned] |= topics[pinned] != self._forced[self._words[pinned]]
-        bad = np.flatnonzero(bad)
+        past = np.arange(len(self._words)) - self._tok_base >= self._n_tab.repeat(self._lengths)
+        bad = np.flatnonzero(past & ((self._tab_col >= 0) | (self._tab_units != 0)
+                                     | (self._tab_promos != 0)))
         if bad.size:
-            j, i = self._position(bad[0])
-            raise ConsistencyError(f"token ({j},{i}) word {self._words[bad[0]]} at "
-                                   f"forbidden topic {topics[bad[0]]}")
-        empty = np.flatnonzero((self._tab_col >= 0) & (self._tab_units == 0)
-                               & (self._tab_promos == 0))
-        if empty.size:
-            j, t = self._position(empty[0])
-            raise ConsistencyError(f"live table ({j},{t}) with zero mass")
+            j, t = self._position(bad[0])
+            raise ConsistencyError(f"table slot ({j},{t}) past n_tab[{j}] is live or not empty")
         ref = copy.copy(self)
-        ref.set_state(self.t, self.table_topic, self.flags)
+        try:
+            ref._install(*ref._checked(*self._assignments()))
+        except SamplerError as e:
+            raise ConsistencyError(f"the assignments break a rule of the state: {e}") from e
         for name in ("m_k", "m_total", "table_units", "table_promos",
                      "nkw_units", "nkw_promos", "nk_units", "nk_promos"):
             if getattr(self, name) != getattr(ref, name):
@@ -760,20 +763,15 @@ class HDPSampler:
         return digest.hexdigest()
 
     def state_dict(self) -> dict:
-        """The phase-1 state as of now, as JSON values. The fields in
-        `CHECKPOINT_ARRAYS` are base64 text of little-endian arrays: `t` and
-        `flags` per token, `n_tab` per document and `table_topic` per slot in
-        use, in document then slot order."""
+        """The phase-1 state as of now, as JSON values: `_assignments` as base64
+        text of little-endian arrays, under the names in `CHECKPOINT_ARRAYS`."""
         import base64   # like hashlib, only checkpoints need it
-        cols = self._tab_col[self._slots_in_use(self._n_tab)]
-        arrays = {"t": self._tok_t, "flags": self._tok_flag, "n_tab": self._n_tab,
-                  "table_topic": np.where(cols >= 0, self._topic_of[cols], -1)}
         return {
             "format": "qdtm-checkpoint-v3",
             "fingerprint": self.fingerprint,
             "iterations_done": self.iterations_done,
-            **{key: base64.b64encode(a.astype(CHECKPOINT_ARRAYS[key], copy=False)).decode()
-               for key, a in arrays.items()},
+            **{key: base64.b64encode(a.astype(dtype, copy=False)).decode()
+               for (key, dtype), a in zip(CHECKPOINT_ARRAYS.items(), self._assignments())},
             "next_topic": self.next_topic,
             "rng": self.rng.bit_generator.state,
         }
@@ -782,7 +780,7 @@ class HDPSampler:
         """Resume from `state_dict()`. Every field is checked before any is
         installed: one the sampler could not have written raises
         `SamplerError` naming it and leaves the sampler as it was. A
-        `next_topic` above max(n_parents, initial_topics, highest live id + 1)
+        `next_topic` above max(initial_topics, highest live id + 1)
         + tokens * iterations_done is one no sweep reaches."""
         fmt = state.get("format") if isinstance(state, dict) else None
         if fmt != "qdtm-checkpoint-v3":
@@ -806,7 +804,7 @@ class HDPSampler:
             raise SamplerError(f"iterations_done = {done!r} is not a count of sweeps")
         # a sweep births at most one topic per token, from `initialize`'s first
         # free id or from one above a `set_state`'s highest live id
-        reach = max(self.n_parents, self.hp.initial_topics, top + 1) + N * done
+        reach = max(self.hp.initial_topics, top + 1) + N * done
         if next_topic > reach:
             raise SamplerError(f"next_topic = {next_topic} is above {reach}, the most "
                                f"{done} sweeps of {N} tokens reach")

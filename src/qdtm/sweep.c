@@ -15,6 +15,8 @@
  * Document j's table slots sit at doc_ptr[j] .. doc_ptr[j] + n_tab[j]; a
  * document never holds more slots than tokens, because a slot is appended
  * only when every slot is live and each live slot seats a token.
+ * A flagged token of word w adds a unit for the row entry that targets w (the
+ * self pair) and a promotion for each other one; no array stores a self flag.
  *
  * `qd_compact` drops the dead slots between sweeps.
  *
@@ -37,8 +39,7 @@ typedef struct {
     int64_t V;
     const int64_t *forced;       /* V: parent topic of a constrained word, else -1 */
     const int64_t *promo_ptr;    /* V + 1 offsets; rows are never empty */
-    const int32_t *promo_target;
-    const int8_t *promo_self;
+    const int32_t *promo_target; /* word w's entry is a self pair exactly when it is w */
     int32_t *tok_t;              /* N: table slot of each token */
     int8_t *tok_flag;            /* N: promotion flag used at its add */
     int32_t *n_tab;              /* n_docs: slots in use */
@@ -101,7 +102,7 @@ static void apply_counts(qd_state *s, int64_t slot, int64_t w, int flag, int32_t
     if (flag) {
         for (int64_t e = s->promo_ptr[w]; e < s->promo_ptr[w + 1]; e++) {
             const int64_t cell = (int64_t)s->promo_target[e] * cap + c;
-            if (s->promo_self[e]) {
+            if (s->promo_target[e] == w) {
                 s->tab_units[slot] += sign;
                 s->nkw_units[cell] += sign;
                 s->nk_units[c] += sign;

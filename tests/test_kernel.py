@@ -1,5 +1,6 @@
 """The compiled sweep against the pure-Python oracle, and how it is built and loaded."""
 
+import ctypes
 import os
 import re
 import subprocess
@@ -359,6 +360,28 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
                           "-Wconversion", "-Werror", "-o", str(tmp_path / "sweep.so"),
                           _native.SOURCE], capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_the_ctypes_state_has_the_c_layout(tmp_path):
+    """`qd_state` is declared in sweep.c and again in `_native.State`. Its size
+    alone, which `library()` checks, misses two fields of one size that trade
+    places; the offset of every field does not."""
+    names = [name for name, _ in _native.State._fields_]
+    probe = tmp_path / "probe.c"
+    probe.write_text('#include <stddef.h>\n#include <stdio.h>\n#include "sweep.c"\n'
+                     'int main(void) {\n    printf("size %zu\\n", sizeof(qd_state));\n'
+                     + "".join(f'    printf("{n} %zu\\n", offsetof(qd_state, {n}));\n'
+                               for n in names)
+                     + "    return 0;\n}\n")
+    exe = tmp_path / "probe"
+    build = subprocess.run([*_native.compiler(), "-std=c99", "-I", os.path.dirname(_native.SOURCE),
+                            "-o", str(exe), str(probe)], capture_output=True, text=True,
+                           timeout=120)
+    assert build.returncode == 0, build.stderr
+    out = subprocess.run([str(exe)], capture_output=True, text=True, check=True, timeout=60)
+    layout = {name: int(offset) for name, offset in map(str.split, out.stdout.splitlines())}
+    assert layout == {"size": ctypes.sizeof(_native.State),
+                      **{n: getattr(_native.State, n).offset for n in names}}
 
 
 def small_run() -> HDPSampler:

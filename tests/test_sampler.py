@@ -1,12 +1,15 @@
 import copy
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtm.pipeline import run_phase2
 from qdtm.sampler import M_TOTAL, ConsistencyError, HDPSampler, Hyperparameters, SamplerError
 
 from helpers import checkpoint_array, sampler_cases, start_topics_oracle
@@ -67,10 +70,69 @@ def test_non_finite_hyperparameter_rejected(name, value):
      r"parent_representatives\[0\] holds 3, not a word id in \[0, 3\)"),
     ([[0, 1]], {"parent_representatives": {0: [-1]}}, r"parent_representatives\[0\] holds -1"),
     ([[0, 1]], {"parent_representatives": {"0": [1]}}, "key '0' is not a topic id"),
+    ([[0, 1]], {"n_parents": -1}, "n_parents must be >= 0 and an integer, got -1"),
 ])
 def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
     with pytest.raises(SamplerError, match=message):
         HDPSampler(docs, 3, small_hp(), seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", float("nan")), ("alpha", -1), ("alpha", 0), ("beta", -0.5), ("gamma", 0),
+    ("promotion_weight", 0), ("promotion_weight", 1), ("promotion_weight", 2),
+    ("n_representatives", 0)], ids=repr)
+def test_a_hyperparameter_out_of_range_is_rejected_by_the_sampler(name, value):
+    """The sampler and phase 2 used to fit with these: beta = -0.5 left dozens
+    of live topics on ten short documents. The message names the field and
+    its value."""
+    hp = small_hp(**{name: value})
+    message = rf"{name}\b.* got {re.escape(str(value))}$"
+    with pytest.raises(SamplerError, match=message):
+        HDPSampler([[0, 1], [1, 2]], 3, hp, seed=0)
+    with pytest.raises(SamplerError, match=message):
+        run_phase2([[0, 1], [1, 2]], {0, 1, 2}, hp, seed=0, iterations=1)
+
+
+@pytest.mark.parametrize("start", ["initialize", "set_state"])
+def test_initial_topics_must_leave_a_topic_beyond_the_parents(start):
+    """`set_state` never reaches `initialize`, so the rule is checked when the
+    sampler is built."""
+    with pytest.raises(SamplerError, match="initial_topics must be >= 2 and an integer, got 1"):
+        s = HDPSampler([[0, 1]], 2, small_hp(initial_topics=1), seed=0,
+                       forced_topic={0: 0}, n_parents=1)
+        if start == "initialize":
+            s.initialize()
+        else:
+            s.set_state([[0, 0]], [[0]])
+
+
+@pytest.mark.parametrize("entry", [(2, True), (0, False)], ids=repr)
+def test_a_promotion_entry_is_a_self_pair_exactly_when_it_targets_its_word(entry):
+    """The entry (2, True) in word 0's row counted a flagged token of word 0 as
+    a unit of word 2."""
+    with pytest.raises(SamplerError, match=re.escape(f"promotion row of word 0 holds {entry}")):
+        HDPSampler([[0, 1, 2]], 3, small_hp(), seed=0, promotion={0: [entry]},
+                   embedding_norms=np.eye(3))
+
+
+HYPERPARAMETER_FIELDS = [f.name for f in dataclasses.fields(Hyperparameters)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(HYPERPARAMETER_FIELDS),
+       st.sampled_from([0, -1, float("nan"), float("inf"), float("-inf"), 1e308]))
+def test_the_sampler_is_built_exactly_when_its_hyperparameters_validate(name, value):
+    hp = Hyperparameters(**{name: value})
+
+    def build():
+        return HDPSampler([[0, 1], [2]], 3, hp, seed=0, forced_topic={0: 0}, n_parents=1)
+    try:
+        hp.validate(n_queries=1)
+    except SamplerError:
+        with pytest.raises(SamplerError, match=name):
+            build()
+    else:
+        build()
 
 
 @pytest.mark.parametrize("m", [0, -1])
@@ -352,6 +414,29 @@ def test_check_invariants_catches_a_fault_in_the_count_updates():
         units[i] += 1
         promos[i] -= 1
     with pytest.raises(ConsistencyError):
+        s.check_invariants()
+
+
+def test_check_invariants_reports_a_flag_without_a_promotion_row_as_inconsistent():
+    """A corrupt flag is the sampler's fault, not bad input."""
+    s = HDPSampler([[0, 1]], 2, small_hp(), seed=0)
+    s.initialize()
+    s._tok_flag[1] = 1
+    with pytest.raises(ConsistencyError, match=r"flags\[0\]\[1\] = 1 on word 1, which has no "
+                                               "promotion row"):
+        s.check_invariants()
+
+
+@pytest.mark.parametrize("corrupt", ["live", "mass"])
+def test_check_invariants_catches_a_slot_past_n_tab(corrupt):
+    s = HDPSampler([[0, 1, 1]], 2, small_hp(), seed=0)
+    s.set_state([[0, 0, 0]], [[1]])   # slots 1 and 2 are past n_tab[0] = 1
+    s.check_invariants()
+    if corrupt == "live":
+        s._tab_col[2], s._tab_units[2] = s._tab_col[0], 1
+    else:
+        s._tab_promos[2] = 1
+    with pytest.raises(ConsistencyError, match=r"table slot \(0,2\) past n_tab\[0\]"):
         s.check_invariants()
 
 
