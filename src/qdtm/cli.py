@@ -10,13 +10,12 @@ import os
 import sys
 
 from . import __version__
-from .concepts import (DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, METHODS,
-                       extract_concept_words)
+from .concepts import METHODS, extract_concept_words
 from .corpus import PreprocessOptions, ingest_jsonl
 from .embeddings import load_embeddings
 from .metrics import npmi_coherence, subtopic_report
-from .pipeline import RESULT_FORMAT_TAG, atomic_write, fit_topics
-from .retrieval import DEFAULT_CUTOFF, DEFAULT_MU, parse_query, precision_at_k, retrieve
+from .pipeline import RESULT_FORMAT_TAG, FitConfig, atomic_write, fit_topics
+from .retrieval import parse_query, precision_at_k, retrieve
 from .sampler import Hyperparameters
 from .synth import SyntheticSpec, block_embeddings, generate, write_embeddings, write_jsonl
 
@@ -39,16 +38,16 @@ def _corpus_args(p: argparse.ArgumentParser) -> None:
 
 
 def _retrieval_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["and", "or"], default="or")
-    p.add_argument("--top", type=int, default=DEFAULT_CUTOFF)
-    p.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p.add_argument("--mode", choices=["and", "or"], default=FitConfig.mode)
+    p.add_argument("--top", type=int, default=FitConfig.retrieval_cutoff)
+    p.add_argument("--mu", type=float, default=FitConfig.mu)
 
 
 def _expansion_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, default="kld")
-    p.add_argument("--n", type=int, default=DEFAULT_N, help="concept words per query")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.add_argument("--topk", type=int, default=DEFAULT_SIM_TOP_K)
+    p.add_argument("--method", choices=METHODS, default=FitConfig.method)
+    p.add_argument("--n", type=int, default=FitConfig.n_concepts, help="concept words per query")
+    p.add_argument("--lambda", dest="lam", type=float, default=FitConfig.lam)
+    p.add_argument("--topk", type=int, default=FitConfig.sim_top_k)
     p.add_argument("--embeddings", default=None)
 
 
@@ -80,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", default=None, help="file with one query per line")
     _retrieval_args(p)
     _expansion_args(p)
-    p.add_argument("--iters1", type=int, default=1000)
-    p.add_argument("--iters2", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--iters1", type=int, default=FitConfig.iterations_phase1)
+    p.add_argument("--iters2", type=int, default=FitConfig.iterations_phase2)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
     p.add_argument("--alpha", type=float, default=Hyperparameters.alpha)
     p.add_argument("--beta", type=float, default=Hyperparameters.beta)
     p.add_argument("--gamma", type=float, default=Hyperparameters.gamma)

@@ -11,12 +11,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .concepts import (DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, ConceptWordSet,
-                       extract_concept_words)
+from .concepts import DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, extract_concept_words
 from .corpus import Corpus
 from .embeddings import EmbeddingTable, build_promotion
 from .retrieval import DEFAULT_CUTOFF, DEFAULT_MU, parse_query, retrieve
-from .sampler import HDPSampler, Hyperparameters, SamplerError
+from .sampler import HDPSampler, Hyperparameters, SamplerError, check_numbers
 
 logger = logging.getLogger(__name__)
 
@@ -26,6 +25,39 @@ N_TOP_WORDS = 10   # words reported per parent topic and subtopic
 
 class ParentTopicError(SamplerError):
     """The parent topic claimed no tokens after phase 1."""
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Every fit setting and its default: the keywords of `fit_topics` and the
+    metadata of its result. Corpus, queries, embeddings and checkpoint are inputs."""
+    method: str = "kld"
+    hp: Hyperparameters = field(default_factory=Hyperparameters)
+    seed: int = 42
+    iterations_phase1: int = 1000
+    iterations_phase2: int = 500
+    mode: str = "or"
+    retrieval_cutoff: int = DEFAULT_CUTOFF
+    mu: float = DEFAULT_MU
+    n_concepts: int = DEFAULT_N
+    lam: float = DEFAULT_LAMBDA
+    sim_top_k: int = DEFAULT_SIM_TOP_K
+    target_labels: list[str] | None = None
+    full_posterior: bool = False
+
+    def validate(self, n_queries: int) -> None:
+        """The checks that need no corpus; `fit_topics` makes them before any work."""
+        if not isinstance(self.hp, Hyperparameters):
+            raise SamplerError(f"hp must be a Hyperparameters, got {self.hp!r}")
+        self.hp.validate(n_queries=n_queries)
+        if not n_queries:
+            raise SamplerError("at least one query is required")
+        check_numbers(self)
+        for name, low in (("iterations_phase1", 1), ("iterations_phase2", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise SamplerError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.target_labels and len(self.target_labels) != n_queries:
+            raise SamplerError(f"{len(self.target_labels)} target labels for {n_queries} queries")
 
 
 @dataclass
@@ -66,14 +98,9 @@ class TopicModelResult:
                     "concept_words": [[w, s] for w, s in q.concept_words],
                     "parent": {"top_words": [[w, s] for w, s in q.parent_top_words]},
                     "parent_doc_scores": q.parent_doc_scores,
-                    "subtopics": [
-                        {
-                            "top_words": [[w, s] for w, s in st.top_words],
-                            "prevalence": st.prevalence,
-                            "support": st.support,
-                        }
-                        for st in q.subtopics
-                    ],
+                    "subtopics": [{"top_words": [[w, s] for w, s in st.top_words],
+                                   "prevalence": st.prevalence, "support": st.support}
+                                  for st in q.subtopics],
                 }
                 for q in self.queries
             ],
@@ -128,8 +155,7 @@ def extract_parent_subcorpus(sampler: HDPSampler,
 
 
 def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters,
-               seed: int, *,
-               iterations: int = 500,
+               seed: int, *, iterations: int,
                promotion: dict[int, list[tuple[int, bool]]] | None = None,
                embedding_norms: np.ndarray | None = None,
                check_invariants: bool = False) -> tuple[HDPSampler, list[int], dict[int, int]]:
@@ -179,92 +205,63 @@ def prune_subtopics(counts: dict[int, int], total_corpus_tokens: int,
                   if n / total_corpus_tokens >= floor)
 
 
-def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
-               hp: Hyperparameters | None = None,
+def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig.method, *,
                embeddings: EmbeddingTable | None = None,
-               seed: int = 42,
-               iterations_phase1: int = 1000,
-               iterations_phase2: int = 500,
-               mode: str = "or",
-               retrieval_cutoff: int = DEFAULT_CUTOFF,
-               mu: float = DEFAULT_MU,
-               n_concepts: int = DEFAULT_N,
-               lam: float = DEFAULT_LAMBDA,
-               sim_top_k: int = DEFAULT_SIM_TOP_K,
-               target_labels: list[str] | None = None,
-               full_posterior: bool = False,
-               check_invariants: bool = False,
-               checkpoint_path: str | None = None) -> TopicModelResult:
-    """Run the whole query-driven pipeline for one or more queries.
-
-    An existing checkpoint at `checkpoint_path` (of the same inputs) resumes
-    phase 1 instead of initializing it; the final state is written back.
-    """
-    hp = hp or Hyperparameters()
-    hp.validate(n_queries=len(query_phrases))
-    if not query_phrases:
-        raise SamplerError("at least one query is required")
-    for name, n, low in (("iterations_phase1", iterations_phase1, 1),
-                         ("iterations_phase2", iterations_phase2, 1), ("seed", seed, 0)):
-        if n < low:
-            raise SamplerError(f"{name} must be >= {low}, got {n}")
-    if target_labels and len(target_labels) != len(query_phrases):
-        raise SamplerError(f"{len(target_labels)} target labels for "
-                           f"{len(query_phrases)} queries")
+               checkpoint_path: str | None = None, **settings) -> TopicModelResult:
+    """Run the whole query-driven pipeline for one or more queries, with the
+    other `FitConfig` fields as keyword settings. An existing checkpoint at
+    `checkpoint_path` (of the same inputs) resumes phase 1 instead of
+    initializing it; the final state is written back."""
+    config = FitConfig(method=method, **settings)
+    config.validate(len(query_phrases))
+    hp, seed, target_labels = config.hp, config.seed, config.target_labels
     missing = set(target_labels or ()) - {d.label for d in corpus.documents}
     if missing:
         raise SamplerError(f"target label {min(missing)!r} is carried by no document")
     vocab = corpus.vocab
 
-    concept_sets: list[ConceptWordSet] = []
+    concept_sets = []
     for phrase in query_phrases:
-        query = parse_query(phrase, corpus, mode)
-        retrieved = retrieve(corpus, query, retrieval_cutoff, mu)
-        cs = extract_concept_words(corpus, query, retrieved, method, n_concepts,
-                                   table=embeddings, lam=lam, top_k=sim_top_k)
+        query = parse_query(phrase, corpus, config.mode)
+        retrieved = retrieve(corpus, query, config.retrieval_cutoff, config.mu)
+        cs = extract_concept_words(corpus, query, retrieved, method, config.n_concepts,
+                                   table=embeddings, lam=config.lam, top_k=config.sim_top_k)
         if not cs.words:
             raise SamplerError(f"no concept words extracted for query {phrase!r}")
         concept_sets.append(cs)
 
-    # first query wins when a word belongs to several concept sets
-    forced: dict[int, int] = {}
-    for q_idx, cs in enumerate(concept_sets):
-        for wid in cs.word_ids():
-            forced.setdefault(wid, q_idx)
+    parent_reps = {q_idx: cs.word_ids() for q_idx, cs in enumerate(concept_sets)}
+    forced: dict[int, int] = {}   # the first query wins a word of several concept sets
+    for q_idx, words in parent_reps.items():
+        forced.update((w, q_idx) for w in words if w not in forced)
 
-    promotion = None
-    norms = None
+    promotion = norms = None
     if embeddings is not None:
-        all_concepts = sorted({w for cs in concept_sets for w in cs.word_ids()})
-        promotion = build_promotion(embeddings, all_concepts, hp.cosine_threshold)
+        promotion = build_promotion(embeddings, sorted(forced), hp.cosine_threshold)
         norms = embeddings.norm_matrix()
 
-    parent_reps = {q_idx: cs.word_ids() for q_idx, cs in enumerate(concept_sets)}
     docs = [d.tokens for d in corpus.documents]
     doc_ids = [d.doc_id for d in corpus.documents]
 
-    sampler = HDPSampler(docs, len(vocab), hp, seed,
-                         forced_topic=forced,
-                         n_parents=len(query_phrases),
-                         promotion=promotion,
-                         embedding_norms=norms,
-                         parent_representatives=parent_reps)
+    sampler = HDPSampler(docs, len(vocab), hp, seed, forced_topic=forced,
+                         n_parents=len(query_phrases), promotion=promotion,
+                         embedding_norms=norms, parent_representatives=parent_reps)
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         try:
             with open(checkpoint_path) as fh:
                 sampler.load_state_dict(json.load(fh))
         except ValueError as e:   # a SamplerError or malformed JSON
             raise SamplerError(f"cannot resume from checkpoint {checkpoint_path}: {e}") from None
-        if sampler.iterations_done > iterations_phase1:
+        if sampler.iterations_done > config.iterations_phase1:
             raise SamplerError(f"cannot resume from checkpoint {checkpoint_path}: it holds "
                                f"{sampler.iterations_done} phase-1 sweeps, more than "
-                               f"iterations_phase1 = {iterations_phase1}")
+                               f"iterations_phase1 = {config.iterations_phase1}")
         logger.info("resumed checkpoint at iteration %d", sampler.iterations_done)
     else:
         sampler.initialize()
-    remaining = iterations_phase1 - sampler.iterations_done
+    remaining = config.iterations_phase1 - sampler.iterations_done
     if remaining:
-        sampler.run(remaining, check_invariants=check_invariants)
+        sampler.run(remaining)
     if checkpoint_path is not None:
         with atomic_write(checkpoint_path) as fh:
             json.dump(sampler.state_dict(), fh, allow_nan=False)
@@ -278,8 +275,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
         sub_docs, support = extract_parent_subcorpus(sampler, q_idx)
         sub_sampler, scope, counts = run_phase2(
             sub_docs, support, hp, seed + 1 + q_idx,
-            iterations=iterations_phase2, promotion=promotion,
-            embedding_norms=norms, check_invariants=check_invariants)
+            iterations=config.iterations_phase2, promotion=promotion, embedding_norms=norms)
         parent_top = [(vocab.token_of(w), p)
                       for w, p in sampler.top_words(q_idx, N_TOP_WORDS)]
         subtopics = []
@@ -312,20 +308,12 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = "kld", *,
             target_label=(target_labels[q_idx] if target_labels else None),
         ))
 
-    metadata = {
-        "seed": seed,
-        "method": method,
-        "mode": mode,
-        "iterations_phase1": iterations_phase1,
-        "iterations_phase2": iterations_phase2,
-        "retrieval_cutoff": retrieval_cutoff,
-        "mu": mu,
-        "n_concepts": n_concepts,
-        "hyperparameters": asdict(hp),
-        "live_topics_phase1": len(topics),
-    }
+    metadata = {name: getattr(config, name) for name in (
+        "seed", "method", "mode", "iterations_phase1", "iterations_phase2",
+        "retrieval_cutoff", "mu", "n_concepts")}
+    metadata.update(hyperparameters=asdict(hp), live_topics_phase1=len(topics))
     result = TopicModelResult(query_results, metadata)
-    if full_posterior:
+    if config.full_posterior:
         result.topic_order = topics
         result.phi = {k: sampler.phi(k).tolist() for k in topics}
         result.theta = dict(zip(doc_ids, theta.tolist()))

@@ -31,7 +31,7 @@ import functools
 import itertools
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -51,6 +51,17 @@ class ConsistencyError(RuntimeError):
     """Internal count structures disagree; indicates a sampler bug."""
 
 
+def check_numbers(settings) -> None:
+    """Each `int` field of a dataclass holds an integer and each `float` field
+    a real number, a bool neither; otherwise `SamplerError` names the field."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        kinds = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating)}
+        if f.type in kinds and (isinstance(value, bool) or not isinstance(value, kinds[f.type])):
+            kind = "an integer" if f.type == "int" else "a number"
+            raise SamplerError(f"{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass
 class Hyperparameters:
     alpha: float = 1.0           # table concentration
@@ -63,23 +74,21 @@ class Hyperparameters:
     prevalence_floor: float = 0.005  # subtopics below this corpus share are pruned
 
     def validate(self, n_queries: int = 0) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise SamplerError(f"{name} must be finite and positive, got {value}")
-        if not -1 <= self.cosine_threshold <= 1:   # NaN and inf fail it too
-            raise SamplerError(
-                f"cosine_threshold must be in [-1, 1], got {self.cosine_threshold}")
-        # counts: a float such as inf passes `>=`; initial_topics leaves a non-parent topic
-        for name, low in (("initial_topics", n_queries + 1), ("n_representatives", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise SamplerError(f"{name} must be >= {low} and an integer, got {value}")
-        if not 0 < self.promotion_weight < 1:
-            raise SamplerError(f"promotion_weight, the promotion weight u, must be in (0, 1), "
-                               f"got {self.promotion_weight}")
-        if not 0 <= self.prevalence_floor < 1:
-            raise SamplerError(f"prevalence_floor must be in [0, 1), got {self.prevalence_floor}")
+        check_numbers(self)
+        # one range rule per field; NaN and inf fail the rules they should
+        for name, ok, rule in (
+                ("alpha", 0 < self.alpha < math.inf, "finite and positive"),
+                ("beta", 0 < self.beta < math.inf, "finite and positive"),
+                ("gamma", 0 < self.gamma < math.inf, "finite and positive"),
+                ("cosine_threshold", -1 <= self.cosine_threshold <= 1, "in [-1, 1]"),
+                ("initial_topics", self.initial_topics > n_queries,   # leaves a non-parent topic
+                 f">= {n_queries + 1} and an integer"),
+                ("n_representatives", self.n_representatives >= 1, ">= 1 and an integer"),
+                ("promotion_weight", 0 < self.promotion_weight < 1,
+                 "in (0, 1) as the promotion weight u"),
+                ("prevalence_floor", 0 <= self.prevalence_floor < 1, "in [0, 1)")):
+            if not ok:
+                raise SamplerError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 class _Rows(Sequence):
@@ -786,8 +795,10 @@ class HDPSampler:
         if fmt != "qdtm-checkpoint-v3":
             raise SamplerError(f"unsupported checkpoint format: {fmt!r}")
         if state.get("fingerprint") != self.fingerprint:
-            raise SamplerError("fingerprint mismatch: the checkpoint was written for "
-                               "another corpus, query or sampling hyperparameters")
+            raise SamplerError("fingerprint mismatch: the checkpoint was written for other "
+                               "tokens, document boundaries, V, forced words, parent "
+                               "representatives, promotion rows, embedding vectors, alpha, "
+                               "beta, gamma, u or M")
         missing = [key for key in ("iterations_done", *CHECKPOINT_ARRAYS, "next_topic", "rng")
                    if key not in state]
         if missing:

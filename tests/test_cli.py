@@ -1,5 +1,6 @@
 import base64
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from qdtm.corpus import ingest_jsonl
-from qdtm.sampler import HDPSampler
+from qdtm.pipeline import FitConfig
+from qdtm.sampler import HDPSampler, Hyperparameters
 
 from helpers import CHECKPOINT_ARRAYS, checkpoint_array, edit_checkpoint_array
 
@@ -677,6 +679,27 @@ def test_parsed_options_are_pinned(command):
     args = build_parser().parse_args([command, *argv])
     # JSON text, so that 1 and 1.0 differ as they do in the manifest
     assert json.dumps(vars(args), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# the `fit` flag of each `FitConfig` field and each `Hyperparameters` field
+FIT_FLAGS = {"method": "method", "seed": "seed", "iters1": "iterations_phase1",
+             "iters2": "iterations_phase2", "mode": "mode", "top": "retrieval_cutoff",
+             "mu": "mu", "n": "n_concepts", "lam": "lam", "topk": "sim_top_k",
+             "target_label": "target_labels", "full_posterior": "full_posterior"}
+HP_FLAGS = {"alpha": "alpha", "beta": "beta", "gamma": "gamma", "k_init": "initial_topics",
+            "tau": "cosine_threshold", "u": "promotion_weight", "m": "n_representatives",
+            "floor": "prevalence_floor"}
+
+
+def test_fit_flag_defaults_are_the_fit_config_defaults():
+    args = build_parser().parse_args(["fit", "--corpus", "c.jsonl", "--out", "r.json"])
+    config = FitConfig()
+    assert sorted(FIT_FLAGS.values()) == sorted(
+        f.name for f in dataclasses.fields(FitConfig) if f.name != "hp")
+    assert sorted(HP_FLAGS.values()) == sorted(f.name for f in dataclasses.fields(Hyperparameters))
+    for flags, defaults in ((FIT_FLAGS, config), (HP_FLAGS, config.hp)):
+        for dest, name in flags.items():
+            assert getattr(args, dest) == getattr(defaults, name), dest
 
 
 @pytest.mark.parametrize("topk", ["0", "-1"])

@@ -77,7 +77,20 @@ def test_checkpoint_text_equals_json_dumps_of_the_state(case):
     assert json.loads(out.getvalue()) == state
 
 
-def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path):
+@pytest.fixture
+def audited_runs(monkeypatch):
+    """Every `HDPSampler.run` checks the invariants after each sweep, as
+    `run(check_invariants=True)` does; returns the sweep counts of the runs."""
+    run, calls = HDPSampler.run, []
+
+    def audited(self, iterations, check_invariants=False):
+        calls.append(iterations)
+        run(self, iterations, check_invariants=True)
+    monkeypatch.setattr(HDPSampler, "run", audited)
+    return calls
+
+
+def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path, audited_runs):
     """The default synth corpus with embeddings and a kld query flags
     tokens in both phases; every sweep compares the kernel's counts with a
     rebuild, and the resumed fit starts from a loaded flagged state."""
@@ -87,7 +100,7 @@ def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path):
     query = " ".join(truth["topic_top_words"][rare][:2])
     ckpt = tmp_path / "state.json"
     kw = dict(embeddings=embedding_table(spec, corpus), seed=3, iterations_phase2=3,
-              check_invariants=True, checkpoint_path=str(ckpt))
+              checkpoint_path=str(ckpt))
     fit_topics(corpus, [query], "kld", iterations_phase1=3, **kw)
     state = json.loads(ckpt.read_text())
     assert checkpoint_array(state, "flags").any()
@@ -95,6 +108,7 @@ def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path):
     resumed = fit_topics(corpus, [query], "kld", iterations_phase1=5, **kw)
     assert json.loads(ckpt.read_text())["iterations_done"] == 5
     assert resumed.queries[0].subtopics
+    assert audited_runs == [3, 3, 2, 3]   # phase 1 and phase 2 of each fit
 
 
 def test_phase2_single_word_type_point_mass():
@@ -167,13 +181,13 @@ def make_block_corpus(seed=0, n_docs=60):
     return ingest(docs)
 
 
-def test_fit_topics_end_to_end():
+def test_fit_topics_end_to_end(audited_runs):
     corpus = make_block_corpus()
     hp = Hyperparameters(initial_topics=4)
     result = fit_topics(corpus, ["w01 w02"], "kld", hp=hp, seed=7,
                         iterations_phase1=30, iterations_phase2=20,
-                        mode="and", retrieval_cutoff=50,
-                        check_invariants=True, full_posterior=True)
+                        mode="and", retrieval_cutoff=50, full_posterior=True)
+    assert audited_runs == [30, 20]
     assert len(result.queries) == 1
     q = result.queries[0]
     assert q.parent_topic == 0
@@ -280,3 +294,44 @@ def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
                 iterations_phase2=5, mode="and", retrieval_cutoff=50)
     with pytest.raises(SamplerError, match=match):
         fit_topics(make_block_corpus(), ["w01 w02", "w20 w21"], "kld", **{**args, **kw})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("iterations_phase1", True), ("iterations_phase1", "3"), ("iterations_phase1", 2.5),
+    ("iterations_phase2", float("inf")), ("seed", "5"), ("seed", None), ("seed", False),
+    ("retrieval_cutoff", 50.0), ("mu", "100"), ("lam", None),
+], ids=repr)
+def test_fit_settings_of_the_wrong_type_are_rejected_before_any_work(name, value,
+                                                                     monkeypatch):
+    """`iterations_phase1=True` ran one sweep and recorded `true`; a string or
+    None raised a bare TypeError naming no field; 2.5 and inf failed only after
+    retrieval, expansion and the phase-1 start."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("fit_topics started before checking its arguments")
+    monkeypatch.setattr(pipeline, "retrieve", no_work)
+    kind = "a number" if name in ("mu", "lam") else "an integer"
+    with pytest.raises(SamplerError, match=f"^{name} must be {kind}, got {value!r}$"):
+        fit_topics(make_block_corpus(), ["w01 w02"], "kld", **{"iterations_phase1": 5,
+                                                               "iterations_phase2": 5,
+                                                               name: value})
+
+
+def test_a_misspelt_fit_setting_is_a_type_error():
+    with pytest.raises(TypeError, match="iterations_phase_1"):
+        fit_topics(make_block_corpus(), ["w01 w02"], "kld", iterations_phase_1=5)
+
+
+def test_fit_topics_takes_the_benchmark_call_shape(tmp_path):
+    """The benchmark calls `fit_topics` with exactly these keywords and cannot
+    follow a change of them, so a change must fail here first."""
+    spec = SyntheticSpec(n_topics=4, vocab_size=150, n_docs=80, doc_length=25,
+                         rare_topic_prevalence=0.05, seed=2)
+    corpus, truth = synthetic_corpus(spec)
+    query = " ".join(truth["topic_top_words"][truth["rare_topic"]][:2])
+    ckpt = tmp_path / "state.json"
+    result = fit_topics(corpus, [query], "kld", hp=Hyperparameters(),
+                        embeddings=embedding_table(spec, corpus), seed=5,
+                        iterations_phase1=3, iterations_phase2=2,
+                        target_labels=[truth["rare_topic"]], checkpoint_path=str(ckpt))
+    assert result.queries[0].target_label == truth["rare_topic"]
+    assert json.loads(ckpt.read_text())["iterations_done"] == 3

@@ -120,7 +120,8 @@ HYPERPARAMETER_FIELDS = [f.name for f in dataclasses.fields(Hyperparameters)]
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from(HYPERPARAMETER_FIELDS),
-       st.sampled_from([0, -1, float("nan"), float("inf"), float("-inf"), 1e308]))
+       st.sampled_from([0, -1, float("nan"), float("inf"), float("-inf"), 1e308,
+                        "1", None, True]))
 def test_the_sampler_is_built_exactly_when_its_hyperparameters_validate(name, value):
     hp = Hyperparameters(**{name: value})
 
@@ -133,6 +134,16 @@ def test_the_sampler_is_built_exactly_when_its_hyperparameters_validate(name, va
             build()
     else:
         build()
+
+
+@pytest.mark.parametrize("name", HYPERPARAMETER_FIELDS)
+@pytest.mark.parametrize("value", ["1", None, True], ids=repr)
+def test_a_hyperparameter_that_is_not_a_number_is_rejected(name, value):
+    """A string or None raised a bare TypeError naming no field, and True was
+    taken for 1 in alpha, initial_topics and n_representatives."""
+    kind = "an integer" if name in ("initial_topics", "n_representatives") else "a number"
+    with pytest.raises(SamplerError, match=f"^{name} must be {kind}, got {value!r}$"):
+        Hyperparameters(**{name: value}).validate()
 
 
 @pytest.mark.parametrize("m", [0, -1])
@@ -784,7 +795,8 @@ def test_checkpoint_of_another_stream_is_rejected():
     state = s.state_dict()
     for docs, V, hp in [([[0, 1, 1]], 3, small_hp()), ([[0, 1, 2]], 4, small_hp()),
                         ([[0, 1, 2]], 3, small_hp(beta=0.4))]:
-        with pytest.raises(SamplerError, match="another corpus"):
+        with pytest.raises(SamplerError, match="fingerprint mismatch: the checkpoint was "
+                                               "written for other tokens"):
             HDPSampler(docs, V, hp, seed=0).load_state_dict(state)
     other_seed = HDPSampler([[0, 1, 2]], 3, small_hp(prevalence_floor=0.1), seed=7)
     other_seed.load_state_dict(state)
