@@ -308,10 +308,9 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
             target_label=(target_labels[q_idx] if target_labels else None),
         ))
 
-    metadata = {name: getattr(config, name) for name in (
-        "seed", "method", "mode", "iterations_phase1", "iterations_phase2",
-        "retrieval_cutoff", "mu", "n_concepts")}
-    metadata.update(hyperparameters=asdict(hp), live_topics_phase1=len(topics))
+    metadata = asdict(config)
+    metadata.update(hyperparameters=metadata.pop("hp"), embeddings=embeddings is not None,
+                    live_topics_phase1=len(topics))
     result = TopicModelResult(query_results, metadata)
     if config.full_posterior:
         result.topic_order = topics

@@ -36,11 +36,11 @@ GOLDEN = {
     "corpus.jsonl": "8dea4d049afcf40bf1a4360da61e554ec42cac1c673efe6bf4cd490e05096e2b",
     "corpus.jsonl.truth.json": "6fe1b920dfee5bd3ce9e109953ac8288bf978735477a24a9574489fa3b46c3a0",
     "vectors.txt": "c40b2490b4ae90a4851446c5effbc117d8a024e58a57c282a69970bda948c719",
-    "kld.json": "2daef1bcfe4b854c1495a7eb02aa9cc1c5fdb5c9b1bee99da24a3afdb1cff4c7",
+    "kld.json": "4bceca777bad3c4e3b40fece1451bf098affaccdde13a646f9409ed58a4f0a68",
     "checkpoint.first.json": "75a233229b40214709447fde76855879cfd74c13566ced51569ff0518f8694c0",
-    "kld.resumed.json": "fd01dc58db79c032aed8679e302274d66ae85dad9ff318ff2d1fc5c27e39645f",
+    "kld.resumed.json": "fd351f1a813922697fed3545be314d6e84bed31fe435cc6a7560d2dbcab283c7",
     "checkpoint.json": "7537ec2a0d5ab97adf86b6317c8835ff24aa0c0309c5afc576af23dc5a2ba747",
-    "fre.json": "781b91986d35a2f66c5914c403f0d2143f10f4affbd5394276812914b922a56c",
+    "fre.json": "2945c9a30d52ce57c8f47af0b3b397dffa37e795b26879b1f6ec53eea83d6df7",
     "eval.json": "b05b777a04437e4418989fd68c2879ca6de0f303bce5bdf52591757cce9d0995",
     "retrieve.or.json": "91f7bb768e73ba346aed627cdff820f546c1d5cdcb4ec3913ae4cd6e20b1fde0",
     "retrieve.and.json": "1c9688f822404c86981df5d9158373aacad74a42725bb12015be0d4aa5e4b591",
@@ -55,7 +55,7 @@ GOLDEN = {
     "retrieve.keep-case.json": "015d82caf8497f8df62ea627fa8a93ebd6d7d066efc8211731f41b9aa658263d",
     "expand.kld.options.json": "cbb77c39401c9eced370efaa95e0e82c9832e65c6d563ed7c68ab327acabc2c7",
     "expand.rel.partial.json": "86de1664e3aee6ef58901b92560234184443ec1e6533a4a3a1ace3d5c12e4b56",
-    "kld.partial.json": "a8f4dfc19c64af02a82cb2c34a9e74d48b6e41ac77c374b750ed017b29aeb9c0",
+    "kld.partial.json": "b5d29b7fd8eb1dbbaf9a7c89389fa5139933705a22af5f8ad8851241999d17ed",
     "checkpoint.partial.json": "ea348dfa758decf1e73a58d839381b039918af64cded35ffd04d0dbc2bd4f681",
 }
 

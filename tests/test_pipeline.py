@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 
 from qdtm import pipeline
 from qdtm.corpus import ingest
-from qdtm.pipeline import (ParentTopicError, extract_parent_subcorpus, fit_topics,
-                           prune_subtopics, run_phase2)
+from qdtm.pipeline import (FitConfig, ParentTopicError, extract_parent_subcorpus,
+                           fit_topics, prune_subtopics, run_phase2)
 from qdtm.sampler import HDPSampler, Hyperparameters, SamplerError
 from qdtm.synth import SyntheticSpec
 
@@ -335,3 +336,16 @@ def test_fit_topics_takes_the_benchmark_call_shape(tmp_path):
                         target_labels=[truth["rare_topic"]], checkpoint_path=str(ckpt))
     assert result.queries[0].target_label == truth["rare_topic"]
     assert json.loads(ckpt.read_text())["iterations_done"] == 3
+
+
+def test_the_result_metadata_records_every_fit_setting():
+    settings = dict(hp=Hyperparameters(initial_topics=4, prevalence_floor=0.01), seed=9,
+                    iterations_phase1=4, iterations_phase2=3, mode="and",
+                    retrieval_cutoff=50, mu=80.0, n_concepts=6, lam=0.25, sim_top_k=20,
+                    target_labels=["planted"], full_posterior=True)
+    assert set(settings) | {"method"} == {f.name for f in dataclasses.fields(FitConfig)}
+    result = fit_topics(make_block_corpus(), ["w01 w02"], "fre", **settings)
+    meta = result.metadata
+    assert meta.pop("hyperparameters") == dataclasses.asdict(settings.pop("hp"))
+    assert meta == {**settings, "method": "fre", "embeddings": False,
+                    "live_topics_phase1": meta["live_topics_phase1"]}
