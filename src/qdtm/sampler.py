@@ -52,11 +52,12 @@ class ConsistencyError(RuntimeError):
 
 
 def check_numbers(settings) -> None:
-    """Each `int` field of a dataclass holds an integer and each `float` field
-    a real number, a bool neither; otherwise `SamplerError` names the field."""
+    """Each field of a dataclass annotated `int` holds an integer and each one
+    annotated `float` a real number, a bool neither, or `SamplerError` names the
+    field. The annotations are read as strings (`from __future__ import annotations`)."""
+    kinds = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating)}
     for f in fields(settings):
         value = getattr(settings, f.name)
-        kinds = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating)}
         if f.type in kinds and (isinstance(value, bool) or not isinstance(value, kinds[f.type])):
             kind = "an integer" if f.type == "int" else "a number"
             raise SamplerError(f"{f.name} must be {kind}, got {value!r}")

@@ -286,6 +286,18 @@ def test_resumed_fit_hashes_the_token_stream_once(tmp_path, monkeypatch):
     (dict(target_labels=["a"]), "1 target labels for 2 queries"),
     (dict(seed=-1), "seed must be >= 0, got -1"),
     (dict(target_labels=["planted", "x"]), "target label 'x' is carried by no document"),
+    # `iterations_phase1=True` ran one sweep and recorded `true`; a string or None
+    # raised a bare TypeError naming no field; 2.5 and inf failed only after retrieval
+    (dict(iterations_phase1=True), "^iterations_phase1 must be an integer, got True$"),
+    (dict(iterations_phase1="3"), "^iterations_phase1 must be an integer, got '3'$"),
+    (dict(iterations_phase1=2.5), r"^iterations_phase1 must be an integer, got 2\.5$"),
+    (dict(iterations_phase2=float("inf")), "^iterations_phase2 must be an integer, got inf$"),
+    (dict(seed="5"), "^seed must be an integer, got '5'$"),
+    (dict(seed=None), "^seed must be an integer, got None$"),
+    (dict(seed=False), "^seed must be an integer, got False$"),
+    (dict(retrieval_cutoff=50.0), r"^retrieval_cutoff must be an integer, got 50\.0$"),
+    (dict(mu="100"), "^mu must be a number, got '100'$"),
+    (dict(lam=None), "^lam must be a number, got None$"),
 ])
 def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
     def no_work(*args, **kwargs):
@@ -295,26 +307,6 @@ def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
                 iterations_phase2=5, mode="and", retrieval_cutoff=50)
     with pytest.raises(SamplerError, match=match):
         fit_topics(make_block_corpus(), ["w01 w02", "w20 w21"], "kld", **{**args, **kw})
-
-
-@pytest.mark.parametrize("name, value", [
-    ("iterations_phase1", True), ("iterations_phase1", "3"), ("iterations_phase1", 2.5),
-    ("iterations_phase2", float("inf")), ("seed", "5"), ("seed", None), ("seed", False),
-    ("retrieval_cutoff", 50.0), ("mu", "100"), ("lam", None),
-], ids=repr)
-def test_fit_settings_of_the_wrong_type_are_rejected_before_any_work(name, value,
-                                                                     monkeypatch):
-    """`iterations_phase1=True` ran one sweep and recorded `true`; a string or
-    None raised a bare TypeError naming no field; 2.5 and inf failed only after
-    retrieval, expansion and the phase-1 start."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("fit_topics started before checking its arguments")
-    monkeypatch.setattr(pipeline, "retrieve", no_work)
-    kind = "a number" if name in ("mu", "lam") else "an integer"
-    with pytest.raises(SamplerError, match=f"^{name} must be {kind}, got {value!r}$"):
-        fit_topics(make_block_corpus(), ["w01 w02"], "kld", **{"iterations_phase1": 5,
-                                                               "iterations_phase2": 5,
-                                                               name: value})
 
 
 def test_a_misspelt_fit_setting_is_a_type_error():
