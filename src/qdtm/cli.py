@@ -104,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus + ground truth")
-    p.add_argument("--topics", type=int, default=6)
-    p.add_argument("--vocab", type=int, default=1000)
-    p.add_argument("--docs", type=int, default=500)
-    p.add_argument("--doc-length", type=int, default=40)
-    p.add_argument("--rare-prevalence", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--topics", type=int, default=SyntheticSpec.n_topics)
+    p.add_argument("--vocab", type=int, default=SyntheticSpec.vocab_size)
+    p.add_argument("--docs", type=int, default=SyntheticSpec.n_docs)
+    p.add_argument("--doc-length", type=int, default=SyntheticSpec.doc_length)
+    p.add_argument("--rare-prevalence", type=float, default=SyntheticSpec.rare_topic_prevalence)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--embeddings-out", default=None)
     p.add_argument("--out", required=True, help="output JSONL corpus path")
     p.add_argument("--truth-out", default=None,

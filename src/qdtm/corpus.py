@@ -13,6 +13,8 @@ from itertools import chain, count, filterfalse
 
 import numpy as np
 
+from .sampler import are_strings, check_fields
+
 logger = logging.getLogger(__name__)
 
 MIN_TOKEN_LEN = 2   # shorter tokens are dropped, as are all-digit ones
@@ -47,8 +49,8 @@ class PreprocessOptions:
     stopwords: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.min_df < 1:
-            raise ValueError("min_df must be >= 1")
+        check_fields(self, ValueError, (("min_df", ">= 1", lambda v: v >= 1),
+                                        ("stopwords", "a collection of strings", are_strings)))
         stopwords = map(str.lower, self.stopwords) if self.lowercase else self.stopwords
         object.__setattr__(self, "stopwords", frozenset(stopwords))
 

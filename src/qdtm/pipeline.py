@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -15,7 +16,7 @@ from .concepts import DEFAULT_LAMBDA, DEFAULT_N, DEFAULT_SIM_TOP_K, extract_conc
 from .corpus import Corpus
 from .embeddings import EmbeddingTable, build_promotion
 from .retrieval import DEFAULT_CUTOFF, DEFAULT_MU, parse_query, retrieve
-from .sampler import HDPSampler, Hyperparameters, SamplerError, check_numbers
+from .sampler import HDPSampler, Hyperparameters, SamplerError, are_strings, check_fields
 
 logger = logging.getLogger(__name__)
 
@@ -52,10 +53,11 @@ class FitConfig:
         self.hp.validate(n_queries=n_queries)
         if not n_queries:
             raise SamplerError("at least one query is required")
-        check_numbers(self)
-        for name, low in (("iterations_phase1", 1), ("iterations_phase2", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise SamplerError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_fields(self, SamplerError, (
+            ("iterations_phase1", ">= 1", lambda v: v >= 1),
+            ("iterations_phase2", ">= 1", lambda v: v >= 1), ("seed", ">= 0", lambda v: v >= 0),
+            ("target_labels", "None or a sequence of strings",
+             lambda v: v is None or are_strings(v, Sequence))))
         if self.target_labels and len(self.target_labels) != n_queries:
             raise SamplerError(f"{len(self.target_labels)} target labels for {n_queries} queries")
 

@@ -20,8 +20,9 @@ The integer counts are the only count state; the kernel, `phi` and
 by one expression.
 The attributes the rest of qdtm reads (`t`, `flags`, `table_topic`, `m_k`,
 `nkw_units`, ...) are read-only views of these buffers holding plain ints.
-Each input rule lives once: the hyperparameters' in `Hyperparameters.validate`,
-the other constructor inputs' in `_check_constraints`, a state's in `_checked`.
+Each input rule lives once: a settings field's in its dataclass's `check_fields`
+table, `n_parents`' ahead of the hyperparameters that it bounds, the other
+constructor inputs' in `_check_constraints`, a state's in `_checked`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import copy
 import functools
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 
@@ -51,16 +52,31 @@ class ConsistencyError(RuntimeError):
     """Internal count structures disagree; indicates a sampler bug."""
 
 
-def check_numbers(settings) -> None:
-    """Each field of a dataclass annotated `int` holds an integer and each one
-    annotated `float` a real number, a bool neither, or `SamplerError` names the
-    field. The annotations are read as strings (`from __future__ import annotations`)."""
-    kinds = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating)}
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if f.type in kinds and (isinstance(value, bool) or not isinstance(value, kinds[f.type])):
-            kind = "an integer" if f.type == "int" else "a number"
-            raise SamplerError(f"{f.name} must be {kind}, got {value!r}")
+def _kind(types, name):
+    return name, lambda v: isinstance(v, types) and (bool in types or not isinstance(v, bool))
+
+
+# the rule of each annotation `check_fields` reads (as a string); a bool is neither number
+_KINDS = {"int": _kind((int, np.integer), "an integer"),
+          "float": _kind((int, float, np.integer, np.floating), "a number"),
+          "bool": _kind((bool, np.bool_), "a bool"), "str": _kind((str,), "a string")}
+
+
+def check_fields(settings, error: type[ValueError], rules=()) -> None:
+    """Each field of a dataclass annotated `int`, `float`, `bool` or `str` holds
+    that kind of value, then each row (field, rule, holds) of `rules` has
+    `holds(value)`; otherwise `error` says "{field} must be {rule}, got {value!r}"."""
+    typed = [(f.name, *_KINDS[f.type]) for f in fields(settings) if f.type in _KINDS]
+    for name, rule, holds in (*typed, *rules):
+        value = getattr(settings, name)
+        if not holds(value):
+            raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def are_strings(value, kind=Collection) -> bool:
+    """`value` is a `kind` of strings, not one bare string."""
+    return isinstance(value, kind) and not isinstance(value, str) and all(
+        isinstance(s, str) for s in value)
 
 
 @dataclass
@@ -75,21 +91,15 @@ class Hyperparameters:
     prevalence_floor: float = 0.005  # subtopics below this corpus share are pruned
 
     def validate(self, n_queries: int = 0) -> None:
-        check_numbers(self)
-        # one range rule per field; NaN and inf fail the rules they should
-        for name, ok, rule in (
-                ("alpha", 0 < self.alpha < math.inf, "finite and positive"),
-                ("beta", 0 < self.beta < math.inf, "finite and positive"),
-                ("gamma", 0 < self.gamma < math.inf, "finite and positive"),
-                ("cosine_threshold", -1 <= self.cosine_threshold <= 1, "in [-1, 1]"),
-                ("initial_topics", self.initial_topics > n_queries,   # leaves a non-parent topic
-                 f">= {n_queries + 1} and an integer"),
-                ("n_representatives", self.n_representatives >= 1, ">= 1 and an integer"),
-                ("promotion_weight", 0 < self.promotion_weight < 1,
-                 "in (0, 1) as the promotion weight u"),
-                ("prevalence_floor", 0 <= self.prevalence_floor < 1, "in [0, 1)")):
-            if not ok:
-                raise SamplerError(f"{name} must be {rule}, got {getattr(self, name)}")
+        # NaN and inf fail the rules they should; K leaves a topic beyond the parents
+        check_fields(self, SamplerError, (
+            *((name, "finite and positive", lambda v: 0 < v < math.inf)
+              for name in ("alpha", "beta", "gamma")),
+            ("cosine_threshold", "in [-1, 1]", lambda v: -1 <= v <= 1),
+            ("initial_topics", f">= {n_queries + 1} and an integer", lambda v: v > n_queries),
+            ("n_representatives", ">= 1 and an integer", lambda v: v >= 1),
+            ("promotion_weight", "in (0, 1) as the promotion weight u", lambda v: 0 < v < 1),
+            ("prevalence_floor", "in [0, 1)", lambda v: 0 <= v < 1)))
 
 
 class _Rows(Sequence):
@@ -150,6 +160,9 @@ class HDPSampler:
                  promotion: dict[int, list[tuple[int, bool]]] | None = None,
                  embedding_norms: np.ndarray | None = None,
                  parent_representatives: dict[int, list[int]] | None = None):
+        if isinstance(n_parents, bool) or not (
+                isinstance(n_parents, (int, np.integer)) and n_parents >= 0):
+            raise SamplerError(f"n_parents must be >= 0 and an integer, got {n_parents!r}")
         hp.validate(n_queries=n_parents)
         if not docs or any(len(d) == 0 for d in docs):
             raise SamplerError("documents must be non-empty")
@@ -208,8 +221,6 @@ class HDPSampler:
 
     def _check_constraints(self) -> None:
         V = self.V
-        if not (isinstance(self.n_parents, (int, np.integer)) and self.n_parents >= 0):
-            raise SamplerError(f"n_parents must be >= 0 and an integer, got {self.n_parents}")
         for w, k in self.forced_topic.items():
             if not 0 <= w < V:
                 raise SamplerError(f"forced_topic word {w} is not a word id in [0, {V})")

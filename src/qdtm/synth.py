@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import atomic_write
+from .sampler import check_fields
 
 
 class SynthError(ValueError):
@@ -25,21 +26,17 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_topics < 2:
-            raise SynthError("need at least 2 topics")
-        for name, low in (("n_docs", 1), ("doc_length", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise SynthError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.vocab_size < self.n_topics * 10:
-            raise SynthError("vocabulary too small for the topic count")
-        if not 0 < self.rare_topic_prevalence < 1:
-            raise SynthError("rare topic prevalence must be in (0,1)")
+        check_fields(self, SynthError, (
+            ("n_topics", ">= 2", lambda v: v >= 2),
+            ("vocab_size", ">= 10 per topic", lambda v: v >= 10 * self.n_topics),
+            ("n_docs", ">= 1", lambda v: v >= 1), ("doc_length", ">= 1", lambda v: v >= 1),
+            ("rare_topic_prevalence", "in (0, 1)", lambda v: 0 < v < 1),
+            ("background_mass", "in [0, 1)", lambda v: 0 <= v < 1),
+            ("seed", ">= 0", lambda v: v >= 0)))
         expected = self.rare_topic_prevalence * self.n_docs
         if expected < 1:
             raise SynthError(f"rare topic prevalence {self.rare_topic_prevalence} expects "
                              f"{expected:g} of {self.n_docs} documents; need at least 1")
-        if not 0 <= self.background_mass < 1:
-            raise SynthError("background mass must be in [0,1)")
 
 
 def _word(i: int) -> str:

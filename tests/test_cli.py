@@ -16,6 +16,7 @@ from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
 from qdtm.corpus import ingest_jsonl
 from qdtm.pipeline import FitConfig
 from qdtm.sampler import HDPSampler, Hyperparameters
+from qdtm.synth import SyntheticSpec
 
 from helpers import CHECKPOINT_ARRAYS, checkpoint_array, edit_checkpoint_array
 
@@ -689,17 +690,72 @@ FIT_FLAGS = {"method": "method", "seed": "seed", "iters1": "iterations_phase1",
 HP_FLAGS = {"alpha": "alpha", "beta": "beta", "gamma": "gamma", "k_init": "initial_topics",
             "tau": "cosine_threshold", "u": "promotion_weight", "m": "n_representatives",
             "floor": "prevalence_floor"}
+# the `synth` flag of each `SyntheticSpec` field but `background_mass`
+SYNTH_FLAGS = {"topics": "n_topics", "vocab": "vocab_size", "docs": "n_docs",
+               "doc_length": "doc_length", "rare_prevalence": "rare_topic_prevalence",
+               "seed": "seed"}
 
 
 def test_fit_flag_defaults_are_the_fit_config_defaults():
     args = build_parser().parse_args(["fit", "--corpus", "c.jsonl", "--out", "r.json"])
+    synth_args = build_parser().parse_args(["synth", "--out", "c.jsonl"])
     config = FitConfig()
     assert sorted(FIT_FLAGS.values()) == sorted(
         f.name for f in dataclasses.fields(FitConfig) if f.name != "hp")
     assert sorted(HP_FLAGS.values()) == sorted(f.name for f in dataclasses.fields(Hyperparameters))
-    for flags, defaults in ((FIT_FLAGS, config), (HP_FLAGS, config.hp)):
+    assert sorted(SYNTH_FLAGS.values()) == sorted(
+        f.name for f in dataclasses.fields(SyntheticSpec) if f.name != "background_mass")
+    for parsed, flags, defaults in ((args, FIT_FLAGS, config), (args, HP_FLAGS, config.hp),
+                                    (synth_args, SYNTH_FLAGS, SyntheticSpec())):
         for dest, name in flags.items():
-            assert getattr(args, dest) == getattr(defaults, name), dest
+            assert getattr(parsed, dest) == getattr(defaults, name), dest
+
+
+def test_every_fit_and_synth_flag_reaches_its_field(small_corpus, tmp_path, monkeypatch):
+    """Each flag is set to a value that is neither its default nor any other
+    flag's value, so a mapping that drops or swaps two fields fails here."""
+    fit_values = {"method": "fre", "seed": 7, "iters1": 3, "iters2": 2, "mode": "and",
+                  "top": 50, "mu": 80.0, "n": 6, "lam": 0.25, "topk": 20,
+                  "target_label": ["topic3"], "full_posterior": True, "alpha": 0.9,
+                  "beta": 0.4, "gamma": 1.2, "k_init": 9, "tau": 0.45, "u": 0.2, "m": 5,
+                  "floor": 0.01}
+    synth_values = {"topics": 3, "vocab": 90, "docs": 40, "doc_length": 12,
+                    "rare_prevalence": 0.1, "seed": 4}
+    parser = build_parser()
+    for command, values, required in (("fit", fit_values, ["--corpus", "c", "--out", "r"]),
+                                      ("synth", synth_values, ["--out", "c"])):
+        defaults = vars(parser.parse_args([command, *required]))
+        assert sorted(values) == sorted(FIT_FLAGS | HP_FLAGS if command == "fit"
+                                        else SYNTH_FLAGS)
+        assert all(defaults[dest] != value for dest, value in values.items())
+        assert len({repr(value) for value in values.values()}) == len(values)
+
+    def argv(values):
+        flags = []
+        for dest, value in values.items():
+            flag = "--" + {"lam": "lambda"}.get(dest, dest).replace("_", "-")
+            if value is True:
+                flags.append(flag)
+            else:
+                for item in value if isinstance(value, list) else [value]:
+                    flags += [flag, str(item)]
+        return flags
+    out = tmp_path / "r.json"
+    assert main(["fit", "--corpus", str(small_corpus), "--query", "w0090",
+                 "--embeddings", str(tmp_path / "vec.txt"), *argv(fit_values),
+                 "--out", str(out)]) == EXIT_OK
+    meta = json.loads(out.read_text())["metadata"]
+    assert meta["embeddings"] is True
+    for dest, name in FIT_FLAGS.items():
+        assert meta[name] == fit_values[dest], dest
+    for dest, name in HP_FLAGS.items():
+        assert meta["hyperparameters"][name] == fit_values[dest], dest
+
+    specs = []
+    monkeypatch.setattr("qdtm.cli.generate", lambda spec: specs.append(spec) or ([], {}))
+    assert main(["synth", *argv(synth_values), "--out", str(tmp_path / "c.jsonl")]) == EXIT_OK
+    assert specs == [SyntheticSpec(**{name: synth_values[dest]
+                                      for dest, name in SYNTH_FLAGS.items()})]
 
 
 @pytest.mark.parametrize("topk", ["0", "-1"])

@@ -22,6 +22,22 @@ def test_min_df_two_keeps_only_shared_words():
     assert [d.tokens for d in c.documents] == [[0], [0]]
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(min_df=0), "^min_df must be >= 1, got 0$"),
+    # a string raised a bare TypeError; True, "no" and "the" were accepted, and the
+    # stopword string became the set {'t', 'h', 'e'}
+    (dict(min_df="2"), "^min_df must be an integer, got '2'$"),
+    (dict(min_df=True), "^min_df must be an integer, got True$"),
+    (dict(lowercase="no"), "^lowercase must be a bool, got 'no'$"),
+    (dict(stopwords="the"), "^stopwords must be a collection of strings, got 'the'$"),
+    (dict(stopwords=frozenset({1})),
+     r"^stopwords must be a collection of strings, got frozenset\(\{1\}\)$"),
+], ids=repr)
+def test_preprocess_options_are_checked(kw, message):
+    with pytest.raises(ValueError, match=message):
+        PreprocessOptions(**kw)
+
+
 def test_tokenizer_drops_short_and_numeric():
     c = ingest([("a", "Cat 42 x CAT dog99 7seven")])
     assert set(c.vocab.tokens) == {"cat", "dog99", "7seven"}

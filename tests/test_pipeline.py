@@ -298,15 +298,23 @@ def test_resumed_fit_hashes_the_token_stream_once(tmp_path, monkeypatch):
     (dict(retrieval_cutoff=50.0), r"^retrieval_cutoff must be an integer, got 50\.0$"),
     (dict(mu="100"), "^mu must be a number, got '100'$"),
     (dict(lam=None), "^lam must be a number, got None$"),
+    # `method=None` failed after retrieval with a bare AttributeError, `full_posterior="no"`
+    # fitted and was recorded, and one label string was counted as 7 labels
+    (dict(method=None), "^method must be a string, got None$"),
+    (dict(full_posterior="no"), "^full_posterior must be a bool, got 'no'$"),
+    (dict(target_labels="planted"),
+     "^target_labels must be None or a sequence of strings, got 'planted'$"),
+    (dict(target_labels=["planted", 3]),
+     r"^target_labels must be None or a sequence of strings, got \['planted', 3\]$"),
 ])
 def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("fit_topics started before checking its arguments")
     monkeypatch.setattr(pipeline, "retrieve", no_work)
-    args = dict(hp=Hyperparameters(initial_topics=4), seed=5, iterations_phase1=5,
-                iterations_phase2=5, mode="and", retrieval_cutoff=50)
+    args = dict(method="kld", hp=Hyperparameters(initial_topics=4), seed=5,
+                iterations_phase1=5, iterations_phase2=5, mode="and", retrieval_cutoff=50)
     with pytest.raises(SamplerError, match=match):
-        fit_topics(make_block_corpus(), ["w01 w02", "w20 w21"], "kld", **{**args, **kw})
+        fit_topics(make_block_corpus(), ["w01 w02", "w20 w21"], **{**args, **kw})
 
 
 def test_a_misspelt_fit_setting_is_a_type_error():

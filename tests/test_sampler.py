@@ -71,6 +71,11 @@ def test_non_finite_hyperparameter_rejected(name, value):
     ([[0, 1]], {"parent_representatives": {0: [-1]}}, r"parent_representatives\[0\] holds -1"),
     ([[0, 1]], {"parent_representatives": {"0": [1]}}, "key '0' is not a topic id"),
     ([[0, 1]], {"n_parents": -1}, "n_parents must be >= 0 and an integer, got -1"),
+    # the hyperparameters compared against a string or None with a bare TypeError,
+    # and True was taken for one parent
+    ([[0, 1]], {"n_parents": "1"}, "n_parents must be >= 0 and an integer, got '1'"),
+    ([[0, 1]], {"n_parents": None}, "n_parents must be >= 0 and an integer, got None"),
+    ([[0, 1]], {"n_parents": True}, "n_parents must be >= 0 and an integer, got True"),
 ])
 def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
     with pytest.raises(SamplerError, match=message):

@@ -17,6 +17,12 @@ def test_spec_validation():
         for bad in (low - 1, -3):
             with pytest.raises(SynthError, match=f"{name} must be >= {low}, got {bad}"):
                 SyntheticSpec(**{name: bad}).validate()
+    # a string raised a bare TypeError, 2.5 failed inside numpy and True was taken for 1
+    for name, bad, kind in (("seed", "1", "an integer"), ("n_topics", "3", "an integer"),
+                            ("doc_length", 2.5, "an integer"), ("n_docs", True, "an integer"),
+                            ("background_mass", None, "a number")):
+        with pytest.raises(SynthError, match=f"^{name} must be {kind}, got {bad!r}$"):
+            SyntheticSpec(**{name: bad}).validate()
     SyntheticSpec().validate()
 
 
