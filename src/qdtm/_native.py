@@ -63,8 +63,7 @@ SIGNATURES = {   # name -> argument types; every function returns int64
     "qd_draw_table": [_S, _I, _I],
     "qd_draw_topic": [_S, _I, _P],
     "qd_draw_flag": [_S, _I, _I],
-    "qd_cohesion_sums": [_S, _P],
-    "qd_cohesion_rank": [_S, _P, _P],
+    "qd_cohesion": [_S, _P, _P],
 }
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, dots
 from .retrieval import NEG_INF, Query, RetrievedSet
 
 logger = logging.getLogger(__name__)
@@ -72,10 +72,10 @@ def normalized_query_similarity(query: Query, table: EmbeddingTable,
     if not len(vecs):
         return {}
     qv = np.mean(vecs, axis=0)
-    nq = np.linalg.norm(qv)
+    nq = math.sqrt(dots(qv, qv))
     if nq == 0:
         return {}
-    sims = table.norms @ (qv / nq)
+    sims = dots(table.norms, qv / nq)
     order = np.argsort(-sims, kind="stable")[:top_k]
     total = float(sims[order].sum())
     if total <= 0:

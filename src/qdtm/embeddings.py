@@ -31,13 +31,30 @@ class EmbeddingLengthError(EmbeddingFormatError):
         self.words = words
 
 
+def dots(a, b) -> np.ndarray:
+    """Dot products over the last axis of `a` and `b`, broadcast over the other
+    axes: each summed d ascending from +0.0, one rounding per product and per
+    sum, with no BLAS. Every dot product of embedding data goes through here,
+    and the kernel's `qd_cohesion` sums in the same order, so their bits are
+    the same whatever machine or BLAS build runs them."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape[-1:] != b.shape[-1:]:
+        raise EmbeddingError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    # [()] makes the sum of two vectors a numpy scalar, whose += is faster
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))[()]
+    for d in range(a.shape[-1]):
+        out += a[..., d] * b[..., d]
+    return out
+
+
 class EmbeddingTable:
     """Dense word vectors for the subset of the vocabulary covered by a file.
 
     `matrix` holds the vectors as (vocab_size, dim) rows, zero for a word
     without one; `embedded` marks the words that have one; `norms` is
     `matrix` with every nonzero row scaled to unit length, so dot products of
-    its rows are cosine similarities.
+    its rows are cosine similarities. `norms` is stored column by column,
+    the order in which `dots` reads it against one vector.
     """
 
     def __init__(self, dim: int, vectors: dict[int, np.ndarray], vocab_size: int):
@@ -48,18 +65,15 @@ class EmbeddingTable:
         for wid, vec in vectors.items():
             self.matrix[wid] = vec
             self.embedded[wid] = True
-        # one length per row, through the same dot as np.linalg.norm of a
-        # vector: a norm over axis 1 rounds some lengths differently, and the
-        # checkpoint fingerprint hashes these bits
         with np.errstate(over="ignore"):
-            squared = np.array([row @ row for row in self.matrix])
+            squared = dots(self.matrix, self.matrix)
         lost = np.flatnonzero(self.matrix.any(axis=1)
                               & ~((squared >= NORMAL_MIN) & (squared < math.inf)))
         if lost.size:
             raise EmbeddingLengthError(f"word id {lost[0]}", lost.tolist())
         lengths = np.sqrt(squared)[:, None]
-        self.norms = np.divide(self.matrix, lengths, out=np.zeros_like(self.matrix),
-                               where=lengths > 0)
+        self.norms = np.divide(self.matrix, lengths, where=lengths > 0,
+                               out=np.zeros(self.matrix.shape, order="F"))
 
     def get(self, wid: int) -> np.ndarray | None:
         return self.matrix[wid] if 0 <= wid < len(self.embedded) and self.embedded[wid] else None
@@ -126,10 +140,10 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise EmbeddingError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = math.sqrt(dots(a, a)), math.sqrt(dots(b, b))
     if na == 0 or nb == 0:
         raise EmbeddingError("cosine undefined for zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
+    return float(dots(a, b) / (na * nb))
 
 
 def build_promotion(table: EmbeddingTable, concept_words,
@@ -150,7 +164,7 @@ def build_promotion(table: EmbeddingTable, concept_words,
             logger.warning("concept word id %d has no embedding; excluded from relatedness", wq)
             continue
         if norms[wq].any():   # a zero vector has no cosine, so only its self pair
-            sims = norms @ norms[wq]
+            sims = dots(norms, norms[wq])
             pairs.update((int(wi), wq) for wi in np.nonzero((sims >= tau) & table.embedded)[0])
         pairs.add((wq, wq))
     rows: dict[int, list[tuple[int, bool]]] = {}

@@ -521,17 +521,15 @@ class HDPSampler:
         """Point the kernel's state at the current buffers."""
         from . import _native   # built and loaded on first use, never at import
         self._lib = _native.library()
-        self._work = np.empty(3 * self._cap + 2 * int(self._lengths.max()) + 4)
-        self._rank = np.empty(self._cap, np.int32)
         norms, hp = self._norms, self.hp
-        if norms is not None:
-            self._r = np.empty((self._cap, norms.shape[1]))   # a representative sum per topic
+        dim = 0 if norms is None else norms.shape[1]
+        self._work = np.empty(3 * self._cap + 2 * int(self._lengths.max()) + 4 + dim)
+        self._rank = np.empty(self._cap, np.int32)
         self._c = _native.State(
             n_docs=len(self.docs), V=self.V, cap=self._cap, u=self.u, beta=hp.beta,
             alpha=hp.alpha, gamma=hp.gamma, base_density=self.base_density,
             tilde=None if self.tilde is None else self.tilde.ctypes.data,
-            norms=None if norms is None else norms.ctypes.data,
-            dim=0 if norms is None else norms.shape[1],
+            norms=None if norms is None else norms.ctypes.data, dim=dim,
             n_reps=len(self._top), n_rep_topics=len(self._rep_topic),
             **{name: getattr(self, "_" + name).ctypes.data for name in (
                 "words", "doc_ptr", "forced", "promo_ptr", "promo_target",
@@ -640,20 +638,15 @@ class HDPSampler:
         id. Per word, live topics ranked by CV ascending get equally spaced
         values 0..1 (single topic -> 1). Rows follow ascending topic id.
 
-        The kernel picks the representatives and sums each topic's
-        r_k = sum_m p(k,m) norms[rep_m] in rank order (`qd_cohesion_sums`),
-        then ranks CV into `tilde` (`qd_cohesion_rank`); the products
-        CV[k] = norms @ r_k between the two stay in BLAS, one per row.
+        One kernel call, `qd_cohesion`, picks the representatives, sums each
+        topic's r_k = sum_m p(k,m) norms[rep_m] in rank order, takes CV[k] =
+        `embeddings.dots(norms, r_k)` and ranks CV into `tilde`.
         """
-        norms = self._norms
-        if norms is None:
+        if self._norms is None:
             return
-        T = self._lib.qd_cohesion_sums(self._c, self._r.ctypes.data)
-        cv = np.empty((T, self.V))
-        for r, row in zip(self._r[:T], cv):   # one R @ norms.T, or C, rounds differently
-            np.matmul(norms, r, out=row)
-        tilde = np.empty_like(cv)
-        self._lib.qd_cohesion_rank(self._c, cv.ctypes.data, tilde.ctypes.data)
+        T = int(self._scal[N_LIVE])
+        cv, tilde = np.empty((T, self.V)), np.empty((T, self.V))
+        self._lib.qd_cohesion(self._c, cv.ctypes.data, tilde.ctypes.data)
         self.cv, self.tilde = cv, tilde
         self.topic_row = dict(zip(self._topic_of[self._by_id[:T]].tolist(), range(T)))
 

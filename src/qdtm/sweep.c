@@ -20,13 +20,9 @@
  *
  * `qd_compact` drops the dead slots between sweeps.
  *
- * The cohesion cache is rebuilt before each sweep by two calls with the
- * products cv[i] = norms r[i] between them, which stay in BLAS (a dot
- * product written here rounds differently): `qd_cohesion_sums` takes each
- * live topic's representatives (a parent's fixed list, or the top M words by
- * count) and sums r[i] = sum_m f_k(rep_m) norms[rep_m]; `qd_cohesion_rank`
- * ranks the topics of each word by cv into `tilde`, as numpy's stable
- * argsort and linspace do, and points every column at its row.
+ * `qd_cohesion` rebuilds the cohesion cache before each sweep. Its dot
+ * products sum d ascending from +0.0, the order of `embeddings.dots`, so the
+ * cache has the same bits as the Python code's on every machine.
  */
 #include <stdint.h>
 
@@ -70,7 +66,7 @@ typedef struct {
     double u, beta, alpha, gamma, base_density;
     next_double_fn next_double;
     void *rng_state;
-    double *work;                /* 3 * cap + 2 * longest document + 4: scratch */
+    double *work;                /* 3 * cap + 2 * longest document + 4 + dim: scratch */
     int32_t *slot_map;           /* longest document: a slot's index after compaction */
     int64_t *err;                /* 3 integers describing a failure */
 } qd_state;
@@ -432,12 +428,49 @@ static int64_t top_words(qd_state *s, int32_t c) {
     return n;
 }
 
-/* r[i] = sum_m f_k(rep_m) norms[rep_m] (dim entries) for the i-th live topic
- * k by ascending id, summed in representative order from +0.0; returns the
- * number of live topics. */
-int64_t qd_cohesion_sums(qd_state *s, double *r) {
-    const int64_t T = s->scal[N_LIVE], dim = s->dim, cap = s->cap;
-    const double u = s->u, beta = s->beta, v_beta = (double)s->V * s->beta;
+/* out[w] = sum_d a[w][d] x[d] for V rows of dim entries, each summed d
+ * ascending from +0.0 as `embeddings.dots` does; four rows at a time, so
+ * that their four sums overlap. */
+static void products(const double *a, const double *x, int64_t V, int64_t dim, double *out) {
+    int64_t w = 0;
+    for (; w + 4 <= V; w += 4) {
+        const double *a0 = a + w * dim, *a1 = a0 + dim, *a2 = a1 + dim, *a3 = a2 + dim;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int64_t d = 0; d < dim; d++) {
+            s0 += a0[d] * x[d];
+            s1 += a1[d] * x[d];
+            s2 += a2[d] * x[d];
+            s3 += a3[d] * x[d];
+        }
+        out[w] = s0;
+        out[w + 1] = s1;
+        out[w + 2] = s2;
+        out[w + 3] = s3;
+    }
+    for (; w < V; w++) {
+        const double *aw = a + w * dim;
+        double s0 = 0.0;
+        for (int64_t d = 0; d < dim; d++)
+            s0 += aw[d] * x[d];
+        out[w] = s0;
+    }
+}
+
+/* a after b in numpy's sort order, which puts NaN last */
+static int after(double a, double b) { return a > b || (a != a && b == b); }
+
+/* For the i-th live topic k by ascending id: r = sum_m f_k(rep_m) norms[rep_m]
+ * over its representatives (a parent's fixed list, or the top M words by
+ * count), summed in their order from +0.0, and cv[i][w] = norms[w] . r.
+ * Then tilde[i][w]: per word w, the live topics ranked by cv[i][w] ascending
+ * (a stable insertion sort: ties in row order) get np.linspace(0, 1, T), that
+ * is rank * (1 / (T - 1)) and exactly 1 for the last; a lone topic gets 1.
+ * The gate reads this `tilde`, each live column at its row (a column born
+ * later is set to none at its birth). Returns the number of rows. */
+int64_t qd_cohesion(qd_state *s, double *cv, double *tilde) {
+    const int64_t T = s->scal[N_LIVE], V = s->V, dim = s->dim, cap = s->cap;
+    const double u = s->u, beta = s->beta, v_beta = (double)V * s->beta;
+    double *r = s->work;   /* the sweep's scratch is free between sweeps */
     int64_t q = 0;   /* rep_topic and by_id both ascend, so one walk finds every list */
     for (int64_t i = 0; i < T; i++) {
         const int32_t c = s->by_id[i];
@@ -452,34 +485,21 @@ int64_t qd_cohesion_sums(qd_state *s, double *r) {
         } else {
             n = top_words(s, c);
         }
-        double *ri = r + i * dim;
         for (int64_t d = 0; d < dim; d++)
-            ri[d] = 0.0;
+            r[d] = 0.0;
         for (int64_t m = 0; m < n; m++) {
             const int64_t cell = (int64_t)reps[m] * cap + c;
             const double p = f_kw(s->nkw_units[cell], s->nkw_promos[cell], s->nk_units[c],
                                   s->nk_promos[c], u, beta, v_beta);
             const double *row = s->norms + (int64_t)reps[m] * dim;
             for (int64_t d = 0; d < dim; d++)
-                ri[d] += p * row[d];
+                r[d] += p * row[d];
         }
+        products(s->norms, r, V, dim, cv + i * V);
     }
-    return T;
-}
-
-/* a after b in numpy's sort order, which puts NaN last */
-static int after(double a, double b) { return a > b || (a != a && b == b); }
-
-/* tilde[i][w]: per word w, the live topics ranked by cv[i][w] ascending (a
- * stable insertion sort: ties in row order) get np.linspace(0, 1, T), that
- * is rank * (1 / (T - 1)) and exactly 1 for the last; a lone topic gets 1.
- * Then the gate reads this `tilde`, each live column at its row (a column
- * born later is set to none at its birth). Returns the number of rows. */
-int64_t qd_cohesion_rank(qd_state *s, const double *cv, double *tilde) {
-    const int64_t T = s->scal[N_LIVE], V = s->V;
     const double step = T > 1 ? 1.0 / (double)(T - 1) : 0.0;
     int32_t *row = s->rank;
-    double *key = s->work;   /* the sweep's scratch is free between sweeps */
+    double *key = s->work;
     for (int64_t w = 0; w < V; w++) {
         for (int64_t i = 0; i < T; i++) {
             const double x = cv[i * V + w];

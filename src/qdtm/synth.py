@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import dots
 from .pipeline import atomic_write
 from .sampler import check_fields
 
@@ -110,7 +111,7 @@ def block_embeddings(spec: SyntheticSpec, dim: int = 16, noise: float = 0.25) ->
     V, K = spec.vocab_size, spec.n_topics
     block = V // K
     centers = rng.normal(size=(K, dim))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    centers /= np.sqrt(dots(centers, centers))[:, None]
     vectors = {}
     for i in range(V):
         k = min(i // block, K - 1)

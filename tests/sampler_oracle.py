@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from qdtm.embeddings import dots
 from qdtm.sampler import ConsistencyError, Hyperparameters, SamplerError, _top
 
 NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
@@ -386,7 +387,7 @@ class OracleSampler:
             r = np.zeros(self.embedding_norms.shape[1])
             for wid, p in zip(reps, probs):
                 r += p * self.embedding_norms[wid]
-            cv[row] = self.embedding_norms @ r
+            cv[row] = dots(self.embedding_norms, r)
         if T == 1:
             tilde = np.ones_like(cv)
         else:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdtm.concepts import normalized_query_similarity
-from qdtm.embeddings import EmbeddingTable, build_promotion
+from qdtm.embeddings import EmbeddingTable, build_promotion, dots
 from qdtm.metrics import EMBEDDING_TOP_N, topic_embedding
 from qdtm.retrieval import Query
 
@@ -36,7 +36,7 @@ class DictTable:
         if self._norm_matrix is None:
             m = np.zeros((self.vocab_size, self.dim))
             for wid, vec in self.vectors.items():
-                n = np.linalg.norm(vec)
+                n = np.sqrt(dots(vec, vec))
                 if n > 0:
                     m[wid] = vec / n
             self._norm_matrix = m
@@ -56,7 +56,7 @@ def dict_promotion(table, concept_words, tau):
             skipped.append(wq)
             continue
         with np.errstate(invalid="ignore", divide="ignore"):   # a zero vector: nan cosines
-            sims = norms @ (qv / np.linalg.norm(qv))
+            sims = dots(norms, qv / np.sqrt(dots(qv, qv)))
         pairs.update((int(wi), wq) for wi in np.nonzero((sims >= tau) & embedded)[0])
         pairs.add((wq, wq))
     rows = {}
@@ -72,10 +72,10 @@ def dict_query_similarity(query, table, top_k):
     if not vecs:
         return {}
     qv = np.mean(vecs, axis=0)
-    nq = np.linalg.norm(qv)
+    nq = np.sqrt(dots(qv, qv))
     if nq == 0:
         return {}
-    sims = table.norm_matrix() @ (qv / nq)
+    sims = dots(table.norm_matrix(), qv / nq)
     order = np.argsort(-sims, kind="stable")[:top_k]
     total = float(sims[order].sum())
     if total <= 0:
