@@ -56,10 +56,10 @@ def _kind(types, name):
     return name, lambda v: isinstance(v, types) and (bool in types or not isinstance(v, bool))
 
 
-# the rule of each annotation `check_fields` reads (as a string); a bool is neither number
-_KINDS = {"int": _kind((int, np.integer), "an integer"),
-          "float": _kind((int, float, np.integer, np.floating), "a number"),
-          "bool": _kind((bool, np.bool_), "a bool"), "str": _kind((str,), "a string")}
+# the rule of each annotation `check_fields` reads (as a string); a bool is neither
+# number, and numpy scalars other than float64 (a float) are not JSON values
+_KINDS = {"int": _kind((int,), "an integer"), "float": _kind((int, float), "a number"),
+          "bool": _kind((bool,), "a bool"), "str": _kind((str,), "a string")}
 
 
 def check_fields(settings, error: type[ValueError], rules=()) -> None:

@@ -306,6 +306,12 @@ def test_resumed_fit_hashes_the_token_stream_once(tmp_path, monkeypatch):
      "^target_labels must be None or a sequence of strings, got 'planted'$"),
     (dict(target_labels=["planted", 3]),
      r"^target_labels must be None or a sequence of strings, got \['planted', 3\]$"),
+    # numpy scalars fitted to the end, then `json.dumps(result.to_dict())` raised
+    # "Object of type int64 is not JSON serializable"
+    (dict(seed=np.int64(5)), "^seed must be an integer, got "),
+    (dict(mu=np.float32(100)), "^mu must be a number, got "),
+    (dict(full_posterior=np.bool_(True)), "^full_posterior must be a bool, got "),
+    (dict(hp=Hyperparameters(alpha=np.float32(1.0))), "^alpha must be a number, got "),
 ])
 def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
     def no_work(*args, **kwargs):
