@@ -147,12 +147,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def build_promotion(table: EmbeddingTable, concept_words,
-                    tau: float) -> dict[int, list[tuple[int, bool]]]:
+                    tau: float) -> dict[int, list[int]]:
     """Promotion rows for all (w_i, w_q) pairs over vocabulary x concept words
     with cosine >= tau.
 
-    rows[w] lists the (target word, is_self) entries of the sampled word w; a
-    flagged token adds 1 to a self target and u to every other target.
+    rows[w] lists the target words of the sampled word w, ascending; a flagged
+    token adds 1 to the target w itself (its self pair) and u to every other.
     Concept words without an embedding are excluded with a warning; self-pairs
     for embedded concept words are always present (cosine 1 >= tau), and a
     concept word whose vector is all zeros gets only its self-pair.
@@ -167,7 +167,7 @@ def build_promotion(table: EmbeddingTable, concept_words,
             sims = dots(norms, norms[wq])
             pairs.update((int(wi), wq) for wi in np.nonzero((sims >= tau) & table.embedded)[0])
         pairs.add((wq, wq))
-    rows: dict[int, list[tuple[int, bool]]] = {}
+    rows: dict[int, list[int]] = {}
     for (wi, wq) in sorted(pairs):
-        rows.setdefault(wi, []).append((wq, wi == wq))
+        rows.setdefault(wi, []).append(wq)
     return rows

@@ -158,7 +158,7 @@ def extract_parent_subcorpus(sampler: HDPSampler,
 
 def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters,
                seed: int, *, iterations: int,
-               promotion: dict[int, list[tuple[int, bool]]] | None = None,
+               promotion: dict[int, list[int]] | None = None,
                embedding_norms: np.ndarray | None = None,
                check_invariants: bool = False) -> tuple[HDPSampler, list[int], dict[int, int]]:
     """Fresh unconstrained HDP over the parent's sub-corpus.
@@ -185,7 +185,7 @@ def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters
     if promotion and embedding_norms is not None:
         for w, row in promotion.items():
             if w in local:
-                entries = [(local[tgt], is_self) for tgt, is_self in row if tgt in local]
+                entries = [local[tgt] for tgt in row if tgt in local]
                 if entries:
                     local_promotion[local[w]] = entries
         if local_promotion:

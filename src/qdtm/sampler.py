@@ -42,6 +42,9 @@ ERR_NEG_MASS, ERR_RETIRE, ERR_DEAD, ERR_FULL, ERR_NO_ID = -2, -3, -4, -5, -7   #
 COLUMN_HEADROOM = 4    # free topic columns at install, and at least this many per growth
 # the checkpoint's array fields, each stored as base64 of a little-endian array
 CHECKPOINT_ARRAYS = {"t": "<i4", "flags": "i1", "n_tab": "<i4", "table_topic": "<i8"}
+# the arrays the kernel reads and never writes: the sampler's one record of its inputs
+KERNEL_INPUTS = ("words", "doc_ptr", "forced", "promo_ptr", "promo_target", "rep_topic",
+                 "rep_ptr", "rep_words", "norms")
 
 
 class SamplerError(ValueError):
@@ -157,7 +160,7 @@ class HDPSampler:
     def __init__(self, docs: list[list[int]], vocab_size: int, hp: Hyperparameters,
                  seed: int = 0, *, forced_topic: dict[int, int] | None = None,
                  n_parents: int = 0,
-                 promotion: dict[int, list[tuple[int, bool]]] | None = None,
+                 promotion: dict[int, list[int]] | None = None,
                  embedding_norms: np.ndarray | None = None,
                  parent_representatives: dict[int, list[int]] | None = None):
         if isinstance(n_parents, bool) or not (
@@ -171,34 +174,32 @@ class HDPSampler:
         self.hp = hp
         self.u = hp.promotion_weight
         self.rng = np.random.default_rng(seed)
-        self.forced_topic = dict(forced_topic or {})
         self.n_parents = n_parents
-        self.promo_rows = promotion or {}
-        self.embedding_norms = embedding_norms
-        self.parent_representatives = parent_representatives or {}
+        forced_topic, promotion = forced_topic or {}, promotion or {}
+        parent_representatives = parent_representatives or {}
         self._lengths = np.array([len(d) for d in docs], dtype=np.int64)
         self._doc_ptr = np.concatenate(([0], np.cumsum(self._lengths)))
         # each token's document's first slot: slots sit at their document's token offsets
         self._tok_base = self._doc_ptr[:-1].repeat(self._lengths).astype(np.int32)
         self._words = self._token_ids()
-        self._check_constraints()
+        self._check_constraints(forced_topic, promotion, embedding_norms, parent_representatives)
         self.base_density = 1.0 / vocab_size   # f_new: the uniform base measure
 
         self._forced = np.full(vocab_size, -1, dtype=np.int64)
-        self._forced[list(self.forced_topic)] = list(self.forced_topic.values())
+        self._forced[list(forced_topic)] = list(forced_topic.values())
         self._pinned = np.flatnonzero(self._forced[self._words] >= 0)   # their tokens
         row_len = np.zeros(vocab_size, dtype=np.int64)
-        row_len[list(self.promo_rows)] = [len(r) for r in self.promo_rows.values()]
+        row_len[list(promotion)] = [len(r) for r in promotion.values()]
         self._promo_ptr = np.concatenate(([0], np.cumsum(row_len)))
-        self._promo_target = np.array([tgt for w in sorted(self.promo_rows)
-                                       for tgt, _ in self.promo_rows[w]], dtype=np.int32)
+        self._promo_target = np.array([tgt for w in sorted(promotion) for tgt in promotion[w]],
+                                      dtype=np.int32)
         self._err = np.zeros(3, dtype=np.int64)
         self._out = np.zeros(3, dtype=np.int64)
         self._slot_map = np.empty(int(self._lengths.max()), np.int32)   # `qd_compact`'s scratch
         # the cohesion cache's fixed inputs, flat for the kernel, and its scratch
         self._norms = (None if embedding_norms is None
                        else np.ascontiguousarray(embedding_norms, dtype=np.float64))
-        parents = sorted(self.parent_representatives.items())
+        parents = sorted(parent_representatives.items())
         self._rep_topic = np.array([k for k, _ in parents], np.int64)
         self._rep_ptr = np.cumsum([0] + [len(reps) for _, reps in parents], dtype=np.int64)
         self._rep_words = np.array([w for _, reps in parents for w in reps], np.int32)
@@ -219,34 +220,30 @@ class HDPSampler:
                                f"in [0, {self.V})")
         return words.astype(np.int32)
 
-    def _check_constraints(self) -> None:
-        V = self.V
-        for w, k in self.forced_topic.items():
+    def _check_constraints(self, forced_topic, promotion, norms, parent_representatives) -> None:
+        V, P = self.V, self.n_parents
+        for w, k in forced_topic.items():
             if not 0 <= w < V:
                 raise SamplerError(f"forced_topic word {w} is not a word id in [0, {V})")
-            if not 0 <= k < self.n_parents:
-                raise SamplerError(f"forced_topic[{w}] = {k} is not a parent topic "
-                                   f"in [0, {self.n_parents})")
-        for w, row in self.promo_rows.items():
+            if not 0 <= k < P:
+                raise SamplerError(f"forced_topic[{w}] = {k} is not a parent topic in [0, {P})")
+        for w, row in promotion.items():
             if not 0 <= w < V:
                 raise SamplerError(f"promotion row of word {w}: not a word id in [0, {V})")
             if not row:
                 raise SamplerError(f"promotion row of word {w} is empty")
-            for target, is_self in row:
+            for target in row:
                 if not 0 <= target < V:
                     raise SamplerError(f"promotion row of word {w} targets {target}, "
                                        f"not a word id in [0, {V})")
-                if bool(is_self) != (target == w):   # a self pair targets its own word
-                    raise SamplerError(f"promotion row of word {w} holds {(target, is_self)}: "
-                                       f"is_self must be {target == w}")
-        norms = self.embedding_norms
         if norms is not None and np.ndim(norms) != 2:
             raise SamplerError(f"embedding_norms must be a matrix, got {np.ndim(norms)} axes")
         if norms is not None and len(norms) != V:
             raise SamplerError(f"embedding_norms has {len(norms)} rows for {V} words")
-        for k, reps in self.parent_representatives.items():
-            if not isinstance(k, (int, np.integer)) or k < 0:
-                raise SamplerError(f"parent_representatives key {k!r} is not a topic id")
+        for k, reps in parent_representatives.items():
+            if not isinstance(k, (int, np.integer)) or not 0 <= k < P:
+                raise SamplerError(f"parent_representatives key {k!r} is not a topic id "
+                                   f"of a parent, in [0, {P})")
             for w in reps:
                 if not 0 <= w < V:
                     raise SamplerError(f"parent_representatives[{k}] holds {w}, not a word id "
@@ -529,14 +526,12 @@ class HDPSampler:
             n_docs=len(self.docs), V=self.V, cap=self._cap, u=self.u, beta=hp.beta,
             alpha=hp.alpha, gamma=hp.gamma, base_density=self.base_density,
             tilde=None if self.tilde is None else self.tilde.ctypes.data,
-            norms=None if norms is None else norms.ctypes.data, dim=dim,
-            n_reps=len(self._top), n_rep_topics=len(self._rep_topic),
-            **{name: getattr(self, "_" + name).ctypes.data for name in (
-                "words", "doc_ptr", "forced", "promo_ptr", "promo_target",
-                "tok_t", "tok_flag", "n_tab", "tab_col", "tab_units", "tab_promos",
-                "topic_of", "order", "by_id", "m", "nk_units", "nk_promos",
-                "nkw_units", "nkw_promos", "scal", "tilde_row", "rep_topic", "rep_ptr",
-                "rep_words", "top", "rank", "work", "slot_map", "err")})
+            dim=dim, n_reps=len(self._top), n_rep_topics=len(self._rep_topic),
+            **{name: None if (a := getattr(self, "_" + name)) is None else a.ctypes.data
+               for name in (*KERNEL_INPUTS, "tok_t", "tok_flag", "n_tab", "tab_col",
+                            "tab_units", "tab_promos", "topic_of", "order", "by_id", "m",
+                            "nk_units", "nk_promos", "nkw_units", "nkw_promos", "scal",
+                            "tilde_row", "top", "rank", "work", "slot_map", "err")})
 
     # ---------------------------------------------------------------- kernel
 
@@ -760,18 +755,17 @@ class HDPSampler:
 
     @functools.cached_property
     def fingerprint(self) -> str:
-        """Digest of what phase-1 sampling depends on: `repr` of the document and
-        token counts, V, the constraints, promotion rows, alpha, beta, gamma, u
-        and M, then the bytes of the document lengths, token ids and embedding
-        norms; not the seed, iteration counts or phase 2. Computed once per sampler."""
+        """Digest of what phase-1 sampling depends on: `repr` of V, the parent
+        count, M, alpha, beta, gamma and u and of the dtype and shape of each of
+        `KERNEL_INPUTS`, then those arrays' bytes; not the seed, iteration counts
+        or phase 2. Computed once per sampler."""
         import hashlib   # loads OpenSSL, 3.4 MB resident; only checkpoints need it
-        hp = self.hp
+        hp, arrays = self.hp, [getattr(self, "_" + name) for name in KERNEL_INPUTS]
         digest = hashlib.sha256(repr((
-            len(self.docs), len(self._words), self.V, self.base_density, self.n_parents,
-            sorted(self.forced_topic.items()), sorted(self.parent_representatives.items()),
-            sorted(self.promo_rows.items()), hp.n_representatives,
-            [float(x) for x in (hp.alpha, hp.beta, hp.gamma, self.u)])).encode())
-        for a in (self._lengths, self._words, self.embedding_norms):
+            int(self.V), int(self.n_parents), len(self._top),
+            [float(x) for x in (hp.alpha, hp.beta, hp.gamma, self.u)],
+            [None if a is None else (a.dtype.str, a.shape) for a in arrays])).encode())
+        for a in arrays:
             if a is not None:
                 digest.update(a.tobytes())
         return digest.hexdigest()

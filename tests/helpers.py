@@ -29,7 +29,7 @@ def sampler_cases(draw):
     forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3))
               if n_parents else {})
     rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=4))
-    promotion = {w: [(t, t == w) for t in sorted(ts)] for w, ts in rows.items()}
+    promotion = {w: sorted(ts) for w, ts in rows.items()}
     seed = draw(st.integers(0, 2**32 - 1))
     norms = None
     if draw(st.booleans()):

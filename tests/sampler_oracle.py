@@ -65,7 +65,7 @@ class OracleSampler:
     def __init__(self, docs: list[list[int]], vocab_size: int, hp: Hyperparameters,
                  seed: int = 0, *, forced_topic: dict[int, int] | None = None,
                  n_parents: int = 0,
-                 promotion: dict[int, list[tuple[int, bool]]] | None = None,
+                 promotion: dict[int, list[int]] | None = None,
                  embedding_norms: np.ndarray | None = None,
                  parent_representatives: dict[int, list[int]] | None = None):
         if not docs or any(len(d) == 0 for d in docs):
@@ -159,8 +159,8 @@ class OracleSampler:
             for w, t, flag in zip(doc, self.t[j], self.flags[j]):
                 k = topics[t]
                 if flag:
-                    for target, is_self in self.promo_rows[w]:
-                        if is_self:
+                    for target in self.promo_rows[w]:
+                        if target == w:
                             units[t] += 1
                             self.nkw_units[k][target] += 1
                         else:
@@ -195,8 +195,8 @@ class OracleSampler:
         ku, kp, num = self.nkw_units[k], self.nkw_promos[k], self._num[c]
         u, beta = self.u, self.hp.beta
         if flag:
-            for target, is_self in self.promo_rows[w]:
-                if is_self:
+            for target in self.promo_rows[w]:
+                if target == w:
                     self.table_units[j][t] += sign
                     ku[target] += sign
                     self.nk_units[k] += sign

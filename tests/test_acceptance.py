@@ -561,7 +561,7 @@ def test_criterion_10_promotion_flag_statistics(report):
     assert all(s.draw_flag(3, 1) == 1 for _ in range(100))
 
     # flagged add: one self-pair and two cross-pairs at u = 0.3
-    promo = {3: [(0, False), (3, True), (4, False)]}
+    promo = {3: [0, 3, 4]}
     hp = Hyperparameters(initial_topics=2)
     s2 = HDPSampler([[1, 3]], 5, hp, seed=0, promotion=promo,
                     embedding_norms=np.zeros((5, 2)))

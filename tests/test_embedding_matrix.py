@@ -61,7 +61,7 @@ def dict_promotion(table, concept_words, tau):
         pairs.add((wq, wq))
     rows = {}
     for wi, wq in sorted(pairs):
-        rows.setdefault(wi, []).append((wq, wi == wq))
+        rows.setdefault(wi, []).append(wq)
     return rows, skipped
 
 

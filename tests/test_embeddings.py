@@ -103,7 +103,7 @@ def test_cosine_errors():
 
 def pairs_of(rows) -> set[tuple[int, int]]:
     """The (sampled word, concept word) pairs the promotion rows hold."""
-    return {(wi, wq) for wi, row in rows.items() for wq, _ in row}
+    return {(wi, wq) for wi, row in rows.items() for wq in row}
 
 
 def test_relatedness_tau_extremes(geometry_table):
@@ -138,18 +138,18 @@ def test_relatedness_skips_unembedded_concepts(geometry_table, caplog):
 
 def test_promotion_values(geometry_table):
     a = build_promotion(geometry_table, [0], 0.5)
-    assert (0, True) in a[0]         # matched self-pair: amount 1
-    assert (0, False) in a[2]        # matched cross-pair (45 degrees): amount u
+    assert 0 in a[0]                 # matched self-pair: amount 1
+    assert 0 in a[2]                 # matched cross-pair (45 degrees): amount u
     assert 3 not in a                # cosine -1, no promotion
-    # every row holds at most one self entry, and only for the word itself
-    for wi, row in a.items():
-        assert [wq for wq, is_self in row if is_self] in ([], [wi])
+    # every row lists distinct targets, ascending
+    for row in a.values():
+        assert row == sorted(set(row))
 
 
 def test_promotion_u_range(geometry_table):
-    """Promotion rows carry only the self flag; u's (0, 1) range is checked where u lives."""
+    """Promotion rows carry only target ids; u's (0, 1) range is checked where u lives."""
     rows = build_promotion(geometry_table, [0], 0.5)
-    assert all(isinstance(is_self, bool) for row in rows.values() for _, is_self in row)
+    assert all(type(wq) is int for row in rows.values() for wq in row)
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(SamplerError, match="promotion weight"):
             Hyperparameters(promotion_weight=bad).validate()
@@ -159,7 +159,7 @@ def test_promotion_entries_back_relatedness(geometry_table):
     tau = 0.4
     a = build_promotion(geometry_table, [0, 1], tau)
     for wi, row in a.items():
-        for wq, _ in row:
+        for wq in row:
             assert cosine(geometry_table.get(wi), geometry_table.get(wq)) >= tau
 
 

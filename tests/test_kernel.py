@@ -18,7 +18,8 @@ from qdtm import _native
 from qdtm.concepts import extract_concept_words
 from qdtm.embeddings import build_promotion
 from qdtm.retrieval import parse_query, retrieve
-from qdtm.sampler import COLUMN_HEADROOM, ConsistencyError, HDPSampler, Hyperparameters
+from qdtm.sampler import (COLUMN_HEADROOM, KERNEL_INPUTS, ConsistencyError, HDPSampler,
+                          Hyperparameters)
 from qdtm.synth import SyntheticSpec
 
 from helpers import sampler_cases
@@ -116,8 +117,7 @@ def test_kernel_weights_equal_the_oracle_on_a_state_with_promotion_counts():
     the kernel shows on every run, not only when a drawn state holds such a cell."""
     docs = [[0, 1, 2, 3, 0, 4], [1, 3, 0, 0, 2], [4, 4, 1, 5]]
     hp = Hyperparameters(initial_topics=3, beta=0.13, promotion_weight=0.3)
-    kwargs = dict(promotion={0: [(0, True), (1, False), (2, False)], 1: [(3, False)],
-                             4: [(4, True), (0, False), (5, False)]})
+    kwargs = dict(promotion={0: [0, 1, 2], 1: [3], 4: [4, 0, 5]})
     state = ([[0, 0, 1, 1, 2, 0], [0, 1, 2, 2, 0], [0, 1, 0, 1]],
              [[1, 2, 3], [2, 1, 3], [1, 3]],
              [[1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 0], [1, 0, 0, 0]])
@@ -154,7 +154,7 @@ COHESION_CASES = {
         [[0, 1, 0, 2], [1, 2, 2]], 3,
         Hyperparameters(initial_topics=2, n_representatives=2, promotion_weight=0.3),
         ([[0, 1, 0, 1], [0, 1, 1]], [[0, 1], [0, 1]], [[1, 0, 1, 0], [0, 0, 0]]),
-        unit_rows(3, 4, 2), dict(promotion={0: [(0, True), (2, False)]})),
+        unit_rows(3, 4, 2), dict(promotion={0: [0, 2]})),
     "empty parent list": (
         [[2, 0, 1], [2, 1]], 3, Hyperparameters(initial_topics=2),
         ([[0, 1, 1], [0, 1]], [[0, 1], [0, 1]]), unit_rows(3, 2, 3),
@@ -214,7 +214,7 @@ def cohesion_states(draw):
     forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=2))
               if n_parents else {})
     rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=3))
-    promotion = {w: [(t, t == w) for t in sorted(ts)] for w, ts in rows.items()}
+    promotion = {w: sorted(ts) for w, ts in rows.items()}
     plain = draw(st.lists(st.integers(n_parents, n_parents + 6), min_size=1, max_size=3,
                           unique=True))
     docs, t, topics, flags = [], [], [], []
@@ -288,7 +288,7 @@ def test_norms_of_any_layout_or_float_type_give_the_same_cache():
 
 def test_single_steps_reject_arguments_outside_the_state():
     s = HDPSampler([[0, 1, 2], [2]], 3, Hyperparameters(initial_topics=2), seed=0,
-                   promotion={0: [(0, True)]})
+                   promotion={0: [0]})
     s.set_state([[0, 0, 1], [0]], [[1, 1], [1]])
     for step, args in ((s._detach, (2, 0)), (s._detach, (0, 3)), (s.draw_table, (0, 3)),
                        (s.draw_table, (-1, 0)), (s.draw_topic, (0, -1)), (s.draw_flag, (3, 1)),
@@ -320,7 +320,7 @@ COMPACTION_STATE = (   # dead slots first, in the middle and last; none; all but
 @pytest.mark.parametrize("grow", [False, True])
 def test_compaction_equals_the_oracle(grow):
     hp = Hyperparameters(initial_topics=2, promotion_weight=0.3)
-    kwargs = dict(promotion={0: [(0, True), (1, False)], 2: [(3, False)]})
+    kwargs = dict(promotion={0: [0, 1], 2: [3]})
     kernel = HDPSampler(COMPACTION_DOCS, 4, hp, 5, **kwargs)
     oracle = OracleSampler(COMPACTION_DOCS, 4, hp, 5, **kwargs)
     kernel.set_state(*COMPACTION_STATE)
@@ -339,6 +339,25 @@ def test_compaction_equals_the_oracle(grow):
     kernel.run(2, check_invariants=True)
     oracle.run(2)
     assert_same_state(kernel, oracle)
+
+
+def test_the_kernel_never_writes_its_input_arrays():
+    """The fingerprint is the digest of `KERNEL_INPUTS`, so they must hold
+    their bytes through refreshes, sweeps with promotion, a growth of the topic
+    columns and compactions."""
+    rng = np.random.default_rng(0)
+    norms = rng.normal(size=(12, 4))
+    s = HDPSampler([rng.integers(12, size=8).tolist() for _ in range(10)], 12,
+                   Hyperparameters(initial_topics=3, n_representatives=3, gamma=6.0), 1,
+                   forced_topic={0: 0, 1: 0}, n_parents=1, parent_representatives={0: [0, 1]},
+                   promotion={0: [0, 2], 5: [5, 1, 7]},
+                   embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True))
+    before = {name: getattr(s, "_" + name).tobytes() for name in KERNEL_INPUTS}
+    s.initialize()
+    cap = s._cap
+    s.run(8)
+    assert s._cap > cap and sum(map(sum, s.flags)) > 0
+    assert {name: getattr(s, "_" + name).tobytes() for name in KERNEL_INPUTS} == before
 
 
 def test_every_exported_kernel_function_has_a_signature():
@@ -412,7 +431,7 @@ norms = rng.normal(size=(12, 4))
 s = HDPSampler([rng.integers(12, size=8).tolist() for _ in range(10)], 12,
                Hyperparameters(initial_topics=3, n_representatives=3, gamma=6.0), 1,
                forced_topic={0: 0, 1: 0}, n_parents=1, parent_representatives={0: [0, 1, 0]},
-               promotion={0: [(0, True), (2, False)], 5: [(5, True), (1, False), (7, False)]},
+               promotion={0: [0, 2], 5: [5, 1, 7]},
                embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True))
 s.initialize()
 s.run(8, check_invariants=True)   # a refresh, a sweep and a compaction each
