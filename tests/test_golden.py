@@ -51,9 +51,9 @@ GOLDEN = {
     "corpus.jsonl.truth.json": "6fe1b920dfee5bd3ce9e109953ac8288bf978735477a24a9574489fa3b46c3a0",
     "vectors.txt": "c40b2490b4ae90a4851446c5effbc117d8a024e58a57c282a69970bda948c719",
     "kld.json": "4bceca777bad3c4e3b40fece1451bf098affaccdde13a646f9409ed58a4f0a68",
-    "checkpoint.first.json": "ec95e366f297bbf7246a48f30c7bd9f1f9711e83c6d280899bc46b3ca88accce",
+    "checkpoint.first.json": "bc99a961c8facb6ce21c5168403bc3a2989a4d35a7b215d726662c0a069f10b1",
     "kld.resumed.json": "fd351f1a813922697fed3545be314d6e84bed31fe435cc6a7560d2dbcab283c7",
-    "checkpoint.json": "b679065035c5b4ec3f70764cc15b01ed4a4d4be52898be69ab962d852563cb89",
+    "checkpoint.json": "d98c855085446c36f5cffc1b9a10fc8b4c9475ab49631b5a545936362d979438",
     "fre.json": "2945c9a30d52ce57c8f47af0b3b397dffa37e795b26879b1f6ec53eea83d6df7",
     "eval.json": "19b3ad60f6ac86d575a6f6dc56ad3c84555e906875e56e8ab45e4f462fa44484",
     "retrieve.or.json": "91f7bb768e73ba346aed627cdff820f546c1d5cdcb4ec3913ae4cd6e20b1fde0",
@@ -70,7 +70,7 @@ GOLDEN = {
     "expand.kld.options.json": "cbb77c39401c9eced370efaa95e0e82c9832e65c6d563ed7c68ab327acabc2c7",
     "expand.rel.partial.json": "7c223626b356e5729d4e91d7f4de1cd2e408f2c5cbb701d52f2b5dd2a0a99332",
     "kld.partial.json": "b5d29b7fd8eb1dbbaf9a7c89389fa5139933705a22af5f8ad8851241999d17ed",
-    "checkpoint.partial.json": "4dcd30537fb336297baff86bd4357025aaf1b7d03976ae62a9161e347cc62c47",
+    "checkpoint.partial.json": "0e33bfbb5ec5c2ab0ffb2d73f1005c9e5c1472551cd0a976e34bc9db68e288a2",
 }
 
 
