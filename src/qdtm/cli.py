@@ -11,7 +11,7 @@ import sys
 
 from . import __version__
 from .concepts import METHODS, extract_concept_words
-from .corpus import PreprocessOptions, ingest_jsonl
+from .corpus import PreprocessOptions, ingest_jsonl, text_lines
 from .embeddings import load_embeddings
 from .metrics import npmi_coherence, subtopic_report
 from .pipeline import RESULT_FORMAT_TAG, FitConfig, atomic_write, fit_topics
@@ -151,7 +151,7 @@ def apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read config {args.config}: {e}") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config file must hold a JSON object")
@@ -188,8 +188,9 @@ def _truth_path(args) -> str:
 
 
 def _check_paths(args) -> None:
-    """Before any work: every input exists, and no output is a directory, lies
-    in a missing one, or is (after `realpath`) another output or an input."""
+    """Before any work: every input exists, no file is a directory, and no
+    output lies in a missing one or is (after `realpath`) another output or an
+    input."""
     def named(dests):
         return [(f"--{d.replace('_', '-')}", getattr(args, d)) for d in dests
                 if getattr(args, d, None)]
@@ -201,10 +202,11 @@ def _check_paths(args) -> None:
     for flag, path in inputs:
         if not os.path.exists(path):
             raise ValidationError(f"{flag} file not found: {path}")
-    taken = {os.path.realpath(path): flag for flag, path in inputs}
-    for flag, path in outputs:
+    for flag, path in inputs + outputs:
         if os.path.isdir(path):
             raise ValidationError(f"{flag} path is a directory: {path}")
+    taken = {os.path.realpath(path): flag for flag, path in inputs}
+    for flag, path in outputs:
         real = os.path.realpath(path)
         if not os.path.isdir(os.path.dirname(real)):
             raise ValidationError(f"{flag} directory not found: {path}")
@@ -213,13 +215,16 @@ def _check_paths(args) -> None:
         taken[real] = flag
 
 
+def _lines(args, dest: str) -> list[str]:
+    """The stripped, non-blank lines of the file that option `dest` names, if any."""
+    path = getattr(args, dest)
+    lines = text_lines(path, ValidationError, f"--{dest} file ") if path else ()
+    return [s for _, line in lines if (s := line.strip())]
+
+
 def _load_corpus(args):
-    stopwords = frozenset()
-    if args.stopwords:
-        with open(args.stopwords) as fh:
-            stopwords = frozenset(w.strip() for w in fh if w.strip())
     options = PreprocessOptions(lowercase=not args.keep_case, min_df=args.min_df,
-                                stopwords=stopwords)
+                                stopwords=frozenset(_lines(args, "stopwords")))
     return ingest_jsonl(args.corpus, options)
 
 
@@ -278,10 +283,7 @@ def cmd_expand(args) -> None:
 
 
 def _fit_queries(args) -> list[str]:
-    queries = list(args.query or [])
-    if args.queries:
-        with open(args.queries) as fh:
-            queries.extend(q.strip() for q in fh if q.strip())
+    queries = [*(args.query or []), *_lines(args, "queries")]
     if not queries:
         raise ValidationError("at least one --query (or --queries file) is required")
     return queries

@@ -261,23 +261,32 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
     return Corpus(documents, vocab, options, index, dropped)
 
 
+def text_lines(path, error: type[ValueError], what: str = ""):
+    """The lines of UTF-8 text file `path`, numbered from 1; a byte that is not
+    UTF-8 raises `error` naming `what` and the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as e:
+            raise error(f"{what}{path} is not UTF-8 text: {e}") from None
+
+
 def read_jsonl(path) -> list[dict]:
     """Read a JSON-lines corpus file with `id`, `text` and optional `label`."""
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise IngestionError(f"line {lineno}: invalid JSON ({e})") from None
-            if not isinstance(obj, dict):
-                raise IngestionError(f"line {lineno}: expected a JSON object")
-            if "id" not in obj or "text" not in obj:
-                raise IngestionError(f"line {lineno}: missing 'id' or 'text'")
-            records.append(obj)
+    for lineno, line in text_lines(path, IngestionError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise IngestionError(f"line {lineno}: invalid JSON ({e})") from None
+        if not isinstance(obj, dict):
+            raise IngestionError(f"line {lineno}: expected a JSON object")
+        if "id" not in obj or "text" not in obj:
+            raise IngestionError(f"line {lineno}: missing 'id' or 'text'")
+        records.append(obj)
     return records
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, text_lines
 
 logger = logging.getLogger(__name__)
 NORMAL_MIN = float(np.finfo(np.float64).tiny)   # the smallest normal float64
@@ -94,35 +94,33 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     vectors: dict[int, np.ndarray] = {}
     line_of: dict[int, int] = {}
     dim = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue  # header line
-                except ValueError:
-                    pass
-            token, values = parts[0], parts[1:]
+    for lineno, line in text_lines(path, EmbeddingFormatError):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                floats = [float(v) for v in values]
+                int(parts[0]), int(parts[1])
+                continue  # header line
             except ValueError:
-                raise EmbeddingFormatError(f"line {lineno}: malformed float") from None
-            if not all(map(math.isfinite, floats)):
-                raise EmbeddingFormatError(f"line {lineno}: non-finite value")
-            vec = np.array(floats)
-            if dim is None:
-                if len(vec) == 0:
-                    raise EmbeddingFormatError(f"line {lineno}: no vector values")
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: dimension {len(vec)} != expected {dim}")
-            if token in vocab:
-                wid = vocab.id_of(token)
-                vectors[wid], line_of[wid] = vec, lineno
+                pass
+        token, values = parts[0], parts[1:]
+        try:
+            floats = [float(v) for v in values]
+        except ValueError:
+            raise EmbeddingFormatError(f"line {lineno}: malformed float") from None
+        if not all(map(math.isfinite, floats)):
+            raise EmbeddingFormatError(f"line {lineno}: non-finite value")
+        vec = np.array(floats)
+        if dim is None:
+            if len(vec) == 0:
+                raise EmbeddingFormatError(f"line {lineno}: no vector values")
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise EmbeddingFormatError(f"line {lineno}: dimension {len(vec)} != expected {dim}")
+        if token in vocab:
+            wid = vocab.id_of(token)
+            vectors[wid], line_of[wid] = vec, lineno
     if not vectors:
         raise EmbeddingError(f"no in-vocabulary vectors found in {path}")
     logger.info("loaded %d vectors (dim %d), coverage %.1f%%",

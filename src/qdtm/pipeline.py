@@ -180,14 +180,11 @@ def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters
         sampler.set_state([[0] * len(d) for d in docs], [[0] for _ in docs])
         return sampler, scope, sampler.topic_token_counts()
 
-    local_promotion = {}
-    local_norms = None
+    local_promotion, local_norms = {}, None
     if promotion and embedding_norms is not None:
-        for w, row in promotion.items():
-            if w in local:
-                entries = [local[tgt] for tgt in row if tgt in local]
-                if entries:
-                    local_promotion[local[w]] = entries
+        rows = ((local[w], [local[tgt] for tgt in row if tgt in local])
+                for w, row in promotion.items() if w in local)
+        local_promotion = {w: row for w, row in rows if row}
         if local_promotion:
             local_norms = embedding_norms[scope]
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
+from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, INPUT_DESTS, build_parser, main
 from qdtm.corpus import ingest_jsonl
-from qdtm.pipeline import FitConfig
+from qdtm.pipeline import RESULT_FORMAT_TAG, FitConfig
 from qdtm.sampler import HDPSampler, Hyperparameters
 from qdtm.synth import SyntheticSpec
 
@@ -978,3 +978,54 @@ def test_missing_input_fails_before_any_work(small_corpus, tmp_path, capsys, mon
                "--out", str(tmp_path / "r.json")])
     assert rc == EXIT_VALIDATION
     assert f"{flag} file not found: {missing}" in json.loads(capsys.readouterr().err)["message"]
+
+
+FIT_ARGV = ["fit", "--corpus", "{c}", "--query", "w0000", "--out", "{r}"]
+# a command line that reads file {f} through each option in INPUT_DESTS
+INPUT_ARGV = {
+    "config": ["--config", "{f}", *FIT_ARGV],
+    "corpus": ["fit", "--corpus", "{f}", "--query", "w0000", "--out", "{r}"],
+    "stopwords": [*FIT_ARGV, "--stopwords", "{f}"],
+    "queries": [*FIT_ARGV, "--queries", "{f}"],
+    "embeddings": [*FIT_ARGV, "--embeddings", "{f}"],
+    "result": ["eval", "--corpus", "{c}", "--result", "{f}"],
+    "labels": ["eval", "--corpus", "{c}", "--result", "{e}", "--labels", "{f}"],
+}
+
+
+def _input_error(dest, path, small_corpus, tmp_path, capsys) -> str:
+    """The message of the command line that reads `path` through option `dest`;
+    {e} is a result of no queries."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"format": RESULT_FORMAT_TAG, "queries": []}))
+    argv = [a.format(f=path, c=small_corpus, e=empty, r=tmp_path / "r.json")
+            for a in INPUT_ARGV[dest]]
+    assert main(argv) == EXIT_VALIDATION
+    assert not (tmp_path / "r.json").exists()
+    return json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("dest", INPUT_DESTS)
+def test_an_input_that_is_a_directory_fails_before_any_work(small_corpus, tmp_path, capsys,
+                                                            monkeypatch, dest):
+    """Every input but --config exited 3, "[Errno 21] Is a directory", once
+    the command opened it; the config is read, and named, before the paths
+    are checked."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command loaded the corpus before checking its inputs")
+    monkeypatch.setattr("qdtm.cli.ingest_jsonl", no_work)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    message = _input_error(dest, folder, small_corpus, tmp_path, capsys)
+    assert message.startswith(f"cannot read config {folder}: " if dest == "config"
+                              else f"--{dest} path is a directory: {folder}")
+
+
+@pytest.mark.parametrize("dest", INPUT_DESTS)
+def test_an_input_that_is_not_utf8_names_its_file(small_corpus, tmp_path, capsys, dest):
+    """--corpus, --stopwords, --queries, --embeddings and --config gave only
+    "'utf-8' codec can't decode byte 0xff ...", naming no file."""
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("w0000 caf\xe9\n".encode("latin-1"))
+    message = _input_error(dest, bad, small_corpus, tmp_path, capsys)
+    assert str(bad) in message and "can't decode byte 0xe9" in message
