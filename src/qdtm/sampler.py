@@ -756,9 +756,9 @@ class HDPSampler:
     @functools.cached_property
     def fingerprint(self) -> str:
         """Digest of what phase-1 sampling depends on: `repr` of V, the parent
-        count, M, alpha, beta, gamma and u and of the dtype and shape of each of
-        `KERNEL_INPUTS`, then those arrays' bytes; not the seed, iteration counts
-        or phase 2. Computed once per sampler."""
+        count, min(M, V), alpha, beta, gamma and u and of the dtype and shape of
+        each of `KERNEL_INPUTS`, then those arrays' bytes; not the seed,
+        iteration counts or phase 2. Computed once per sampler."""
         import hashlib   # loads OpenSSL, 3.4 MB resident; only checkpoints need it
         hp, arrays = self.hp, [getattr(self, "_" + name) for name in KERNEL_INPUTS]
         digest = hashlib.sha256(repr((
