@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import logging
 import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -142,59 +142,54 @@ def atomic_write(path: str):
             os.remove(tmp)
 
 
-def extract_parent_subcorpus(sampler: HDPSampler,
-                             parent: int) -> tuple[list[list[int]], set[int]]:
-    """Tokens the parent topic claimed in phase 1, grouped per document.
-
-    Returns (the non-empty sub-documents, the parent's word-type set).
-    """
-    sub_docs = sampler.tokens_of(parent)
-    if not sub_docs:
+def extract_parent_subcorpus(sampler: HDPSampler, parent: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens the parent topic claimed in phase 1, as a token stream:
+    their word ids in corpus order, and the offsets of the documents that
+    hold any of them."""
+    words, doc_ptr = sampler.tokens_of(parent)
+    if not len(words):
         raise ParentTopicError(
             f"parent topic {parent} claimed no tokens; try more iterations or "
             "a different query")
-    return sub_docs, set(itertools.chain.from_iterable(sub_docs))
+    return words, doc_ptr
 
 
-def run_phase2(sub_docs: list[list[int]], support: set[int], hp: Hyperparameters,
-               seed: int, *, iterations: int,
-               promotion: dict[int, list[int]] | None = None,
+def run_phase2(words: np.ndarray, doc_ptr: np.ndarray, hp: Hyperparameters, seed: int, *,
+               iterations: int, promotion: dict[int, list[int]] | None = None,
                embedding_norms: np.ndarray | None = None,
-               check_invariants: bool = False) -> tuple[HDPSampler, list[int], dict[int, int]]:
+               check_invariants: bool = False) -> tuple[HDPSampler, np.ndarray, dict[int, int]]:
     """Fresh unconstrained HDP over the parent's sub-corpus.
 
-    The scope vocabulary is the parent's word-type set (base density
+    The scope vocabulary is the set of words in the sub-corpus (base density
     1/|scope|); word ids are remapped to a compact range internally. Returns
-    the converged sampler, the scope id order (local -> global), and raw token
-    counts per surviving subtopic. Subtopics with corpus-level prevalence
-    below the floor are dropped by the caller via `prune_subtopics`.
+    the converged sampler, the scope id order (local -> global, ascending),
+    and raw token counts per surviving subtopic. Subtopics with corpus-level
+    prevalence below the floor are dropped by the caller via `prune_subtopics`.
     """
-    scope = sorted(support)
-    local = {w: i for i, w in enumerate(scope)}
-    docs = [list(map(local.__getitem__, d)) for d in sub_docs]
+    scope, local_words = np.unique(words, return_inverse=True)
 
     if len(scope) == 1:
         # a single word type cannot be split; sampling would only shuffle
         # interchangeable point-mass topics around
-        sampler = HDPSampler(docs, 1, hp, seed)
-        sampler.set_state([[0] * len(d) for d in docs], [[0] for _ in docs])
+        sampler = HDPSampler(local_words, doc_ptr, 1, hp, seed)
+        lengths = np.diff(doc_ptr).tolist()
+        sampler.set_state([[0] * n for n in lengths], [[0] for _ in lengths])
         return sampler, scope, sampler.topic_token_counts()
 
     local_promotion, local_norms = {}, None
     if promotion and embedding_norms is not None:
+        local = dict(zip(scope.tolist(), range(len(scope))))
         rows = ((local[w], [local[tgt] for tgt in row if tgt in local])
                 for w, row in promotion.items() if w in local)
         local_promotion = {w: row for w, row in rows if row}
         if local_promotion:
             local_norms = embedding_norms[scope]
 
-    sampler = HDPSampler(docs, len(scope), hp, seed,
-                         promotion=local_promotion,
-                         embedding_norms=local_norms)
+    sampler = HDPSampler(local_words, doc_ptr, len(scope), hp, seed,
+                         promotion=local_promotion, embedding_norms=local_norms)
     sampler.initialize()
     sampler.run(iterations, check_invariants=check_invariants)
-    counts = sampler.topic_token_counts()
-    return sampler, scope, counts
+    return sampler, scope, sampler.topic_token_counts()
 
 
 def prune_subtopics(counts: dict[int, int], total_corpus_tokens: int,
@@ -239,10 +234,11 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
         promotion = build_promotion(embeddings, sorted(forced), hp.cosine_threshold)
         norms = embeddings.norm_matrix()
 
-    docs = [d.tokens for d in corpus.documents]
+    words = np.fromiter(chain.from_iterable(d.tokens for d in corpus.documents), np.int32)
+    doc_ptr = np.concatenate(([0], np.cumsum(corpus.index.lengths, dtype=np.int64)))
     doc_ids = [d.doc_id for d in corpus.documents]
 
-    sampler = HDPSampler(docs, len(vocab), hp, seed, forced_topic=forced,
+    sampler = HDPSampler(words, doc_ptr, len(vocab), hp, seed, forced_topic=forced,
                          n_parents=len(query_phrases), promotion=promotion,
                          embedding_norms=norms, parent_representatives=parent_reps)
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
@@ -271,9 +267,9 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
 
     query_results = []
     for q_idx, cs in enumerate(concept_sets):
-        sub_docs, support = extract_parent_subcorpus(sampler, q_idx)
+        sub_words, sub_ptr = extract_parent_subcorpus(sampler, q_idx)
         sub_sampler, scope, counts = run_phase2(
-            sub_docs, support, hp, seed + 1 + q_idx,
+            sub_words, sub_ptr, hp, seed + 1 + q_idx,
             iterations=config.iterations_phase2, promotion=promotion, embedding_norms=norms)
         parent_top = [(vocab.token_of(w), p)
                       for w, p in sampler.top_words(q_idx, N_TOP_WORDS)]
@@ -293,8 +289,8 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
                            cs.query.raw)
             subtopics.append(Subtopic(
                 top_words=parent_top,
-                prevalence=sum(len(d) for d in sub_docs) / total_tokens,
-                support=[vocab.token_of(w) for w in sorted(support)],
+                prevalence=len(sub_words) / total_tokens,
+                support=[vocab.token_of(w) for w in scope],
             ))
 
         query_results.append(QueryResult(

@@ -18,11 +18,12 @@ The state lives in flat numpy buffers that the compiled per-token steps
 The integer counts are the only count state; the kernel, `phi` and
 `refresh_cohesion` compute f_k(w) = (n_kw + beta) / (n_k + V beta) from them
 by one expression.
-The attributes the rest of qdtm reads (`t`, `flags`, `table_topic`, `m_k`,
-`nkw_units`, ...) are read-only views of these buffers holding plain ints.
+The corpus comes in as one token stream, `words` cut into documents at `doc_ptr`.
+The attributes the rest of qdtm reads (`docs`, `t`, `flags`, `table_topic`,
+`m_k`, `nkw_units`, ...) are read-only views of these buffers holding plain ints.
 Each input rule lives once: a settings field's in its dataclass's `check_fields`
-table, `n_parents`' ahead of the hyperparameters that it bounds, the other
-constructor inputs' in `_check_constraints`, a state's in `_checked`.
+table, a count's in `_check_count`, the token stream's in `_token_stream`, the
+other constructor inputs' in `_check_constraints`, a state's in `_checked`.
 """
 
 from __future__ import annotations
@@ -157,19 +158,16 @@ class HDPSampler:
     `topic_weights`, `draw_table`, `draw_topic`, `draw_flag`, `sweep`) call it.
     """
 
-    def __init__(self, docs: list[list[int]], vocab_size: int, hp: Hyperparameters,
-                 seed: int = 0, *, forced_topic: dict[int, int] | None = None,
-                 n_parents: int = 0,
+    def __init__(self, words: np.ndarray, doc_ptr: np.ndarray, vocab_size: int,
+                 hp: Hyperparameters, seed: int = 0, *,
+                 forced_topic: dict[int, int] | None = None, n_parents: int = 0,
                  promotion: dict[int, list[int]] | None = None,
                  embedding_norms: np.ndarray | None = None,
                  parent_representatives: dict[int, list[int]] | None = None):
-        if isinstance(n_parents, bool) or not (
-                isinstance(n_parents, (int, np.integer)) and n_parents >= 0):
-            raise SamplerError(f"n_parents must be >= 0 and an integer, got {n_parents!r}")
+        _check_count("n_parents", n_parents, 0)
         hp.validate(n_queries=n_parents)
-        if not docs or any(len(d) == 0 for d in docs):
-            raise SamplerError("documents must be non-empty")
-        self.docs = docs
+        _check_count("vocab_size", vocab_size, 1)
+        _check_count("seed", seed, 0)
         self.V = vocab_size
         self.hp = hp
         self.u = hp.promotion_weight
@@ -177,11 +175,10 @@ class HDPSampler:
         self.n_parents = n_parents
         forced_topic, promotion = forced_topic or {}, promotion or {}
         parent_representatives = parent_representatives or {}
-        self._lengths = np.array([len(d) for d in docs], dtype=np.int64)
-        self._doc_ptr = np.concatenate(([0], np.cumsum(self._lengths)))
+        self._words, self._doc_ptr = _token_stream(words, doc_ptr, vocab_size)
+        self._lengths = np.diff(self._doc_ptr)
         # each token's document's first slot: slots sit at their document's token offsets
         self._tok_base = self._doc_ptr[:-1].repeat(self._lengths).astype(np.int32)
-        self._words = self._token_ids()
         self._check_constraints(forced_topic, promotion, embedding_norms, parent_representatives)
         self.base_density = 1.0 / vocab_size   # f_new: the uniform base measure
 
@@ -208,17 +205,6 @@ class HDPSampler:
         self.tilde: np.ndarray | None = None
         self.topic_row: dict[int, int] = {}
         self.iterations_done = 0
-
-    def _token_ids(self) -> np.ndarray:
-        words = np.array(list(itertools.chain.from_iterable(self.docs)))
-        if words.dtype.kind not in "iu":
-            raise SamplerError(f"token ids must be integers, got {words.dtype}")
-        bad = np.flatnonzero((words < 0) | (words >= self.V))
-        if bad.size:
-            j, i = self._position(bad[0])
-            raise SamplerError(f"docs[{j}][{i}] = {words[bad[0]]} is not a word id "
-                               f"in [0, {self.V})")
-        return words.astype(np.int32)
 
     def _check_constraints(self, forced_topic, promotion, norms, parent_representatives) -> None:
         V, P = self.V, self.n_parents
@@ -255,6 +241,11 @@ class HDPSampler:
         return j, int(p - self._doc_ptr[j])
 
     # ------------------------------------------------------------------ state
+
+    @property
+    def docs(self) -> _Rows:
+        """docs[j][i]: the word id of token i of document j."""
+        return _Rows(self._words, self._doc_ptr, self._lengths)
 
     @property
     def t(self) -> _Rows:
@@ -341,7 +332,7 @@ class HDPSampler:
         `set_state`'s checks.
         """
         K, P = self.hp.initial_topics, self.n_parents   # validate: K > P
-        base = P + self.rng.integers(K - P, size=len(self.docs))
+        base = P + self.rng.integers(K - P, size=len(self._lengths))
         forced = self._forced[self._words]
         tab = np.where(forced >= 0, forced, base.repeat(self._lengths))
         slot = np.arange(len(self._words))   # token p sits alone at slot p
@@ -362,10 +353,10 @@ class HDPSampler:
         could not be in raises `SamplerError` naming the field, and leaves
         the sampler as it was.
         """
-        lengths, n_tab = self._lengths, _row_lengths("table_topic", table_topics, len(self.docs))
+        n_tab = _row_lengths("table_topic", table_topics, len(self._lengths))
         self._install(*self._checked(
-            _flat_rows("t", t_assignments, lengths),
-            None if flags is None else _flat_rows("flags", flags, lengths),
+            _flat_rows("t", t_assignments, self._lengths),
+            None if flags is None else _flat_rows("flags", flags, self._lengths),
             n_tab, _flat_rows("table_topic", table_topics, n_tab)))
 
     def _checked(self, t: np.ndarray, fl: np.ndarray | None, n_tab: np.ndarray,
@@ -523,7 +514,7 @@ class HDPSampler:
         self._work = np.empty(3 * self._cap + 2 * int(self._lengths.max()) + 4 + dim)
         self._rank = np.empty(self._cap, np.int32)
         self._c = _native.State(
-            n_docs=len(self.docs), V=self.V, cap=self._cap, u=self.u, beta=hp.beta,
+            n_docs=len(self._lengths), V=self.V, cap=self._cap, u=self.u, beta=hp.beta,
             alpha=hp.alpha, gamma=hp.gamma, base_density=self.base_density,
             tilde=None if self.tilde is None else self.tilde.ctypes.data,
             dim=dim, n_reps=len(self._top), n_rep_topics=len(self._rep_topic),
@@ -661,8 +652,7 @@ class HDPSampler:
 
     def run(self, iterations: int, check_invariants: bool = False) -> None:
         """Main Gibbs loop: refresh the cohesion cache, sweep every token."""
-        if iterations < 1:
-            raise SamplerError("iterations must be >= 1")
+        _check_count("iterations", iterations, 1)
         for _ in range(iterations):
             self.refresh_cohesion()
             self.sweep()
@@ -708,13 +698,13 @@ class HDPSampler:
     def _token_columns(self) -> np.ndarray:
         return self._tab_col[self._tok_base + self._tok_t]
 
-    def tokens_of(self, k: int) -> list[list[int]]:
-        """The word ids of topic k's tokens, per document that has any, in
-        corpus order."""
+    def tokens_of(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Topic k's tokens in corpus order as a token stream: their word ids,
+        and the offsets of the documents that hold any of them."""
         held = np.flatnonzero(self._topic_of[self._token_columns()] == k)
-        cuts = np.searchsorted(held, self._doc_ptr).tolist()
-        words = self._words[held].tolist()
-        return [words[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]
+        # ascending; the repeats are dropped without np.unique, which adds 1.5 MB peak RSS
+        cuts = np.searchsorted(held, self._doc_ptr)
+        return self._words[held], cuts[np.diff(cuts, prepend=-1) > 0]
 
     def counts(self, k: int) -> np.ndarray:
         """Real-valued topic-word counts n_kw = units + u * promotions."""
@@ -734,7 +724,7 @@ class HDPSampler:
         topics = self.live_topics()
         position = np.zeros(self._cap, np.int64)   # column -> index in `topics`
         position[self._by_id[:len(topics)]] = np.arange(len(topics))
-        out = np.full((len(self.docs), len(topics)), self.hp.alpha / len(topics))
+        out = np.full((len(self._lengths), len(topics)), self.hp.alpha / len(topics))
         live = np.flatnonzero(self._tab_col >= 0)   # in slot order, as the masses add up
         doc = np.searchsorted(self._doc_ptr, live, side="right") - 1
         np.add.at(out, (doc, position[self._tab_col[live]]),
@@ -804,7 +794,7 @@ class HDPSampler:
             raise SamplerError(f"the checkpoint has no {', '.join(missing)}")
         N, topics = len(self._words), _decoded(state, "table_topic")
         checked = self._checked(_decoded(state, "t", N), _decoded(state, "flags", N),
-                                _decoded(state, "n_tab", len(self.docs)), topics)
+                                _decoded(state, "n_tab", len(self._lengths)), topics)
         next_topic, done = state["next_topic"], state["iterations_done"]
         top = max(self.n_parents - 1, int(topics.max(initial=-1)))
         if type(next_topic) is not int or not top < next_topic < 2**63:
@@ -829,6 +819,40 @@ class HDPSampler:
         bg.state = rng
         self.next_topic = next_topic
         self.iterations_done = done
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """`value` is an integer of at least `least`: a Python int or a numpy
+    integer, never a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise SamplerError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
+def _token_stream(words, doc_ptr, V: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int32 and int64 copies of word ids in [0, V) and of n_docs + 1 offsets that
+    rise from 0 to len(words); else `SamplerError` naming the first bad position."""
+    for name, a in (("words", words), ("doc_ptr", doc_ptr)):
+        if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
+            got = f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+            raise SamplerError(f"{name} must be a 1-D integer array, got {got}")
+    if len(doc_ptr) < 2:
+        raise SamplerError(f"doc_ptr must have at least 2 entries, got {len(doc_ptr)}")
+    if doc_ptr[0] != 0:
+        raise SamplerError(f"doc_ptr[0] = {doc_ptr[0]} must be 0")
+    # compared, not subtracted: a difference of unsigned offsets can wrap
+    step = np.flatnonzero(doc_ptr[1:] <= doc_ptr[:-1])
+    if step.size:
+        j = int(step[0])
+        raise SamplerError(f"doc_ptr[{j + 1}] = {doc_ptr[j + 1]} is not above doc_ptr[{j}] = "
+                           f"{doc_ptr[j]}; every document must hold a token")
+    if doc_ptr[-1] != len(words):
+        raise SamplerError(f"doc_ptr[{len(doc_ptr) - 1}] = {doc_ptr[-1]} must be "
+                           f"len(words) = {len(words)}")
+    bad = np.flatnonzero((words < 0) | (words >= V))
+    if bad.size:
+        p = int(bad[0])
+        raise SamplerError(f"words[{p}] = {words[p]} is not a word id in [0, {V})")
+    return words.astype(np.int32), doc_ptr.astype(np.int64)
 
 
 def _decoded(state: dict, key: str, n: int | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Plain helpers shared by the test modules (fixtures live in conftest.py)."""
 
 import base64
+import itertools
 
 import numpy as np
 from hypothesis import strategies as st
@@ -47,20 +48,26 @@ def sampler_cases(draw):
     return docs, V, hp, seed, kwargs, draw(st.integers(1, 5))
 
 
-def parent_subcorpus_oracle(sampler: HDPSampler,
-                            parent: int) -> tuple[list[list[int]], set[int]]:
+def stream(docs) -> tuple[np.ndarray, np.ndarray]:
+    """Documents given as lists of word ids, as the sampler's token stream
+    `(words, doc_ptr)`."""
+    lengths = [len(d) for d in docs]
+    return (np.fromiter(itertools.chain.from_iterable(docs), np.int64, sum(lengths)),
+            np.cumsum([0, *lengths], dtype=np.int64))
+
+
+def parent_subcorpus_oracle(sampler: HDPSampler, parent: int) -> tuple[np.ndarray, np.ndarray]:
     """`pipeline.extract_parent_subcorpus` as a per-token loop over the
     public assignments: token i of document j belongs to topic
     table_topic[j][t[j][i]]."""
-    sub_docs, support = [], set()
+    sub_docs = []
     for doc, t, topics in zip(sampler.docs, sampler.t, sampler.table_topic):
         toks = [w for w, table in zip(doc, t) if topics[table] == parent]
         if toks:
             sub_docs.append(toks)
-            support.update(toks)
     if not sub_docs:
         raise ParentTopicError(f"parent topic {parent} claimed no tokens")
-    return sub_docs, support
+    return stream(sub_docs)
 
 
 # a v3 checkpoint's array fields: base64 of little-endian arrays of these types

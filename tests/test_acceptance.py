@@ -23,6 +23,7 @@ from qdtm.retrieval import parse_query, precision_at_k, retrieve
 from qdtm.sampler import HDPSampler, Hyperparameters
 from qdtm.synth import SyntheticSpec, block_embeddings, generate
 
+from helpers import stream
 from test_sampler import build_cohesion_sampler
 
 
@@ -220,7 +221,7 @@ def oracle_topic_probs(docs, t_assign, table_topics, w, V, hp, base,
 def frozen_sampler(docs, V, t_assign, table_topics, *, n_parents=0,
                    forced=None):
     hp = Hyperparameters(initial_topics=max(3, n_parents + 1))
-    s = HDPSampler(docs, V, hp, seed=1234, forced_topic=forced or {},
+    s = HDPSampler(*stream(docs), V, hp, seed=1234, forced_topic=forced or {},
                    n_parents=n_parents)
     s.set_state(t_assign, table_topics)
     return s, hp
@@ -322,7 +323,7 @@ def audited_phase1_run():
 
     promotion = build_promotion(table, cs.word_ids(), hp.cosine_threshold)
 
-    sampler = HDPSampler([d.tokens for d in corpus.documents], len(corpus.vocab),
+    sampler = HDPSampler(*stream([d.tokens for d in corpus.documents]), len(corpus.vocab),
                          hp, seed=3, forced_topic=forced, n_parents=1,
                          promotion=promotion, embedding_norms=table.norm_matrix(),
                          parent_representatives={0: cs.word_ids()})
@@ -496,7 +497,7 @@ def test_criterion_08_subtopic_separation(report):
     total_corpus_tokens = 20_000
 
     sampler, scope, counts = run_phase2(
-        sub_docs, support, Hyperparameters(initial_topics=4), seed=11,
+        *stream(sub_docs), Hyperparameters(initial_topics=4), seed=11,
         iterations=80, check_invariants=True)
     survivors = prune_subtopics(counts, total_corpus_tokens, 0.005)
 
@@ -563,7 +564,7 @@ def test_criterion_10_promotion_flag_statistics(report):
     # flagged add: one self-pair and two cross-pairs at u = 0.3
     promo = {3: [0, 3, 4]}
     hp = Hyperparameters(initial_topics=2)
-    s2 = HDPSampler([[1, 3]], 5, hp, seed=0, promotion=promo,
+    s2 = HDPSampler(*stream([[1, 3]]), 5, hp, seed=0, promotion=promo,
                     embedding_norms=np.zeros((5, 2)))
     s2.set_state([[0, 0]], [[0]])
     t, k, _ = s2._detach(0, 1)

@@ -22,7 +22,7 @@ from qdtm.sampler import (COLUMN_HEADROOM, KERNEL_INPUTS, ConsistencyError, HDPS
                           Hyperparameters)
 from qdtm.synth import SyntheticSpec
 
-from helpers import sampler_cases
+from helpers import sampler_cases, stream
 from sampler_oracle import OracleSampler, quarters
 from test_acceptance import embedding_table, synthetic_corpus
 
@@ -67,13 +67,13 @@ def assert_same_cohesion(kernel: HDPSampler, oracle: OracleSampler) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(sampler_cases(), st.sampled_from(["numpy", "quarters"]))
-def test_kernel_equals_the_python_oracle(case, stream):
+def test_kernel_equals_the_python_oracle(case, uniforms):
     docs, V, hp, seed, kwargs, sweeps = case
-    kernel = HDPSampler(docs, V, hp, seed, **kwargs)
+    kernel = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
     oracle = OracleSampler(docs, V, hp, seed, **kwargs)
     kernel.initialize()
     oracle.initialize()
-    if stream == "quarters":
+    if uniforms == "quarters":
         kernel.rng, oracle.rng = quarters(seed), quarters(seed)
     kernel.run(sweeps, check_invariants=True)
     oracle.run(sweeps)
@@ -96,7 +96,7 @@ def test_kernel_equals_the_oracle_on_a_larger_corpus():
                   embedding_norms=table.norm_matrix(),
                   parent_representatives={0: cs.word_ids()})
     docs = [d.tokens for d in corpus.documents]
-    kernel = HDPSampler(docs, len(corpus.vocab), hp, 3, **kwargs)
+    kernel = HDPSampler(*stream(docs), len(corpus.vocab), hp, 3, **kwargs)
     oracle = OracleSampler(docs, len(corpus.vocab), hp, 3, **kwargs)
     kernel.initialize()
     oracle.initialize()
@@ -121,7 +121,7 @@ def test_kernel_weights_equal_the_oracle_on_a_state_with_promotion_counts():
     state = ([[0, 0, 1, 1, 2, 0], [0, 1, 2, 2, 0], [0, 1, 0, 1]],
              [[1, 2, 3], [2, 1, 3], [1, 3]],
              [[1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 0], [1, 0, 0, 0]])
-    kernel = HDPSampler(docs, 6, hp, 0, **kwargs)
+    kernel = HDPSampler(*stream(docs), 6, hp, 0, **kwargs)
     oracle = OracleSampler(docs, 6, hp, 0, **kwargs)
     kernel.set_state(*state)
     oracle.set_state(*state)
@@ -177,7 +177,7 @@ COHESION_CASES = {
 @pytest.mark.parametrize("case", list(COHESION_CASES))
 def test_cohesion_cache_equals_the_oracle(case):
     docs, V, hp, state, norms, kwargs = COHESION_CASES[case]
-    kernel = HDPSampler(docs, V, hp, 0, embedding_norms=norms, **kwargs)
+    kernel = HDPSampler(*stream(docs), V, hp, 0, embedding_norms=norms, **kwargs)
     oracle = OracleSampler(docs, V, hp, 0, embedding_norms=norms, **kwargs)
     kernel.set_state(*state)
     oracle.set_state(*state)
@@ -250,7 +250,7 @@ def cohesion_states(draw):
 @given(cohesion_states())
 def test_cohesion_cache_of_a_drawn_state_equals_the_oracle(case):
     docs, V, hp, state, kwargs, retire = case
-    kernel = HDPSampler(docs, V, hp, 0, **kwargs)
+    kernel = HDPSampler(*stream(docs), V, hp, 0, **kwargs)
     oracle = OracleSampler(docs, V, hp, 0, **kwargs)
     kernel.set_state(*state)
     oracle.set_state(*state)
@@ -277,7 +277,7 @@ def test_norms_of_any_layout_or_float_type_give_the_same_cache():
     double = single.astype(np.float64)
 
     def cache(norms):
-        s = HDPSampler(docs, V, hp, 0, embedding_norms=norms, **kwargs)
+        s = HDPSampler(*stream(docs), V, hp, 0, embedding_norms=norms, **kwargs)
         s.set_state(*state)
         s.refresh_cohesion()
         return s.cv.tobytes(), s.tilde.tobytes(), s.topic_row
@@ -287,7 +287,7 @@ def test_norms_of_any_layout_or_float_type_give_the_same_cache():
 
 
 def test_single_steps_reject_arguments_outside_the_state():
-    s = HDPSampler([[0, 1, 2], [2]], 3, Hyperparameters(initial_topics=2), seed=0,
+    s = HDPSampler(*stream([[0, 1, 2], [2]]), 3, Hyperparameters(initial_topics=2), seed=0,
                    promotion={0: [0]})
     s.set_state([[0, 0, 1], [0]], [[1, 1], [1]])
     for step, args in ((s._detach, (2, 0)), (s._detach, (0, 3)), (s.draw_table, (0, 3)),
@@ -321,7 +321,7 @@ COMPACTION_STATE = (   # dead slots first, in the middle and last; none; all but
 def test_compaction_equals_the_oracle(grow):
     hp = Hyperparameters(initial_topics=2, promotion_weight=0.3)
     kwargs = dict(promotion={0: [0, 1], 2: [3]})
-    kernel = HDPSampler(COMPACTION_DOCS, 4, hp, 5, **kwargs)
+    kernel = HDPSampler(*stream(COMPACTION_DOCS), 4, hp, 5, **kwargs)
     oracle = OracleSampler(COMPACTION_DOCS, 4, hp, 5, **kwargs)
     kernel.set_state(*COMPACTION_STATE)
     oracle.set_state(*COMPACTION_STATE)
@@ -347,7 +347,7 @@ def test_the_kernel_never_writes_its_input_arrays():
     columns and compactions."""
     rng = np.random.default_rng(0)
     norms = rng.normal(size=(12, 4))
-    s = HDPSampler([rng.integers(12, size=8).tolist() for _ in range(10)], 12,
+    s = HDPSampler(*stream([rng.integers(12, size=8).tolist() for _ in range(10)]), 12,
                    Hyperparameters(initial_topics=3, n_representatives=3, gamma=6.0), 1,
                    forced_topic={0: 0, 1: 0}, n_parents=1, parent_representatives={0: [0, 1]},
                    promotion={0: [0, 2], 5: [5, 1, 7]},
@@ -404,7 +404,7 @@ def test_the_ctypes_state_has_the_c_layout(tmp_path):
 
 
 def small_run() -> HDPSampler:
-    s = HDPSampler([[0, 1, 2, 1], [2, 0]], 3, Hyperparameters(initial_topics=2), seed=4)
+    s = HDPSampler(*stream([[0, 1, 2, 1], [2, 0]]), 3, Hyperparameters(initial_topics=2), seed=4)
     s.initialize()
     s.run(2)
     return s
@@ -428,7 +428,7 @@ _native.CACHE_DIR, _native.FLAGS = sys.argv[1], _native.FLAGS + tuple(sys.argv[2
 from qdtm.sampler import ConsistencyError, HDPSampler, Hyperparameters
 rng = np.random.default_rng(0)
 norms = rng.normal(size=(12, 4))
-s = HDPSampler([rng.integers(12, size=8).tolist() for _ in range(10)], 12,
+s = HDPSampler(rng.integers(12, size=80), np.arange(0, 81, 8), 12,
                Hyperparameters(initial_topics=3, n_representatives=3, gamma=6.0), 1,
                forced_topic={0: 0, 1: 0}, n_parents=1, parent_representatives={0: [0, 1, 0]},
                promotion={0: [0, 2], 5: [5, 1, 7]},
@@ -523,7 +523,9 @@ def test_an_unwritable_cache_is_an_error_that_names_it(cold_cache, monkeypatch):
 def test_two_processes_building_on_a_cold_cache_both_succeed(tmp_path):
     code = ("import sys; from qdtm import _native; _native.CACHE_DIR = sys.argv[1]; "
             "from qdtm.sampler import HDPSampler, Hyperparameters; "
-            "s = HDPSampler([[0, 1, 2, 1], [2, 0]], 3, Hyperparameters(initial_topics=2)); "
+            "import numpy as np; "
+            "s = HDPSampler(np.array([0, 1, 2, 1, 2, 0]), np.array([0, 4, 6]), 3, "
+            "Hyperparameters(initial_topics=2)); "
             "s.initialize(); s.run(2); print(list(s.t))")
     start = time.monotonic()
     procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path)],

@@ -14,32 +14,32 @@ from qdtm.pipeline import (FitConfig, ParentTopicError, extract_parent_subcorpus
 from qdtm.sampler import HDPSampler, Hyperparameters, SamplerError
 from qdtm.synth import SyntheticSpec
 
-from helpers import checkpoint_array, parent_subcorpus_oracle, sampler_cases
+from helpers import checkpoint_array, parent_subcorpus_oracle, sampler_cases, stream
 from test_acceptance import embedding_table, synthetic_corpus
 
 
 def test_extract_parent_subcorpus_matches_assignments():
     docs = [[0, 1, 2], [2, 2, 1]]
-    s = HDPSampler(docs, 3, Hyperparameters(initial_topics=3), seed=0,
+    s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=3), seed=0,
                    forced_topic={2: 0}, n_parents=1)
     s.set_state([[0, 0, 1], [0, 1, 2]], [[1, 0], [0, 0, 2]])
-    sub_docs, support = extract_parent_subcorpus(s, 0)
-    assert sub_docs == [[2], [2, 2]]
-    assert support == {2}
+    words, doc_ptr = extract_parent_subcorpus(s, 0)
+    assert words.tolist() == [2, 2, 2]
+    assert doc_ptr.tolist() == [0, 1, 3]
 
 
 def test_extract_parent_subcorpus_whole_doc_passthrough():
     docs = [[1, 2, 1]]
-    s = HDPSampler(docs, 3, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
+    s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
     s.set_state([[0, 0, 0]], [[0]])
-    sub_docs, support = extract_parent_subcorpus(s, 0)
-    assert sub_docs == [[1, 2, 1]]
-    assert support == {1, 2}
+    words, doc_ptr = extract_parent_subcorpus(s, 0)
+    assert words.tolist() == [1, 2, 1]
+    assert doc_ptr.tolist() == [0, 3]
 
 
 def test_extract_parent_subcorpus_empty_is_fatal():
     docs = [[0, 1]]
-    s = HDPSampler(docs, 2, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
+    s = HDPSampler(*stream(docs), 2, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
     s.set_state([[0, 0]], [[1]])
     with pytest.raises(ParentTopicError):
         extract_parent_subcorpus(s, 0)
@@ -49,7 +49,7 @@ def test_extract_parent_subcorpus_empty_is_fatal():
 @given(sampler_cases())
 def test_extract_parent_subcorpus_equals_the_per_token_loop(case):
     docs, V, hp, seed, kwargs, sweeps = case
-    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
     s.initialize()
     s.run(sweeps)
     for k in range(s.next_topic + 1):   # every live topic, and ids with no tokens
@@ -59,7 +59,8 @@ def test_extract_parent_subcorpus_equals_the_per_token_loop(case):
             with pytest.raises(ParentTopicError, match=f"parent topic {k} claimed no tokens"):
                 extract_parent_subcorpus(s, k)
         else:
-            assert extract_parent_subcorpus(s, k) == expected
+            got = extract_parent_subcorpus(s, k)
+            assert all(map(np.array_equal, got, expected))
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,7 +69,7 @@ def test_checkpoint_text_equals_json_dumps_of_the_state(case):
     """`state_dict()` holds plain JSON values: `json.dump`, as `fit` writes
     it, gives the text of `json.dumps`, and that text reads back as the state."""
     docs, V, hp, seed, kwargs, sweeps = case
-    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
     s.initialize()
     s.run(sweeps)
     state = s.state_dict()
@@ -113,10 +114,11 @@ def test_fit_with_flags_checks_invariants_through_a_resume(tmp_path, audited_run
 
 
 def test_phase2_single_word_type_point_mass():
-    sub_docs = [[7], [7, 7], [7]]
-    sampler, scope, counts = run_phase2(sub_docs, {7}, Hyperparameters(initial_topics=2),
+    words, doc_ptr = stream([[7], [7, 7], [7]])
+    sampler, scope, counts = run_phase2(words, doc_ptr, Hyperparameters(initial_topics=2),
                                         seed=1, iterations=10)
-    assert scope == [7]
+    assert scope.tolist() == sorted(set(words.tolist())) == [7]
+    assert sampler.V == len(scope)
     live = sampler.live_topics()
     assert len(live) == 1
     phi = sampler.phi(live[0])
@@ -132,9 +134,7 @@ def test_phase2_disjoint_blocks_separate():
     for _ in range(30):
         block = block_a if rng.random() < 0.5 else block_b
         sub_docs.append([int(rng.choice(block)) for _ in range(15)])
-    support = set(range(20))
-    sampler, scope, counts = run_phase2(sub_docs, support,
-                                        Hyperparameters(initial_topics=3),
+    sampler, scope, counts = run_phase2(*stream(sub_docs), Hyperparameters(initial_topics=3),
                                         seed=2, iterations=60, check_invariants=True)
     survivors = prune_subtopics(counts, 10_000, 0.005)
     assert len(survivors) >= 2
@@ -151,10 +151,11 @@ def test_phase2_support_closure():
     rng = np.random.default_rng(5)
     sub_docs = [[int(rng.integers(30, 40)) for _ in range(10)] for _ in range(10)]
     support = set(range(30, 40))
-    sampler, scope, counts = run_phase2(sub_docs, support,
-                                        Hyperparameters(initial_topics=2),
+    words, doc_ptr = stream(sub_docs)
+    sampler, scope, counts = run_phase2(words, doc_ptr, Hyperparameters(initial_topics=2),
                                         seed=3, iterations=20)
-    assert set(scope) == support
+    assert scope.tolist() == sorted(set(words.tolist())) == sorted(support)
+    assert sampler.V == len(scope)
     for k in sampler.live_topics():
         nonzero = {scope[w] for w in range(len(scope)) if sampler.nkw_units[k][w]}
         assert nonzero <= support

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qdtm.pipeline import run_phase2
 from qdtm.sampler import M_TOTAL, ConsistencyError, HDPSampler, Hyperparameters, SamplerError
 
-from helpers import checkpoint_array, sampler_cases, start_topics_oracle
+from helpers import checkpoint_array, sampler_cases, start_topics_oracle, stream
 from sampler_oracle import UniformStream, _sum
 
 
@@ -51,38 +51,99 @@ def test_non_finite_hyperparameter_rejected(name, value):
         Hyperparameters(**{name: value}).validate()
 
 
+ONE_DOC = stream([[0, 1]])
+
+
 @pytest.mark.parametrize("docs, kwargs, message", [
-    ([[-1, 0, 1], [2, 2]], {}, r"docs\[0\]\[0\] = -1 is not a word id in \[0, 3\)"),
-    ([[0, 1], [2, 3]], {}, r"docs\[1\]\[1\] = 3 is not a word id in \[0, 3\)"),
-    ([[0, 1.5]], {}, "token ids must be integers"),
-    ([[0, 1]], {"promotion": {0: [0, 3]}}, "word 0 targets 3"),
-    ([[0, 1]], {"promotion": {0: [-1]}}, "word 0 targets -1"),
-    ([[0, 1]], {"promotion": {4: [0]}}, "promotion row of word 4"),
-    ([[0, 1]], {"promotion": {0: []}}, "promotion row of word 0 is empty"),
-    ([[0, 1]], {"forced_topic": {0: 1}, "n_parents": 1},
+    (stream([[-1, 0, 1], [2, 2]]), {}, r"words\[0\] = -1 is not a word id in \[0, 3\)"),
+    (stream([[0, 1], [2, 3]]), {}, r"words\[3\] = 3 is not a word id in \[0, 3\)"),
+    ((np.array([0, 1.5]), ONE_DOC[1]), {},
+     "words must be a 1-D integer array, got 1-D float64"),
+    (ONE_DOC, {"promotion": {0: [0, 3]}}, "word 0 targets 3"),
+    (ONE_DOC, {"promotion": {0: [-1]}}, "word 0 targets -1"),
+    (ONE_DOC, {"promotion": {4: [0]}}, "promotion row of word 4"),
+    (ONE_DOC, {"promotion": {0: []}}, "promotion row of word 0 is empty"),
+    (ONE_DOC, {"forced_topic": {0: 1}, "n_parents": 1},
      r"forced_topic\[0\] = 1 is not a parent topic in \[0, 1\)"),
-    ([[0, 1]], {"forced_topic": {0: -1}, "n_parents": 1}, r"forced_topic\[0\] = -1"),
-    ([[0, 1]], {"forced_topic": {3: 0}, "n_parents": 1}, "forced_topic word 3"),
-    ([[0, 1]], {"embedding_norms": np.eye(2)}, "embedding_norms has 2 rows for 3 words"),
-    ([[0, 1]], {"embedding_norms": np.ones(3)}, "embedding_norms must be a matrix, got 1 axes"),
-    ([[0, 1]], {"parent_representatives": {0: [1, 3]}, "n_parents": 1},
+    (ONE_DOC, {"forced_topic": {0: -1}, "n_parents": 1}, r"forced_topic\[0\] = -1"),
+    (ONE_DOC, {"forced_topic": {3: 0}, "n_parents": 1}, "forced_topic word 3"),
+    (ONE_DOC, {"embedding_norms": np.eye(2)}, "embedding_norms has 2 rows for 3 words"),
+    (ONE_DOC, {"embedding_norms": np.ones(3)}, "embedding_norms must be a matrix, got 1 axes"),
+    (ONE_DOC, {"parent_representatives": {0: [1, 3]}, "n_parents": 1},
      r"parent_representatives\[0\] holds 3, not a word id in \[0, 3\)"),
-    ([[0, 1]], {"parent_representatives": {0: [-1]}, "n_parents": 1},
+    (ONE_DOC, {"parent_representatives": {0: [-1]}, "n_parents": 1},
      r"parent_representatives\[0\] holds -1"),
-    ([[0, 1]], {"parent_representatives": {"0": [1]}}, "key '0' is not a topic id"),
-    ([[0, 1]], {"n_parents": -1}, "n_parents must be >= 0 and an integer, got -1"),
+    (ONE_DOC, {"parent_representatives": {"0": [1]}}, "key '0' is not a topic id"),
+    (ONE_DOC, {"n_parents": -1}, "n_parents must be >= 0 and an integer, got -1"),
     # the hyperparameters compared against a string or None with a bare TypeError,
     # and True was taken for one parent
-    ([[0, 1]], {"n_parents": "1"}, "n_parents must be >= 0 and an integer, got '1'"),
-    ([[0, 1]], {"n_parents": None}, "n_parents must be >= 0 and an integer, got None"),
-    ([[0, 1]], {"n_parents": True}, "n_parents must be >= 0 and an integer, got True"),
+    (ONE_DOC, {"n_parents": "1"}, "n_parents must be >= 0 and an integer, got '1'"),
+    (ONE_DOC, {"n_parents": None}, "n_parents must be >= 0 and an integer, got None"),
+    (ONE_DOC, {"n_parents": True}, "n_parents must be >= 0 and an integer, got True"),
     # a regular topic 5 got a fixed cohesion list if it was ever born
-    ([[0, 1]], {"parent_representatives": {5: [1], 0: [0]}, "n_parents": 1},
+    (ONE_DOC, {"parent_representatives": {5: [1], 0: [0]}, "n_parents": 1},
      r"parent_representatives key 5 is not a topic id of a parent, in \[0, 1\)"),
+    # the token stream's rules; a bool array was read as word ids 1 and 0
+    ((np.array([True, False]), ONE_DOC[1]), {},
+     "words must be a 1-D integer array, got 1-D bool"),
+    ((np.array([[0, 1]]), ONE_DOC[1]), {}, "words must be a 1-D integer array, got 2-D int64"),
+    (([0, 1], ONE_DOC[1]), {}, "words must be a 1-D integer array, got list"),
+    ((ONE_DOC[0], np.array([0.0, 2.0])), {},
+     "doc_ptr must be a 1-D integer array, got 1-D float64"),
+    ((ONE_DOC[0], np.array([False, True])), {},
+     "doc_ptr must be a 1-D integer array, got 1-D bool"),
+    ((ONE_DOC[0], np.array([[0, 2]])), {}, "doc_ptr must be a 1-D integer array, got 2-D int64"),
+    ((np.array([], np.int64), np.array([0])), {}, "doc_ptr must have at least 2 entries, got 1"),
+    ((ONE_DOC[0], np.array([], np.int64)), {}, "doc_ptr must have at least 2 entries, got 0"),
+    ((ONE_DOC[0], np.array([1, 2])), {}, r"doc_ptr\[0\] = 1 must be 0"),
+    ((ONE_DOC[0], np.array([0, 3])), {}, r"doc_ptr\[1\] = 3 must be len\(words\) = 2"),
+    ((ONE_DOC[0], np.array([0, 1])), {}, r"doc_ptr\[1\] = 1 must be len\(words\) = 2"),
+    # empty documents, and offsets that step back (unsigned ones would wrap if subtracted)
+    (stream([[0, 1], []]), {},
+     r"doc_ptr\[2\] = 2 is not above doc_ptr\[1\] = 2; every document must hold a token"),
+    (stream([[], [0, 1]]), {}, r"doc_ptr\[1\] = 0 is not above doc_ptr\[0\] = 0"),
+    ((np.array([0]), np.array([0, 2, 1], np.uint64)), {},
+     r"doc_ptr\[2\] = 1 is not above doc_ptr\[1\] = 2"),
+    # a string vocab_size raised UFuncTypeError, 2.5 and None a bare TypeError, True
+    # reported "[0, True)"; seed 2.5 raised a numpy TypeError, None seeded from the OS
+    *((ONE_DOC, {name: value}, f"^{name} must be >= {least} and an integer, got {value!r}$")
+      for name, least, values in (("vocab_size", 1, ("3", 2.5, None, True, 0)),
+                                  ("seed", 0, (2.5, None, True, -1)))
+      for value in values),
 ])
 def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
     with pytest.raises(SamplerError, match=message):
-        HDPSampler(docs, 3, small_hp(), seed=0, **kwargs)
+        HDPSampler(*docs, **{"vocab_size": 3, "hp": small_hp(), "seed": 0, **kwargs})
+
+
+def test_the_sampler_keeps_its_own_copy_of_the_token_stream():
+    """The kernel reads the stream through pointers: a strided view is read by
+    its values, and a later write to the caller's arrays changes nothing."""
+    words, doc_ptr = stream([[0, 1, 2], [2, 1]])
+    twice = np.repeat(words, 2)
+    s = HDPSampler(twice[::2], doc_ptr, 3, small_hp(), seed=0)
+    twice[:], doc_ptr[:] = 0, 0
+    assert s.docs == [[0, 1, 2], [2, 1]]
+    s.initialize()
+    s.run(2, check_invariants=True)
+
+
+def test_counts_may_be_numpy_integers():
+    s = HDPSampler(*ONE_DOC, np.int64(3), small_hp(), np.uint32(5), n_parents=np.int8(0))
+    s.initialize()
+    s.run(np.int16(1))
+    assert s.iterations_done == 1
+
+
+@pytest.mark.parametrize("iterations", [0, -1, 2.5, True, "1", None], ids=repr)
+def test_run_takes_a_count_of_sweeps(iterations):
+    """2.5 raised a bare TypeError, and True ran one sweep."""
+    s = HDPSampler(*ONE_DOC, 2, small_hp(), seed=0)
+    s.initialize()
+    with pytest.raises(SamplerError,
+                       match=f"^iterations must be >= 1 and an integer, got {iterations!r}$"):
+        s.run(iterations)
+    assert s.iterations_done == 0
 
 
 @pytest.mark.parametrize("name, value", [
@@ -96,9 +157,9 @@ def test_a_hyperparameter_out_of_range_is_rejected_by_the_sampler(name, value):
     hp = small_hp(**{name: value})
     message = rf"{name}\b.* got {re.escape(str(value))}$"
     with pytest.raises(SamplerError, match=message):
-        HDPSampler([[0, 1], [1, 2]], 3, hp, seed=0)
+        HDPSampler(*stream([[0, 1], [1, 2]]), 3, hp, seed=0)
     with pytest.raises(SamplerError, match=message):
-        run_phase2([[0, 1], [1, 2]], {0, 1, 2}, hp, seed=0, iterations=1)
+        run_phase2(*stream([[0, 1], [1, 2]]), hp, seed=0, iterations=1)
 
 
 @pytest.mark.parametrize("start", ["initialize", "set_state"])
@@ -106,7 +167,7 @@ def test_initial_topics_must_leave_a_topic_beyond_the_parents(start):
     """`set_state` never reaches `initialize`, so the rule is checked when the
     sampler is built."""
     with pytest.raises(SamplerError, match="initial_topics must be >= 2 and an integer, got 1"):
-        s = HDPSampler([[0, 1]], 2, small_hp(initial_topics=1), seed=0,
+        s = HDPSampler(*stream([[0, 1]]), 2, small_hp(initial_topics=1), seed=0,
                        forced_topic={0: 0}, n_parents=1)
         if start == "initialize":
             s.initialize()
@@ -125,7 +186,8 @@ def test_the_sampler_is_built_exactly_when_its_hyperparameters_validate(name, va
     hp = Hyperparameters(**{name: value})
 
     def build():
-        return HDPSampler([[0, 1], [2]], 3, hp, seed=0, forced_topic={0: 0}, n_parents=1)
+        return HDPSampler(*stream([[0, 1], [2]]), 3, hp, seed=0, forced_topic={0: 0},
+                          n_parents=1)
     try:
         hp.validate(n_queries=1)
     except SamplerError:
@@ -149,12 +211,12 @@ def test_a_hyperparameter_that_is_not_a_number_is_rejected(name, value):
 def test_constructor_rejects_fewer_than_one_representative(m):
     """The kernel keeps a topic's top M words in a buffer of M entries."""
     with pytest.raises(SamplerError, match="n_representatives must be >= 1"):
-        HDPSampler([[0, 1]], 3, small_hp(n_representatives=m), seed=0)
+        HDPSampler(*stream([[0, 1]]), 3, small_hp(n_representatives=m), seed=0)
 
 
 def test_initialize_one_table_per_token():
     docs = [[0, 1, 2, 3, 4]]
-    s = HDPSampler(docs, 5, small_hp(), seed=0)
+    s = HDPSampler(*stream(docs), 5, small_hp(), seed=0)
     s.initialize()
     assert len(s.table_topic[0]) == 5
     # all tables of a concept-free document share one topic
@@ -164,7 +226,7 @@ def test_initialize_one_table_per_token():
 
 def test_initialize_pins_concept_words():
     docs = [[0, 1, 2], [2, 0, 2]]
-    s = HDPSampler(docs, 3, small_hp(), seed=1, forced_topic={2: 0}, n_parents=1)
+    s = HDPSampler(*stream(docs), 3, small_hp(), seed=1, forced_topic={2: 0}, n_parents=1)
     s.initialize()
     for j, doc in enumerate(docs):
         for i, w in enumerate(doc):
@@ -181,7 +243,8 @@ def test_initialize_pins_concept_words():
 def test_initialize_draws_the_start_topics_of_the_per_document_loop(n_free):
     docs = [[0, 1], [1], [2, 0, 1]] * 13
     for seed in range(20):
-        s = HDPSampler(docs, 3, small_hp(initial_topics=n_free + 1), seed=seed, n_parents=1)
+        s = HDPSampler(*stream(docs), 3, small_hp(initial_topics=n_free + 1), seed=seed,
+                       n_parents=1)
         s.initialize()
         rng = np.random.default_rng(seed)
         assert ([row[0] for row in s.table_topic]
@@ -191,7 +254,7 @@ def test_initialize_draws_the_start_topics_of_the_per_document_loop(n_free):
 
 def test_predictive_prob_symmetric_prior():
     docs = [[0, 1]]
-    s = HDPSampler(docs, 100, Hyperparameters(beta=0.5, initial_topics=2), seed=0)
+    s = HDPSampler(*stream(docs), 100, Hyperparameters(beta=0.5, initial_topics=2), seed=0)
     s.set_state([[0, 0]], [[3, -1]])
     s._ensure_table(0, 1, 5)   # topic 5 is born at an empty table
     assert s.phi(5)[7] == pytest.approx(0.5 / 50)  # == 1/|V|
@@ -200,13 +263,13 @@ def test_predictive_prob_symmetric_prior():
 
 def test_phase2_base_density():
     docs = [[0]]
-    s = HDPSampler(docs, 40, small_hp(), seed=0)
+    s = HDPSampler(*stream(docs), 40, small_hp(), seed=0)
     assert s.base_density == pytest.approx(0.025)
 
 
 def test_plain_round_trip_restores_state():
     docs = [[0, 1, 0, 2], [2, 2, 1]]
-    s = HDPSampler(docs, 3, small_hp(), seed=2)
+    s = HDPSampler(*stream(docs), 3, small_hp(), seed=2)
     s.initialize()
     s.run(3)
     before = snapshot(s)
@@ -223,7 +286,7 @@ def test_gpu_round_trip_restores_state():
     promo = {0: [0, 1, 2]}
     norms = np.eye(3)
     docs = [[0, 1, 2, 0]]
-    s = HDPSampler(docs, 3, small_hp(), seed=3, promotion=promo,
+    s = HDPSampler(*stream(docs), 3, small_hp(), seed=3, promotion=promo,
                    embedding_norms=norms)
     s.initialize()
     s.run(5)
@@ -238,7 +301,7 @@ def test_gpu_round_trip_restores_state():
 def test_gpu_add_inflates_table_mass_by_row_sum():
     promo = {0: [0, 1, 2]}
     docs = [[0]]
-    s = HDPSampler(docs, 3, small_hp(), seed=0, promotion=promo,
+    s = HDPSampler(*stream(docs), 3, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(3))
     s.initialize()  # flag 0 at init
     t, k, _ = s._detach(0, 0)
@@ -254,7 +317,7 @@ def test_gpu_add_inflates_table_mass_by_row_sum():
 
 def test_removing_last_token_retires_table_and_topic():
     docs = [[0, 1]]
-    s = HDPSampler(docs, 2, small_hp(), seed=4)
+    s = HDPSampler(*stream(docs), 2, small_hp(), seed=4)
     s.initialize()
     k0 = s.table_topic[0][s.t[0][0]]
     m_before = s.m_k[k0]
@@ -266,7 +329,7 @@ def test_removing_last_token_retires_table_and_topic():
 
 def test_parent_topic_never_retires():
     docs = [[0]]
-    s = HDPSampler(docs, 2, small_hp(), seed=5, forced_topic={0: 0}, n_parents=1)
+    s = HDPSampler(*stream(docs), 2, small_hp(), seed=5, forced_topic={0: 0}, n_parents=1)
     s.initialize()
     s._detach(0, 0)  # parent loses its only real table
     assert s.m_k[0] >= 1  # phantom table keeps the anchor alive
@@ -276,7 +339,7 @@ def test_constrained_word_forces_parent_topic():
     # document whose only table serves a non-parent topic; concept word must
     # open a new table bound to the parent
     docs = [[1, 1, 0]]
-    s = HDPSampler(docs, 2, small_hp(), seed=6, forced_topic={0: 0}, n_parents=1)
+    s = HDPSampler(*stream(docs), 2, small_hp(), seed=6, forced_topic={0: 0}, n_parents=1)
     s.initialize()
     s._detach(0, 2)
     # make the existing landscape hostile: all live tables non-parent
@@ -289,7 +352,7 @@ def test_constrained_word_forces_parent_topic():
 
 def test_degenerate_alpha_selects_only_table():
     docs = [[1, 1]]
-    s = HDPSampler(docs, 2, Hyperparameters(alpha=1e-300, initial_topics=2), seed=7)
+    s = HDPSampler(*stream(docs), 2, Hyperparameters(alpha=1e-300, initial_topics=2), seed=7)
     s.set_state([[0, 0]], [[1]])
     s._detach(0, 1)
     for _ in range(50):
@@ -298,7 +361,7 @@ def test_degenerate_alpha_selects_only_table():
 
 def test_gamma_to_zero_picks_compatible_topic():
     docs = [[1, 1, 1]]
-    s = HDPSampler(docs, 2, Hyperparameters(gamma=1e-300, initial_topics=2), seed=8)
+    s = HDPSampler(*stream(docs), 2, Hyperparameters(gamma=1e-300, initial_topics=2), seed=8)
     s.set_state([[0, 0, 0]], [[1]])
     s._detach(0, 2)
     for _ in range(50):
@@ -307,7 +370,7 @@ def test_gamma_to_zero_picks_compatible_topic():
 
 def test_set_state_rebuilds_counts_exactly():
     docs = [[0, 1, 2], [2, 1]]
-    s = HDPSampler(docs, 3, small_hp(), seed=9)
+    s = HDPSampler(*stream(docs), 3, small_hp(), seed=9)
     s.set_state([[0, 0, 1], [0, 0]], [[2, 1], [1]])
     s.check_invariants()
     assert s.nkw_units[2] == [1, 1, 0]
@@ -321,7 +384,7 @@ def test_run_determinism():
     docs = [list(rng.integers(20, size=15)) for _ in range(10)]
     out = []
     for _ in range(2):
-        s = HDPSampler([list(d) for d in docs], 20, small_hp(), seed=42,
+        s = HDPSampler(*stream(docs), 20, small_hp(), seed=42,
                        forced_topic={0: 0}, n_parents=1)
         s.initialize()
         s.run(20)
@@ -333,7 +396,7 @@ def test_constraint_holds_over_run():
     rng = np.random.default_rng(1)
     docs = [list(rng.integers(30, size=20)) for _ in range(15)]
     forced = {0: 0, 1: 0, 2: 0}
-    s = HDPSampler(docs, 30, small_hp(initial_topics=4), seed=10,
+    s = HDPSampler(*stream(docs), 30, small_hp(initial_topics=4), seed=10,
                    forced_topic=forced, n_parents=1)
     s.initialize()
     s.run(15, check_invariants=True)  # raises on any violation
@@ -346,14 +409,14 @@ def test_constraint_holds_over_run():
 def test_empty_concept_set_runs_plain_hdp():
     rng = np.random.default_rng(2)
     docs = [list(rng.integers(25, size=15)) for _ in range(12)]
-    s = HDPSampler(docs, 25, small_hp(initial_topics=4), seed=11)
+    s = HDPSampler(*stream(docs), 25, small_hp(initial_topics=4), seed=11)
     s.initialize()
     s.run(15, check_invariants=True)
     assert s.live_topics()
 
 
 def test_negative_iterations_rejected():
-    s = HDPSampler([[0]], 1, small_hp(), seed=0)
+    s = HDPSampler(*stream([[0]]), 1, small_hp(), seed=0)
     s.initialize()
     with pytest.raises(SamplerError):
         s.run(0)
@@ -361,7 +424,7 @@ def test_negative_iterations_rejected():
 
 def test_check_invariants_catches_corruption():
     docs = [[0, 1]]
-    s = HDPSampler(docs, 2, small_hp(), seed=12)
+    s = HDPSampler(*stream(docs), 2, small_hp(), seed=12)
     s.initialize()
     s._nk_units[s._columns()[s.live_topics()[0]]] += 1
     with pytest.raises(ConsistencyError):
@@ -369,7 +432,7 @@ def test_check_invariants_catches_corruption():
 
 
 def test_check_invariants_catches_a_stale_view_after_a_topic_birth():
-    s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
+    s = HDPSampler(*stream([[0, 1]]), 2, small_hp(), seed=12)
     s.initialize()
     t, _, _ = s._detach(0, 1)   # one table per token, so table t dies
     stale = s._by_id.copy()   # the columns by topic id, before the birth
@@ -384,7 +447,7 @@ def test_check_invariants_catches_a_stale_view_after_a_topic_birth():
 def test_a_birth_past_the_largest_topic_id_is_an_error():
     """At alpha = gamma = 1e6 the first token opens a table of a new topic;
     its id would overflow int64."""
-    s = HDPSampler([[0, 1, 2]], 3, small_hp(alpha=1e6, gamma=1e6), seed=0)
+    s = HDPSampler(*stream([[0, 1, 2]]), 3, small_hp(alpha=1e6, gamma=1e6), seed=0)
     s.initialize()
     s.next_topic = 2**63 - 1
     with pytest.raises(ConsistencyError, match="no topic id is left"):
@@ -393,14 +456,14 @@ def test_a_birth_past_the_largest_topic_id_is_an_error():
 
 def test_a_topic_id_that_leaves_no_next_topic_is_rejected():
     """next_topic is one above the highest live id and an int64 too."""
-    s = HDPSampler([[0, 1]], 2, small_hp(), seed=0)
+    s = HDPSampler(*stream([[0, 1]]), 2, small_hp(), seed=0)
     with pytest.raises(SamplerError, match=r"table_topic\[0\]\[0\] = 9223372036854775807 is "
                                            "neither a topic id nor -1"):
         s.set_state([[0, 0]], [[2**63 - 1]])
 
 
 def test_check_invariants_catches_a_table_count_without_a_table():
-    s = HDPSampler([[0, 1]], 2, small_hp(), seed=12)
+    s = HDPSampler(*stream([[0, 1]]), 2, small_hp(), seed=12)
     s.initialize()
     s._m[s._columns()[s.live_topics()[0]]] += 1
     s._scal[M_TOTAL] += 1
@@ -411,7 +474,7 @@ def test_check_invariants_catches_a_fault_in_the_count_updates():
     # the footprint of a fault that acts alike for +1 and -1: a flagged add
     # that counts its cross-pair as a self-pair, leaving every total right
     promo = {0: [0, 1]}
-    s = HDPSampler([[0, 1]], 2, small_hp(), seed=0, promotion=promo,
+    s = HDPSampler(*stream([[0, 1]]), 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
     s.set_state([[0, 0]], [[2]])
     s._detach(0, 0)
@@ -429,7 +492,7 @@ def test_check_invariants_catches_a_fault_in_the_count_updates():
 
 def test_check_invariants_reports_a_flag_without_a_promotion_row_as_inconsistent():
     """A corrupt flag is the sampler's fault, not bad input."""
-    s = HDPSampler([[0, 1]], 2, small_hp(), seed=0)
+    s = HDPSampler(*stream([[0, 1]]), 2, small_hp(), seed=0)
     s.initialize()
     s._tok_flag[1] = 1
     with pytest.raises(ConsistencyError, match=r"flags\[0\]\[1\] = 1 on word 1, which has no "
@@ -439,7 +502,7 @@ def test_check_invariants_reports_a_flag_without_a_promotion_row_as_inconsistent
 
 @pytest.mark.parametrize("corrupt", ["live", "mass"])
 def test_check_invariants_catches_a_slot_past_n_tab(corrupt):
-    s = HDPSampler([[0, 1, 1]], 2, small_hp(), seed=0)
+    s = HDPSampler(*stream([[0, 1, 1]]), 2, small_hp(), seed=0)
     s.set_state([[0, 0, 0]], [[1]])   # slots 1 and 2 are past n_tab[0] = 1
     s.check_invariants()
     if corrupt == "live":
@@ -455,7 +518,7 @@ def test_set_state_builds_flagged_counts_without_the_incremental_updates(monkeyp
         raise AssertionError("set_state must not replay tokens through the kernel")
 
     promo = {0: [0, 1]}
-    s = HDPSampler([[0, 1, 0]], 2, small_hp(), seed=0, promotion=promo,
+    s = HDPSampler(*stream([[0, 1, 0]]), 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
     monkeypatch.setattr(HDPSampler, "_kernel", no_kernel)
     s.set_state([[0, 0, 1]], [[2, 1]], flags=[[1, 0, 1]])
@@ -488,7 +551,8 @@ def test_sum_is_left_to_right():
 
 def test_table_draw_never_picks_dead_or_constraint_violating_slots():
     # slot 0 dead, slot 1 on parent topic 0, slot 2 on topic 2; word 4 is pinned to 0
-    s = HDPSampler([[4, 4, 1, 1]], 5, small_hp(), seed=0, forced_topic={4: 0}, n_parents=1)
+    s = HDPSampler(*stream([[4, 4, 1, 1]]), 5, small_hp(), seed=0, forced_topic={4: 0},
+                   n_parents=1)
     s.set_state([[1, 1, 2, 2]], [[-1, 0, 2]])
     s._detach(0, 0)
     uniforms = [i / 200 for i in range(200)] + [1.0]
@@ -501,7 +565,7 @@ def test_table_draw_never_picks_dead_or_constraint_violating_slots():
 def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
     # an alpha this small makes the new-table weight underflow to zero, so the
     # last positive weight is slot 0: slot 1 violates the constraint, slot 2 is dead
-    s = HDPSampler([[4, 4, 1]], 50, small_hp(alpha=5e-324), seed=0,
+    s = HDPSampler(*stream([[4, 4, 1]]), 50, small_hp(alpha=5e-324), seed=0,
                    forced_topic={4: 0}, n_parents=1)
     s.set_state([[0, 0, 1]], [[0, 2, -1]])
     s._detach(0, 0)
@@ -512,7 +576,7 @@ def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
 
 
 def test_table_draw_with_zero_total_forces_a_new_table():
-    s = HDPSampler([[4, 1]], 50, small_hp(alpha=5e-324), seed=0,
+    s = HDPSampler(*stream([[4, 1]]), 50, small_hp(alpha=5e-324), seed=0,
                    forced_topic={4: 0}, n_parents=1)
     s.set_state([[0, 1]], [[0, 2]])
     s._detach(0, 0)   # slot 0 dies; slot 1 serves topic 2, which word 4 may not join
@@ -536,7 +600,7 @@ def build_cohesion_sampler(cv_targets):
     norms[3] = cv_targets / np.linalg.norm(cv_targets)
     docs = [[0, 0], [1, 1], [2, 2], [3]]
     promo = {3: [0]}
-    s = HDPSampler(docs, 4, Hyperparameters(initial_topics=3, n_representatives=1),
+    s = HDPSampler(*stream(docs), 4, Hyperparameters(initial_topics=3, n_representatives=1),
                    seed=13, promotion=promo, embedding_norms=norms)
     s.set_state([[0, 0], [0, 0], [0, 0], [0]],
                 [[0], [1], [2], [0]])
@@ -567,7 +631,7 @@ def test_cohesion_single_rep_identical_word():
     # M=1, p(k,1)=1 approached by making the rep dominate; identical embedding
     norms = np.eye(2)
     docs = [[0, 0, 0, 0]]
-    s = HDPSampler(docs, 2, Hyperparameters(initial_topics=1, n_representatives=1),
+    s = HDPSampler(*stream(docs), 2, Hyperparameters(initial_topics=1, n_representatives=1),
                    seed=0, promotion={0: [0]},
                    embedding_norms=norms)
     s.set_state([[0, 0, 0, 0]], [[0]])
@@ -582,7 +646,7 @@ def test_parent_representatives_are_concept_words():
     non-parent topic's rep would be word 0."""
     norms = np.eye(3)
     docs = [[0, 0, 1, 2]]
-    s = HDPSampler(docs, 3, small_hp(initial_topics=2, n_representatives=1), seed=0,
+    s = HDPSampler(*stream(docs), 3, small_hp(initial_topics=2, n_representatives=1), seed=0,
                    forced_topic={2: 0}, n_parents=1, parent_representatives={0: [2]},
                    promotion={2: [2]}, embedding_norms=norms)
     s.set_state([[0, 0, 1, 0]], [[0, 1]])
@@ -613,12 +677,12 @@ def test_flag_zero_without_promotion_row():
 def test_checkpoint_roundtrip():
     rng = np.random.default_rng(3)
     docs = [list(rng.integers(15, size=10)) for _ in range(8)]
-    s = HDPSampler([list(d) for d in docs], 15, small_hp(), seed=21)
+    s = HDPSampler(*stream(docs), 15, small_hp(), seed=21)
     s.initialize()
     s.run(5)
     state = s.state_dict()
     text = json.dumps(state)
-    s2 = HDPSampler([list(d) for d in docs], 15, small_hp(), seed=99)
+    s2 = HDPSampler(*stream(docs), 15, small_hp(), seed=99)
     s2.load_state_dict(json.loads(text))
     s2.check_invariants()
     s.run(5)
@@ -640,18 +704,18 @@ def assert_arrays_are_the_rows(s: HDPSampler) -> None:
 @given(sampler_cases())
 def test_checkpoint_arrays_are_the_rows_flattened(case):
     docs, V, hp, seed, kwargs, sweeps = case
-    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
     s.initialize()
     s.run(sweeps)
     assert_arrays_are_the_rows(s)
 
 
 def test_checkpoint_arrays_keep_a_dead_slot():
-    s = HDPSampler([[0, 1], [1, 1, 2]], 3, small_hp(), seed=0)
+    s = HDPSampler(*stream([[0, 1], [1, 1, 2]]), 3, small_hp(), seed=0)
     s.set_state([[1, 1], [0, 0, 2]], [[-1, 3], [0, -1, 5]])
     assert_arrays_are_the_rows(s)
     assert checkpoint_array(s.state_dict(), "table_topic").tolist() == [-1, 3, 0, -1, 5]
-    resumed = HDPSampler([[0, 1], [1, 1, 2]], 3, small_hp(), seed=1)
+    resumed = HDPSampler(*stream([[0, 1], [1, 1, 2]]), 3, small_hp(), seed=1)
     resumed.load_state_dict(json.loads(json.dumps(s.state_dict())))
     assert resumed.table_topic == s.table_topic and resumed.next_topic == s.next_topic == 6
 
@@ -678,7 +742,7 @@ def respelled_cases(draw):
 @given(respelled_cases())
 def test_samplers_of_the_same_kernel_inputs_share_fingerprint_and_checkpoints(case):
     docs, V, hp, seed, kwargs, other, sweeps = case
-    s, twin = HDPSampler(docs, V, hp, seed, **kwargs), HDPSampler(docs, V, hp, seed, **other)
+    s, twin = (HDPSampler(*stream(docs), V, hp, seed, **kw) for kw in (kwargs, other))
     assert s.fingerprint == twin.fingerprint
     for a, b in ((s, twin), (twin, s)):
         a.initialize()
@@ -691,7 +755,7 @@ def test_a_checkpoint_loads_into_a_sampler_whose_constraints_are_numpy_integers(
     """The fingerprint hashed `repr` of the constraint dicts, in which
     np.int64(0) is not 0: "fingerprint mismatch"."""
     def sampler(ints):
-        return HDPSampler([[0, 1, 2], [2, 1]], 3, small_hp(), seed=0, n_parents=1,
+        return HDPSampler(*stream([[0, 1, 2], [2, 1]]), 3, small_hp(), seed=0, n_parents=1,
                           forced_topic={ints(0): ints(0)},
                           parent_representatives={0: [ints(0)]}, embedding_norms=np.eye(3))
     s = sampler(int)
@@ -704,12 +768,13 @@ def test_a_checkpoint_loads_into_a_sampler_whose_constraints_are_numpy_integers(
 
 def test_a_sampler_with_list_of_lists_norms_writes_its_checkpoint():
     """The fingerprint hashed `embedding_norms.tobytes()`, which a list has not."""
-    s = HDPSampler([[0, 1, 2], [2, 1]], 3, small_hp(), seed=0,
+    s = HDPSampler(*stream([[0, 1, 2], [2, 1]]), 3, small_hp(), seed=0,
                    embedding_norms=np.eye(3).tolist())
     s.initialize()
     s.run(2)
     state = s.state_dict()
-    resumed = HDPSampler([[0, 1, 2], [2, 1]], 3, small_hp(), seed=0, embedding_norms=np.eye(3))
+    resumed = HDPSampler(*stream([[0, 1, 2], [2, 1]]), 3, small_hp(), seed=0,
+                         embedding_norms=np.eye(3))
     resumed.load_state_dict(state)
     assert resumed.t == s.t and resumed.table_topic == s.table_topic
 
@@ -718,7 +783,7 @@ def fingerprinted(docs=((0, 1, 2), (2, 3)), V=5, seed=0, forced=None, promotion=
                   norm=0.5, **hp):
     norms = np.full((V, 2), 0.25)
     norms[1, 0] = norm
-    return HDPSampler([list(d) for d in docs], V, small_hp(**hp), seed, n_parents=1,
+    return HDPSampler(*stream(docs), V, small_hp(**hp), seed, n_parents=1,
                       forced_topic=forced or {2: 0}, parent_representatives={0: [2]},
                       promotion=promotion or {1: [1, 3]},
                       embedding_norms=norms).fingerprint
@@ -771,13 +836,13 @@ def checkpoint_cases(draw):
 @given(checkpoint_cases())
 def test_resume_equals_uninterrupted_run(case):
     docs, V, hp, seed, kwargs, a, b = case
-    full = HDPSampler(docs, V, hp, seed, **kwargs)
+    full = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
     full.initialize()
     full.run(a + b, check_invariants=True)
-    first = HDPSampler(docs, V, hp, seed, **kwargs)
+    first = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
     first.initialize()
     first.run(a)
-    resumed = HDPSampler(docs, V, hp, seed + 1, **kwargs)
+    resumed = HDPSampler(*stream(docs), V, hp, seed + 1, **kwargs)
     resumed.load_state_dict(json.loads(json.dumps(first.state_dict())))
     resumed.run(b, check_invariants=True)
     assert resumed.t == full.t and resumed.flags == full.flags
@@ -790,7 +855,7 @@ def test_resume_equals_uninterrupted_run(case):
 @given(checkpoint_cases())
 def test_cached_predictive_equals_the_count_expression(case):
     docs, V, hp, seed, kwargs, a, _ = case
-    s = HDPSampler(docs, V, hp, seed, **kwargs)
+    s = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
     s.initialize()
     s.run(a, check_invariants=True)
     u, beta = hp.promotion_weight, hp.beta
@@ -808,7 +873,7 @@ def test_rejected_checkpoint_leaves_the_sampler_as_it_was(key, value):
     docs = [list(rng.integers(12, size=9)) for _ in range(6)]
 
     def sampler(seed, sweeps):
-        s = HDPSampler(docs, 12, small_hp(), seed=seed)
+        s = HDPSampler(*stream(docs), 12, small_hp(), seed=seed)
         s.initialize()
         s.run(sweeps)
         return s
@@ -825,14 +890,14 @@ def test_rejected_checkpoint_leaves_the_sampler_as_it_was(key, value):
 
 
 def test_checkpoint_of_another_stream_is_rejected():
-    s = HDPSampler([[0, 1, 2]], 3, small_hp(), seed=0)
+    s = HDPSampler(*stream([[0, 1, 2]]), 3, small_hp(), seed=0)
     s.initialize()
     state = s.state_dict()
     for docs, V, hp in [([[0, 1, 1]], 3, small_hp()), ([[0, 1, 2]], 4, small_hp()),
                         ([[0, 1, 2]], 3, small_hp(beta=0.4))]:
         with pytest.raises(SamplerError, match="fingerprint mismatch: the checkpoint was "
                                                "written for other tokens"):
-            HDPSampler(docs, V, hp, seed=0).load_state_dict(state)
-    other_seed = HDPSampler([[0, 1, 2]], 3, small_hp(prevalence_floor=0.1), seed=7)
+            HDPSampler(*stream(docs), V, hp, seed=0).load_state_dict(state)
+    other_seed = HDPSampler(*stream([[0, 1, 2]]), 3, small_hp(prevalence_floor=0.1), seed=7)
     other_seed.load_state_dict(state)
     assert other_seed.t == s.t
