@@ -325,6 +325,17 @@ def _doc_scores(q: dict) -> dict:
     return scores
 
 
+def _top_words(q: dict, field: str, entries) -> list[tuple[str, float]]:
+    """The [word, weight] pairs of a result's top-word list `field`: each a
+    string and a probability, a finite number in [0, 1] that is not a bool."""
+    pairs = [(w, s) for w, s in entries]
+    for w, s in pairs:
+        if not (isinstance(w, str) and type(s) in (int, float) and 0 <= s <= 1):
+            raise ValueError(f"{field} of query {q['query']!r} must hold [word, weight] "
+                             f"pairs of a string and a number in [0, 1], got {[w, s]!r}")
+    return pairs
+
+
 def _result_queries(path: str) -> list[dict]:
     """The query entries of a fit result file, reduced to what eval reads."""
     result = _read_json(path, "result")
@@ -335,8 +346,9 @@ def _result_queries(path: str) -> list[dict]:
         return [{"query": q["query"],
                  "target_label": q.get("target_label"),
                  "scores": _doc_scores(q),
-                 "parent": [(w, s) for w, s in q["parent"]["top_words"]],
-                 "subtopics": [[(w, s) for w, s in st["top_words"]] for st in q["subtopics"]]}
+                 "parent": _top_words(q, "parent.top_words", q["parent"]["top_words"]),
+                 "subtopics": [_top_words(q, f"subtopics[{i}].top_words", st["top_words"])
+                               for i, st in enumerate(q["subtopics"])]}
                 for q in result["queries"]]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         problem = f"missing key {e}" if isinstance(e, KeyError) else str(e)

@@ -849,6 +849,30 @@ def test_eval_parent_doc_scores_that_are_not_finite_numbers_are_validation_error
             "must map doc ids to finite numbers") in message
 
 
+@pytest.mark.parametrize("where", ["parent", "subtopic"])
+@pytest.mark.parametrize("bad", ["abc", None, float("nan"), True, -1.0], ids=repr)
+def test_eval_top_word_weight_that_is_not_a_probability_is_validation_error(
+        small_corpus, tmp_path, capsys, monkeypatch, where, bad):
+    """"abc" and null exited 3 with a bare TypeError, NaN exited 2 only after the
+    scoring with a message naming no field, true was read as 1, and -1.0 gave a
+    null cohesion with exit 0."""
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("eval scored a result it should have rejected")
+    monkeypatch.setattr("qdtm.cli.subtopic_report", no_scoring)
+    monkeypatch.setattr("qdtm.cli.npmi_coherence", no_scoring)
+    result = _fit_result(small_corpus, tmp_path)
+    payload = json.loads(result.read_text())
+    query = payload["queries"][0]
+    field, entries = (("parent.top_words", query["parent"]["top_words"]) if where == "parent"
+                      else ("subtopics[0].top_words", query["subtopics"][0]["top_words"]))
+    entries[0][1] = bad
+    result.write_text(json.dumps(payload))
+    message = _eval_error(small_corpus, result, capsys, "--embeddings", str(tmp_path / "vec.txt"))
+    assert message.startswith(f"result file {result}: malformed result, {field} of query "
+                              "'w0000' must hold [word, weight] pairs of a string and a "
+                              f"number in [0, 1], got [{entries[0][0]!r}, {bad!r}]")
+
+
 @pytest.mark.parametrize("flag, bad, message", [
     ("--out", "missing/r.json", "directory not found"),
     ("--checkpoint", "missing/ck.json", "directory not found"),
