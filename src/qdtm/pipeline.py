@@ -172,8 +172,8 @@ def run_phase2(words: np.ndarray, doc_ptr: np.ndarray, hp: Hyperparameters, seed
         # a single word type cannot be split; sampling would only shuffle
         # interchangeable point-mass topics around
         sampler = HDPSampler(local_words, doc_ptr, 1, hp, seed)
-        lengths = np.diff(doc_ptr).tolist()
-        sampler.set_state([[0] * n for n in lengths], [[0] for _ in lengths])
+        n_docs = len(doc_ptr) - 1   # each document's tokens at one table, of topic 0
+        sampler.set_state(np.zeros_like(local_words), np.ones(n_docs, int), np.zeros(n_docs, int))
         return sampler, scope, sampler.topic_token_counts()
 
     local_promotion, local_norms = {}, None

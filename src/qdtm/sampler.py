@@ -22,15 +22,16 @@ The corpus comes in as one token stream, `words` cut into documents at `doc_ptr`
 The attributes the rest of qdtm reads (`docs`, `t`, `flags`, `table_topic`,
 `m_k`, `nkw_units`, ...) are read-only views of these buffers holding plain ints.
 Each input rule lives once: a settings field's in its dataclass's `check_fields`
-table, a count's in `_check_count`, the token stream's in `_token_stream`, the
-other constructor inputs' in `_check_constraints`, a state's in `_checked`.
+table, the kind of a count or an id in `_is_int`, a count's in `_check_count`, an
+integer array's (1-D, its length, no value that wraps) in `_int_array`, the rest of
+the token stream's in `_token_stream`, the other constructor inputs' in
+`_check_constraints`, a state's in `_checked`.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, fields
@@ -57,13 +58,15 @@ class ConsistencyError(RuntimeError):
 
 
 def _kind(types, name):
-    return name, lambda v: isinstance(v, types) and (bool in types or not isinstance(v, bool))
+    return name, lambda v: isinstance(v, types) and (not isinstance(v, bool) or bool in types)
 
 
 # the rule of each annotation `check_fields` reads (as a string); a bool is neither
 # number, and numpy scalars other than float64 (a float) are not JSON values
 _KINDS = {"int": _kind((int,), "an integer"), "float": _kind((int, float), "a number"),
           "bool": _kind((bool,), "a bool"), "str": _kind((str,), "a string")}
+# the kind of a count or an id among the sampler's arguments: a numpy integer too
+_is_int = _kind((int, np.integer), "an integer")[1]
 
 
 def check_fields(settings, error: type[ValueError], rules=()) -> None:
@@ -209,30 +212,38 @@ class HDPSampler:
     def _check_constraints(self, forced_topic, promotion, norms, parent_representatives) -> None:
         V, P = self.V, self.n_parents
         for w, k in forced_topic.items():
-            if not 0 <= w < V:
-                raise SamplerError(f"forced_topic word {w} is not a word id in [0, {V})")
-            if not 0 <= k < P:
-                raise SamplerError(f"forced_topic[{w}] = {k} is not a parent topic in [0, {P})")
+            if not (_is_int(w) and 0 <= w < V):
+                raise SamplerError(f"forced_topic word {w!r} is not a word id in [0, {V})")
+            if not (_is_int(k) and 0 <= k < P):
+                raise SamplerError(f"forced_topic[{w}] = {k!r} is not a parent topic in [0, {P})")
         for w, row in promotion.items():
-            if not 0 <= w < V:
-                raise SamplerError(f"promotion row of word {w}: not a word id in [0, {V})")
+            if not (_is_int(w) and 0 <= w < V):
+                raise SamplerError(f"promotion row of word {w!r}: not a word id in [0, {V})")
             if not row:
                 raise SamplerError(f"promotion row of word {w} is empty")
             for target in row:
-                if not 0 <= target < V:
-                    raise SamplerError(f"promotion row of word {w} targets {target}, "
+                if not (_is_int(target) and 0 <= target < V):
+                    raise SamplerError(f"promotion row of word {w} targets {target!r}, "
                                        f"not a word id in [0, {V})")
-        if norms is not None and np.ndim(norms) != 2:
-            raise SamplerError(f"embedding_norms must be a matrix, got {np.ndim(norms)} axes")
-        if norms is not None and len(norms) != V:
-            raise SamplerError(f"embedding_norms has {len(norms)} rows for {V} words")
+        if norms is not None:
+            norms = np.asarray(norms)
+            if norms.ndim != 2:
+                raise SamplerError(f"embedding_norms must be a matrix, got {norms.ndim} axes")
+            if len(norms) != V:
+                raise SamplerError(f"embedding_norms has {len(norms)} rows for {V} words")
+            if norms.shape[1] == 0 or norms.dtype.kind not in "iuf":
+                raise SamplerError(f"embedding_norms must hold numbers in at least one "
+                                   f"column, got {norms.shape[1]} columns of {norms.dtype}")
+            if not np.isfinite(norms).all():
+                w, d = np.argwhere(~np.isfinite(norms))[0]
+                raise SamplerError(f"embedding_norms[{w}][{d}] = {norms[w, d]} is not finite")
         for k, reps in parent_representatives.items():
-            if not isinstance(k, (int, np.integer)) or not 0 <= k < P:
+            if not (_is_int(k) and 0 <= k < P):
                 raise SamplerError(f"parent_representatives key {k!r} is not a topic id "
                                    f"of a parent, in [0, {P})")
             for w in reps:
-                if not 0 <= w < V:
-                    raise SamplerError(f"parent_representatives[{k}] holds {w}, not a word id "
+                if not (_is_int(w) and 0 <= w < V):
+                    raise SamplerError(f"parent_representatives[{k}] holds {w!r}, not a word id "
                                        f"in [0, {V})")
 
     def _position(self, p: int) -> tuple[int, int]:
@@ -340,32 +351,33 @@ class HDPSampler:
                       self._lengths, tab, slot)
         self.next_topic = K
 
-    def set_state(self, t_assignments: Sequence[Sequence[int]],
-                  table_topics: Sequence[Sequence[int]],
-                  flags: Sequence[Sequence[int]] | None = None) -> None:
+    def set_state(self, t: np.ndarray, n_tab: np.ndarray, table_topic: np.ndarray,
+                  flags: np.ndarray | None = None) -> None:
         """Check a state, install it and build every count from it in one pass.
 
-        `t_assignments[j][i]` is the table of token i in document j and
-        `table_topics[j][t]` the topic of each table (-1 for a dead slot), an
-        id below 2**63 - 1. Topics enter `m_k` in table order, parents first;
-        `next_topic` follows the highest live id. The counts are built by
-        array operations, not by the kernel's updates. A state the sampler
-        could not be in raises `SamplerError` naming the field, and leaves
-        the sampler as it was.
+        The state is in the checkpoint's layout: 1-D integer arrays whose values
+        fit their `CHECKPOINT_ARRAYS` dtype. `t` holds each token's table,
+        `n_tab` each document's table count, `table_topic` the topic of each
+        slot in use, in document then slot order (-1 for a dead slot; an id
+        below 2**63 - 1), and `flags` each token's flag (None: all 0). Topics
+        enter `m_k` in table order, parents first; `next_topic` follows the
+        highest live id. The counts are built by array operations, not by the
+        kernel's updates. A state the sampler could not be in raises
+        `SamplerError` naming the field, and leaves the sampler as it was.
         """
-        n_tab = _row_lengths("table_topic", table_topics, len(self._lengths))
+        N, n_docs = len(self._words), len(self._lengths)
+        flags = np.zeros(N, np.int8) if flags is None else flags
         self._install(*self._checked(
-            _flat_rows("t", t_assignments, self._lengths),
-            None if flags is None else _flat_rows("flags", flags, self._lengths),
-            n_tab, _flat_rows("table_topic", table_topics, n_tab)))
+            _int_array("t", t, N, CHECKPOINT_ARRAYS["t"]),
+            _int_array("flags", flags, N, CHECKPOINT_ARRAYS["flags"]),
+            _int_array("n_tab", n_tab, n_docs, CHECKPOINT_ARRAYS["n_tab"]),
+            _int_array("table_topic", table_topic, None, CHECKPOINT_ARRAYS["table_topic"])))
 
-    def _checked(self, t: np.ndarray, fl: np.ndarray | None, n_tab: np.ndarray,
-                 topics: np.ndarray):
-        """The flat fields of a state (flags None: all 0; `topics`: each slot
-        in use, in document then slot order) made ready for `_install`, or
-        `SamplerError` naming the first field that is wrong. Reads only."""
+    def _checked(self, t: np.ndarray, fl: np.ndarray, n_tab: np.ndarray, topics: np.ndarray):
+        """The flat fields of a state (`topics`: each slot in use, in document
+        then slot order) made ready for `_install`, or `SamplerError` naming
+        the first field that is wrong. Reads only."""
         ptr, lengths, words, N = self._doc_ptr, self._lengths, self._words, len(self._words)
-        fl = np.zeros(N, np.int8) if fl is None else fl
         bad = np.flatnonzero((n_tab < 0) | (n_tab > lengths))
         if bad.size:
             j = int(bad[0])
@@ -822,24 +834,37 @@ class HDPSampler:
 
 
 def _check_count(name: str, value, least: int) -> None:
-    """`value` is an integer of at least `least`: a Python int or a numpy
-    integer, never a bool."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+    """`value` is an integer (a numpy one too, never a bool) of at least `least`."""
+    if not (_is_int(value) and value >= least):
         raise SamplerError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
+def _int_array(name: str, a, n: int | None, dtype: str) -> np.ndarray:
+    """A `dtype` copy of `a`, which must be a 1-D integer numpy array (not a list,
+    bool or float), of `n` entries if `n` is given, whose every value `dtype`
+    holds, so none wraps; else `SamplerError` naming `name`."""
+    if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
+        got = f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise SamplerError(f"{name} must be a 1-D integer array, got {got}")
+    if n is not None and len(a) != n:
+        raise SamplerError(f"{name} has {len(a)} entries, expected {n}")
+    if a.size and not np.can_cast(a.dtype, dtype):
+        info = np.iinfo(dtype)
+        for v in (int(a.min()), int(a.max())):   # Python ints: exact for every dtype
+            if not info.min <= v <= info.max:
+                raise SamplerError(f"{name} holds {v}, which does not fit {info.dtype}")
+    return a.astype(dtype)
 
 
 def _token_stream(words, doc_ptr, V: int) -> tuple[np.ndarray, np.ndarray]:
     """Int32 and int64 copies of word ids in [0, V) and of n_docs + 1 offsets that
     rise from 0 to len(words); else `SamplerError` naming the first bad position."""
-    for name, a in (("words", words), ("doc_ptr", doc_ptr)):
-        if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
-            got = f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
-            raise SamplerError(f"{name} must be a 1-D integer array, got {got}")
+    words = _int_array("words", words, None, "<i4")
+    doc_ptr = _int_array("doc_ptr", doc_ptr, None, "<i8")
     if len(doc_ptr) < 2:
         raise SamplerError(f"doc_ptr must have at least 2 entries, got {len(doc_ptr)}")
     if doc_ptr[0] != 0:
         raise SamplerError(f"doc_ptr[0] = {doc_ptr[0]} must be 0")
-    # compared, not subtracted: a difference of unsigned offsets can wrap
     step = np.flatnonzero(doc_ptr[1:] <= doc_ptr[:-1])
     if step.size:
         j = int(step[0])
@@ -852,7 +877,7 @@ def _token_stream(words, doc_ptr, V: int) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         p = int(bad[0])
         raise SamplerError(f"words[{p}] = {words[p]} is not a word id in [0, {V})")
-    return words.astype(np.int32), doc_ptr.astype(np.int64)
+    return words, doc_ptr
 
 
 def _decoded(state: dict, key: str, n: int | None = None) -> np.ndarray:
@@ -868,32 +893,6 @@ def _decoded(state: dict, key: str, n: int | None = None) -> np.ndarray:
     if len(raw) != expected:
         raise SamplerError(f"{key} holds {len(raw)} bytes, not {expected}")
     return np.frombuffer(raw, dtype)
-
-
-def _row_lengths(name: str, rows, n_rows: int) -> np.ndarray:
-    try:
-        lengths = np.fromiter(map(len, rows), np.int64)
-    except TypeError:
-        raise SamplerError(f"{name} must be a list of lists") from None
-    if len(lengths) != n_rows:
-        raise SamplerError(f"{name} has {len(lengths)} rows for {n_rows} documents")
-    return lengths
-
-
-def _flat_rows(name: str, rows, lengths: np.ndarray) -> np.ndarray:
-    """A list-of-lists field as one int64 array; row j must have lengths[j] entries."""
-    got = _row_lengths(name, rows, len(lengths))
-    bad = np.flatnonzero(got != lengths)
-    if bad.size:
-        j = int(bad[0])
-        raise SamplerError(f"{name}[{j}] has {got[j]} entries, expected {lengths[j]}")
-    flat = list(itertools.chain.from_iterable(rows))
-    if set(map(type, flat)) <= {int}:   # exact ints: numpy would read a bool as 1 or 0
-        try:
-            return np.fromiter(flat, np.int64, len(flat))
-        except OverflowError:
-            pass
-    raise SamplerError(f"{name} must hold integers")
 
 
 def _shape(value):

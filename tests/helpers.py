@@ -56,6 +56,16 @@ def stream(docs) -> tuple[np.ndarray, np.ndarray]:
             np.cumsum([0, *lengths], dtype=np.int64))
 
 
+def flat_state(t_rows, topic_rows, flag_rows=None):
+    """A state given as per-document rows (each token's table, each table's
+    topic, each token's flag), as `HDPSampler.set_state`'s arrays
+    `(t, n_tab, table_topic, flags)`."""
+    def flat(rows):
+        return np.fromiter(itertools.chain.from_iterable(rows), np.int64)
+    return (flat(t_rows), np.array([len(r) for r in topic_rows], np.int64), flat(topic_rows),
+            None if flag_rows is None else flat(flag_rows))
+
+
 def parent_subcorpus_oracle(sampler: HDPSampler, parent: int) -> tuple[np.ndarray, np.ndarray]:
     """`pipeline.extract_parent_subcorpus` as a per-token loop over the
     public assignments: token i of document j belongs to topic

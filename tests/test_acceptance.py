@@ -23,7 +23,7 @@ from qdtm.retrieval import parse_query, precision_at_k, retrieve
 from qdtm.sampler import HDPSampler, Hyperparameters
 from qdtm.synth import SyntheticSpec, block_embeddings, generate
 
-from helpers import stream
+from helpers import flat_state, stream
 from test_sampler import build_cohesion_sampler
 
 
@@ -223,7 +223,7 @@ def frozen_sampler(docs, V, t_assign, table_topics, *, n_parents=0,
     hp = Hyperparameters(initial_topics=max(3, n_parents + 1))
     s = HDPSampler(*stream(docs), V, hp, seed=1234, forced_topic=forced or {},
                    n_parents=n_parents)
-    s.set_state(t_assign, table_topics)
+    s.set_state(*flat_state(t_assign, table_topics))
     return s, hp
 
 
@@ -566,7 +566,7 @@ def test_criterion_10_promotion_flag_statistics(report):
     hp = Hyperparameters(initial_topics=2)
     s2 = HDPSampler(*stream([[1, 3]]), 5, hp, seed=0, promotion=promo,
                     embedding_norms=np.zeros((5, 2)))
-    s2.set_state([[0, 0]], [[0]])
+    s2.set_state(*flat_state([[0, 0]], [[0]]))
     t, k, _ = s2._detach(0, 1)
     s2._ensure_table(0, t, k)
     units0, promos0 = s2.table_units[0][t], s2.table_promos[0][t]

@@ -22,7 +22,7 @@ from qdtm.sampler import (COLUMN_HEADROOM, KERNEL_INPUTS, ConsistencyError, HDPS
                           Hyperparameters)
 from qdtm.synth import SyntheticSpec
 
-from helpers import sampler_cases, stream
+from helpers import flat_state, sampler_cases, stream
 from sampler_oracle import OracleSampler, quarters
 from test_acceptance import embedding_table, synthetic_corpus
 
@@ -123,7 +123,7 @@ def test_kernel_weights_equal_the_oracle_on_a_state_with_promotion_counts():
              [[1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 0], [1, 0, 0, 0]])
     kernel = HDPSampler(*stream(docs), 6, hp, 0, **kwargs)
     oracle = OracleSampler(docs, 6, hp, 0, **kwargs)
-    kernel.set_state(*state)
+    kernel.set_state(*flat_state(*state))
     oracle.set_state(*state)
     u, beta = hp.promotion_weight, hp.beta
     units, promos = kernel.nkw_units[1][1], kernel.nkw_promos[1][1]
@@ -167,10 +167,13 @@ COHESION_CASES = {
         [[1, 1, 0], [2, 1, 3]], 4, Hyperparameters(initial_topics=2),
         ([[0, 0, 1], [0, 1, 1]], [[0, 1], [1, 0]]),
         np.vstack([unit_rows(1, 3, 5), np.zeros(3), unit_rows(2, 3, 6)]), {}),
-    "non-finite embedding rows": (   # topic 1's one representative has the NaN row
+    # finite rows whose products overflow: topics 1 and 3 have the big rows 0 and 3 as
+    # their one representative, so their CV is inf at words 0 and 3 and NaN at word 4
+    "overflowing embedding rows": (
         [[0, 1, 2], [3, 4, 3]], 5, Hyperparameters(initial_topics=2, n_representatives=1),
         ([[0, 1, 1], [0, 0, 0]], [[1, 2], [3]]),
-        np.vstack([np.full(3, np.nan), unit_rows(3, 3, 8), [np.inf, 0.0, 1.0]]), {}),
+        np.vstack([[1e308, -1e308, 0.0], unit_rows(2, 3, 8), [1e308, -1e308, 0.0],
+                   [1e308, 1e308, 1.0]]), {}),
 }
 
 
@@ -179,10 +182,11 @@ def test_cohesion_cache_equals_the_oracle(case):
     docs, V, hp, state, norms, kwargs = COHESION_CASES[case]
     kernel = HDPSampler(*stream(docs), V, hp, 0, embedding_norms=norms, **kwargs)
     oracle = OracleSampler(docs, V, hp, 0, embedding_norms=norms, **kwargs)
-    kernel.set_state(*state)
+    kernel.set_state(*flat_state(*state))
     oracle.set_state(*state)
     kernel.refresh_cohesion()
-    oracle.refresh_cohesion()
+    with np.errstate(over="ignore", invalid="ignore"):   # the overflowing case's products
+        oracle.refresh_cohesion()
     assert_same_cohesion(kernel, oracle)
     cv = kernel.cv
     if case == "one live topic":
@@ -194,9 +198,10 @@ def test_cohesion_cache_equals_the_oracle(case):
         assert not cv[kernel.topic_row[0]].any() and cv[kernel.topic_row[1]].all()
     elif case == "zero embedding row":
         assert not cv[:, 1].any() and cv[:, [0, 2, 3]].all()
-    elif case == "non-finite embedding rows":   # numpy sorts NaN last, ties in row order
-        assert np.isnan(cv[kernel.topic_row[1]]).all() and np.isnan(cv[:, 0]).all()
-        assert kernel.tilde[kernel.topic_row[1]].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+    elif case == "overflowing embedding rows":   # numpy sorts NaN last, ties in row order
+        big = [kernel.topic_row[1], kernel.topic_row[3]]
+        assert (cv[big][:, [0, 3]] == np.inf).all() and np.isnan(cv[big, 4]).all()
+        assert kernel.tilde[:, 4].tolist() == [0.5, 0.0, 1.0]
 
 
 @st.composite
@@ -252,7 +257,7 @@ def test_cohesion_cache_of_a_drawn_state_equals_the_oracle(case):
     docs, V, hp, state, kwargs, retire = case
     kernel = HDPSampler(*stream(docs), V, hp, 0, **kwargs)
     oracle = OracleSampler(docs, V, hp, 0, **kwargs)
-    kernel.set_state(*state)
+    kernel.set_state(*flat_state(*state))
     oracle.set_state(*state)
     if retire:
         kernel._grow()
@@ -278,7 +283,7 @@ def test_norms_of_any_layout_or_float_type_give_the_same_cache():
 
     def cache(norms):
         s = HDPSampler(*stream(docs), V, hp, 0, embedding_norms=norms, **kwargs)
-        s.set_state(*state)
+        s.set_state(*flat_state(*state))
         s.refresh_cohesion()
         return s.cv.tobytes(), s.tilde.tobytes(), s.topic_row
     expected = cache(double)
@@ -289,7 +294,7 @@ def test_norms_of_any_layout_or_float_type_give_the_same_cache():
 def test_single_steps_reject_arguments_outside_the_state():
     s = HDPSampler(*stream([[0, 1, 2], [2]]), 3, Hyperparameters(initial_topics=2), seed=0,
                    promotion={0: [0]})
-    s.set_state([[0, 0, 1], [0]], [[1, 1], [1]])
+    s.set_state(*flat_state([[0, 0, 1], [0]], [[1, 1], [1]]))
     for step, args in ((s._detach, (2, 0)), (s._detach, (0, 3)), (s.draw_table, (0, 3)),
                        (s.draw_table, (-1, 0)), (s.draw_topic, (0, -1)), (s.draw_flag, (3, 1)),
                        (s.table_weights, (0, 3)), (s._ensure_table, (0, 2, 1))):
@@ -323,7 +328,7 @@ def test_compaction_equals_the_oracle(grow):
     kwargs = dict(promotion={0: [0, 1], 2: [3]})
     kernel = HDPSampler(*stream(COMPACTION_DOCS), 4, hp, 5, **kwargs)
     oracle = OracleSampler(COMPACTION_DOCS, 4, hp, 5, **kwargs)
-    kernel.set_state(*COMPACTION_STATE)
+    kernel.set_state(*flat_state(*COMPACTION_STATE))
     oracle.set_state(*COMPACTION_STATE)
     if grow:
         kernel._grow()

@@ -14,7 +14,8 @@ from qdtm.pipeline import (FitConfig, ParentTopicError, extract_parent_subcorpus
 from qdtm.sampler import HDPSampler, Hyperparameters, SamplerError
 from qdtm.synth import SyntheticSpec
 
-from helpers import checkpoint_array, parent_subcorpus_oracle, sampler_cases, stream
+from helpers import (checkpoint_array, flat_state, parent_subcorpus_oracle, sampler_cases,
+                     stream)
 from test_acceptance import embedding_table, synthetic_corpus
 
 
@@ -22,7 +23,7 @@ def test_extract_parent_subcorpus_matches_assignments():
     docs = [[0, 1, 2], [2, 2, 1]]
     s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=3), seed=0,
                    forced_topic={2: 0}, n_parents=1)
-    s.set_state([[0, 0, 1], [0, 1, 2]], [[1, 0], [0, 0, 2]])
+    s.set_state(*flat_state([[0, 0, 1], [0, 1, 2]], [[1, 0], [0, 0, 2]]))
     words, doc_ptr = extract_parent_subcorpus(s, 0)
     assert words.tolist() == [2, 2, 2]
     assert doc_ptr.tolist() == [0, 1, 3]
@@ -31,7 +32,7 @@ def test_extract_parent_subcorpus_matches_assignments():
 def test_extract_parent_subcorpus_whole_doc_passthrough():
     docs = [[1, 2, 1]]
     s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
-    s.set_state([[0, 0, 0]], [[0]])
+    s.set_state(*flat_state([[0, 0, 0]], [[0]]))
     words, doc_ptr = extract_parent_subcorpus(s, 0)
     assert words.tolist() == [1, 2, 1]
     assert doc_ptr.tolist() == [0, 3]
@@ -40,7 +41,7 @@ def test_extract_parent_subcorpus_whole_doc_passthrough():
 def test_extract_parent_subcorpus_empty_is_fatal():
     docs = [[0, 1]]
     s = HDPSampler(*stream(docs), 2, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
-    s.set_state([[0, 0]], [[1]])
+    s.set_state(*flat_state([[0, 0]], [[1]]))
     with pytest.raises(ParentTopicError):
         extract_parent_subcorpus(s, 0)
 

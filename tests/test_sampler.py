@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from qdtm.pipeline import run_phase2
 from qdtm.sampler import M_TOTAL, ConsistencyError, HDPSampler, Hyperparameters, SamplerError
 
-from helpers import checkpoint_array, sampler_cases, start_topics_oracle, stream
+from helpers import (checkpoint_array, flat_state, sampler_cases, start_topics_oracle,
+                     stream)
 from sampler_oracle import UniformStream, _sum
 
 
@@ -110,6 +111,32 @@ ONE_DOC = stream([[0, 1]])
       for name, least, values in (("vocab_size", 1, ("3", 2.5, None, True, 0)),
                                   ("seed", 0, (2.5, None, True, -1)))
       for value in values),
+    # bug av: an id that is not an integer truncated (1.7 -> 1), read True as 1, or
+    # failed with a numpy IndexError or a bare TypeError
+    (ONE_DOC, {"promotion": {0: [1.7]}}, r"promotion row of word 0 targets 1\.7, not a word id"),
+    (ONE_DOC, {"promotion": {0: [True]}}, "promotion row of word 0 targets True"),
+    (ONE_DOC, {"promotion": {"a": [1]}}, r"promotion row of word 'a': not a word id in \[0, 3\)"),
+    (ONE_DOC, {"forced_topic": {1: 0.0}, "n_parents": 1},
+     r"forced_topic\[1\] = 0\.0 is not a parent topic in \[0, 1\)"),
+    (ONE_DOC, {"forced_topic": {1.5: 0}, "n_parents": 1},
+     r"forced_topic word 1\.5 is not a word id in \[0, 3\)"),
+    (ONE_DOC, {"forced_topic": {True: 0}, "n_parents": 1}, "forced_topic word True is not"),
+    (ONE_DOC, {"parent_representatives": {0: [1.5]}, "n_parents": 1},
+     r"parent_representatives\[0\] holds 1\.5, not a word id"),
+    (ONE_DOC, {"parent_representatives": {True: [0]}, "n_parents": 2},
+     "parent_representatives key True is not a topic id"),
+    # bug aw: NaN norms ran to a NaN cache, a string matrix failed in numpy and a
+    # matrix without columns was accepted
+    *((ONE_DOC, {"promotion": {0: [0, 1]}, "embedding_norms": norms}, message)
+      for norms, message in (
+          (np.full((3, 2), np.nan), r"embedding_norms\[0\]\[0\] = nan is not finite"),
+          (np.where(np.eye(3) > 0, np.inf, 0.0), r"embedding_norms\[0\]\[0\] = inf"),
+          (np.diag([1.0, -np.inf, 1.0]), r"embedding_norms\[1\]\[1\] = -inf is not finite"),
+          (np.full((3, 2), "a"), "embedding_norms must hold numbers in at least one column, "
+                                 "got 2 columns of <U1"),
+          (np.ones((3, 2), bool), "embedding_norms must hold numbers .* of bool"),
+          (np.empty((3, 0)), "embedding_norms must hold numbers in at least one column, "
+                             "got 0 columns of float64"))),
 ])
 def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
     with pytest.raises(SamplerError, match=message):
@@ -172,7 +199,7 @@ def test_initial_topics_must_leave_a_topic_beyond_the_parents(start):
         if start == "initialize":
             s.initialize()
         else:
-            s.set_state([[0, 0]], [[0]])
+            s.set_state(*flat_state([[0, 0]], [[0]]))
 
 
 HYPERPARAMETER_FIELDS = [f.name for f in dataclasses.fields(Hyperparameters)]
@@ -255,7 +282,7 @@ def test_initialize_draws_the_start_topics_of_the_per_document_loop(n_free):
 def test_predictive_prob_symmetric_prior():
     docs = [[0, 1]]
     s = HDPSampler(*stream(docs), 100, Hyperparameters(beta=0.5, initial_topics=2), seed=0)
-    s.set_state([[0, 0]], [[3, -1]])
+    s.set_state(*flat_state([[0, 0]], [[3, -1]]))
     s._ensure_table(0, 1, 5)   # topic 5 is born at an empty table
     assert s.phi(5)[7] == pytest.approx(0.5 / 50)  # == 1/|V|
     assert s.base_density == pytest.approx(1 / 100)
@@ -353,7 +380,7 @@ def test_constrained_word_forces_parent_topic():
 def test_degenerate_alpha_selects_only_table():
     docs = [[1, 1]]
     s = HDPSampler(*stream(docs), 2, Hyperparameters(alpha=1e-300, initial_topics=2), seed=7)
-    s.set_state([[0, 0]], [[1]])
+    s.set_state(*flat_state([[0, 0]], [[1]]))
     s._detach(0, 1)
     for _ in range(50):
         assert s.draw_table(0, 1) == 0
@@ -362,7 +389,7 @@ def test_degenerate_alpha_selects_only_table():
 def test_gamma_to_zero_picks_compatible_topic():
     docs = [[1, 1, 1]]
     s = HDPSampler(*stream(docs), 2, Hyperparameters(gamma=1e-300, initial_topics=2), seed=8)
-    s.set_state([[0, 0, 0]], [[1]])
+    s.set_state(*flat_state([[0, 0, 0]], [[1]]))
     s._detach(0, 2)
     for _ in range(50):
         assert s.draw_topic(0, 1) == 1
@@ -371,12 +398,64 @@ def test_gamma_to_zero_picks_compatible_topic():
 def test_set_state_rebuilds_counts_exactly():
     docs = [[0, 1, 2], [2, 1]]
     s = HDPSampler(*stream(docs), 3, small_hp(), seed=9)
-    s.set_state([[0, 0, 1], [0, 0]], [[2, 1], [1]])
+    s.set_state(*flat_state([[0, 0, 1], [0, 0]], [[2, 1], [1]]))
     s.check_invariants()
     assert s.nkw_units[2] == [1, 1, 0]
     assert s.nkw_units[1] == [0, 1, 2]
     assert s.m_k == {1: 2, 2: 1}
     assert s.m_total == 3
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("t", list, "t must be a 1-D integer array, got list"),
+    ("n_tab", lambda a: a[None, :], "n_tab must be a 1-D integer array, got 2-D int32"),
+    ("table_topic", lambda a: a.astype(float),
+     "table_topic must be a 1-D integer array, got 1-D float64"),
+    ("flags", lambda a: a.astype(bool), "flags must be a 1-D integer array, got 1-D bool"),
+    ("t", lambda a: a[:-1], "t has 4 entries, expected 5"),
+    ("flags", lambda a: np.append(a, 0), "flags has 6 entries, expected 5"),
+    ("n_tab", lambda a: a[:1], "n_tab has 1 entries, expected 2"),
+    ("t", lambda a: np.full(len(a), 2**40), "t holds 1099511627776, which does not fit int32"),
+    ("table_topic", lambda a: np.full(len(a), 2**63, np.uint64),
+     "table_topic holds 9223372036854775808, which does not fit int64"),
+], ids=["list", "2-D", "float", "bool", "short t", "long flags", "short n_tab", "t wraps",
+        "table_topic wraps"])
+def test_set_state_takes_only_integer_arrays_of_the_checkpoint_layout(key, edit, message):
+    """Each array is checked before any is installed: a bad one names itself
+    and leaves the sampler as it was."""
+    s = HDPSampler(*stream([[0, 1, 2], [2, 1]]), 3, small_hp(), seed=4, promotion={1: [1]})
+    s.initialize()
+    s.run(2)
+    state = s.state_dict()
+    arrays = {k: checkpoint_array(state, k) for k in ("t", "n_tab", "table_topic", "flags")}
+    arrays[key] = edit(arrays[key])
+    with pytest.raises(SamplerError, match=f"^{re.escape(message)}$"):
+        s.set_state(**arrays)
+    assert s.state_dict() == state
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampler_cases())
+def test_set_state_installs_the_arrays_of_a_checkpoint(case):
+    """The arrays of a run sampler's checkpoint, passed to a fresh sampler's
+    `set_state`, give it the source's counts, and with the source's scalars its
+    checkpoint and its next sweep."""
+    docs, V, hp, seed, kwargs, sweeps = case
+    source = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
+    source.initialize()
+    source.run(sweeps)
+    state = source.state_dict()
+    fresh = HDPSampler(*stream(docs), V, hp, seed + 1, **kwargs)
+    fresh.set_state(*(checkpoint_array(state, key) for key in ("t", "n_tab", "table_topic")),
+                    flags=checkpoint_array(state, "flags"))
+    fresh.check_invariants()
+    assert snapshot(fresh) == snapshot(source)
+    fresh.rng.bit_generator.state = source.rng.bit_generator.state
+    fresh.next_topic, fresh.iterations_done = source.next_topic, source.iterations_done
+    assert fresh.state_dict() == state
+    source.run(1)
+    fresh.run(1)
+    assert fresh.state_dict() == source.state_dict()
 
 
 def test_run_determinism():
@@ -459,7 +538,7 @@ def test_a_topic_id_that_leaves_no_next_topic_is_rejected():
     s = HDPSampler(*stream([[0, 1]]), 2, small_hp(), seed=0)
     with pytest.raises(SamplerError, match=r"table_topic\[0\]\[0\] = 9223372036854775807 is "
                                            "neither a topic id nor -1"):
-        s.set_state([[0, 0]], [[2**63 - 1]])
+        s.set_state(*flat_state([[0, 0]], [[2**63 - 1]]))
 
 
 def test_check_invariants_catches_a_table_count_without_a_table():
@@ -476,7 +555,7 @@ def test_check_invariants_catches_a_fault_in_the_count_updates():
     promo = {0: [0, 1]}
     s = HDPSampler(*stream([[0, 1]]), 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
-    s.set_state([[0, 0]], [[2]])
+    s.set_state(*flat_state([[0, 0]], [[2]]))
     s._detach(0, 0)
     s._attach(0, 0, 0, flag=1)
     s.check_invariants()
@@ -503,7 +582,7 @@ def test_check_invariants_reports_a_flag_without_a_promotion_row_as_inconsistent
 @pytest.mark.parametrize("corrupt", ["live", "mass"])
 def test_check_invariants_catches_a_slot_past_n_tab(corrupt):
     s = HDPSampler(*stream([[0, 1, 1]]), 2, small_hp(), seed=0)
-    s.set_state([[0, 0, 0]], [[1]])   # slots 1 and 2 are past n_tab[0] = 1
+    s.set_state(*flat_state([[0, 0, 0]], [[1]]))   # slots 1 and 2 are past n_tab[0] = 1
     s.check_invariants()
     if corrupt == "live":
         s._tab_col[2], s._tab_units[2] = s._tab_col[0], 1
@@ -521,7 +600,7 @@ def test_set_state_builds_flagged_counts_without_the_incremental_updates(monkeyp
     s = HDPSampler(*stream([[0, 1, 0]]), 2, small_hp(), seed=0, promotion=promo,
                    embedding_norms=np.eye(2))
     monkeypatch.setattr(HDPSampler, "_kernel", no_kernel)
-    s.set_state([[0, 0, 1]], [[2, 1]], flags=[[1, 0, 1]])
+    s.set_state(*flat_state([[0, 0, 1]], [[2, 1]], flag_rows=[[1, 0, 1]]))
     s.check_invariants()
     assert s.table_units == [[2, 1]] and s.table_promos == [[1, 1]]
     assert s.nkw_units == {2: [1, 1], 1: [1, 0]}
@@ -553,7 +632,7 @@ def test_table_draw_never_picks_dead_or_constraint_violating_slots():
     # slot 0 dead, slot 1 on parent topic 0, slot 2 on topic 2; word 4 is pinned to 0
     s = HDPSampler(*stream([[4, 4, 1, 1]]), 5, small_hp(), seed=0, forced_topic={4: 0},
                    n_parents=1)
-    s.set_state([[1, 1, 2, 2]], [[-1, 0, 2]])
+    s.set_state(*flat_state([[1, 1, 2, 2]], [[-1, 0, 2]]))
     s._detach(0, 0)
     uniforms = [i / 200 for i in range(200)] + [1.0]
     for w, allowed in ((4, {1, -1}), (1, {1, 2, -1})):
@@ -567,7 +646,7 @@ def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
     # last positive weight is slot 0: slot 1 violates the constraint, slot 2 is dead
     s = HDPSampler(*stream([[4, 4, 1]]), 50, small_hp(alpha=5e-324), seed=0,
                    forced_topic={4: 0}, n_parents=1)
-    s.set_state([[0, 0, 1]], [[0, 2, -1]])
+    s.set_state(*flat_state([[0, 0, 1]], [[0, 2, -1]]))
     s._detach(0, 0)
     weights, new_w = s.table_weights(0, 4)
     assert weights[0] > 0.0 and weights[1:] == [0.0, 0.0] and new_w == 0.0
@@ -578,7 +657,7 @@ def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
 def test_table_draw_with_zero_total_forces_a_new_table():
     s = HDPSampler(*stream([[4, 1]]), 50, small_hp(alpha=5e-324), seed=0,
                    forced_topic={4: 0}, n_parents=1)
-    s.set_state([[0, 1]], [[0, 2]])
+    s.set_state(*flat_state([[0, 1]], [[0, 2]]))
     s._detach(0, 0)   # slot 0 dies; slot 1 serves topic 2, which word 4 may not join
     weights, new_w = s.table_weights(0, 4)
     assert weights == [0.0, 0.0] and new_w == 0.0
@@ -602,8 +681,7 @@ def build_cohesion_sampler(cv_targets):
     promo = {3: [0]}
     s = HDPSampler(*stream(docs), 4, Hyperparameters(initial_topics=3, n_representatives=1),
                    seed=13, promotion=promo, embedding_norms=norms)
-    s.set_state([[0, 0], [0, 0], [0, 0], [0]],
-                [[0], [1], [2], [0]])
+    s.set_state(*flat_state([[0, 0], [0, 0], [0, 0], [0]], [[0], [1], [2], [0]]))
     return s
 
 
@@ -634,7 +712,7 @@ def test_cohesion_single_rep_identical_word():
     s = HDPSampler(*stream(docs), 2, Hyperparameters(initial_topics=1, n_representatives=1),
                    seed=0, promotion={0: [0]},
                    embedding_norms=norms)
-    s.set_state([[0, 0, 0, 0]], [[0]])
+    s.set_state(*flat_state([[0, 0, 0, 0]], [[0]]))
     s.refresh_cohesion()
     # the rep is word 0, so CV = p * cos(w, rep) is p for the rep itself and 0
     # for the orthogonal word 1
@@ -649,7 +727,7 @@ def test_parent_representatives_are_concept_words():
     s = HDPSampler(*stream(docs), 3, small_hp(initial_topics=2, n_representatives=1), seed=0,
                    forced_topic={2: 0}, n_parents=1, parent_representatives={0: [2]},
                    promotion={2: [2]}, embedding_norms=norms)
-    s.set_state([[0, 0, 1, 0]], [[0, 1]])
+    s.set_state(*flat_state([[0, 0, 1, 0]], [[0, 1]]))
     s.refresh_cohesion()
     assert s.cv[s.topic_row[0]].tolist() == [0.0, 0.0, s.phi(0)[2]]
     assert s.cv[s.topic_row[1]].tolist() == [0.0, s.phi(1)[1], 0.0]
@@ -712,7 +790,7 @@ def test_checkpoint_arrays_are_the_rows_flattened(case):
 
 def test_checkpoint_arrays_keep_a_dead_slot():
     s = HDPSampler(*stream([[0, 1], [1, 1, 2]]), 3, small_hp(), seed=0)
-    s.set_state([[1, 1], [0, 0, 2]], [[-1, 3], [0, -1, 5]])
+    s.set_state(*flat_state([[1, 1], [0, 0, 2]], [[-1, 3], [0, -1, 5]]))
     assert_arrays_are_the_rows(s)
     assert checkpoint_array(s.state_dict(), "table_topic").tolist() == [-1, 3, 0, -1, 5]
     resumed = HDPSampler(*stream([[0, 1], [1, 1, 2]]), 3, small_hp(), seed=1)
