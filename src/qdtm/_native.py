@@ -1,27 +1,33 @@
-"""Build, cache and load the compiled Gibbs sweep (`sweep.c`).
+"""Build, cache and load the compiled library (`sweep.c`), and the array
+passes the query path shares.
 
 The library is built on first use with the interpreter's C compiler
-(`sysconfig` CC) and `FLAGS`: `-O2`, no fused multiply-add and no fast-math,
-so its float arithmetic equals the Python expressions it replaces bit for
-bit. It is cached beside the source in `__pycache__`, under a key of the
-source, the compiler and the flags, and published with `os.replace`, so
-processes that build at the same time each see a complete file.
+(`sysconfig` CC) and `FLAGS`, linked with `LIBS` (libm): `-O2`, no fused
+multiply-add and no fast-math, so its float arithmetic equals the Python
+expressions it replaces bit for bit. It is cached beside the source in
+`__pycache__`, under a CRC-32 and Adler-32 key of the source, the compiler
+and the flags (zlib, so loading it maps no OpenSSL), and published with
+`os.replace`, so processes that build at the same time each see a complete
+file.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import shlex
 import subprocess
 import sysconfig
 import tempfile
+import zlib
+
+import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sweep.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-std=c99", "-shared", "-fPIC")
+LIBS = ("-lm",)   # after the source, where the linker still needs them
 
 NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 _P = ctypes.c_void_p
@@ -29,7 +35,7 @@ _I = ctypes.c_int64
 
 
 class BuildError(RuntimeError):
-    """The compiled sweep could not be built or loaded."""
+    """The compiled library could not be built or loaded."""
 
 
 class State(ctypes.Structure):
@@ -64,6 +70,7 @@ SIGNATURES = {   # name -> argument types; every function returns int64
     "qd_draw_topic": [_S, _I, _P],
     "qd_draw_flag": [_S, _I, _I],
     "qd_cohesion": [_S, _P, _P],
+    "qd_log": [_P, _I, _P],
 }
 
 
@@ -73,9 +80,8 @@ def compiler() -> list[str]:
 
 def library_path() -> str:
     with open(SOURCE, "rb") as fh:
-        key = hashlib.sha256(fh.read())
-    key.update(repr((compiler(), FLAGS, sysconfig.get_platform())).encode())
-    return os.path.join(CACHE_DIR, f"sweep-{key.hexdigest()[:16]}.so")
+        data = fh.read() + repr((compiler(), FLAGS, LIBS, sysconfig.get_platform())).encode()
+    return os.path.join(CACHE_DIR, f"sweep-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so")
 
 
 def build(path: str) -> None:
@@ -88,11 +94,11 @@ def build(path: str) -> None:
     except OSError as e:
         raise BuildError(f"cannot write the compiled-sweep cache {CACHE_DIR}: {e}") from None
     try:
-        subprocess.run([*cc, *FLAGS, "-o", tmp, SOURCE], check=True,
+        subprocess.run([*cc, *FLAGS, "-o", tmp, SOURCE, *LIBS], check=True,
                        capture_output=True, text=True)
         os.replace(tmp, path)
     except FileNotFoundError:
-        raise BuildError(f"the Gibbs sweep is compiled on first use and needs a C "
+        raise BuildError(f"qdtm's library (sweep.c) is built on first use and needs a C "
                          f"compiler, but {cc[0]!r} (sysconfig CC) was not found") from None
     except subprocess.CalledProcessError as e:
         raise BuildError(f"{cc[0]} failed to compile {SOURCE}:\n{e.stderr}") from None
@@ -115,3 +121,27 @@ def library() -> ctypes.CDLL:
     if lib.qd_state_size() != ctypes.sizeof(State):
         raise BuildError(f"{path} does not match this qdtm's State layout")
     return lib
+
+
+def log(x: np.ndarray) -> np.ndarray:
+    """The natural log of each entry of `x` as float64, by libm `log`, the
+    function `math.log` calls for a positive float, so each value has its
+    bits; -inf where an entry is not above 0 (NaN too)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    library().qd_log(x.ctypes.data, x.size, out.ctypes.data)
+    return out
+
+
+def top_n(values: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n largest of 1-D float `values`, ties by ascending index:
+    `np.argsort(-values, kind="stable")[:n]`, NaN ranked last as there.
+    `np.partition` finds the n-th key; only the keys at or above it are
+    sorted."""
+    keys = -values
+    if 0 < n < len(keys):
+        kth = np.partition(keys, n - 1)[n - 1]
+        if kth == kth:   # not NaN: the keys above it and the NaNs all rank after the n-th
+            candidates = np.flatnonzero(keys <= kth)
+            return candidates[np.argsort(keys[candidates], kind="stable")[:n]]
+    return np.argsort(keys, kind="stable")[:n]

@@ -76,7 +76,8 @@ def normalized_query_similarity(query: Query, table: EmbeddingTable,
     if nq == 0:
         return {}
     sims = dots(table.norms, qv / nq)
-    order = np.argsort(-sims, kind="stable")[:top_k]
+    from . import _native   # built and loaded on first use, never at import
+    order = _native.top_n(sims, top_k)
     total = float(sims[order].sum())
     if total <= 0:
         return {}
@@ -93,6 +94,7 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
     Only positive-scoring words are eligible; when fewer than n exist, all of
     them are returned with a warning.
     """
+    from . import _native   # built and loaded on first use, never at import
     method = method.lower()
     if method not in METHODS:
         raise ExtractionError(f"unknown extraction method: {method!r}")
@@ -123,11 +125,11 @@ def extract_concept_words(corpus: Corpus, query: Query, retrieved: RetrievedSet,
             present = np.flatnonzero(scores)
             pr = scores[present] / corpus.index.lengths[docs].sum()
             ratio = pr / (corpus.index.corpus_freq[present] / corpus.index.total_tokens)
-            scores[present] = pr * np.array(list(map(math.log, ratio.tolist())))
+            scores[present] = pr * _native.log(ratio)
 
     positive = np.flatnonzero(scores > 0)
     if len(positive) < n:
         logger.warning("only %d positive-scoring words for query %r (requested %d)",
                        len(positive), query.raw, n)
-    chosen = positive[np.argsort(-scores[positive], kind="stable")[:n]]
+    chosen = positive[_native.top_n(scores[positive], n)]
     return ConceptWordSet(query, list(zip(chosen.tolist(), scores[chosen].tolist())))

@@ -136,15 +136,17 @@ class CorpusIndex:
     def build(cls, doc_ptr: array, words: array, counts: array, lengths: array,
               vocab_size: int) -> CorpusIndex:
         """Index the int32 forward half; the inverted half is its stable sort
-        by word."""
+        by word, of the narrowed ids (numpy's radix sort for 8- and 16-bit
+        keys, the same permutation)."""
         doc_ptr, words, counts, lengths = (np.frombuffer(a, np.int32)
                                            for a in (doc_ptr, words, counts, lengths))
-        order = np.argsort(words, kind="stable")
+        narrow_words = _narrow(words)
+        order = np.argsort(narrow_words, kind="stable")
         doc_of = np.repeat(np.arange(len(lengths), dtype=np.int32), np.diff(doc_ptr))
         word_ptr = np.zeros(vocab_size + 1, np.int32)
         word_ptr[1:] = np.cumsum(np.bincount(words, minlength=vocab_size))
         corpus_freq = np.bincount(words, counts, vocab_size).astype(np.int32)
-        return cls(doc_ptr, _narrow(words), _narrow(counts), lengths, corpus_freq,
+        return cls(doc_ptr, narrow_words, _narrow(counts), lengths, corpus_freq,
                    word_ptr, _narrow(doc_of[order]), _narrow(counts[order]))
 
     @cached_property

@@ -56,17 +56,26 @@ def overall_quality(diversity: float, cohesion: float) -> float:
 def npmi_coherence(top_words: list[str], corpus: Corpus) -> float:
     """Mean pairwise NPMI of the top words over document co-occurrence.
 
-    Add-one smoothed document frequencies, read off a 0/1 incidence product
-    of the words' postings in `corpus.index`. A pair that occurs in every
-    document has p(a,b) = 1 and gets NPMI 1 (Bouma's convention). This is an
-    internal diagnostic, not comparable to external C_V coherence numbers.
+    Add-one smoothed document frequencies. Each document gets one mask with
+    bit i set when word i's posting in `corpus.index` holds it; the exact
+    integer counts of the occupied masks give every pair's joint document
+    frequency. A pair that occurs in every document has p(a,b) = 1 and gets
+    NPMI 1 (Bouma's convention). This is an internal diagnostic, not
+    comparable to external C_V coherence numbers.
     """
     ids = [corpus.vocab.id_of(w) for w in top_words[:NPMI_TOP_N]]
+    if len(ids) < 2:
+        return 0.0
     n_docs = len(corpus.documents)
-    incidence = np.zeros((len(ids), n_docs))
-    for row, wid in zip(incidence, ids):
-        row[corpus.index.posting(wid)[0]] = 1.0
-    joint = (incidence @ incidence.T).astype(int).tolist()
+    postings = [corpus.index.posting(wid)[0] for wid in ids]
+    # a posting lists a document once and each word has its own bit, so the
+    # sum of a document's bits is their OR, exact in float64
+    masks = np.bincount(np.concatenate(postings),
+                        np.repeat(1 << np.arange(len(ids)), list(map(len, postings))), n_docs)
+    docs_with = np.bincount(masks.astype(np.intp))   # documents per mask
+    patterns = np.flatnonzero(docs_with)
+    bits = (patterns[:, None] >> np.arange(len(ids))) & 1
+    joint = ((bits * docs_with[patterns, None]).T @ bits).tolist()
 
     scores = []
     for a in range(len(ids)):
@@ -76,8 +85,6 @@ def npmi_coherence(top_words: list[str], corpus: Corpus) -> float:
             p_ab = (joint[a][b] + 1) / (n_docs + 1)
             pmi = math.log(p_ab / (p_a * p_b))
             scores.append(pmi / -math.log(p_ab) if p_ab < 1.0 else 1.0)
-    if not scores:
-        return 0.0
     return sum(scores) / len(scores)
 
 

@@ -85,19 +85,19 @@ def retrieve(corpus: Corpus, query: Query, cutoff: int = DEFAULT_CUTOFF,
         candidates = merged[np.append(True, merged[1:] != merged[:-1])]
     if not candidates.size:
         raise EmptyResultError(f"no document passes the {query.mode.upper()} filter for {query.raw!r}")
+    from . import _native   # built and loaded on first use, never at import
     tf = {}
     for wid, (d, n) in postings.items():
         pos = np.minimum(np.searchsorted(d, candidates), len(d) - 1)
         tf[wid] = np.where(d[pos] == candidates, n[pos], 0).astype(float)
-    # log p(q_i|d) term by term, each value through math.log (np.log can
-    # differ in the last bit); mu=0 is the MLE and gives -inf to a document
-    # missing a query term
+    # log p(q_i|d) term by term, each array through libm `log`, the function
+    # math.log calls (np.log can differ in the last bit); mu=0 is the MLE and
+    # gives -inf to a document missing a query term
     denominator = index.lengths[candidates] + mu
     scores = np.zeros(len(candidates))
     for wid in query.terms:
-        p = (tf[wid] + mu * index.background_prob(wid)) / denominator
-        scores += [math.log(x) if x > 0.0 else NEG_INF for x in p.tolist()]
-    top = np.argsort(-scores, kind="stable")[:cutoff]
+        scores += _native.log((tf[wid] + mu * index.background_prob(wid)) / denominator)
+    top = _native.top_n(scores, cutoff)
     return RetrievedSet(list(zip(candidates[top].tolist(), scores[top].tolist())))
 
 

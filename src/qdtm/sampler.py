@@ -211,6 +211,16 @@ class HDPSampler:
 
     def _check_constraints(self, forced_topic, promotion, norms, parent_representatives) -> None:
         V, P = self.V, self.n_parents
+        for name, value in (("forced_topic", forced_topic), ("promotion", promotion),
+                            ("parent_representatives", parent_representatives)):
+            if not isinstance(value, Mapping):
+                raise SamplerError(f"{name} must be a mapping, got {type(value).__name__}")
+        for name, rows in (("promotion", promotion),
+                           ("parent_representatives", parent_representatives)):
+            for key, row in rows.items():   # a list or a tuple, never text
+                if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
+                    raise SamplerError(f"{name}[{key!r}] must be a list of word ids, "
+                                       f"got {row!r}")
         for w, k in forced_topic.items():
             if not (_is_int(w) and 0 <= w < V):
                 raise SamplerError(f"forced_topic word {w!r} is not a word id in [0, {V})")
@@ -226,7 +236,10 @@ class HDPSampler:
                     raise SamplerError(f"promotion row of word {w} targets {target!r}, "
                                        f"not a word id in [0, {V})")
         if norms is not None:
-            norms = np.asarray(norms)
+            try:
+                norms = np.asarray(norms)
+            except ValueError as e:   # a ragged list
+                raise SamplerError(f"embedding_norms must be a matrix: {e}") from None
             if norms.ndim != 2:
                 raise SamplerError(f"embedding_norms must be a matrix, got {norms.ndim} axes")
             if len(norms) != V:
@@ -750,8 +763,11 @@ class HDPSampler:
         return {k: int(per_column[c]) for k, c in self._columns().items()}
 
     def top_words(self, k: int, n: int = 10) -> list[tuple[int, float]]:
+        """The n words of highest f_k(w), ties by word id, with f_k(w)."""
+        from . import _native
         p = self.phi(k)
-        return [(w, float(p[w])) for w in _top(p, n)]
+        top = _native.top_n(p, n)
+        return list(zip(top.tolist(), p[top].tolist()))
 
     # ----------------------------------------------------------- checkpoints
 
@@ -799,7 +815,8 @@ class HDPSampler:
             raise SamplerError("fingerprint mismatch: the checkpoint was written for other "
                                "tokens, document boundaries, V, forced words, parent "
                                "representatives, promotion rows, embedding vectors, alpha, "
-                               "beta, gamma, u or M")
+                               "beta, gamma, u or M, or by a qdtm that computes the "
+                               "fingerprint differently (rerun such a fit from the start)")
         missing = [key for key in ("iterations_done", *CHECKPOINT_ARRAYS, "next_topic", "rng")
                    if key not in state]
         if missing:
@@ -898,8 +915,3 @@ def _decoded(state: dict, key: str, n: int | None = None) -> np.ndarray:
 def _shape(value):
     """The keys of a nested dict, with the type of each leaf."""
     return {k: _shape(v) for k, v in value.items()} if isinstance(value, dict) else type(value)
-
-
-def _top(values: np.ndarray, n: int) -> list[int]:
-    """Indices of the n largest values, ties by index."""
-    return [int(w) for w in np.argsort(-values, kind="stable")[:n]]

@@ -23,7 +23,12 @@
  * `qd_cohesion` rebuilds the cohesion cache before each sweep. Its dot
  * products sum d ascending from +0.0, the order of `embeddings.dots`, so the
  * cache has the same bits as the Python code's on every machine.
+ *
+ * `qd_log` is the query path's logarithm over an array: libm `log`, the
+ * function Python's `math.log` calls for a positive float, so each value has
+ * the bits `math.log` gives.
  */
+#include <math.h>
 #include <stdint.h>
 
 typedef double (*next_double_fn)(void *);
@@ -602,4 +607,11 @@ int64_t qd_draw_flag(qd_state *s, int64_t w, int64_t k) {
     if (bad_word(s, w))
         return fail(s, ERR_INDEX, w, 0, 0);
     return draw_flag(s, w, column_of(s, k));
+}
+
+/* out[i] = log(x[i]) for x[i] > 0, else -inf (0, a negative or NaN). */
+int64_t qd_log(const double *x, int64_t n, double *out) {
+    for (int64_t i = 0; i < n; i++)
+        out[i] = x[i] > 0.0 ? log(x[i]) : -HUGE_VAL;
+    return 0;
 }

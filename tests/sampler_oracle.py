@@ -20,9 +20,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from qdtm.embeddings import dots
-from qdtm.sampler import ConsistencyError, Hyperparameters, SamplerError, _top
+from qdtm.sampler import ConsistencyError, Hyperparameters, SamplerError
 
 NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+def _top(values: np.ndarray, n: int) -> list[int]:
+    """Indices of the n largest values, ties by index: one full stable sort."""
+    return [int(w) for w in np.argsort(-values, kind="stable")[:n]]
 
 
 class UniformStream:

@@ -1,6 +1,7 @@
 """The compiled sweep against the pure-Python oracle, and how it is built and loaded."""
 
 import ctypes
+import math
 import os
 import re
 import subprocess
@@ -376,6 +377,49 @@ def test_every_exported_kernel_function_has_a_signature():
     assert arity == {name: len(args) for name, args in _native.SIGNATURES.items()}
 
 
+# ------------------------------------------------- the query path's array passes
+
+
+def argsort_top(values: np.ndarray, n: int) -> list[int]:
+    """`top_n`'s oracle: one full stable sort."""
+    return np.argsort(-values, kind="stable")[:n].tolist()
+
+
+# few distinct values, so most draws hold ties, signed zeros and both infinities
+entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.inf, -math.inf, math.nan]),
+                    st.floats())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(entries, max_size=30), st.integers(0, 35))
+def test_top_n_equals_the_full_stable_sort(values, n):
+    values = np.array(values, dtype=np.float64)
+    assert _native.top_n(values, n).tolist() == argsort_top(values, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 99, 100, 4999, 5000, 5001])
+def test_top_n_equals_the_full_stable_sort_on_many_ties(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.integers(0, 4, 5000).astype(float), rng.random(5000),
+                   np.where(rng.random(5000) < 0.3, math.nan, rng.integers(0, 3, 5000))):
+        assert _native.top_n(values, n).tolist() == argsort_top(values, n)
+
+
+def test_log_has_the_bits_of_math_log():
+    """libm `log` is what `math.log` calls for a positive float: subnormals,
+    1.0 and its neighbours, the largest double and inf, and random bit
+    patterns over every positive finite double. An entry not above 0, or
+    NaN, gives -inf (the query path's rule, where math.log would raise)."""
+    edges = [5e-324, 1e-310, 2.2250738585072014e-308, np.nextafter(1.0, 0.0), 1.0,
+             np.nextafter(1.0, 2.0), 1.7976931348623157e308, math.inf,
+             0.0, -0.0, -5e-324, -1.0, -math.inf, math.nan]
+    bits = np.random.default_rng(0).integers(1, 0x7FF0000000000000, 20000, dtype=np.uint64)
+    x = np.concatenate([edges, bits.view(np.float64)])
+    expected = np.array([math.log(v) if v > 0 else -math.inf for v in x.tolist()])
+    assert _native.log(x).tobytes() == expected.tobytes()
+    assert _native.log(np.array([])).shape == (0,)
+
+
 # ------------------------------------------------------------------- build
 
 
@@ -399,8 +443,8 @@ def test_the_ctypes_state_has_the_c_layout(tmp_path):
                      + "    return 0;\n}\n")
     exe = tmp_path / "probe"
     build = subprocess.run([*_native.compiler(), "-std=c99", "-I", os.path.dirname(_native.SOURCE),
-                            "-o", str(exe), str(probe)], capture_output=True, text=True,
-                           timeout=120)
+                            "-o", str(exe), str(probe), *_native.LIBS], capture_output=True,
+                           text=True, timeout=120)
     assert build.returncode == 0, build.stderr
     out = subprocess.run([str(exe)], capture_output=True, text=True, check=True, timeout=60)
     layout = {name: int(offset) for name, offset in map(str.split, out.stdout.splitlines())}
@@ -449,14 +493,16 @@ try:
 except ConsistencyError as e:
     print(e)
 print(len(s.m_k), s._cap, sum(map(sum, s.flags)), _native.library_path())
+print(_native.log(np.array([5e-324, 1.0, 1.7976931348623157e308, np.inf, 0.0, -1.0,
+                            np.nan])).tolist())
 """
 
 
 def test_the_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path, monkeypatch):
     """A fit with embeddings and promotion, compactions, a growth of the topic
-    columns, a resume and a birth past the largest topic id, on a build that
-    aborts at any undefined behaviour (a signed overflow, an out-of-range
-    shift, a misaligned read)."""
+    columns, a resume, a birth past the largest topic id and the query path's
+    logarithm, on a build that aborts at any undefined behaviour (a signed
+    overflow, an out-of-range shift, a misaligned read)."""
     monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + UBSAN)
     try:
@@ -475,6 +521,8 @@ def test_the_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path,
     live, cap, flagged, path = lines[1].split()
     assert int(live) > 3 and int(cap) > 3 + COLUMN_HEADROOM and int(flagged) > 0
     assert path == _native.library_path()
+    assert lines[2] == repr([math.log(5e-324), 0.0, math.log(1.7976931348623157e308), math.inf,
+                             -math.inf, -math.inf, -math.inf])
 
 
 def test_import_qdtm_neither_builds_nor_loads_the_kernel():
@@ -487,14 +535,62 @@ def test_import_qdtm_neither_builds_nor_loads_the_kernel():
     assert out.stdout.split() == ["False", "False"]
 
 
-def test_import_qdtm_loads_neither_base64_nor_hashlib():
-    """Only checkpoints need them; hashlib loads OpenSSL."""
+COLD_CACHE = """
+import random, sys
+import numpy as np
+from qdtm import _native
+_native.CACHE_DIR = sys.argv[1]   # the library is built here too
+"""
+# numpy.random is not loaded: it imports hashlib itself, through `secrets`
+QUERY_PATH = COLD_CACHE + """
+from qdtm import (EmbeddingTable, extract_concept_words, ingest, npmi_coherence, parse_query,
+                  retrieve)
+rng = random.Random(1)
+corpus = ingest([(f"d{j}", " ".join(f"w{rng.randrange(40 if j % 3 else 10):02d}"
+                                    for _ in range(30))) for j in range(60)])
+table = EmbeddingTable(4, {w: np.array([rng.gauss(0, 1) for _ in range(4)])
+                           for w in range(len(corpus.vocab))}, len(corpus.vocab))
+query = parse_query("w00 w01", corpus)
+retrieved = retrieve(corpus, query)
+for method in ("kld", "rel"):
+    words = extract_concept_words(corpus, query, retrieved, method, table=table).word_ids()
+    npmi_coherence([corpus.vocab.token_of(w) for w in words], corpus)
+"""
+# the sampler's generator does load numpy.random; whatever imports them after that is qdtm
+FIT = COLD_CACHE + """
+import numpy.random
+from qdtm import EmbeddingTable, SyntheticSpec, fit_topics, generate, ingest
+from qdtm.synth import block_embeddings
+spec = SyntheticSpec(seed=1)
+records, truth = generate(spec)
+corpus = ingest([(r["id"], r["text"]) for r in records])
+table = EmbeddingTable(16, {corpus.vocab.id_of(tok): v for tok, v in block_embeddings(spec).items()
+                            if tok in corpus.vocab}, len(corpus.vocab))
+for name in ("base64", "hashlib", "_hashlib"):
+    sys.modules.pop(name, None)
+fit_topics(corpus, [" ".join(truth["topic_top_words"][truth["rare_topic"]][:2])], "kld",
+           embeddings=table, iterations_phase1=3, iterations_phase2=1)
+"""
+LOADED = "\nprint('base64' in sys.modules, 'hashlib' in sys.modules, '_hashlib' in sys.modules)"
+
+
+def test_import_qdtm_loads_neither_base64_nor_hashlib(tmp_path):
+    """Only checkpoints need them; hashlib loads OpenSSL (3.5 MB resident). Not
+    at import, nor on the query path (retrieve, kld and rel expansion, NPMI)
+    or in a fit without a checkpoint, both of which build and load the library."""
     code = ("import sys; import qdtm, qdtm.cli, qdtm.pipeline, qdtm.sampler; "
             "print('base64' in sys.modules, 'hashlib' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, env={**os.environ, "PYTHONPATH": SRC})
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False", "False"]
+    for name, run in (("query", QUERY_PATH), ("fit", FIT)):
+        out = subprocess.run([sys.executable, "-c", run + LOADED, str(tmp_path / name)],
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "False", "False"], name
+        assert len(list((tmp_path / name).iterdir())) == 1, name
 
 
 def test_a_second_sampler_loads_the_cache_without_the_compiler(cold_cache, monkeypatch):

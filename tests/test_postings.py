@@ -90,6 +90,25 @@ def scan_npmi(top_words, corpus):
     return sum(scores) / len(scores)
 
 
+def incidence_npmi(top_words, corpus):
+    """The joint document frequencies from a dense 0/1 incidence product."""
+    ids = [corpus.vocab.id_of(w) for w in top_words[:NPMI_TOP_N]]
+    n_docs = len(corpus.documents)
+    incidence = np.zeros((len(ids), n_docs))
+    for row, wid in zip(incidence, ids):
+        row[corpus.index.posting(wid)[0]] = 1.0
+    joint = (incidence @ incidence.T).astype(int).tolist()
+    scores = []
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            p_a = (joint[a][a] + 1) / (n_docs + 1)
+            p_b = (joint[b][b] + 1) / (n_docs + 1)
+            p_ab = (joint[a][b] + 1) / (n_docs + 1)
+            pmi = math.log(p_ab / (p_a * p_b))
+            scores.append(pmi / -math.log(p_ab) if p_ab < 1.0 else 1.0)
+    return sum(scores) / len(scores) if scores else 0.0
+
+
 def loop_counts(corpus, retrieved):
     """Term counts and total token count over the retrieved documents."""
     counts = Counter()
@@ -203,6 +222,21 @@ def test_postings_list_the_documents_containing_each_word(random_corpus):
         assert tfs.tolist() == [docs[j].counts[w] for j in posting]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([30, 300, 3000]))
+def test_inverted_half_is_the_int32_stable_sort(seed, vocab_size):
+    """The inverted half sorts the narrowed ids (uint8 or uint16, numpy's radix
+    sort); the permutation is the stable sort of the int32 ids."""
+    rng = np.random.default_rng(seed)
+    corpus = ingest([(f"d{j}", " ".join(f"w{i}" for i in rng.integers(0, vocab_size, n)))
+                     for j, n in enumerate(rng.integers(1, 40, rng.integers(1, 120)))])
+    index = corpus.index
+    order = np.argsort(index.words.astype(np.int32), kind="stable")
+    doc_of = np.repeat(np.arange(len(corpus)), np.diff(index.doc_ptr))
+    assert index.docs.tolist() == doc_of[order].tolist()
+    assert index.tfs.tolist() == index.counts[order].tolist()
+
+
 @pytest.mark.parametrize("mode", ["or", "and"])
 def test_query_path_builds_no_document_counter(random_corpus, mode):
     """The query path reads the index only; a per-document Counter would cost
@@ -263,7 +297,25 @@ def test_expansion_equals_the_document_loops(docs, data):
 def test_npmi_equals_the_document_scan(docs, data):
     corpus = _corpus(docs)
     words = data.draw(st.lists(st.sampled_from(corpus.vocab.tokens), max_size=12))
-    assert _outcome(npmi_coherence, words, corpus) == _outcome(scan_npmi, words, corpus)
+    got = _outcome(npmi_coherence, words, corpus)
+    assert got == _outcome(scan_npmi, words, corpus) == _outcome(incidence_npmi, words, corpus)
+
+
+def test_npmi_equals_the_incidence_product():
+    """The joint frequencies from the documents' bit masks against the dense
+    product, on 600 documents: ten words, fewer than ten, repeated words, and a
+    pair present in every document."""
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i:02d}" for i in range(60)]
+    corpus = ingest([(f"d{j}", " ".join(["all", "every", *rng.choice(vocab, rng.integers(1, 25))]))
+                     for j in range(600)])
+    lists = [rng.choice(corpus.vocab.tokens, size, replace=False).tolist()
+             for size in (10, 12, 10, 9, 3, 2, 1)]
+    lists += [["w01", "w02", "w01", "w03"], ["all", "every"], ["all", "every", "w05", "all"],
+              ["w07"] * 10, []]
+    for words in lists:
+        got = npmi_coherence(words, corpus)
+        assert got == incidence_npmi(words, corpus) == scan_npmi(words, corpus), words
 
 
 def test_scorers_equal_the_loops_on_a_larger_corpus():

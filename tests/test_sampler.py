@@ -137,6 +137,16 @@ ONE_DOC = stream([[0, 1]])
           (np.ones((3, 2), bool), "embedding_norms must hold numbers .* of bool"),
           (np.empty((3, 0)), "embedding_norms must hold numbers in at least one column, "
                              "got 0 columns of float64"))),
+    # bug ax: the containers went unchecked: a bare TypeError, an AttributeError, numpy's
+    # ValueError, and a string row read as its characters ("targets '1'")
+    (ONE_DOC, {"promotion": {0: 5}}, r"^promotion\[0\] must be a list of word ids, got 5$"),
+    (ONE_DOC, {"parent_representatives": {0: 5}, "n_parents": 1},
+     r"^parent_representatives\[0\] must be a list of word ids, got 5$"),
+    (ONE_DOC, {"forced_topic": [(0, 0)], "n_parents": 1},
+     "^forced_topic must be a mapping, got list$"),
+    (ONE_DOC, {"embedding_norms": [[1.0, 0.0], [1.0], [0.0, 1.0]]},
+     "^embedding_norms must be a matrix: setting an array element with a sequence"),
+    (ONE_DOC, {"promotion": {0: "12"}}, r"^promotion\[0\] must be a list of word ids, got '12'$"),
 ])
 def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
     with pytest.raises(SamplerError, match=message):
@@ -979,3 +989,17 @@ def test_checkpoint_of_another_stream_is_rejected():
     other_seed = HDPSampler(*stream([[0, 1, 2]]), 3, small_hp(prevalence_floor=0.1), seed=7)
     other_seed.load_state_dict(state)
     assert other_seed.t == s.t
+
+
+def test_a_fingerprint_mismatch_also_names_another_fingerprint_recipe():
+    """Bug as: the message blamed only the inputs, but a checkpoint of the same
+    inputs written by a qdtm whose fingerprint hashes them differently (here,
+    a digest of other bytes) is refused the same way."""
+    s = HDPSampler(*stream([[0, 1, 2]]), 3, small_hp(), seed=0)
+    s.initialize()
+    state = dict(s.state_dict(), fingerprint="0" * 64)
+    with pytest.raises(SamplerError, match=r"^fingerprint mismatch: the checkpoint was written "
+                                           r"for other tokens, .*, or by a qdtm that computes "
+                                           r"the fingerprint differently \(rerun such a fit "
+                                           r"from the start\)$"):
+        HDPSampler(*stream([[0, 1, 2]]), 3, small_hp(), seed=0).load_state_dict(state)
