@@ -45,7 +45,7 @@ class State(ctypes.Structure):
         ("forced", _P), ("promo_ptr", _P), ("promo_target", _P),
         ("tok_t", _P), ("tok_flag", _P), ("n_tab", _P), ("tab_col", _P),
         ("tab_units", _P), ("tab_promos", _P), ("cap", _I), ("topic_of", _P),
-        ("order", _P), ("by_id", _P), ("m", _P), ("nk_units", _P), ("nk_promos", _P),
+        ("by_id", _P), ("m", _P), ("nk_units", _P), ("nk_promos", _P),
         ("nkw_units", _P), ("nkw_promos", _P), ("scal", _P), ("tilde", _P), ("tilde_row", _P),
         ("norms", _P), ("dim", _I), ("n_reps", _I), ("rep_topic", _P), ("rep_ptr", _P),
         ("rep_words", _P), ("n_rep_topics", _I), ("top", _P), ("rank", _P),

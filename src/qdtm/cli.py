@@ -188,9 +188,9 @@ def _truth_path(args) -> str:
 
 
 def _check_paths(args) -> None:
-    """Before any work: every input exists, no file is a directory, and no
-    output lies in a missing one or is (after `realpath`) another output or an
-    input."""
+    """Before any work: every input exists, no path is a directory, an existing
+    checkpoint is a regular file, and no output lies in a missing directory or is
+    (after `realpath`) another output or an input."""
     def named(dests):
         return [(f"--{d.replace('_', '-')}", getattr(args, d)) for d in dests
                 if getattr(args, d, None)]
@@ -205,6 +205,8 @@ def _check_paths(args) -> None:
     for flag, path in inputs + outputs:
         if os.path.isdir(path):
             raise ValidationError(f"{flag} path is a directory: {path}")
+        if flag == "--checkpoint" and os.path.exists(path) and not os.path.isfile(path):
+            raise ValidationError(f"{flag} is not a regular file: {path}")   # read, then replaced
     taken = {os.path.realpath(path): flag for flag, path in inputs}
     for flag, path in outputs:
         real = os.path.realpath(path)
@@ -431,7 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "validation", "message": str(e)}), file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as e:  # noqa: BLE001 - map anything else to a runtime failure
-        print(json.dumps({"error": "runtime", "message": str(e)}), file=sys.stderr)
+        message = str(e) or type(e).__name__   # str(MemoryError()) is empty
+        print(json.dumps({"error": "runtime", "message": message}), file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

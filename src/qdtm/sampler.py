@@ -12,9 +12,9 @@ The state lives in flat numpy buffers that the compiled per-token steps
   document's token offsets, since a document never holds more tables than
   tokens;
 - per topic: one column of the word-major count matrices, its totals and its
-  table count. `_order` lists the live columns in `m_k` insertion order, in
-  which the new-table mixture is summed; `_by_id` lists them by ascending
-  topic id, in which a topic is picked. Both orders are visible to the RNG.
+  table count. `_by_id` lists the live columns by ascending topic id, the one
+  order in which every sum over topics runs and a topic is picked; the topic ids
+  of a checkpoint fix it, so a resumed sampler walks them as its writer did.
 The integer counts are the only count state; the kernel, `phi` and
 `refresh_cohesion` compute f_k(w) = (n_kw + beta) / (n_k + V beta) from them
 by one expression.
@@ -135,7 +135,7 @@ class _Rows(Sequence):
 
 class _TopicRows(Mapping):
     """Read-only topic id -> its row of a word-major count matrix (a list of
-    ints over the vocabulary), in `m_k` order."""
+    ints over the vocabulary), by ascending topic id."""
 
     def __init__(self, matrix: np.ndarray, columns: dict[int, int]):
         self._matrix, self._columns = matrix, columns
@@ -295,16 +295,16 @@ class HDPSampler:
         return _Rows(self._tab_promos, self._doc_ptr, self._n_tab)
 
     def _columns(self) -> dict[int, int]:
-        """Live topic id -> its column, in `m_k` order."""
-        order = self._order[:self._scal[N_LIVE]]
-        return dict(zip(self._topic_of[order].tolist(), order.tolist()))
+        """Live topic id -> its column, by ascending id."""
+        by_id = self._by_id[:self._scal[N_LIVE]]
+        return dict(zip(self._topic_of[by_id].tolist(), by_id.tolist()))
 
     def _per_topic(self, values: np.ndarray) -> MappingProxyType:
         return MappingProxyType({k: int(values[c]) for k, c in self._columns().items()})
 
     @property
     def m_k(self) -> MappingProxyType:
-        """Tables per live topic, in insertion order (parents count a phantom)."""
+        """Tables per live topic, by ascending id (parents count a phantom)."""
         return self._per_topic(self._m)
 
     @property
@@ -344,7 +344,7 @@ class HDPSampler:
         return int(self._nk_units[c]) + self.u * int(self._nk_promos[c])
 
     def live_topics(self) -> list[int]:
-        return sorted(self._columns())
+        return self._topic_of[self._by_id[:self._scal[N_LIVE]]].tolist()
 
     def initialize(self) -> None:
         """Seed the state: one fresh table per token position.
@@ -372,9 +372,9 @@ class HDPSampler:
         fit their `CHECKPOINT_ARRAYS` dtype. `t` holds each token's table,
         `n_tab` each document's table count, `table_topic` the topic of each
         slot in use, in document then slot order (-1 for a dead slot; an id
-        below 2**63 - 1), and `flags` each token's flag (None: all 0). Topics
-        enter `m_k` in table order, parents first; `next_topic` follows the
-        highest live id. The counts are built by array operations, not by the
+        below 2**63 - 1), and `flags` each token's flag (None: all 0). The
+        parents and every topic a table serves are live; `next_topic` follows
+        the highest live id. The counts are built by array operations, not by the
         kernel's updates. A state the sampler could not be in raises
         `SamplerError` naming the field, and leaves the sampler as it was.
         """
@@ -459,21 +459,18 @@ class HDPSampler:
 
     def _install(self, t: np.ndarray, fl: np.ndarray, n_tab: np.ndarray,
                  tab: np.ndarray, slot: np.ndarray) -> None:
-        """Build the buffers of a checked state."""
+        """Build the buffers of a checked state; column c holds the c-th live
+        topic by ascending id."""
         N, V = len(self._words), self.V
-        # parents get a phantom table so they can never retire during phase 1
         live = tab[tab >= 0]
-        ids, first, counts = np.unique(live, return_index=True, return_counts=True)
-        seen = np.argsort(first, kind="stable")
-        m_k = {q: 1 for q in range(self.n_parents)}
-        for k, n in zip(ids[seen].tolist(), counts[seen].tolist()):
-            m_k[k] = m_k.get(k, 0) + n
-        topic_ids = np.array(list(m_k), dtype=np.int64)
+        # each parent also counts a phantom table, so it never retires in phase 1;
+        # with counts, np.unique sorts (its hash path imports numpy.ma, 1.2 MB)
+        topic_ids, m = np.unique(np.concatenate((np.arange(self.n_parents), live)),
+                                 return_counts=True)
         K = len(topic_ids)
         cap = self._cap = K + COLUMN_HEADROOM
-        by_id = np.argsort(topic_ids, kind="stable")
         tab_col = np.full(N, -1, np.int32)
-        tab_col[tab >= 0] = by_id[np.searchsorted(topic_ids[by_id], live)]
+        tab_col[tab >= 0] = np.searchsorted(topic_ids, live)
         del tab, live
         self._tok_t, self._tok_flag = t, fl
         self._n_tab, self._tab_col = n_tab.astype(np.int32), tab_col
@@ -505,14 +502,12 @@ class HDPSampler:
         self._nk_promos = self._nkw_promos.sum(axis=0, dtype=np.int64)
         self._topic_of = np.full(cap, -1, np.int64)
         self._topic_of[:K] = topic_ids
-        self._order = np.zeros(cap, np.int32)
-        self._order[:K] = np.arange(K)
         self._by_id = np.zeros(cap, np.int32)
-        self._by_id[:K] = by_id
+        self._by_id[:K] = np.arange(K)
         self._m = np.zeros(cap, np.int64)
-        self._m[:K] = list(m_k.values())
+        self._m[:K] = m
         self._tilde_row = np.full(cap, -1, np.int32)   # the cache keeps its rows by topic id
-        self._tilde_row[:K] = [self.topic_row.get(k, -1) for k in m_k]
+        self._tilde_row[:K] = [self.topic_row.get(k, -1) for k in topic_ids.tolist()]
         self._scal = np.array([K, self._m.sum(), topic_ids.max(initial=-1) + 1], np.int64)
         self._bind()
 
@@ -521,8 +516,8 @@ class HDPSampler:
         old = self._cap
         cap = old + max(COLUMN_HEADROOM, old // 4)
         for name, fill in (("_nkw_units", 0), ("_nkw_promos", 0), ("_topic_of", -1),
-                           ("_order", 0), ("_by_id", 0), ("_m", 0), ("_nk_units", 0),
-                           ("_nk_promos", 0), ("_tilde_row", -1)):
+                           ("_by_id", 0), ("_m", 0), ("_nk_units", 0), ("_nk_promos", 0),
+                           ("_tilde_row", -1)):
             a = getattr(self, name)
             wide = np.full(a.shape[:-1] + (cap,), fill, a.dtype)
             wide[..., :old] = a
@@ -545,7 +540,7 @@ class HDPSampler:
             dim=dim, n_reps=len(self._top), n_rep_topics=len(self._rep_topic),
             **{name: None if (a := getattr(self, "_" + name)) is None else a.ctypes.data
                for name in (*KERNEL_INPUTS, "tok_t", "tok_flag", "n_tab", "tab_col",
-                            "tab_units", "tab_promos", "topic_of", "order", "by_id", "m",
+                            "tab_units", "tab_promos", "topic_of", "by_id", "m",
                             "nk_units", "nk_promos", "nkw_units", "nkw_promos", "scal",
                             "tilde_row", "top", "rank", "work", "slot_map", "err")})
 
@@ -597,8 +592,8 @@ class HDPSampler:
         (0 for dead or constraint-violating tables) and the new-table weight
         alpha p(w | t_new), with p(w | t_new) the mixture
         sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new, summed in
-        `m_k` order. Constrained words zero out every table not serving their
-        parent topic.
+        ascending topic id. Constrained words zero out every table not serving
+        their parent topic.
         """
         out = np.empty(int(self._lengths[j]) + 1)
         n = self._kernel(self._lib.qd_table_weights, j, w, out.ctypes.data)
@@ -691,10 +686,18 @@ class HDPSampler:
     def check_invariants(self) -> None:
         """Exact consistency checks; raises ConsistencyError on violation.
 
-        The assignments must pass `_checked` and each slot past its document's
-        `n_tab` must be dead and empty. Every count structure must equal (`==`)
-        a rebuild by `_install`, which shares no code with the kernel's updates.
+        First `_by_id` (every view reads through it) lists the used columns by
+        ascending topic id and no free column holds counts. The assignments
+        must pass `_checked`, each slot past its document's `n_tab` must be dead
+        and empty, and every count structure must equal (`==`) a rebuild by
+        `_install`, which shares no code with the kernel's updates.
         """
+        n = self._scal[N_LIVE]
+        free = self._topic_of < 0
+        if (sorted(self._by_id[:n].tolist()) != np.flatnonzero(~free).tolist()
+                or (np.diff(self._topic_of[self._by_id[:n]]) <= 0).any()
+                or self._nkw_units[:, free].any() or self._nkw_promos[:, free].any()):
+            raise ConsistencyError("the column view disagrees with m_k")
         past = np.arange(len(self._words)) - self._tok_base >= self._n_tab.repeat(self._lengths)
         bad = np.flatnonzero(past & ((self._tab_col >= 0) | (self._tab_units != 0)
                                      | (self._tab_promos != 0)))
@@ -710,13 +713,6 @@ class HDPSampler:
                      "nkw_units", "nkw_promos", "nk_units", "nk_promos"):
             if getattr(self, name) != getattr(ref, name):
                 raise ConsistencyError(f"{name} disagrees with a rebuild from the assignments")
-        n = self._scal[N_LIVE]
-        used = np.flatnonzero(self._topic_of >= 0).tolist()
-        free = self._topic_of < 0
-        if (sorted(self._order[:n].tolist()) != used or sorted(self._by_id[:n].tolist()) != used
-                or (np.diff(self._topic_of[self._by_id[:n]]) <= 0).any()
-                or self._nkw_units[:, free].any() or self._nkw_promos[:, free].any()):
-            raise ConsistencyError("the column view disagrees with m_k")
 
     # ------------------------------------------------------------- posterior
 
@@ -777,7 +773,7 @@ class HDPSampler:
         count, min(M, V), alpha, beta, gamma and u and of the dtype and shape of
         each of `KERNEL_INPUTS`, then those arrays' bytes; not the seed,
         iteration counts or phase 2. Computed once per sampler."""
-        import hashlib   # loads OpenSSL, 3.4 MB resident; only checkpoints need it
+        import hashlib   # OpenSSL (3.4 MB) stays out of `import qdtm` and the query path
         hp, arrays = self.hp, [getattr(self, "_" + name) for name in KERNEL_INPUTS]
         digest = hashlib.sha256(repr((
             int(self.V), int(self.n_parents), len(self._top),
@@ -791,7 +787,7 @@ class HDPSampler:
     def state_dict(self) -> dict:
         """The phase-1 state as of now, as JSON values: `_assignments` as base64
         text of little-endian arrays, under the names in `CHECKPOINT_ARRAYS`."""
-        import base64   # like hashlib, only checkpoints need it
+        import base64   # like hashlib, kept out of `import qdtm` and the query path
         return {
             "format": "qdtm-checkpoint-v3",
             "fingerprint": self.fingerprint,

@@ -5,8 +5,8 @@
  * (n_k + V beta) is computed from them where it is read, by the expression the
  * Python code uses, so results equal it bit for bit when built with
  * -ffp-contract=off (no fused multiply-add) and without fast-math. Float sums
- * run left to right, in the orders the sampler documents: the new-table
- * mixture in `m_k` order, the topic draw in ascending topic id. Every uniform
+ * run left to right, in the one order of live topics, ascending topic id
+ * (`by_id`): the new-table mixture and the topic draw alike. Every uniform
  * comes from the caller's numpy bit generator through its `next_double`.
  *
  * A live topic owns one column of the word-major count matrices
@@ -49,7 +49,6 @@ typedef struct {
     int32_t *tab_promos;
     int64_t cap;                 /* columns */
     int64_t *topic_of;           /* cap: topic id of a column, -1 when free */
-    int32_t *order;              /* cap: live columns in m_k order */
     int32_t *by_id;              /* cap: live columns by ascending topic id */
     int64_t *m;                  /* cap: tables per topic */
     int64_t *nk_units;
@@ -92,8 +91,8 @@ static int64_t fail(qd_state *s, int64_t code, int64_t a, int64_t b, int64_t c) 
 
 static int32_t column_of(const qd_state *s, int64_t k) {
     for (int64_t i = 0; i < s->scal[N_LIVE]; i++)
-        if (s->topic_of[s->order[i]] == k)
-            return s->order[i];
+        if (s->topic_of[s->by_id[i]] == k)
+            return s->by_id[i];
     return -1;
 }
 
@@ -130,7 +129,6 @@ static int32_t register_topic(qd_state *s, int64_t k) {
     s->topic_of[c] = k;
     s->m[c] = 0;
     s->tilde_row[c] = -1;
-    s->order[n] = c;
     int64_t pos = n;
     while (pos > 0 && s->topic_of[s->by_id[pos - 1]] > k) {
         s->by_id[pos] = s->by_id[pos - 1];
@@ -141,18 +139,13 @@ static int32_t register_topic(qd_state *s, int64_t k) {
     return c;
 }
 
-static void drop(int32_t *cols, int64_t n, int32_t c) {
+static void retire_topic(qd_state *s, int32_t c) {
+    const int64_t n = s->scal[N_LIVE];
     int64_t i = 0;
-    while (cols[i] != c)
+    while (s->by_id[i] != c)
         i++;
     for (; i + 1 < n; i++)
-        cols[i] = cols[i + 1];
-}
-
-static void retire_topic(qd_state *s, int32_t c) {
-    int64_t n = s->scal[N_LIVE];
-    drop(s->order, n, c);
-    drop(s->by_id, n, c);
+        s->by_id[i] = s->by_id[i + 1];
     s->topic_of[c] = -1;
     s->scal[N_LIVE] = n - 1;
 }
@@ -229,13 +222,14 @@ static void predictive(const qd_state *s, int64_t w, double *f) {
     const int32_t *units = s->nkw_units + w * s->cap, *promos = s->nkw_promos + w * s->cap;
     const double u = s->u, beta = s->beta, v_beta = (double)s->V * s->beta;
     for (int64_t i = 0; i < s->scal[N_LIVE]; i++) {
-        const int32_t c = s->order[i];
+        const int32_t c = s->by_id[i];
         f[c] = f_kw(units[c], promos[c], s->nk_units[c], s->nk_promos[c], u, beta, v_beta);
     }
 }
 
 /* Per-slot table weights of word w in document j, then the new-table weight
- * alpha * (sum_k m_k f_k(w) + gamma f_new) / (m. + gamma); returns the count. */
+ * alpha * (sum_k m_k f_k(w) + gamma f_new) / (m. + gamma), the sum in ascending
+ * topic id; returns the count. */
 static int64_t table_weights(const qd_state *s, int64_t j, int64_t w, double *f, double *wt) {
     predictive(s, w, f);
     const int64_t base = s->doc_ptr[j], nt = s->n_tab[j], forced = s->forced[w];
@@ -249,7 +243,7 @@ static int64_t table_weights(const qd_state *s, int64_t j, int64_t w, double *f,
     }
     double mixture = 0.0;
     for (int64_t i = 0; i < s->scal[N_LIVE]; i++) {
-        const int32_t c = s->order[i];
+        const int32_t c = s->by_id[i];
         mixture += (double)s->m[c] * f[c];
     }
     const double new_table = (mixture + s->gamma * s->base_density)

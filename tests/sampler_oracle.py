@@ -14,7 +14,7 @@ import ctypes
 import threading
 from bisect import bisect_right
 from itertools import accumulate
-from operator import itemgetter, mul, truediv
+from operator import itemgetter, truediv
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,7 +177,8 @@ class OracleSampler:
         self.nk_units = {k: sum(row) for k, row in self.nkw_units.items()}
         self.nk_promos = {k: sum(row) for k, row in self.nkw_promos.items()}
         # the column view: live topic k's predictive numerators (by word) and
-        # denominator sit at position _col[k], in `m_k` order
+        # denominator sit at position _col[k], in `m_k` order; that order is a
+        # layout only, as every sum over topics runs by ascending topic id
         u, beta = self.u, self.hp.beta
         self._col = {k: c for c, k in enumerate(self.m_k)}
         # cells at n_kw = 0 share one float, beta, as `_register_topic` writes them
@@ -276,7 +277,8 @@ class OracleSampler:
 
     def predictive(self, w: int) -> list[float]:
         """Dirichlet-multinomial predictive f_k(w) = (n_kw + beta) / (n_k + V beta)
-        of word w under every live topic k, in `m_k` order (column `_col[k]`)."""
+        of word w under every live topic k, at column `_col[k]` (the layout's
+        `m_k` order, which no sum follows)."""
         return list(map(truediv, map(itemgetter(w), self._num), self._den))
 
     def table_weights(self, j: int, w: int) -> tuple[list[float], float]:
@@ -285,8 +287,9 @@ class OracleSampler:
         The token itself must not be counted. Returns per-slot weights
         (0 for dead or constraint-violating tables) and the new-table weight
         alpha p(w | t_new), with p(w | t_new) the mixture
-        sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new.
-        Constrained words zero out every table not serving their parent topic.
+        sum_k m_k/(m.+gamma) f_k(w) + gamma/(m.+gamma) f_new, summed in
+        ascending topic id. Constrained words zero out every table not serving
+        their parent topic.
         """
         forced = self.forced_topic.get(w)
         f = self.predictive(w)
@@ -296,7 +299,7 @@ class OracleSampler:
                    else (units[t] + u * promos[t]) * f[col[k]]
                    for t, k in enumerate(self.table_topic[j])]
         gamma = self.hp.gamma
-        mixture = _sum(map(mul, self.m_k.values(), f))
+        mixture = _sum(self.m_k[k] * f[col[k]] for k in sorted(self.m_k))
         new_table = (mixture + gamma * self.base_density) / (self.m_total + gamma)
         return weights, self.hp.alpha * new_table
 

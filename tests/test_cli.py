@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -12,13 +14,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdtm.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, INPUT_DESTS, build_parser, main
+import qdtm
+from qdtm.cli import (COMMANDS, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, INPUT_DESTS,
+                      build_parser, main)
 from qdtm.corpus import ingest_jsonl
 from qdtm.pipeline import RESULT_FORMAT_TAG, FitConfig
 from qdtm.sampler import HDPSampler, Hyperparameters
 from qdtm.synth import SyntheticSpec
 
 from helpers import CHECKPOINT_ARRAYS, checkpoint_array, edit_checkpoint_array
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qdtm.__file__)))
 
 
 @pytest.fixture
@@ -989,6 +995,34 @@ def test_synth_failed_write_keeps_the_previous_corpus(tmp_path, monkeypatch):
     assert main(["synth", "--docs", "50", "--out", str(out)]) == EXIT_RUNTIME
     assert out.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["s.jsonl"]
+
+
+def test_a_checkpoint_that_is_not_a_regular_file_fails_before_any_work(small_corpus, tmp_path):
+    """Bug ay: a FIFO named by --checkpoint exists, so fit opened it to resume
+    and blocked for ever waiting for a writer. A subprocess with a timeout, so
+    that the hang fails the test instead of stopping the suite."""
+    fifo = tmp_path / "ck.fifo"
+    os.mkfifo(fifo)
+    out = subprocess.run([sys.executable, "-m", "qdtm.cli", "fit", "--corpus", str(small_corpus),
+                          "--query", "w0000", "--iters1", "1", "--iters2", "1",
+                          "--out", str(tmp_path / "r.json"), "--checkpoint", str(fifo)],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == EXIT_VALIDATION
+    assert json.loads(out.stderr)["message"] == f"--checkpoint is not a regular file: {fifo}"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_runtime_failure_without_a_message_names_its_exception(tmp_path, monkeypatch, capsys):
+    """Bug az: `synth --docs 99999999999999999999` printed an empty message,
+    since str(MemoryError()) is empty."""
+    def out_of_memory(args):
+        raise MemoryError()
+    monkeypatch.setitem(COMMANDS, "synth", out_of_memory)
+    assert main(["synth", "--docs", "5", "--out", str(tmp_path / "s.jsonl")]) == EXIT_RUNTIME
+    assert json.loads(capsys.readouterr().err) == {"error": "runtime",
+                                                   "message": "MemoryError"}
 
 
 @pytest.mark.parametrize("flag", ["--stopwords", "--queries", "--embeddings"])

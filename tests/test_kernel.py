@@ -39,7 +39,7 @@ def assert_same_state(kernel: HDPSampler, oracle: OracleSampler) -> None:
     assert list(kernel.table_topic) == oracle.table_topic
     assert list(kernel.table_units) == oracle.table_units
     assert list(kernel.table_promos) == oracle.table_promos
-    assert list(kernel.m_k.items()) == list(oracle.m_k.items())   # insertion order too
+    assert dict(kernel.m_k) == oracle.m_k and list(kernel.m_k) == sorted(kernel.m_k)
     assert (kernel.m_total, kernel.next_topic) == (oracle.m_total, oracle.next_topic)
     assert dict(kernel.nkw_units) == oracle.nkw_units
     assert dict(kernel.nkw_promos) == oracle.nkw_promos

@@ -941,6 +941,27 @@ def test_resume_equals_uninterrupted_run(case):
 
 @settings(max_examples=40, deadline=None)
 @given(checkpoint_cases())
+def test_a_resumed_sampler_weighs_tables_bit_for_bit_as_the_uninterrupted_one(case):
+    """Equal draws are not enough: the new-table weight sums over the live
+    topics in their order, and a uniform rarely falls inside a last-bit gap."""
+    docs, V, hp, seed, kwargs, a, b = case
+    full = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
+    full.initialize()
+    full.run(a)
+    resumed = HDPSampler(*stream(docs), V, hp, seed + 1, **kwargs)
+    resumed.load_state_dict(json.loads(json.dumps(full.state_dict())))
+    for sweeps in (0, b):   # after the load, then after b more sweeps
+        if sweeps:
+            full.run(sweeps)
+            resumed.run(sweeps)
+        assert list(resumed.m_k) == list(full.m_k)
+        for j in range(len(docs)):
+            for w in range(V):
+                assert resumed.table_weights(j, w) == full.table_weights(j, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(checkpoint_cases())
 def test_cached_predictive_equals_the_count_expression(case):
     docs, V, hp, seed, kwargs, a, _ = case
     s = HDPSampler(*stream(docs), V, hp, seed, **kwargs)
