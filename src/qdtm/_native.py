@@ -1,7 +1,8 @@
 """Build, cache and load the compiled library (`sweep.c`), and the array
-passes the query path shares.
+passes that ingest, the query path and the embeddings share.
 
-The library is built on first use with the interpreter's C compiler
+The library is built on first use (the first ingest, sampler, query or dot
+product, never at `import qdtm`) with the interpreter's C compiler
 (`sysconfig` CC) and `FLAGS`, linked with `LIBS` (libm): `-O2`, no fused
 multiply-add and no fast-math, so its float arithmetic equals the Python
 expressions it replaces bit for bit. It is cached beside the source in
@@ -56,9 +57,20 @@ class State(ctypes.Structure):
     ]
 
 
+class Ingest(ctypes.Structure):
+    """Mirror of `qd_ingest_state` in sweep.c; the field order is the C order."""
+    _fields_ = [
+        ("text", _P), ("text_ptr", _P), ("n_docs", _I), ("cased", _I), ("min_len", _I),
+        ("slots", _P), ("n_slots", _I), ("first", _P), ("length", _P), ("last_doc", _P),
+        ("entry", _P), ("max_ids", _I), ("n_ids", _I), ("doc", _I), ("tokens", _P),
+        ("tok_ptr", _P), ("words", _P), ("counts", _P), ("word_ptr", _P),
+    ]
+
+
 _S = ctypes.POINTER(State)
 SIGNATURES = {   # name -> argument types; every function returns int64
     "qd_state_size": [],
+    "qd_ingest_size": [],
     "qd_sweep": [_S, _I],
     "qd_compact": [_S],
     "qd_detach": [_S, _I, _I, _P],
@@ -71,7 +83,10 @@ SIGNATURES = {   # name -> argument types; every function returns int64
     "qd_draw_flag": [_S, _I, _I],
     "qd_cohesion": [_S, _P, _P],
     "qd_log": [_P, _I, _P],
+    "qd_dots": [_P, _P, _I, _I, _I, _P],
+    "qd_ingest": [ctypes.POINTER(Ingest)],
 }
+FIRST_SLOTS = 1 << 14   # the intern table's first size; it doubles when half full
 
 
 def compiler() -> list[str]:
@@ -118,8 +133,9 @@ def library() -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = ctypes.c_int64
-    if lib.qd_state_size() != ctypes.sizeof(State):
-        raise BuildError(f"{path} does not match this qdtm's State layout")
+    if (lib.qd_state_size(), lib.qd_ingest_size()) != (ctypes.sizeof(State),
+                                                        ctypes.sizeof(Ingest)):
+        raise BuildError(f"{path} does not match this qdtm's State and Ingest layouts")
     return lib
 
 
@@ -145,3 +161,45 @@ def top_n(values: np.ndarray, n: int) -> np.ndarray:
             candidates = np.flatnonzero(keys <= kth)
             return candidates[np.argsort(keys[candidates], kind="stable")[:n]]
     return np.argsort(keys, kind="stable")[:n]
+
+
+def intern_runs(text: bytearray, text_ptr: np.ndarray, cased: bool, min_len: int):
+    """Cut document j's bytes `text[text_ptr[j]:text_ptr[j + 1]]` into maximal
+    runs of ASCII letters and digits (lowercase letters only unless `cased`),
+    keep the runs of at least `min_len` bytes that are not all digits, and
+    number them by first occurrence, in one pass of `qd_ingest`.
+
+    Returns each id's first byte offset and length in `text`; the ids of the
+    kept runs, document after document, with the int64 `n_docs + 1` offsets of
+    each document's; and the forward index: each document's distinct ids in
+    first-occurrence order and their counts, with its offsets. The id arrays
+    are int32. `text` is read in place, not copied.
+    """
+    n_docs = len(text_ptr) - 1
+    # a document of n bytes holds at most (n + 1) // (min_len + 1) runs, each of
+    # min_len bytes and a separator; the pages of this bound that no run
+    # reaches are never touched
+    most = int(((np.diff(text_ptr) + 1) // (min_len + 1)).sum())
+    tokens, words, counts = (np.empty(most, np.int32) for _ in range(3))
+    tok_ptr, word_ptr = np.empty(n_docs + 1, np.int64), np.empty(n_docs + 1, np.int64)
+    data = np.frombuffer(text, np.uint8)
+    s = Ingest(text=data.ctypes.data, text_ptr=text_ptr.ctypes.data, n_docs=n_docs,
+               cased=cased, min_len=min_len, tokens=tokens.ctypes.data,
+               tok_ptr=tok_ptr.ctypes.data, words=words.ctypes.data,
+               counts=counts.ctypes.data, word_ptr=word_ptr.ctypes.data)
+    n_slots, lib = FIRST_SLOTS, library()
+    first = length = np.empty(0, np.int64)
+    while True:   # an empty table of n_slots, with room for half as many ids
+        max_ids = n_slots // 2
+        first, length = (np.concatenate((x[:s.n_ids], np.empty(max_ids - s.n_ids, np.int64)))
+                         for x in (first, length))
+        table = (np.zeros(n_slots, np.int32), first, length, np.empty(max_ids, np.int64),
+                 np.empty(max_ids, np.int64))
+        s.slots, s.first, s.length, s.last_doc, s.entry = (a.ctypes.data for a in table)
+        s.n_slots, s.max_ids = n_slots, max_ids
+        if lib.qd_ingest(ctypes.byref(s)) == 0:
+            break
+        n_slots *= 2
+    n_ids = s.n_ids
+    return (first[:n_ids], length[:n_ids], tokens[:tok_ptr[-1]], tok_ptr,
+            words[:word_ptr[-1]], counts[:word_ptr[-1]], word_ptr)

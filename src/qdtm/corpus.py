@@ -6,10 +6,10 @@ import json
 import logging
 import re
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, filterfalse
+from itertools import chain, compress, filterfalse
 
 import numpy as np
 
@@ -133,11 +133,10 @@ class CorpusIndex:
     tfs: np.ndarray
 
     @classmethod
-    def build(cls, doc_ptr: array, words: array, counts: array, lengths: array,
-              vocab_size: int) -> CorpusIndex:
-        """Index the int32 forward half; the inverted half is its stable sort
-        by word, of the narrowed ids (numpy's radix sort for 8- and 16-bit
-        keys, the same permutation)."""
+    def build(cls, doc_ptr, words, counts, lengths, vocab_size: int) -> CorpusIndex:
+        """Index the forward half, given as int32 buffers; the inverted half is
+        its stable sort by word, of the narrowed ids (numpy's radix sort for
+        8- and 16-bit keys, the same permutation)."""
         doc_ptr, words, counts, lengths = (np.frombuffer(a, np.int32)
                                            for a in (doc_ptr, words, counts, lengths))
         narrow_words = _narrow(words)
@@ -193,6 +192,14 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
+    @cached_property
+    def token_ids(self) -> np.ndarray:
+        """Every document's word ids end to end (int32), the token stream a
+        fit samples; built by the first fit and kept, so a corpus that is only
+        queried never holds it."""
+        return np.fromiter(chain.from_iterable(d.tokens for d in self.documents), np.int32,
+                           self.index.total_tokens)
+
 
 def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
     """Build a Corpus from (id, text[, label]) records.
@@ -201,66 +208,95 @@ def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
     min-df filters; ids are assigned in first-occurrence order. Documents
     emptied by filtering are dropped and counted.
     """
+    return _ingest(list(raw_documents), options)
+
+
+def _fields(rec, seen: set[str]) -> tuple[str, str, str | None]:
+    """The id, text and label of one record, checked; the id joins `seen`."""
+    if isinstance(rec, dict):
+        doc_id, text, label = rec.get("id"), rec.get("text"), rec.get("label")
+    elif len(rec) == 3:
+        doc_id, text, label = rec
+    else:
+        doc_id, text = rec
+        label = None
+    if not isinstance(doc_id, str) or not isinstance(text, str):
+        raise IngestionError(f"unreadable record: {doc_id!r}")
+    if label is not None and not isinstance(label, str):
+        raise IngestionError(f"document {doc_id!r}: label must be a string or null, "
+                             f"got {label!r}")
+    if doc_id in seen:
+        raise IngestionError(f"duplicate document id: {doc_id!r}")
+    seen.add(doc_id)
+    return doc_id, text, label
+
+
+def _ingest(records, options: PreprocessOptions | None) -> Corpus:
+    """`ingest` of an iterable of records, read once.
+
+    Each record's text, lowercased by `str.lower` under `lowercase`, is
+    appended to one buffer as UTF-8 (`surrogatepass`, so a lone surrogate
+    passes too), and `_native.intern_runs` cuts, numbers and counts its
+    tokens in one compiled pass. A token is ASCII, and every byte of a
+    non-ASCII character is at least 0x80, so no token takes part of one. The
+    first bad record is raised only once every record has been read, so an
+    error the iterable raises later (a JSON line that does not parse) wins.
+    """
+    from . import _native   # built and loaded on first use, never at import
     options = options or PreprocessOptions()
-    raw_documents = list(raw_documents)
-    if not raw_documents:
+    text, text_ptr, doc_ids, labels, seen = bytearray(), array("q", [0]), [], [], set()
+    error = None
+    for rec in records:
+        if error is not None:
+            continue
+        try:
+            doc_id, raw, label = _fields(rec, seen)
+        except IngestionError as e:
+            error = e
+            continue
+        doc_ids.append(doc_id)
+        labels.append(label)
+        text += (raw.lower() if options.lowercase else raw).encode("utf-8", "surrogatepass")
+        text_ptr.append(len(text))
+    if error is not None:
+        raise error
+    if not doc_ids:
         raise IngestionError("no input documents")
 
-    # Each token maps to its id inside C: a lookup of a new token inserts the
-    # next id, so ids follow first occurrence.
-    ids: defaultdict[str, int] = defaultdict(count().__next__)
-    records: list[tuple[str, list[int], str | None]] = []
-    seen: set[str] = set()
-    for rec in raw_documents:
-        if isinstance(rec, dict):
-            doc_id, text, label = rec.get("id"), rec.get("text"), rec.get("label")
-        elif len(rec) == 3:
-            doc_id, text, label = rec
-        else:
-            doc_id, text = rec
-            label = None
-        if not isinstance(doc_id, str) or not isinstance(text, str):
-            raise IngestionError(f"unreadable record: {doc_id!r}")
-        if label is not None and not isinstance(label, str):
-            raise IngestionError(f"document {doc_id!r}: label must be a string or null, "
-                                 f"got {label!r}")
-        if doc_id in seen:
-            raise IngestionError(f"duplicate document id: {doc_id!r}")
-        seen.add(doc_id)
-        toks = options.tokenize(text)
-        if options.stopwords:
-            toks = filterfalse(options.stopwords.__contains__, toks)
-        records.append((doc_id, list(map(ids.__getitem__, toks)), label))
-    tokens = list(ids)
+    first, length, tokens, tok_ptr, words, counts, word_ptr = _native.intern_runs(
+        text, np.frombuffer(text_ptr, np.int64), not options.lowercase, MIN_TOKEN_LEN)
+    spelled = [text[a:a + n].decode() for a, n in zip(first.tolist(), length.tolist())]
+    keep = np.ones(len(spelled), bool)
+    if options.stopwords:
+        keep[[w for w, t in enumerate(spelled) if t in options.stopwords]] = False
+    if options.min_df > 1:   # a document's forward entries are distinct ids
+        keep &= np.bincount(words, minlength=len(spelled)) >= options.min_df
+    if not keep.all():   # order-preserving, so the kept ids still follow first occurrence
+        renumber = np.cumsum(keep, dtype=np.int32) - 1
+        kept_tokens, kept_words = keep[tokens], keep[words]
+        tok_ptr = np.concatenate(([0], np.cumsum(kept_tokens)))[tok_ptr]
+        word_ptr = np.concatenate(([0], np.cumsum(kept_words)))[word_ptr]
+        tokens, words = renumber[tokens[kept_tokens]], renumber[words[kept_words]]
+        counts = counts[kept_words]
+        spelled = list(compress(spelled, keep.tolist()))
 
-    if options.min_df > 1:
-        df = Counter(chain.from_iterable(map(set, (wids for _, wids, _ in records))))
-        kept = [wid for wid in range(len(tokens)) if df[wid] >= options.min_df]
-        compact = dict(zip(kept, range(len(kept))))   # order-preserving
-        records = [(doc_id, list(map(compact.__getitem__, filter(compact.__contains__, wids))),
-                    label) for doc_id, wids, label in records]
-        tokens = [tokens[wid] for wid in kept]
-
-    vocab = Vocabulary(tokens)
-    documents: list[Document] = []
-    doc_ptr, words, counts, lengths = array("i", [0]), array("i"), array("i"), array("i")
-    for doc_id, wids, label in records:
-        if not wids:
-            continue
-        documents.append(Document(doc_id, wids, label))
-        tf = Counter(wids)   # first-occurrence order
-        words.fromlist(list(tf))
-        counts.fromlist(list(tf.values()))
-        doc_ptr.append(len(words))
-        lengths.append(len(wids))
-
-    dropped = len(records) - len(documents)
+    lengths = np.diff(tok_ptr)
+    kept_docs = np.flatnonzero(lengths)
+    # one int object per id, which every document's list shares
+    tokens = np.array(range(len(spelled)), dtype=object)[tokens]
+    starts = tok_ptr.tolist()
+    documents = [Document(doc_ids[j], tokens[starts[j]:starts[j + 1]].tolist(), labels[j])
+                 for j in kept_docs.tolist()]
+    del tokens   # its references, one per token, before the index is built
+    dropped = len(doc_ids) - len(documents)
     if dropped:
         logger.warning("dropped %d documents emptied by preprocessing", dropped)
     if not documents:
         raise EmptyCorpusError("empty corpus: all documents dropped by preprocessing")
-    index = CorpusIndex.build(doc_ptr, words, counts, lengths, len(vocab))
-    return Corpus(documents, vocab, options, index, dropped)
+    doc_ptr = np.concatenate(([0], word_ptr[kept_docs + 1])).astype(np.int32)
+    index = CorpusIndex.build(doc_ptr, words, counts,
+                              lengths[kept_docs].astype(np.int32), len(spelled))
+    return Corpus(documents, Vocabulary(spelled), options, index, dropped)
 
 
 def text_lines(path, error: type[ValueError], what: str = ""):
@@ -273,9 +309,9 @@ def text_lines(path, error: type[ValueError], what: str = ""):
             raise error(f"{what}{path} is not UTF-8 text: {e}") from None
 
 
-def read_jsonl(path) -> list[dict]:
-    """Read a JSON-lines corpus file with `id`, `text` and optional `label`."""
-    records = []
+def _read_jsonl(path):
+    """The records of a JSON-lines corpus file with `id`, `text` and optional
+    `label`, one at a time."""
     for lineno, line in text_lines(path, IngestionError):
         line = line.strip()
         if not line:
@@ -288,9 +324,10 @@ def read_jsonl(path) -> list[dict]:
             raise IngestionError(f"line {lineno}: expected a JSON object")
         if "id" not in obj or "text" not in obj:
             raise IngestionError(f"line {lineno}: missing 'id' or 'text'")
-        records.append(obj)
-    return records
+        yield obj
 
 
 def ingest_jsonl(path, options: PreprocessOptions | None = None) -> Corpus:
-    return ingest(read_jsonl(path), options)
+    """`ingest` of a JSON-lines corpus file, streamed: a line's record is
+    dropped once its text is in the buffer."""
+    return _ingest(_read_jsonl(path), options)

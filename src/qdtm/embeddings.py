@@ -34,17 +34,24 @@ class EmbeddingLengthError(EmbeddingFormatError):
 def dots(a, b) -> np.ndarray:
     """Dot products over the last axis of `a` and `b`, broadcast over the other
     axes: each summed d ascending from +0.0, one rounding per product and per
-    sum, with no BLAS. Every dot product of embedding data goes through here,
-    and the kernel's `qd_cohesion` sums in the same order, so their bits are
-    the same whatever machine or BLAS build runs them."""
+    sum, with no BLAS, by the kernel's `qd_dots`. Every dot product of
+    embedding data goes through here, and the kernel's `qd_cohesion` sums in
+    the same order, so their bits are the same whatever machine or BLAS build
+    runs them."""
+    from . import _native   # built and loaded on first use, never at import
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape[-1:] != b.shape[-1:]:
         raise EmbeddingError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    # [()] makes the sum of two vectors a numpy scalar, whose += is faster
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))[()]
-    for d in range(a.shape[-1]):
-        out += a[..., d] * b[..., d]
-    return out
+    shape, dim = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), a.shape[-1]
+    if a.ndim == 1:   # a product is the same either way round
+        a, b = b, a
+    # b, if a vector, is read in place with a row step of 0; the rest as rows
+    a, b = (np.ascontiguousarray(x if x.ndim == 1 else np.broadcast_to(x, shape + (dim,)))
+            for x in (a, b))
+    out = np.empty(shape)
+    _native.library().qd_dots(a.ctypes.data, b.ctypes.data, dim * (b.ndim > 1), out.size, dim,
+                              out.ctypes.data)
+    return out[()]
 
 
 class EmbeddingTable:
@@ -53,8 +60,7 @@ class EmbeddingTable:
     `matrix` holds the vectors as (vocab_size, dim) rows, zero for a word
     without one; `embedded` marks the words that have one; `norms` is
     `matrix` with every nonzero row scaled to unit length, so dot products of
-    its rows are cosine similarities. `norms` is stored column by column,
-    the order in which `dots` reads it against one vector.
+    its rows are cosine similarities.
     """
 
     def __init__(self, dim: int, vectors: dict[int, np.ndarray], vocab_size: int):
@@ -73,7 +79,7 @@ class EmbeddingTable:
             raise EmbeddingLengthError(f"word id {lost[0]}", lost.tolist())
         lengths = np.sqrt(squared)[:, None]
         self.norms = np.divide(self.matrix, lengths, where=lengths > 0,
-                               out=np.zeros(self.matrix.shape, order="F"))
+                               out=np.zeros(self.matrix.shape))
 
     def get(self, wid: int) -> np.ndarray | None:
         return self.matrix[wid] if 0 <= wid < len(self.embedded) and self.embedded[wid] else None

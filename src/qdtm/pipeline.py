@@ -8,7 +8,6 @@ import logging
 import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -205,10 +204,14 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
     """Run the whole query-driven pipeline for one or more queries, with the
     other `FitConfig` fields as keyword settings. An existing checkpoint at
     `checkpoint_path` (of the same inputs) resumes phase 1 instead of
-    initializing it; the final state is written back."""
+    initializing it, and one that is not a regular file is an error; the final
+    state is written back."""
     config = FitConfig(method=method, **settings)
     config.validate(len(query_phrases))
     hp, seed, target_labels = config.hp, config.seed, config.target_labels
+    if (checkpoint_path is not None and os.path.exists(checkpoint_path)
+            and not os.path.isfile(checkpoint_path)):   # opening a FIFO would block for ever
+        raise SamplerError(f"checkpoint {checkpoint_path} is not a regular file")
     missing = set(target_labels or ()) - {d.label for d in corpus.documents}
     if missing:
         raise SamplerError(f"target label {min(missing)!r} is carried by no document")
@@ -234,7 +237,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
         promotion = build_promotion(embeddings, sorted(forced), hp.cosine_threshold)
         norms = embeddings.norm_matrix()
 
-    words = np.fromiter(chain.from_iterable(d.tokens for d in corpus.documents), np.int32)
+    words = corpus.token_ids
     doc_ptr = np.concatenate(([0], np.cumsum(corpus.index.lengths, dtype=np.int64)))
     doc_ids = [d.doc_id for d in corpus.documents]
 

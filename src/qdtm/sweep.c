@@ -1,4 +1,5 @@
-/* The per-token steps of the constrained CRF-HDP Gibbs sampler (qdtm.sampler).
+/* The per-token steps of the constrained CRF-HDP Gibbs sampler (qdtm.sampler),
+ * the array passes of the query path and the one pass of corpus ingest.
  *
  * Python owns every buffer; `qd_state` holds pointers into them. Counts are
  * integers, the only count state; the predictive f_k(w) = (n_kw + beta) /
@@ -26,10 +27,20 @@
  *
  * `qd_log` is the query path's logarithm over an array: libm `log`, the
  * function Python's `math.log` calls for a positive float, so each value has
- * the bits `math.log` gives.
+ * the bits `math.log` gives. `qd_dots` is `embeddings.dots`, in the order of
+ * `products`.
+ *
+ * `qd_ingest` cuts the documents' UTF-8 bytes into the maximal runs of ASCII
+ * letters and digits that `PreprocessOptions.tokenize` keeps, interns each in
+ * an open-addressing table (FNV-1a, linear probing, at most half full), so ids
+ * follow first occurrence, and writes the token ids and the forward index in
+ * the same pass. The Python side lowercases with `str.lower` before encoding,
+ * and every byte of a non-ASCII character is at least 0x80, so a run never
+ * takes part of one.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef double (*next_double_fn)(void *);
 
@@ -607,5 +618,136 @@ int64_t qd_draw_flag(qd_state *s, int64_t w, int64_t k) {
 int64_t qd_log(const double *x, int64_t n, double *out) {
     for (int64_t i = 0; i < n; i++)
         out[i] = x[i] > 0.0 ? log(x[i]) : -HUGE_VAL;
+    return 0;
+}
+
+/* out[i] = a_i . b_i over n rows a_i of a, where b_i is row i of b when
+ * b_step is dim and all of b when it is 0: the order of `products`, d
+ * ascending from +0.0. */
+int64_t qd_dots(const double *a, const double *b, int64_t b_step, int64_t n, int64_t dim,
+                double *out) {
+    if (b_step == 0) {
+        products(a, b, n, dim, out);
+        return 0;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const double *ai = a + i * dim, *bi = b + i * dim;
+        double s0 = 0.0;
+        for (int64_t d = 0; d < dim; d++)
+            s0 += ai[d] * bi[d];
+        out[i] = s0;
+    }
+    return 0;
+}
+
+/* ---- ingest: cut, intern and count a corpus's tokens ---- */
+
+typedef struct {
+    const uint8_t *text;        /* the documents' UTF-8 bytes, end to end */
+    const int64_t *text_ptr;    /* n_docs + 1 byte offsets */
+    int64_t n_docs;
+    int64_t cased;              /* runs of [A-Za-z0-9] when set, else [a-z0-9] */
+    int64_t min_len;            /* shorter runs are dropped, as are all-digit ones */
+    int32_t *slots;             /* n_slots, a power of 2: an interned id + 1, 0 if empty */
+    int64_t n_slots;
+    int64_t *first;             /* max_ids: byte offset of an id's first run */
+    int64_t *length;            /* max_ids: its length */
+    int64_t *last_doc;          /* max_ids: the last document that held the id */
+    int64_t *entry;             /* max_ids: the id's forward entry in that document */
+    int64_t max_ids;
+    int64_t n_ids;
+    int64_t doc;                /* the next document to cut */
+    int32_t *tokens;            /* every kept run's id, document after document */
+    int64_t *tok_ptr;           /* n_docs + 1 offsets into tokens */
+    int32_t *words;             /* forward index: a document's distinct ids by first */
+    int32_t *counts;            /* occurrence, and their counts */
+    int64_t *word_ptr;          /* n_docs + 1 offsets into words */
+} qd_ingest_state;
+
+int64_t qd_ingest_size(void) { return (int64_t)sizeof(qd_ingest_state); }
+
+#define FNV_OFFSET 14695981039346656037u   /* FNV-1a over a run's bytes */
+#define FNV_PRIME 1099511628211u
+
+/* The slot of the run text[start:start + len] with FNV-1a hash h: the one
+ * holding its id, or the empty one where it goes. */
+static uint64_t slot_of(const qd_ingest_state *s, int64_t start, int64_t len, uint64_t h) {
+    const uint64_t mask = (uint64_t)s->n_slots - 1;
+    uint64_t i = (h ^ (h >> 32)) & mask;
+    for (int32_t v; (v = s->slots[i]) != 0; i = (i + 1) & mask)
+        if (s->length[v - 1] == len && memcmp(s->text + s->first[v - 1], s->text + start,
+                                              (size_t)len) == 0)
+            break;
+    return i;
+}
+
+/* Cut documents doc.. into runs, intern each kept run (a new one takes the
+ * next id, so ids follow first occurrence) and write its id, then count the
+ * document's ids into its forward entries. Returns 0 when every document is
+ * done, or 1 when the table holds max_ids ids and a new one comes: the caller
+ * then passes an empty table of more slots and room for more ids, and the
+ * call starts over at the document it stopped in, whose run ids it finds
+ * again in the same order. */
+int64_t qd_ingest(qd_ingest_state *s) {
+    uint8_t in_run[256] = {0};
+    for (int c = '0'; c <= '9'; c++)
+        in_run[c] = 1;
+    for (int c = 'a'; c <= 'z'; c++)
+        in_run[c] = 1;
+    for (int c = 'A'; c <= 'Z'; c++)
+        in_run[c] = (uint8_t)(s->cased != 0);
+    for (int64_t id = 0; id < s->n_ids; id++) {
+        uint64_t h = FNV_OFFSET;
+        for (int64_t p = s->first[id]; p < s->first[id] + s->length[id]; p++)
+            h = (h ^ s->text[p]) * FNV_PRIME;
+        s->slots[slot_of(s, s->first[id], s->length[id], h)] = (int32_t)(id + 1);
+        s->last_doc[id] = -1;
+    }
+    if (s->doc == 0) {
+        s->tok_ptr[0] = 0;
+        s->word_ptr[0] = 0;
+    }
+    const uint8_t *text = s->text;
+    for (; s->doc < s->n_docs; s->doc++) {
+        const int64_t j = s->doc, end = s->text_ptr[j + 1];
+        int64_t p = s->text_ptr[j], n_tok = s->tok_ptr[j], n_words = s->word_ptr[j];
+        while (p < end) {
+            if (!in_run[text[p]]) {
+                p++;
+                continue;
+            }
+            const int64_t start = p;
+            uint64_t h = FNV_OFFSET;
+            int digits = 1;
+            for (; p < end && in_run[text[p]]; p++) {
+                h = (h ^ text[p]) * FNV_PRIME;
+                digits &= text[p] <= '9';
+            }
+            if (p - start < s->min_len || digits)
+                continue;
+            const uint64_t i = slot_of(s, start, p - start, h);
+            int64_t id = (int64_t)s->slots[i] - 1;
+            if (id < 0) {
+                if (s->n_ids == s->max_ids)
+                    return 1;
+                id = s->n_ids++;
+                s->slots[i] = (int32_t)(id + 1);
+                s->first[id] = start;
+                s->length[id] = p - start;
+                s->last_doc[id] = -1;
+            }
+            s->tokens[n_tok++] = (int32_t)id;
+            if (s->last_doc[id] == j) {
+                s->counts[s->entry[id]]++;
+            } else {
+                s->last_doc[id] = j;
+                s->entry[id] = n_words;
+                s->words[n_words] = (int32_t)id;
+                s->counts[n_words++] = 1;
+            }
+        }
+        s->tok_ptr[j + 1] = n_tok;
+        s->word_ptr[j + 1] = n_words;
+    }
     return 0;
 }

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdtm.corpus import ingest
 from qdtm.embeddings import (EmbeddingError, EmbeddingFormatError, EmbeddingLengthError,
-                             EmbeddingTable, build_promotion, cosine, load_embeddings)
+                             EmbeddingTable, build_promotion, cosine, dots, load_embeddings)
 from qdtm.sampler import Hyperparameters, SamplerError
 
 
@@ -167,3 +170,58 @@ def test_idempotent_construction(geometry_table):
     a1 = build_promotion(geometry_table, [0, 1], 0.5)
     a2 = build_promotion(geometry_table, [0, 1], 0.5)
     assert a1 == a2
+
+
+def ordered_dot(x, y) -> float:
+    """A dot product of Python floats: d ascending from +0.0, one rounding per
+    product and per sum."""
+    total = 0.0
+    for p, q in zip(x.tolist(), y.tolist()):
+        total += p * q
+    return total
+
+
+def assert_ordered_dots(a, b):
+    got = dots(a, b)
+    x, y = np.broadcast_arrays(a, b)
+    want = np.array([ordered_dot(x[i], y[i]) for i in np.ndindex(x.shape[:-1])])
+    assert np.shape(got) == x.shape[:-1]
+    assert np.asarray(got).tobytes() == want.tobytes()
+    assert type(got) is (np.float64 if x.ndim == 1 else np.ndarray)
+
+
+FLOATS = st.floats(allow_nan=False, width=64) | st.sampled_from([0.0, -0.0, 1e-310, 1e300])
+SHAPES = ["matrix-vector", "vector-matrix", "rows", "vectors", "3-d", "strided"]
+
+
+def operands(shape, matrix, vector, cube, wide):
+    a, b = {"matrix-vector": (matrix, vector), "vector-matrix": (vector, matrix),
+            "rows": (matrix, matrix[::-1]), "vectors": (vector, vector[::-1]),
+            "3-d": (cube, matrix), "strided": (np.asfortranarray(wide[:, ::2]), matrix)}[shape]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(0, 7), st.sampled_from(SHAPES))
+def test_dots_sums_each_pair_in_order_from_zero(data, n, dim, shape):
+    """Every product and running sum as Python floats do them, bit for bit,
+    whatever the operands' layout; signed zeros, subnormals and overflow
+    (infinities and NaNs) included."""
+    def draw(*size):
+        return data.draw(hnp.arrays(np.float64, size, elements=FLOATS))
+    assert_ordered_dots(*operands(shape, draw(n, dim), draw(dim), draw(2, n, dim),
+                                  draw(n, 2 * dim)))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_dots_of_random_vectors_sums_in_order(shape):
+    """Normal draws, where another order of the sum almost surely rounds
+    differently somewhere."""
+    rng = np.random.default_rng(11)
+    assert_ordered_dots(*operands(shape, rng.normal(size=(300, 16)), rng.normal(size=16),
+                                  rng.normal(size=(2, 300, 16)), rng.normal(size=(300, 32))))
+
+
+def test_dots_refuses_operands_of_two_lengths():
+    with pytest.raises(EmbeddingError, match=r"dimension mismatch: \(2, 3\) vs \(2,\)"):
+        dots(np.ones((2, 3)), np.ones(2))

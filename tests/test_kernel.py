@@ -431,15 +431,18 @@ def test_the_kernel_compiles_without_warnings(tmp_path):
 
 
 def test_the_ctypes_state_has_the_c_layout(tmp_path):
-    """`qd_state` is declared in sweep.c and again in `_native.State`. Its size
-    alone, which `library()` checks, misses two fields of one size that trade
-    places; the offset of every field does not."""
-    names = [name for name, _ in _native.State._fields_]
+    """`qd_state` is declared in sweep.c and again in `_native.State`, and
+    `qd_ingest_state` again in `_native.Ingest`. Their sizes alone, which
+    `library()` checks, miss two fields of one size that trade places; the
+    offset of every field does not."""
+    structs = {"qd_state": _native.State, "qd_ingest_state": _native.Ingest}
     probe = tmp_path / "probe.c"
     probe.write_text('#include <stddef.h>\n#include <stdio.h>\n#include "sweep.c"\n'
-                     'int main(void) {\n    printf("size %zu\\n", sizeof(qd_state));\n'
-                     + "".join(f'    printf("{n} %zu\\n", offsetof(qd_state, {n}));\n'
-                               for n in names)
+                     'int main(void) {\n'
+                     + "".join(f'    printf("{c} size %zu\\n", sizeof({c}));\n'
+                               + "".join(f'    printf("{c} {n} %zu\\n", offsetof({c}, {n}));\n'
+                                         for n, _ in struct._fields_)
+                               for c, struct in structs.items())
                      + "    return 0;\n}\n")
     exe = tmp_path / "probe"
     build = subprocess.run([*_native.compiler(), "-std=c99", "-I", os.path.dirname(_native.SOURCE),
@@ -447,9 +450,11 @@ def test_the_ctypes_state_has_the_c_layout(tmp_path):
                            text=True, timeout=120)
     assert build.returncode == 0, build.stderr
     out = subprocess.run([str(exe)], capture_output=True, text=True, check=True, timeout=60)
-    layout = {name: int(offset) for name, offset in map(str.split, out.stdout.splitlines())}
-    assert layout == {"size": ctypes.sizeof(_native.State),
-                      **{n: getattr(_native.State, n).offset for n in names}}
+    layout = {(c, name): int(offset) for c, name, offset in map(str.split, out.stdout.splitlines())}
+    assert layout == {key: value for c, struct in structs.items()
+                      for key, value in [((c, "size"), ctypes.sizeof(struct)),
+                                         *(((c, n), getattr(struct, n).offset)
+                                           for n, _ in struct._fields_)]}
 
 
 def small_run() -> HDPSampler:
@@ -495,14 +500,21 @@ except ConsistencyError as e:
 print(len(s.m_k), s._cap, sum(map(sum, s.flags)), _native.library_path())
 print(_native.log(np.array([5e-324, 1.0, 1.7976931348623157e308, np.inf, 0.0, -1.0,
                             np.nan])).tolist())
+from qdtm import ingest
+from qdtm.embeddings import dots
+corpus = ingest([(f"d{j}", " ".join(f"T{j * 60 + i}x 42 \\u00e9\\U0001f600" for i in range(60)))
+                 for j in range(300)])   # 18000 distinct tokens: the intern table grows twice
+print(len(corpus.vocab), corpus.index.total_tokens, dots(norms, norms[0]).shape,
+      dots(norms[:, :3], norms[:, :3]).shape, dots(norms[0], norms[1]).shape)
 """
 
 
 def test_the_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path, monkeypatch):
     """A fit with embeddings and promotion, compactions, a growth of the topic
-    columns, a resume, a birth past the largest topic id and the query path's
-    logarithm, on a build that aborts at any undefined behaviour (a signed
-    overflow, an out-of-range shift, a misaligned read)."""
+    columns, a resume, a birth past the largest topic id, the query path's
+    logarithm, an ingest that grows the intern table and the dot products, on
+    a build that aborts at any undefined behaviour (a signed overflow, an
+    out-of-range shift, a misaligned read)."""
     monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + UBSAN)
     try:
@@ -523,6 +535,7 @@ def test_the_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path,
     assert path == _native.library_path()
     assert lines[2] == repr([math.log(5e-324), 0.0, math.log(1.7976931348623157e308), math.inf,
                              -math.inf, -math.inf, -math.inf])
+    assert lines[3] == "18000 18000 (12,) (12,) ()"
 
 
 def test_import_qdtm_neither_builds_nor_loads_the_kernel():

@@ -2,11 +2,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import qdtm
 from qdtm import pipeline
 from qdtm.corpus import ingest
 from qdtm.pipeline import (FitConfig, ParentTopicError, extract_parent_subcorpus,
@@ -18,6 +23,7 @@ from helpers import (checkpoint_array, flat_state, parent_subcorpus_oracle, samp
                      stream)
 from test_acceptance import embedding_table, synthetic_corpus
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qdtm.__file__)))
 
 def test_extract_parent_subcorpus_matches_assignments():
     docs = [[0, 1, 2], [2, 2, 1]]
@@ -323,6 +329,35 @@ def test_fit_arguments_are_checked_before_any_work(kw, match, monkeypatch):
                 iterations_phase1=5, iterations_phase2=5, mode="and", retrieval_cutoff=50)
     with pytest.raises(SamplerError, match=match):
         fit_topics(make_block_corpus(), ["w01 w02", "w20 w21"], **{**args, **kw})
+
+
+FIFO_FIT = """
+import sys
+from qdtm import fit_topics, ingest, pipeline
+from qdtm.sampler import SamplerError
+def no_work(*args, **kwargs):
+    raise AssertionError("fit_topics started before checking its checkpoint")
+pipeline.retrieve = no_work
+corpus = ingest([(f"d{j}", "ab cd ab ef" if j % 2 else "cd gh ij") for j in range(20)])
+try:
+    fit_topics(corpus, ["ab"], "fre", iterations_phase1=1, iterations_phase2=1,
+               checkpoint_path=sys.argv[1])
+except SamplerError as e:
+    print(e)
+"""
+
+
+def test_a_checkpoint_that_is_not_a_regular_file_is_refused_before_any_work(tmp_path):
+    """A FIFO at `checkpoint_path` exists, so a library fit opened it to resume
+    and blocked for ever waiting for a writer. A subprocess with a timeout, so
+    that the hang fails the test instead of stopping the suite."""
+    fifo = tmp_path / "ck.fifo"
+    os.mkfifo(fifo)
+    out = subprocess.run([sys.executable, "-c", FIFO_FIT, str(fifo)], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"checkpoint {fifo} is not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 def test_a_misspelt_fit_setting_is_a_type_error():
