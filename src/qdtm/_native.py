@@ -5,11 +5,11 @@ The library is built on first use (the first ingest, sampler, query or dot
 product, never at `import qdtm`) with the interpreter's C compiler
 (`sysconfig` CC) and `FLAGS`, linked with `LIBS` (libm): `-O2`, no fused
 multiply-add and no fast-math, so its float arithmetic equals the Python
-expressions it replaces bit for bit. It is cached beside the source in
-`__pycache__`, under a CRC-32 and Adler-32 key of the source, the compiler
-and the flags (zlib, so loading it maps no OpenSSL), and published with
-`os.replace`, so processes that build at the same time each see a complete
-file.
+expressions it replaces bit for bit. It is cached in `__pycache__` beside
+the source, else in the per-user cache, under a CRC-32 and Adler-32 key of
+the source, the compiler and the flags (zlib, so loading it maps no
+OpenSSL), and published with `os.replace`, so processes that build at the
+same time each see a complete file.
 """
 
 from __future__ import annotations
@@ -99,15 +99,21 @@ def library_path() -> str:
     return os.path.join(CACHE_DIR, f"sweep-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so")
 
 
-def build(path: str) -> None:
-    """Compile SOURCE into a temporary file beside `path`, then publish it."""
-    cc = compiler()
-    try:
-        os.makedirs(CACHE_DIR, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=CACHE_DIR)
-        os.close(fd)
-    except OSError as e:
-        raise BuildError(f"cannot write the compiled-sweep cache {CACHE_DIR}: {e}") from None
+def build(*paths: str) -> str:
+    """Compile SOURCE into a temporary file beside the first of `paths` whose
+    directory can be written, then publish it there; return that path."""
+    cc, failures = compiler(), []
+    for path in paths:
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=".sweep-", suffix=".so", dir=os.path.dirname(path))
+            break
+        except OSError as e:
+            failures.append(f"{os.path.dirname(path)} ({e})")
+    else:
+        raise BuildError(f"cannot write the compiled-sweep cache {' nor '.join(failures)}; "
+                         f"qdtm needs one to build its library (set XDG_CACHE_HOME)")
+    os.close(fd)
     try:
         subprocess.run([*cc, *FLAGS, "-o", tmp, SOURCE, *LIBS], check=True,
                        capture_output=True, text=True)
@@ -120,14 +126,18 @@ def build(path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    return path
 
 
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The loaded sweep library, built first if the cache has no copy."""
-    path = library_path()
-    if not os.path.exists(path):
-        build(path)
+    """The loaded sweep library from `CACHE_DIR`, else `$XDG_CACHE_HOME/qdtm` or
+    `~/.cache/qdtm`, built in the first that can be written if neither has it."""
+    xdg = os.environ.get("XDG_CACHE_HOME", "")   # a relative one is ignored, as XDG says
+    user = os.path.join(xdg if os.path.isabs(xdg) else os.path.expanduser("~/.cache"), "qdtm")
+    primary = library_path()
+    paths = [primary, os.path.join(user, os.path.basename(primary))]
+    path = next((p for p in paths if os.path.exists(p)), None) or build(*paths)
     lib = ctypes.CDLL(path)
     for name, argtypes in SIGNATURES.items():
         fn = getattr(lib, name)

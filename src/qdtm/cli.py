@@ -261,7 +261,7 @@ def cmd_retrieve(args) -> None:
         "query": args.query,
         "mode": args.mode,
         "documents": [
-            {"doc_id": corpus.documents[i].doc_id, "log_score": s}
+            {"doc_id": corpus.doc_ids[i], "log_score": s}
             for i, s in result.entries
         ],
     }
@@ -367,9 +367,9 @@ def cmd_eval(args) -> None:
             raise ValidationError(f"labels file {args.labels}: expected a JSON object "
                                   f"mapping doc id to label, got {type(labels).__name__}")
     else:
-        labels = {d.doc_id: d.label for d in corpus.documents if d.label}
+        labels = {i: label for i, label in zip(corpus.doc_ids, corpus.labels) if label}
 
-    doc_order = {d.doc_id: j for j, d in enumerate(corpus.documents)}
+    doc_order = {doc_id: j for j, doc_id in enumerate(corpus.doc_ids)}
     vocab = corpus.vocab
     report = {"queries": []}
     for q in queries:

@@ -9,7 +9,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, filterfalse
+from itertools import compress, filterfalse
 
 import numpy as np
 
@@ -97,8 +97,7 @@ class Document:
 
     @cached_property
     def counts(self) -> Counter:
-        """Term frequencies, counted on first use; the query path reads
-        `Corpus.index` instead."""
+        """Term frequencies, counted on first use; qdtm reads `Corpus.index`."""
         return Counter(self.tokens)
 
     def __len__(self) -> int:
@@ -183,22 +182,26 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Corpus:
-    documents: list[Document]
+    """Document j is `token_ids[doc_ptr[j]:doc_ptr[j + 1]]`, with `doc_ids[j]`
+    and `labels[j]`: ingest's int32 word ids, end to end, and int64 offsets."""
+    token_ids: np.ndarray = field(repr=False, compare=False)
+    doc_ptr: np.ndarray = field(repr=False, compare=False)
+    doc_ids: list[str]
+    labels: list[str | None]
     vocab: Vocabulary
     options: PreprocessOptions
     index: CorpusIndex = field(repr=False, compare=False)
     dropped_documents: int = 0
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
 
     @cached_property
-    def token_ids(self) -> np.ndarray:
-        """Every document's word ids end to end (int32), the token stream a
-        fit samples; built by the first fit and kept, so a corpus that is only
-        queried never holds it."""
-        return np.fromiter(chain.from_iterable(d.tokens for d in self.documents), np.int32,
-                           self.index.total_tokens)
+    def documents(self) -> list[Document]:
+        """One `Document` per document, built on first use and kept."""
+        ptr = self.doc_ptr.tolist()
+        return [Document(doc_id, self.token_ids[a:b].tolist(), label)
+                for doc_id, a, b, label in zip(self.doc_ids, ptr, ptr[1:], self.labels)]
 
 
 def ingest(raw_documents, options: PreprocessOptions | None = None) -> Corpus:
@@ -282,21 +285,18 @@ def _ingest(records, options: PreprocessOptions | None) -> Corpus:
 
     lengths = np.diff(tok_ptr)
     kept_docs = np.flatnonzero(lengths)
-    # one int object per id, which every document's list shares
-    tokens = np.array(range(len(spelled)), dtype=object)[tokens]
-    starts = tok_ptr.tolist()
-    documents = [Document(doc_ids[j], tokens[starts[j]:starts[j + 1]].tolist(), labels[j])
-                 for j in kept_docs.tolist()]
-    del tokens   # its references, one per token, before the index is built
-    dropped = len(doc_ids) - len(documents)
+    dropped = len(doc_ids) - len(kept_docs)
     if dropped:
         logger.warning("dropped %d documents emptied by preprocessing", dropped)
-    if not documents:
+    if not kept_docs.size:
         raise EmptyCorpusError("empty corpus: all documents dropped by preprocessing")
     doc_ptr = np.concatenate(([0], word_ptr[kept_docs + 1])).astype(np.int32)
     index = CorpusIndex.build(doc_ptr, words, counts,
                               lengths[kept_docs].astype(np.int32), len(spelled))
-    return Corpus(documents, Vocabulary(spelled), options, index, dropped)
+    nonempty = lengths.tolist()
+    return Corpus(tokens, np.concatenate(([0], tok_ptr[kept_docs + 1])),
+                  list(compress(doc_ids, nonempty)), list(compress(labels, nonempty)),
+                  Vocabulary(spelled), options, index, dropped)
 
 
 def text_lines(path, error: type[ValueError], what: str = ""):

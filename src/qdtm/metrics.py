@@ -66,7 +66,7 @@ def npmi_coherence(top_words: list[str], corpus: Corpus) -> float:
     ids = [corpus.vocab.id_of(w) for w in top_words[:NPMI_TOP_N]]
     if len(ids) < 2:
         return 0.0
-    n_docs = len(corpus.documents)
+    n_docs = len(corpus)
     postings = [corpus.index.posting(wid)[0] for wid in ids]
     # a posting lists a document once and each word has its own bit, so the
     # sum of a document's bits is their OR, exact in float64

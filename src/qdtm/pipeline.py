@@ -212,7 +212,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
     if (checkpoint_path is not None and os.path.exists(checkpoint_path)
             and not os.path.isfile(checkpoint_path)):   # opening a FIFO would block for ever
         raise SamplerError(f"checkpoint {checkpoint_path} is not a regular file")
-    missing = set(target_labels or ()) - {d.label for d in corpus.documents}
+    missing = set(target_labels or ()) - set(corpus.labels)
     if missing:
         raise SamplerError(f"target label {min(missing)!r} is carried by no document")
     vocab = corpus.vocab
@@ -237,12 +237,8 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
         promotion = build_promotion(embeddings, sorted(forced), hp.cosine_threshold)
         norms = embeddings.norm_matrix()
 
-    words = corpus.token_ids
-    doc_ptr = np.concatenate(([0], np.cumsum(corpus.index.lengths, dtype=np.int64)))
-    doc_ids = [d.doc_id for d in corpus.documents]
-
-    sampler = HDPSampler(words, doc_ptr, len(vocab), hp, seed, forced_topic=forced,
-                         n_parents=len(query_phrases), promotion=promotion,
+    sampler = HDPSampler(corpus.token_ids, corpus.doc_ptr, len(vocab), hp, seed,
+                         forced_topic=forced, n_parents=len(query_phrases), promotion=promotion,
                          embedding_norms=norms, parent_representatives=parent_reps)
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         try:
@@ -301,7 +297,7 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
             parent_topic=q_idx,
             concept_words=[(vocab.token_of(w), s) for w, s in cs.words],
             parent_top_words=parent_top,
-            parent_doc_scores=dict(zip(doc_ids, theta[:, col[q_idx]].tolist())),
+            parent_doc_scores=dict(zip(corpus.doc_ids, theta[:, col[q_idx]].tolist())),
             subtopics=subtopics,
             target_label=(target_labels[q_idx] if target_labels else None),
         ))
@@ -313,5 +309,5 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
     if config.full_posterior:
         result.topic_order = topics
         result.phi = {k: sampler.phi(k).tolist() for k in topics}
-        result.theta = dict(zip(doc_ids, theta.tolist()))
+        result.theta = dict(zip(corpus.doc_ids, theta.tolist()))
     return result

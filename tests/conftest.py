@@ -1,9 +1,30 @@
 import numpy as np
 import pytest
 
+from qdtm import _native
 from qdtm.corpus import ingest
 
 from helpers import make_table
+
+
+@pytest.fixture(autouse=True, scope="session")
+def empty_user_cache(tmp_path_factory):
+    """An empty per-user library cache for every test and every process it
+    starts, so that a library left in the real one never stands in for a
+    build that a test of a cold `_native.CACHE_DIR` expects."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("user-cache")))
+    yield
+    patch.undo()
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """An empty cache directory, and no library loaded in this process."""
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path / "cache"))
+    _native.library.cache_clear()
+    yield tmp_path / "cache"
+    _native.library.cache_clear()
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qdtm
+from qdtm import _native
 from qdtm.cli import (COMMANDS, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, INPUT_DESTS,
                       build_parser, main)
 from qdtm.corpus import ingest_jsonl
@@ -72,6 +74,34 @@ def test_expand_kld(small_corpus, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["words"]) == 5
     assert all(w["score"] > 0 for w in payload["words"])
+
+
+def test_a_read_only_install_runs_from_the_user_cache(small_corpus, tmp_path, monkeypatch,
+                                                      capsys):
+    """With the package's cache unwritable and empty, a command loads the
+    library from the per-user cache. With that unwritable too, it is a runtime
+    failure (exit 3), as a missing compiler is, that names both directories."""
+    built = _native.library()._name   # the library this process loaded
+    cache = tmp_path / "cache"
+    cache.write_text("a file where the cache directory should be")
+    monkeypatch.setattr(_native, "CACHE_DIR", str(cache / "sub"))
+    (tmp_path / "xdg" / "qdtm").mkdir(parents=True)
+    shutil.copy(built, tmp_path / "xdg" / "qdtm")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    retrieve = ["retrieve", "--corpus", str(small_corpus), "--query", "w0000"]
+    try:
+        _native.library.cache_clear()
+        assert main(retrieve) == EXIT_OK
+        capsys.readouterr()
+        _native.library.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache / "xdg"))
+        assert main(retrieve) == EXIT_RUNTIME
+    finally:
+        _native.library.cache_clear()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert err["message"].startswith(f"cannot write the compiled-sweep cache {cache / 'sub'} ")
+    assert f" nor {cache / 'xdg' / 'qdtm'} " in err["message"]
 
 
 def test_missing_corpus_is_validation_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qdtm import extract_concept_words, fit_topics, npmi_coherence, parse_query, retrieve
 from qdtm.corpus import (EmptyCorpusError, IngestionError, PreprocessOptions,
                          UnknownTokenError, ingest, ingest_jsonl)
 
@@ -155,3 +156,26 @@ def test_label_that_is_not_a_string_names_the_document(label):
         ingest(records)
     assert ingest(records[:1] + [{"id": "d1", "text": "aa cc", "label": None}]).documents[1].label \
         is None
+
+
+def test_documents_are_built_once_and_only_on_demand():
+    """Ingest, the query path and a fit read the flat token stream and the id
+    and label lists; the per-document lists are built on first use and kept."""
+    rng = np.random.default_rng(3)
+    corpus = ingest([(f"d{j}", " ".join(f"w{w:02d}" for w in rng.integers(0, 40, 12)),
+                      "a" if j % 4 else "b") for j in range(30)]
+                    + [("empty", "x 7 !"), ("d30", "w00 w01 w00", None)])
+    query = parse_query("w00 w01", corpus)
+    retrieved = retrieve(corpus, query)
+    words = extract_concept_words(corpus, query, retrieved, "fre").word_ids()
+    npmi_coherence([corpus.vocab.token_of(w) for w in words], corpus)
+    fit_topics(corpus, ["w00 w01"], "fre", iterations_phase1=2, iterations_phase2=1,
+               target_labels=["b"])
+    assert "documents" not in corpus.__dict__
+    assert corpus.documents is corpus.documents
+    assert len(corpus) == len(corpus.documents) == 31 and corpus.dropped_documents == 1
+    assert [d.doc_id for d in corpus.documents] == corpus.doc_ids
+    assert [d.label for d in corpus.documents] == corpus.labels
+    assert corpus.token_ids.dtype == np.int32 and corpus.doc_ptr.dtype == np.int64
+    assert corpus.token_ids.tolist() == [w for d in corpus.documents for w in d.tokens]
+    assert np.diff(corpus.doc_ptr).tolist() == [len(d) for d in corpus.documents]

@@ -151,8 +151,6 @@ def assert_same_outcome(got, expected):
         got, want = getattr(corpus.index, name), getattr(expected_index, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
-    ids = {}   # every occurrence of an id is one int object
-    assert all(ids.setdefault(w, w) is w for d in corpus.documents for w in d.tokens)
 
 
 def write_jsonl(records, path):

@@ -4,6 +4,7 @@ import ctypes
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -464,15 +465,6 @@ def small_run() -> HDPSampler:
     return s
 
 
-@pytest.fixture
-def cold_cache(tmp_path, monkeypatch):
-    """An empty cache directory, and no library loaded in this process."""
-    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path / "cache"))
-    _native.library.cache_clear()
-    yield tmp_path / "cache"
-    _native.library.cache_clear()
-
-
 UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 UBSAN_RUN = """
 import sys
@@ -536,6 +528,46 @@ def test_the_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path,
     assert lines[2] == repr([math.log(5e-324), 0.0, math.log(1.7976931348623157e308), math.inf,
                              -math.inf, -math.inf, -math.inf])
     assert lines[3] == "18000 18000 (12,) (12,) ()"
+
+
+ASAN = ("-fsanitize=address", "-fno-omit-frame-pointer")
+# Ingest's output buffers hold (n + 1) // (MIN_TOKEN_LEN + 1) runs per n-byte
+# document. Each full document below is at that bound, with distinct runs of
+# MIN_TOKEN_LEN = 2 bytes, so the token and forward buffers are exactly full.
+ASAN_RUN = UBSAN_RUN + """
+full = ingest([("e0", "aa ab ac ad"), ("e1", ""), ("e2", "ba bb bc "), ("e3", ""), ("e4", ""),
+               ("e5", "aa")])   # e0 and e5 end inside a run, e2 in a separator
+print(full.token_ids.tolist(), full.doc_ptr.tolist(), full.index.words.tolist(),
+      full.dropped_documents)
+short = ingest([("f0", "zz 12 q"), ("f1", "Q! x")])   # runs too short or all digits
+print(short.token_ids.tolist(), short.doc_ptr.tolist(), short.dropped_documents)
+print(dots(np.ones(1), np.ones(1)), dots(np.empty((0, 3)), np.ones(3)).shape,
+      dots(np.empty((0, 1)), np.empty((0, 1))).shape)
+"""
+
+
+def test_the_kernel_runs_clean_under_the_address_sanitizer(tmp_path, monkeypatch):
+    """`UBSAN_RUN`'s workload, ingests whose output fills its buffers to the
+    last entry, and dot products of one element and of no rows, on a build
+    that aborts at any read or write outside a buffer, numpy's included."""
+    runtime = subprocess.run([*_native.compiler(), "-print-file-name=libasan.so"],
+                             capture_output=True, text=True, timeout=60).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip(f"the compiler has no AddressSanitizer runtime (libasan.so: {runtime!r})")
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + ASAN)
+    _native.build(_native.library_path())
+    out = subprocess.run([sys.executable, "-c", ASAN_RUN, str(tmp_path), *ASAN],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": SRC, "LD_PRELOAD": runtime,
+                              "ASAN_OPTIONS": "detect_leaks=0"})
+    assert out.returncode == 0, out.stderr
+    assert "AddressSanitizer" not in out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("no topic id is left")
+    assert lines[3] == "18000 18000 (12,) (12,) ()"
+    assert lines[4:] == ["[0, 1, 2, 3, 4, 5, 6, 0] [0, 4, 7, 8] [0, 1, 2, 3, 4, 5, 6, 0] 3",
+                         "[0] [0, 1] 1", "1.0 (0,) (0,)"]
 
 
 def test_import_qdtm_neither_builds_nor_loads_the_kernel():
@@ -626,11 +658,32 @@ def test_a_missing_compiler_is_an_error_that_names_it(cold_cache, monkeypatch):
     assert list(cold_cache.iterdir()) == []   # no partial library left behind
 
 
+def test_an_unwritable_package_cache_builds_in_the_user_cache(cold_cache, monkeypatch, tmp_path):
+    """A read-only install: the library is built in `$XDG_CACHE_HOME/qdtm`,
+    and a later process loads it from there, or from `~/.cache/qdtm`."""
+    cold_cache.write_text("a file where the cache directory should be")
+    monkeypatch.setattr(_native, "CACHE_DIR", str(cold_cache / "sub"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    first = small_run()
+    assert os.listdir(tmp_path / "xdg" / "qdtm") == [os.path.basename(_native.library_path())]
+    _native.library.cache_clear()   # as in a new process
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")   # ignored, as the XDG spec says
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    shutil.copytree(tmp_path / "xdg", tmp_path / "home" / ".cache")
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the cached library was compiled again")
+    monkeypatch.setattr(_native.subprocess, "run", no_compiler)
+    assert list(small_run().t) == list(first.t)
+
+
 def test_an_unwritable_cache_is_an_error_that_names_it(cold_cache, monkeypatch):
     cold_cache.write_text("a file where the cache directory should be")
     monkeypatch.setattr(_native, "CACHE_DIR", str(cold_cache / "sub"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cold_cache / "xdg"))
     with pytest.raises(_native.BuildError, match=f"cannot write the compiled-sweep cache "
-                                                 f"{cold_cache / 'sub'}"):
+                                                 f"{cold_cache / 'sub'} .* nor "
+                                                 f"{cold_cache / 'xdg' / 'qdtm'} "):
         small_run()
 
 
