@@ -183,7 +183,7 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 @dataclass
 class Corpus:
     """Document j is `token_ids[doc_ptr[j]:doc_ptr[j + 1]]`, with `doc_ids[j]`
-    and `labels[j]`: ingest's int32 word ids, end to end, and int64 offsets."""
+    and `labels[j]`: ingest's int32 word ids, end to end, and int64 offsets (both read-only)."""
     token_ids: np.ndarray = field(repr=False, compare=False)
     doc_ptr: np.ndarray = field(repr=False, compare=False)
     doc_ids: list[str]
@@ -294,7 +294,9 @@ def _ingest(records, options: PreprocessOptions | None) -> Corpus:
     index = CorpusIndex.build(doc_ptr, words, counts,
                               lengths[kept_docs].astype(np.int32), len(spelled))
     nonempty = lengths.tolist()
-    return Corpus(tokens, np.concatenate(([0], tok_ptr[kept_docs + 1])),
+    token_ptr = np.concatenate(([0], tok_ptr[kept_docs + 1]))
+    tokens.flags.writeable = token_ptr.flags.writeable = False   # so a sampler shares them
+    return Corpus(tokens, token_ptr,
                   list(compress(doc_ids, nonempty)), list(compress(labels, nonempty)),
                   Vocabulary(spelled), options, index, dropped)
 

@@ -227,19 +227,15 @@ def fit_topics(corpus: Corpus, query_phrases: list[str], method: str = FitConfig
             raise SamplerError(f"no concept words extracted for query {phrase!r}")
         concept_sets.append(cs)
 
-    parent_reps = {q_idx: cs.word_ids() for q_idx, cs in enumerate(concept_sets)}
-    forced: dict[int, int] = {}   # the first query wins a word of several concept sets
-    for q_idx, words in parent_reps.items():
-        forced.update((w, q_idx) for w in words if w not in forced)
-
+    parents = [cs.word_ids() for cs in concept_sets]
     promotion = norms = None
     if embeddings is not None:
-        promotion = build_promotion(embeddings, sorted(forced), hp.cosine_threshold)
+        promotion = build_promotion(embeddings, sorted(set().union(*parents)),
+                                    hp.cosine_threshold)
         norms = embeddings.norm_matrix()
 
     sampler = HDPSampler(corpus.token_ids, corpus.doc_ptr, len(vocab), hp, seed,
-                         forced_topic=forced, n_parents=len(query_phrases), promotion=promotion,
-                         embedding_norms=norms, parent_representatives=parent_reps)
+                         parents=parents, promotion=promotion, embedding_norms=norms)
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         try:
             with open(checkpoint_path) as fh:

@@ -18,7 +18,9 @@ The state lives in flat numpy buffers that the compiled per-token steps
 The integer counts are the only count state; the kernel, `phi` and
 `refresh_cohesion` compute f_k(w) = (n_kw + beta) / (n_k + V beta) from them
 by one expression.
-The corpus comes in as one token stream, `words` cut into documents at `doc_ptr`.
+The corpus comes in as one token stream, `words` cut into documents at `doc_ptr`
+(kept, not copied, if read-only), and phase 1's parents as `parents`, one list of
+concept word ids per parent topic, from which its pins and cohesion lists come.
 The attributes the rest of qdtm reads (`docs`, `t`, `flags`, `table_topic`,
 `m_k`, `nkw_units`, ...) are read-only views of these buffers holding plain ints.
 Each input rule lives once: a settings field's in its dataclass's `check_fields`
@@ -104,6 +106,7 @@ class Hyperparameters:
               for name in ("alpha", "beta", "gamma")),
             ("cosine_threshold", "in [-1, 1]", lambda v: -1 <= v <= 1),
             ("initial_topics", f">= {n_queries + 1} and an integer", lambda v: v > n_queries),
+            ("initial_topics", "below 2**63, as an int64 topic id", lambda v: v < 2**63),
             ("n_representatives", ">= 1 and an integer", lambda v: v >= 1),
             ("promotion_weight", "in (0, 1) as the promotion weight u", lambda v: 0 < v < 1),
             ("prevalence_floor", "in [0, 1)", lambda v: 0 <= v < 1)))
@@ -153,9 +156,11 @@ class _TopicRows(Mapping):
 class HDPSampler:
     """Chinese-restaurant-franchise Gibbs sampler over one token stream.
 
-    Phase 1 uses `forced_topic` to pin concept words to their reserved parent
-    topics (ids 0..n_parents-1); phase 2 runs the same machinery over a
-    remapped sub-corpus with no constraints and base density 1/|scope vocab|.
+    Phase 1 reserves topic ids 0..P-1 for the P lists of `parents`, one per
+    query: each list is its parent's concept words, which pin to it (a word of
+    several lists to the first) and are its fixed cohesion representatives.
+    Phase 2 runs the same machinery over a remapped sub-corpus with no parents
+    and base density 1/|scope vocab|.
     The per-token steps run in the compiled kernel; the methods named after
     them (`_detach`, `_attach`, `_ensure_table`, `table_weights`,
     `topic_weights`, `draw_table`, `draw_topic`, `draw_flag`, `sweep`) call it.
@@ -163,30 +168,32 @@ class HDPSampler:
 
     def __init__(self, words: np.ndarray, doc_ptr: np.ndarray, vocab_size: int,
                  hp: Hyperparameters, seed: int = 0, *,
-                 forced_topic: dict[int, int] | None = None, n_parents: int = 0,
+                 parents: Sequence[Sequence[int]] = (),
                  promotion: dict[int, list[int]] | None = None,
-                 embedding_norms: np.ndarray | None = None,
-                 parent_representatives: dict[int, list[int]] | None = None):
-        _check_count("n_parents", n_parents, 0)
-        hp.validate(n_queries=n_parents)
+                 embedding_norms: np.ndarray | None = None):
         _check_count("vocab_size", vocab_size, 1)
         _check_count("seed", seed, 0)
         self.V = vocab_size
         self.hp = hp
         self.u = hp.promotion_weight
         self.rng = np.random.default_rng(seed)
-        self.n_parents = n_parents
-        forced_topic, promotion = forced_topic or {}, promotion or {}
-        parent_representatives = parent_representatives or {}
+        promotion = promotion or {}
         self._words, self._doc_ptr = _token_stream(words, doc_ptr, vocab_size)
         self._lengths = np.diff(self._doc_ptr)
         # each token's document's first slot: slots sit at their document's token offsets
         self._tok_base = self._doc_ptr[:-1].repeat(self._lengths).astype(np.int32)
-        self._check_constraints(forced_topic, promotion, embedding_norms, parent_representatives)
+        self._check_constraints(parents, promotion, embedding_norms)
+        self.n_parents = P = len(parents)
+        hp.validate(n_queries=P)
         self.base_density = 1.0 / vocab_size   # f_new: the uniform base measure
 
+        # each parent's fixed cohesion list, flat for the kernel; its word ids are its pins
+        self._rep_topic = np.arange(P, dtype=np.int64)
+        self._rep_ptr = np.cumsum([0] + [len(reps) for reps in parents], dtype=np.int64)
+        self._rep_words = np.array([w for reps in parents for w in reps], np.int32)
         self._forced = np.full(vocab_size, -1, dtype=np.int64)
-        self._forced[list(forced_topic)] = list(forced_topic.values())
+        pins, first = np.unique(self._rep_words, return_index=True)   # the first parent wins
+        self._forced[pins] = self._rep_topic.repeat(np.diff(self._rep_ptr))[first]
         self._pinned = np.flatnonzero(self._forced[self._words] >= 0)   # their tokens
         row_len = np.zeros(vocab_size, dtype=np.int64)
         row_len[list(promotion)] = [len(r) for r in promotion.values()]
@@ -199,33 +206,27 @@ class HDPSampler:
         # the cohesion cache's fixed inputs, flat for the kernel, and its scratch
         self._norms = (None if embedding_norms is None
                        else np.ascontiguousarray(embedding_norms, dtype=np.float64))
-        parents = sorted(parent_representatives.items())
-        self._rep_topic = np.array([k for k, _ in parents], np.int64)
-        self._rep_ptr = np.cumsum([0] + [len(reps) for _, reps in parents], dtype=np.int64)
-        self._rep_words = np.array([w for _, reps in parents for w in reps], np.int32)
         self._top = np.empty(min(hp.n_representatives, vocab_size), np.int32)
         # cohesion cache (refreshed once per iteration)
         self.tilde: np.ndarray | None = None
         self.topic_row: dict[int, int] = {}
         self.iterations_done = 0
 
-    def _check_constraints(self, forced_topic, promotion, norms, parent_representatives) -> None:
-        V, P = self.V, self.n_parents
-        for name, value in (("forced_topic", forced_topic), ("promotion", promotion),
-                            ("parent_representatives", parent_representatives)):
-            if not isinstance(value, Mapping):
-                raise SamplerError(f"{name} must be a mapping, got {type(value).__name__}")
-        for name, rows in (("promotion", promotion),
-                           ("parent_representatives", parent_representatives)):
-            for key, row in rows.items():   # a list or a tuple, never text
+    def _check_constraints(self, parents, promotion, norms) -> None:
+        V = self.V
+        for name, value, kind, rule in (("parents", parents, Sequence, "a list of word-id lists"),
+                                        ("promotion", promotion, Mapping, "a mapping")):
+            if not isinstance(value, kind) or isinstance(value, (str, bytes)):
+                raise SamplerError(f"{name} must be {rule}, got {type(value).__name__}")
+        for name, rows in (("parents", enumerate(parents)), ("promotion", promotion.items())):
+            for key, row in rows:   # a list or a tuple, never text
                 if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
                     raise SamplerError(f"{name}[{key!r}] must be a list of word ids, "
                                        f"got {row!r}")
-        for w, k in forced_topic.items():
-            if not (_is_int(w) and 0 <= w < V):
-                raise SamplerError(f"forced_topic word {w!r} is not a word id in [0, {V})")
-            if not (_is_int(k) and 0 <= k < P):
-                raise SamplerError(f"forced_topic[{w}] = {k!r} is not a parent topic in [0, {P})")
+        for k, reps in enumerate(parents):
+            for w in reps:
+                if not (_is_int(w) and 0 <= w < V):
+                    raise SamplerError(f"parents[{k}] holds {w!r}, not a word id in [0, {V})")
         for w, row in promotion.items():
             if not (_is_int(w) and 0 <= w < V):
                 raise SamplerError(f"promotion row of word {w!r}: not a word id in [0, {V})")
@@ -250,14 +251,6 @@ class HDPSampler:
             if not np.isfinite(norms).all():
                 w, d = np.argwhere(~np.isfinite(norms))[0]
                 raise SamplerError(f"embedding_norms[{w}][{d}] = {norms[w, d]} is not finite")
-        for k, reps in parent_representatives.items():
-            if not (_is_int(k) and 0 <= k < P):
-                raise SamplerError(f"parent_representatives key {k!r} is not a topic id "
-                                   f"of a parent, in [0, {P})")
-            for w in reps:
-                if not (_is_int(w) and 0 <= w < V):
-                    raise SamplerError(f"parent_representatives[{k}] holds {w!r}, not a word id "
-                                       f"in [0, {V})")
 
     def _position(self, p: int) -> tuple[int, int]:
         """(document, index within it) of flat token position p."""
@@ -355,7 +348,7 @@ class HDPSampler:
         construction, so it is built as flat arrays and installed without
         `set_state`'s checks.
         """
-        K, P = self.hp.initial_topics, self.n_parents   # validate: K > P
+        K, P = self.hp.initial_topics, self.n_parents   # validate: P < K < 2**63
         base = P + self.rng.integers(K - P, size=len(self._lengths))
         forced = self._forced[self._words]
         tab = np.where(forced >= 0, forced, base.repeat(self._lengths))
@@ -809,8 +802,8 @@ class HDPSampler:
             raise SamplerError(f"unsupported checkpoint format: {fmt!r}")
         if state.get("fingerprint") != self.fingerprint:
             raise SamplerError("fingerprint mismatch: the checkpoint was written for other "
-                               "tokens, document boundaries, V, forced words, parent "
-                               "representatives, promotion rows, embedding vectors, alpha, "
+                               "tokens, document boundaries, V, parents' concept words, "
+                               "promotion rows, embedding vectors, alpha, "
                                "beta, gamma, u or M, or by a qdtm that computes the "
                                "fingerprint differently (rerun such a fit from the start)")
         missing = [key for key in ("iterations_done", *CHECKPOINT_ARRAYS, "next_topic", "rng")
@@ -853,9 +846,9 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def _int_array(name: str, a, n: int | None, dtype: str) -> np.ndarray:
-    """A `dtype` copy of `a`, which must be a 1-D integer numpy array (not a list,
-    bool or float), of `n` entries if `n` is given, whose every value `dtype`
-    holds, so none wraps; else `SamplerError` naming `name`."""
+    """A `dtype` copy of `a` (`a` itself if read-only, C-ordered and `dtype`), which
+    must be a 1-D integer numpy array (not a list, bool or float), of `n` entries
+    if `n` is given, whose every value `dtype` holds; else `SamplerError`."""
     if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu"):
         got = f"{a.ndim}-D {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
         raise SamplerError(f"{name} must be a 1-D integer array, got {got}")
@@ -866,12 +859,15 @@ def _int_array(name: str, a, n: int | None, dtype: str) -> np.ndarray:
         for v in (int(a.min()), int(a.max())):   # Python ints: exact for every dtype
             if not info.min <= v <= info.max:
                 raise SamplerError(f"{name} holds {v}, which does not fit {info.dtype}")
+    if a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable:
+        return a
     return a.astype(dtype)
 
 
 def _token_stream(words, doc_ptr, V: int) -> tuple[np.ndarray, np.ndarray]:
-    """Int32 and int64 copies of word ids in [0, V) and of n_docs + 1 offsets that
-    rise from 0 to len(words); else `SamplerError` naming the first bad position."""
+    """Int32 word ids in [0, V) and n_docs + 1 int64 offsets that rise from 0 to
+    len(words), as `_int_array` keeps or copies them; else `SamplerError` naming
+    the first bad position."""
     words = _int_array("words", words, None, "<i4")
     doc_ptr = _int_array("doc_ptr", doc_ptr, None, "<i8")
     if len(doc_ptr) < 2:

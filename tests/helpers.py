@@ -19,16 +19,16 @@ def make_table(vectors: dict[int, list[float]], vocab_size: int) -> EmbeddingTab
 
 @st.composite
 def sampler_cases(draw):
-    """A small corpus in a phase-1 setting (parents, forced words) or a
-    phase-2 one (neither), with promotion rows with and without a self pair.
+    """A small corpus in a phase-1 setting (parents) or a phase-2 one (none),
+    with promotion rows with and without a self pair. A parent's list may be
+    empty, longer than M, repeat a word or share one with the other parent.
     beta and u are not powers of two, so a reordered sum of the predictive
     changes its last bits."""
     V = draw(st.integers(2, 10))
     words = st.integers(0, V - 1)
     docs = draw(st.lists(st.lists(words, min_size=1, max_size=9), min_size=1, max_size=7))
-    n_parents = draw(st.integers(0, 2))
-    forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3))
-              if n_parents else {})
+    M = draw(st.integers(1, 3))
+    parents = draw(st.lists(st.lists(words, max_size=M + 1), max_size=2))
     rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=4))
     promotion = {w: sorted(ts) for w, ts in rows.items()}
     seed = draw(st.integers(0, 2**32 - 1))
@@ -36,11 +36,9 @@ def sampler_cases(draw):
     if draw(st.booleans()):
         norms = np.random.default_rng(seed).normal(size=(V, 3))
         norms /= np.linalg.norm(norms, axis=1, keepdims=True)
-    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
-                  embedding_norms=norms,
-                  parent_representatives={q: sorted(w for w, k in forced.items() if k == q)
-                                          for q in range(n_parents)})
-    hp = Hyperparameters(initial_topics=n_parents + draw(st.integers(1, 3)),
+    kwargs = dict(parents=parents, promotion=promotion, embedding_norms=norms)
+    hp = Hyperparameters(initial_topics=len(parents) + draw(st.integers(1, 3)),
+                         n_representatives=M,
                          alpha=draw(st.sampled_from([0.3, 1.0, 4.0])),
                          beta=draw(st.sampled_from([0.01, 0.13, 0.5])),
                          gamma=draw(st.sampled_from([0.5, 1.5, 6.0])),

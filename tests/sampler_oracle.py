@@ -63,16 +63,24 @@ def quarters(seed: int) -> UniformStream:
     return stream
 
 
+def pins(parents: list[list[int]]) -> dict[int, int]:
+    """Word id -> the parent topic it is pinned to: the first of `parents`
+    (one list of concept words per parent) that lists it."""
+    forced: dict[int, int] = {}
+    for k, words in enumerate(parents):
+        for w in words:
+            forced.setdefault(w, k)
+    return forced
+
+
 class OracleSampler:
     """The per-token sampler as plain Python lists and dicts: counts per topic
     as lists over the vocabulary, tables as per-document lists."""
 
     def __init__(self, docs: list[list[int]], vocab_size: int, hp: Hyperparameters,
-                 seed: int = 0, *, forced_topic: dict[int, int] | None = None,
-                 n_parents: int = 0,
+                 seed: int = 0, *, parents: list[list[int]] = (),
                  promotion: dict[int, list[int]] | None = None,
-                 embedding_norms: np.ndarray | None = None,
-                 parent_representatives: dict[int, list[int]] | None = None):
+                 embedding_norms: np.ndarray | None = None):
         if not docs or any(len(d) == 0 for d in docs):
             raise SamplerError("documents must be non-empty")
         self.docs = docs
@@ -80,11 +88,11 @@ class OracleSampler:
         self.hp = hp
         self.u = hp.promotion_weight
         self.rng = np.random.default_rng(seed)
-        self.forced_topic = dict(forced_topic or {})
-        self.n_parents = n_parents
+        self.forced_topic = pins(parents)
+        self.n_parents = len(parents)
         self.promo_rows = promotion or {}
         self.embedding_norms = embedding_norms
-        self.parent_representatives = parent_representatives or {}
+        self.parent_representatives = dict(enumerate(parents))
         self.base_density = 1.0 / vocab_size   # f_new: the uniform base measure
 
         self.set_state([[] for _ in docs], [[] for _ in docs])   # empty counts

@@ -221,8 +221,9 @@ def oracle_topic_probs(docs, t_assign, table_topics, w, V, hp, base,
 def frozen_sampler(docs, V, t_assign, table_topics, *, n_parents=0,
                    forced=None):
     hp = Hyperparameters(initial_topics=max(3, n_parents + 1))
-    s = HDPSampler(*stream(docs), V, hp, seed=1234, forced_topic=forced or {},
-                   n_parents=n_parents)
+    s = HDPSampler(*stream(docs), V, hp, seed=1234,
+                   parents=[[w for w, k in (forced or {}).items() if k == q]
+                            for q in range(n_parents)])
     s.set_state(*flat_state(t_assign, table_topics))
     return s, hp
 
@@ -324,9 +325,8 @@ def audited_phase1_run():
     promotion = build_promotion(table, cs.word_ids(), hp.cosine_threshold)
 
     sampler = HDPSampler(*stream([d.tokens for d in corpus.documents]), len(corpus.vocab),
-                         hp, seed=3, forced_topic=forced, n_parents=1,
-                         promotion=promotion, embedding_norms=table.norm_matrix(),
-                         parent_representatives={0: cs.word_ids()})
+                         hp, seed=3, parents=[cs.word_ids()],
+                         promotion=promotion, embedding_norms=table.norm_matrix())
     sampler.initialize()
     start = time.monotonic()
     sampler.run(200, check_invariants=True)

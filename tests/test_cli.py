@@ -143,6 +143,20 @@ def test_fit_iterations_below_one_rejected(small_corpus, tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [str(2**63), "100000000000000000000"])
+def test_fit_k_init_beyond_int64_is_validation_error_naming_the_field(small_corpus, tmp_path,
+                                                                      capsys, value):
+    """Bug bc: numpy's "high is out of bounds for int64" (exit 2) or an
+    `OverflowError` (exit 3), naming no option."""
+    out = tmp_path / "r.json"
+    rc = main(["fit", "--corpus", str(small_corpus), "--query", "w0000",
+               "--iters1", "1", "--iters2", "1", "--k-init", value, "--out", str(out)])
+    assert rc == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["message"] == (
+        f"initial_topics must be below 2**63, as an int64 topic id, got {value}")
+    assert not out.exists()
+
+
 def test_config_overlay_and_unknown_key(small_corpus, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"top": 3}))

@@ -25,7 +25,7 @@ from qdtm.sampler import (COLUMN_HEADROOM, KERNEL_INPUTS, ConsistencyError, HDPS
 from qdtm.synth import SyntheticSpec
 
 from helpers import flat_state, sampler_cases, stream
-from sampler_oracle import OracleSampler, quarters
+from sampler_oracle import OracleSampler, pins, quarters
 from test_acceptance import embedding_table, synthetic_corpus
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qdtm.__file__)))
@@ -93,10 +93,9 @@ def test_kernel_equals_the_oracle_on_a_larger_corpus():
     rare = truth["rare_topic"]
     query = parse_query(" ".join(truth["topic_top_words"][rare][:2]), corpus, "or")
     cs = extract_concept_words(corpus, query, retrieve(corpus, query, 200, 100.0), "kld", 10)
-    kwargs = dict(forced_topic={w: 0 for w in cs.word_ids()}, n_parents=1,
+    kwargs = dict(parents=[cs.word_ids()],
                   promotion=build_promotion(table, cs.word_ids(), hp.cosine_threshold),
-                  embedding_norms=table.norm_matrix(),
-                  parent_representatives={0: cs.word_ids()})
+                  embedding_norms=table.norm_matrix())
     docs = [d.tokens for d in corpus.documents]
     kernel = HDPSampler(*stream(docs), len(corpus.vocab), hp, 3, **kwargs)
     oracle = OracleSampler(docs, len(corpus.vocab), hp, 3, **kwargs)
@@ -160,11 +159,11 @@ COHESION_CASES = {
     "empty parent list": (
         [[2, 0, 1], [2, 1]], 3, Hyperparameters(initial_topics=2),
         ([[0, 1, 1], [0, 1]], [[0, 1], [0, 1]]), unit_rows(3, 2, 3),
-        dict(forced_topic={2: 0}, n_parents=1, parent_representatives={0: []})),
+        dict(parents=[[]])),
     "parent list longer than M": (
         [[2, 0, 1, 3], [2, 1, 3]], 4, Hyperparameters(initial_topics=3, n_representatives=1),
         ([[0, 1, 2, 0], [0, 1, 0]], [[0, 1, 2], [0, 2]]), unit_rows(4, 3, 4),
-        dict(forced_topic={2: 0, 3: 0}, n_parents=1, parent_representatives={0: [3, 0, 2]})),
+        dict(parents=[[3, 2]])),
     "zero embedding row": (
         [[1, 1, 0], [2, 1, 3]], 4, Hyperparameters(initial_topics=2),
         ([[0, 0, 1], [0, 1, 1]], [[0, 1], [1, 0]]),
@@ -211,15 +210,15 @@ def cohesion_states(draw):
     """A state for `set_state` with embeddings: rows drawn from a small pool
     with a zero row, so CV ties across topics and the stable rank shows; M
     below and above V; one to a few live topics; parent lists that are empty,
-    longer than M or repeat a word; flagged tokens. With `retire`, document 0
-    is one token of its own topic, which the test retires after `_grow` and
-    replaces by a birth in the freed column, so columns leave id order."""
+    longer than M, repeat a word or share one with the other parent (which
+    pins it to the first); flagged tokens. With `retire`, document 0 is one
+    token of its own topic, which the test retires after `_grow` and replaces
+    by a birth in the freed column, so columns leave id order."""
     V = draw(st.integers(1, 7))
     words = st.integers(0, V - 1)
-    n_parents = draw(st.integers(0, 2))
     M = draw(st.integers(1, V + 2))
-    forced = (draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=2))
-              if n_parents else {})
+    parents = draw(st.lists(st.lists(words, max_size=M + 2), max_size=2))
+    n_parents, forced = len(parents), pins(parents)
     rows = draw(st.dictionaries(words, st.sets(words, min_size=1, max_size=3), max_size=3))
     promotion = {w: sorted(ts) for w, ts in rows.items()}
     plain = draw(st.lists(st.integers(n_parents, n_parents + 6), min_size=1, max_size=3,
@@ -243,10 +242,7 @@ def cohesion_states(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     pool = np.vstack([np.zeros(3), np.random.default_rng(seed).normal(size=(2, 3))])
     norms = pool[draw(st.lists(st.integers(0, 2), min_size=V, max_size=V))]
-    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
-                  embedding_norms=norms,
-                  parent_representatives={q: draw(st.lists(words, max_size=M + 2))
-                                          for q in range(n_parents)})
+    kwargs = dict(parents=parents, promotion=promotion, embedding_norms=norms)
     hp = Hyperparameters(initial_topics=n_parents + 1, n_representatives=M,
                          beta=draw(st.sampled_from([0.01, 0.13, 0.5])),
                          promotion_weight=draw(st.sampled_from([0.1, 0.3, 0.77])))
@@ -356,7 +352,7 @@ def test_the_kernel_never_writes_its_input_arrays():
     norms = rng.normal(size=(12, 4))
     s = HDPSampler(*stream([rng.integers(12, size=8).tolist() for _ in range(10)]), 12,
                    Hyperparameters(initial_topics=3, n_representatives=3, gamma=6.0), 1,
-                   forced_topic={0: 0, 1: 0}, n_parents=1, parent_representatives={0: [0, 1]},
+                   parents=[[0, 1]],
                    promotion={0: [0, 2], 5: [5, 1, 7]},
                    embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True))
     before = {name: getattr(s, "_" + name).tobytes() for name in KERNEL_INPUTS}
@@ -476,7 +472,7 @@ rng = np.random.default_rng(0)
 norms = rng.normal(size=(12, 4))
 s = HDPSampler(rng.integers(12, size=80), np.arange(0, 81, 8), 12,
                Hyperparameters(initial_topics=3, n_representatives=3, gamma=6.0), 1,
-               forced_topic={0: 0, 1: 0}, n_parents=1, parent_representatives={0: [0, 1, 0]},
+               parents=[[0, 1, 0]],
                promotion={0: [0, 2], 5: [5, 1, 7]},
                embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True))
 s.initialize()

@@ -27,8 +27,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(qdtm.__file__)))
 
 def test_extract_parent_subcorpus_matches_assignments():
     docs = [[0, 1, 2], [2, 2, 1]]
-    s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=3), seed=0,
-                   forced_topic={2: 0}, n_parents=1)
+    s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=3), seed=0, parents=[[2]])
     s.set_state(*flat_state([[0, 0, 1], [0, 1, 2]], [[1, 0], [0, 0, 2]]))
     words, doc_ptr = extract_parent_subcorpus(s, 0)
     assert words.tolist() == [2, 2, 2]
@@ -37,7 +36,7 @@ def test_extract_parent_subcorpus_matches_assignments():
 
 def test_extract_parent_subcorpus_whole_doc_passthrough():
     docs = [[1, 2, 1]]
-    s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
+    s = HDPSampler(*stream(docs), 3, Hyperparameters(initial_topics=2), seed=0, parents=[[]])
     s.set_state(*flat_state([[0, 0, 0]], [[0]]))
     words, doc_ptr = extract_parent_subcorpus(s, 0)
     assert words.tolist() == [1, 2, 1]
@@ -46,7 +45,7 @@ def test_extract_parent_subcorpus_whole_doc_passthrough():
 
 def test_extract_parent_subcorpus_empty_is_fatal():
     docs = [[0, 1]]
-    s = HDPSampler(*stream(docs), 2, Hyperparameters(initial_topics=2), seed=0, n_parents=1)
+    s = HDPSampler(*stream(docs), 2, Hyperparameters(initial_topics=2), seed=0, parents=[[]])
     s.set_state(*flat_state([[0, 0]], [[1]]))
     with pytest.raises(ParentTopicError):
         extract_parent_subcorpus(s, 0)
@@ -243,6 +242,23 @@ def _checkpoint_fit(ckpt, iterations_phase1):
                       hp=Hyperparameters(initial_topics=4), seed=5,
                       iterations_phase1=iterations_phase1, iterations_phase2=5,
                       mode="and", retrieval_cutoff=50, checkpoint_path=str(ckpt))
+
+
+def test_two_queries_with_shared_concept_words_give_the_sampler_their_lists(tmp_path):
+    """Each query's concept words, in its concept set's order, are one parent's
+    list, and a word of both pins to the first: the checkpoint's fingerprint is
+    that of a sampler built from the lists."""
+    corpus, hp, ckpt = make_block_corpus(), Hyperparameters(initial_topics=4), tmp_path / "c"
+    result = fit_topics(corpus, ["w01", "w02"], "fre", hp=hp, seed=5, iterations_phase1=2,
+                        iterations_phase2=1, retrieval_cutoff=50, n_concepts=5,
+                        checkpoint_path=str(ckpt))
+    parents = [[corpus.vocab.id_of(w) for w, _ in q.concept_words] for q in result.queries]
+    shared = set(parents[0]) & set(parents[1])
+    assert shared
+
+    s = HDPSampler(corpus.token_ids, corpus.doc_ptr, len(corpus.vocab), hp, 5, parents=parents)
+    assert json.loads(ckpt.read_text())["fingerprint"] == s.fingerprint
+    assert (s._forced[sorted(shared)] == 0).all()
 
 
 def test_resumed_fit_only_loads_the_checkpoint(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdtm.corpus import ingest
 from qdtm.pipeline import run_phase2
 from qdtm.sampler import M_TOTAL, ConsistencyError, HDPSampler, Hyperparameters, SamplerError
 
@@ -45,6 +46,20 @@ def test_hyperparameter_validation():
     Hyperparameters().validate(n_queries=2)
 
 
+@pytest.mark.parametrize("k", [2**63, 10**20])
+def test_initial_topics_must_be_an_int64_topic_id(k):
+    """Bug bc: `initialize` failed at 10**20 in numpy ("high is out of bounds
+    for int64") and at 2**63 with an `OverflowError`, neither naming a field.
+    The largest int64 is a valid K."""
+    with pytest.raises(SamplerError, match=rf"^initial_topics must be below 2\*\*63, as an "
+                                           rf"int64 topic id, got {k}$"):
+        Hyperparameters(initial_topics=k).validate()
+    s = HDPSampler(*stream([[0, 1], [1]]), 2, small_hp(initial_topics=2**63 - 1), seed=0,
+                   parents=[[0]])
+    s.initialize()
+    assert s.next_topic == 2**63 - 1 and min(s.m_k) == 0 and max(s.m_k) > 0
+
+
 @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "cosine_threshold"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_hyperparameter_rejected(name, value):
@@ -64,26 +79,18 @@ ONE_DOC = stream([[0, 1]])
     (ONE_DOC, {"promotion": {0: [-1]}}, "word 0 targets -1"),
     (ONE_DOC, {"promotion": {4: [0]}}, "promotion row of word 4"),
     (ONE_DOC, {"promotion": {0: []}}, "promotion row of word 0 is empty"),
-    (ONE_DOC, {"forced_topic": {0: 1}, "n_parents": 1},
-     r"forced_topic\[0\] = 1 is not a parent topic in \[0, 1\)"),
-    (ONE_DOC, {"forced_topic": {0: -1}, "n_parents": 1}, r"forced_topic\[0\] = -1"),
-    (ONE_DOC, {"forced_topic": {3: 0}, "n_parents": 1}, "forced_topic word 3"),
+    # the one container of the parents' concept words, one list of word ids per parent
+    (ONE_DOC, {"parents": {0: [1]}}, "^parents must be a list of word-id lists, got dict$"),
+    (ONE_DOC, {"parents": 5}, "^parents must be a list of word-id lists, got int$"),
+    (ONE_DOC, {"parents": [[0], [3]]}, r"parents\[1\] holds 3, not a word id in \[0, 3\)"),
     (ONE_DOC, {"embedding_norms": np.eye(2)}, "embedding_norms has 2 rows for 3 words"),
     (ONE_DOC, {"embedding_norms": np.ones(3)}, "embedding_norms must be a matrix, got 1 axes"),
-    (ONE_DOC, {"parent_representatives": {0: [1, 3]}, "n_parents": 1},
-     r"parent_representatives\[0\] holds 3, not a word id in \[0, 3\)"),
-    (ONE_DOC, {"parent_representatives": {0: [-1]}, "n_parents": 1},
-     r"parent_representatives\[0\] holds -1"),
-    (ONE_DOC, {"parent_representatives": {"0": [1]}}, "key '0' is not a topic id"),
-    (ONE_DOC, {"n_parents": -1}, "n_parents must be >= 0 and an integer, got -1"),
-    # the hyperparameters compared against a string or None with a bare TypeError,
-    # and True was taken for one parent
-    (ONE_DOC, {"n_parents": "1"}, "n_parents must be >= 0 and an integer, got '1'"),
-    (ONE_DOC, {"n_parents": None}, "n_parents must be >= 0 and an integer, got None"),
-    (ONE_DOC, {"n_parents": True}, "n_parents must be >= 0 and an integer, got True"),
-    # a regular topic 5 got a fixed cohesion list if it was ever born
-    (ONE_DOC, {"parent_representatives": {5: [1], 0: [0]}, "n_parents": 1},
-     r"parent_representatives key 5 is not a topic id of a parent, in \[0, 1\)"),
+    (ONE_DOC, {"parents": [[1, 3]]}, r"parents\[0\] holds 3, not a word id in \[0, 3\)"),
+    (ONE_DOC, {"parents": [[-1]]}, r"parents\[0\] holds -1"),
+    (ONE_DOC, {"parents": "01"}, "^parents must be a list of word-id lists, got str$"),
+    *((ONE_DOC, {"parents": [row]}, rf"^parents\[0\] must be a list of word ids, got {got}$")
+      for row, got in (("12", "'12'"), (b"1", r"b'1'"), ({1}, r"\{1\}"), (None, "None"),
+                       (np.array([1]), r"array\(\[1\]\)"))),
     # the token stream's rules; a bool array was read as word ids 1 and 0
     ((np.array([True, False]), ONE_DOC[1]), {},
      "words must be a 1-D integer array, got 1-D bool"),
@@ -116,15 +123,11 @@ ONE_DOC = stream([[0, 1]])
     (ONE_DOC, {"promotion": {0: [1.7]}}, r"promotion row of word 0 targets 1\.7, not a word id"),
     (ONE_DOC, {"promotion": {0: [True]}}, "promotion row of word 0 targets True"),
     (ONE_DOC, {"promotion": {"a": [1]}}, r"promotion row of word 'a': not a word id in \[0, 3\)"),
-    (ONE_DOC, {"forced_topic": {1: 0.0}, "n_parents": 1},
-     r"forced_topic\[1\] = 0\.0 is not a parent topic in \[0, 1\)"),
-    (ONE_DOC, {"forced_topic": {1.5: 0}, "n_parents": 1},
-     r"forced_topic word 1\.5 is not a word id in \[0, 3\)"),
-    (ONE_DOC, {"forced_topic": {True: 0}, "n_parents": 1}, "forced_topic word True is not"),
-    (ONE_DOC, {"parent_representatives": {0: [1.5]}, "n_parents": 1},
-     r"parent_representatives\[0\] holds 1\.5, not a word id"),
-    (ONE_DOC, {"parent_representatives": {True: [0]}, "n_parents": 2},
-     "parent_representatives key True is not a topic id"),
+    (ONE_DOC, {"parents": [[0.0]]}, r"^parents\[0\] holds 0\.0, not a word id in \[0, 3\)$"),
+    (ONE_DOC, {"parents": [[0], [1.5]]}, r"parents\[1\] holds 1\.5, not a word id in \[0, 3\)"),
+    (ONE_DOC, {"parents": [[True]]}, r"parents\[0\] holds True, not a word id in \[0, 3\)"),
+    (ONE_DOC, {"parents": [[1.5]]}, r"parents\[0\] holds 1\.5, not a word id"),
+    (ONE_DOC, {"parents": [[1], (np.bool_(False),)]}, r"^parents\[1\] holds np\.False_, not"),
     # bug aw: NaN norms ran to a NaN cache, a string matrix failed in numpy and a
     # matrix without columns was accepted
     *((ONE_DOC, {"promotion": {0: [0, 1]}, "embedding_norms": norms}, message)
@@ -140,13 +143,14 @@ ONE_DOC = stream([[0, 1]])
     # bug ax: the containers went unchecked: a bare TypeError, an AttributeError, numpy's
     # ValueError, and a string row read as its characters ("targets '1'")
     (ONE_DOC, {"promotion": {0: 5}}, r"^promotion\[0\] must be a list of word ids, got 5$"),
-    (ONE_DOC, {"parent_representatives": {0: 5}, "n_parents": 1},
-     r"^parent_representatives\[0\] must be a list of word ids, got 5$"),
-    (ONE_DOC, {"forced_topic": [(0, 0)], "n_parents": 1},
-     "^forced_topic must be a mapping, got list$"),
+    (ONE_DOC, {"parents": [5]}, r"^parents\[0\] must be a list of word ids, got 5$"),
+    (ONE_DOC, {"parents": None}, "^parents must be a list of word-id lists, got NoneType$"),
     (ONE_DOC, {"embedding_norms": [[1.0, 0.0], [1.0], [0.0, 1.0]]},
      "^embedding_norms must be a matrix: setting an array element with a sequence"),
     (ONE_DOC, {"promotion": {0: "12"}}, r"^promotion\[0\] must be a list of word ids, got '12'$"),
+    (ONE_DOC, {"parents": b"\x01"}, "^parents must be a list of word-id lists, got bytes$"),
+    (ONE_DOC, {"parents": np.array([[0, 1]])}, "^parents must be a list of .* got ndarray$"),
+    (ONE_DOC, {"parents": [[np.float64(1)]]}, r"^parents\[0\] holds np\.float64\(1\.0\), not"),
 ])
 def test_constructor_rejects_ids_outside_the_vocabulary_or_parents(docs, kwargs, message):
     with pytest.raises(SamplerError, match=message):
@@ -165,8 +169,28 @@ def test_the_sampler_keeps_its_own_copy_of_the_token_stream():
     s.run(2, check_invariants=True)
 
 
+def test_a_read_only_token_stream_of_the_kernel_dtypes_is_not_copied():
+    """Ingest's arrays are read-only, int32 ids and int64 offsets: a second
+    copy of the token stream cost 4 MB per million tokens. Neither a read-only
+    array of another dtype nor a read-only strided view is kept as it is."""
+    corpus = ingest([("a", "xx yy zz yy"), ("b", "zz xx")])
+    shared = HDPSampler(corpus.token_ids, corpus.doc_ptr, len(corpus.vocab), small_hp(), seed=0)
+    assert np.shares_memory(shared._words, corpus.token_ids)
+    assert np.shares_memory(shared._doc_ptr, corpus.doc_ptr)
+    words, doc_ptr = (a.astype(np.int64) for a in (corpus.token_ids, corpus.doc_ptr))
+    twice = np.repeat(corpus.token_ids, 2)
+    for a in (words, twice):
+        a.flags.writeable = False
+    for w in (words, twice[::2]):
+        s = HDPSampler(w, doc_ptr, len(corpus.vocab), small_hp(), seed=0)
+        assert not np.shares_memory(s._words, w) and s._words.dtype == np.int32
+    shared.initialize()
+    shared.run(2, check_invariants=True)
+    assert shared.docs == [[0, 1, 2, 1], [2, 0]]
+
+
 def test_counts_may_be_numpy_integers():
-    s = HDPSampler(*ONE_DOC, np.int64(3), small_hp(), np.uint32(5), n_parents=np.int8(0))
+    s = HDPSampler(*ONE_DOC, np.int64(3), small_hp(), np.uint32(5))
     s.initialize()
     s.run(np.int16(1))
     assert s.iterations_done == 1
@@ -204,8 +228,7 @@ def test_initial_topics_must_leave_a_topic_beyond_the_parents(start):
     """`set_state` never reaches `initialize`, so the rule is checked when the
     sampler is built."""
     with pytest.raises(SamplerError, match="initial_topics must be >= 2 and an integer, got 1"):
-        s = HDPSampler(*stream([[0, 1]]), 2, small_hp(initial_topics=1), seed=0,
-                       forced_topic={0: 0}, n_parents=1)
+        s = HDPSampler(*stream([[0, 1]]), 2, small_hp(initial_topics=1), seed=0, parents=[[0]])
         if start == "initialize":
             s.initialize()
         else:
@@ -223,8 +246,7 @@ def test_the_sampler_is_built_exactly_when_its_hyperparameters_validate(name, va
     hp = Hyperparameters(**{name: value})
 
     def build():
-        return HDPSampler(*stream([[0, 1], [2]]), 3, hp, seed=0, forced_topic={0: 0},
-                          n_parents=1)
+        return HDPSampler(*stream([[0, 1], [2]]), 3, hp, seed=0, parents=[[0]])
     try:
         hp.validate(n_queries=1)
     except SamplerError:
@@ -263,7 +285,7 @@ def test_initialize_one_table_per_token():
 
 def test_initialize_pins_concept_words():
     docs = [[0, 1, 2], [2, 0, 2]]
-    s = HDPSampler(*stream(docs), 3, small_hp(), seed=1, forced_topic={2: 0}, n_parents=1)
+    s = HDPSampler(*stream(docs), 3, small_hp(), seed=1, parents=[[2]])
     s.initialize()
     for j, doc in enumerate(docs):
         for i, w in enumerate(doc):
@@ -281,7 +303,7 @@ def test_initialize_draws_the_start_topics_of_the_per_document_loop(n_free):
     docs = [[0, 1], [1], [2, 0, 1]] * 13
     for seed in range(20):
         s = HDPSampler(*stream(docs), 3, small_hp(initial_topics=n_free + 1), seed=seed,
-                       n_parents=1)
+                       parents=[[]])
         s.initialize()
         rng = np.random.default_rng(seed)
         assert ([row[0] for row in s.table_topic]
@@ -366,7 +388,7 @@ def test_removing_last_token_retires_table_and_topic():
 
 def test_parent_topic_never_retires():
     docs = [[0]]
-    s = HDPSampler(*stream(docs), 2, small_hp(), seed=5, forced_topic={0: 0}, n_parents=1)
+    s = HDPSampler(*stream(docs), 2, small_hp(), seed=5, parents=[[0]])
     s.initialize()
     s._detach(0, 0)  # parent loses its only real table
     assert s.m_k[0] >= 1  # phantom table keeps the anchor alive
@@ -376,7 +398,7 @@ def test_constrained_word_forces_parent_topic():
     # document whose only table serves a non-parent topic; concept word must
     # open a new table bound to the parent
     docs = [[1, 1, 0]]
-    s = HDPSampler(*stream(docs), 2, small_hp(), seed=6, forced_topic={0: 0}, n_parents=1)
+    s = HDPSampler(*stream(docs), 2, small_hp(), seed=6, parents=[[0]])
     s.initialize()
     s._detach(0, 2)
     # make the existing landscape hostile: all live tables non-parent
@@ -473,8 +495,7 @@ def test_run_determinism():
     docs = [list(rng.integers(20, size=15)) for _ in range(10)]
     out = []
     for _ in range(2):
-        s = HDPSampler(*stream(docs), 20, small_hp(), seed=42,
-                       forced_topic={0: 0}, n_parents=1)
+        s = HDPSampler(*stream(docs), 20, small_hp(), seed=42, parents=[[0]])
         s.initialize()
         s.run(20)
         out.append((s.t, s.table_topic, [s.phi(k).tolist() for k in s.live_topics()]))
@@ -484,9 +505,8 @@ def test_run_determinism():
 def test_constraint_holds_over_run():
     rng = np.random.default_rng(1)
     docs = [list(rng.integers(30, size=20)) for _ in range(15)]
-    forced = {0: 0, 1: 0, 2: 0}
-    s = HDPSampler(*stream(docs), 30, small_hp(initial_topics=4), seed=10,
-                   forced_topic=forced, n_parents=1)
+    forced = [0, 1, 2]
+    s = HDPSampler(*stream(docs), 30, small_hp(initial_topics=4), seed=10, parents=[forced])
     s.initialize()
     s.run(15, check_invariants=True)  # raises on any violation
     for j, doc in enumerate(s.docs):
@@ -640,8 +660,7 @@ def test_sum_is_left_to_right():
 
 def test_table_draw_never_picks_dead_or_constraint_violating_slots():
     # slot 0 dead, slot 1 on parent topic 0, slot 2 on topic 2; word 4 is pinned to 0
-    s = HDPSampler(*stream([[4, 4, 1, 1]]), 5, small_hp(), seed=0, forced_topic={4: 0},
-                   n_parents=1)
+    s = HDPSampler(*stream([[4, 4, 1, 1]]), 5, small_hp(), seed=0, parents=[[4]])
     s.set_state(*flat_state([[1, 1, 2, 2]], [[-1, 0, 2]]))
     s._detach(0, 0)
     uniforms = [i / 200 for i in range(200)] + [1.0]
@@ -654,8 +673,7 @@ def test_table_draw_never_picks_dead_or_constraint_violating_slots():
 def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
     # an alpha this small makes the new-table weight underflow to zero, so the
     # last positive weight is slot 0: slot 1 violates the constraint, slot 2 is dead
-    s = HDPSampler(*stream([[4, 4, 1]]), 50, small_hp(alpha=5e-324), seed=0,
-                   forced_topic={4: 0}, n_parents=1)
+    s = HDPSampler(*stream([[4, 4, 1]]), 50, small_hp(alpha=5e-324), seed=0, parents=[[4]])
     s.set_state(*flat_state([[0, 0, 1]], [[0, 2, -1]]))
     s._detach(0, 0)
     weights, new_w = s.table_weights(0, 4)
@@ -665,8 +683,7 @@ def test_table_draw_rounding_up_to_the_total_takes_the_last_positive_weight():
 
 
 def test_table_draw_with_zero_total_forces_a_new_table():
-    s = HDPSampler(*stream([[4, 1]]), 50, small_hp(alpha=5e-324), seed=0,
-                   forced_topic={4: 0}, n_parents=1)
+    s = HDPSampler(*stream([[4, 1]]), 50, small_hp(alpha=5e-324), seed=0, parents=[[4]])
     s.set_state(*flat_state([[0, 1]], [[0, 2]]))
     s._detach(0, 0)   # slot 0 dies; slot 1 serves topic 2, which word 4 may not join
     weights, new_w = s.table_weights(0, 4)
@@ -735,12 +752,23 @@ def test_parent_representatives_are_concept_words():
     norms = np.eye(3)
     docs = [[0, 0, 1, 2]]
     s = HDPSampler(*stream(docs), 3, small_hp(initial_topics=2, n_representatives=1), seed=0,
-                   forced_topic={2: 0}, n_parents=1, parent_representatives={0: [2]},
-                   promotion={2: [2]}, embedding_norms=norms)
+                   parents=[[2]], promotion={2: [2]}, embedding_norms=norms)
     s.set_state(*flat_state([[0, 0, 1, 0]], [[0, 1]]))
     s.refresh_cohesion()
     assert s.cv[s.topic_row[0]].tolist() == [0.0, 0.0, s.phi(0)[2]]
     assert s.cv[s.topic_row[1]].tolist() == [0.0, s.phi(1)[1], 0.0]
+
+
+def test_a_word_of_two_parents_pins_to_the_first_and_stays_in_both_lists():
+    s = HDPSampler(*stream([[0, 1, 2, 3], [2, 3]]), 4, small_hp(), seed=0,
+                   parents=[[1, 2], [3, 2, 3]])
+    assert s._forced.tolist() == [-1, 0, 0, 1]
+    assert s._rep_topic.tolist() == [0, 1]
+    assert s._rep_ptr.tolist() == [0, 2, 5] and s._rep_words.tolist() == [1, 2, 3, 2, 3]
+    s.initialize()
+    s.run(3, check_invariants=True)
+    assert [topics[t] for doc, tt, topics in zip(s.docs, s.t, s.table_topic)
+            for w, t in zip(doc, tt) if w > 0] == [0, 0, 1, 0, 1]
 
 
 def test_flag_extremes_and_frequency():
@@ -820,9 +848,8 @@ def respelled_cases(draw):
     if norms is not None:
         norms = draw(st.sampled_from([norms.tolist, lambda: np.asfortranarray(norms)]))()
     other = dict(kwargs, embedding_norms=norms,
-                 forced_topic={ints(w): ints(k) for w, k in kwargs["forced_topic"].items()},
-                 **{key: {ints(w): rows(map(ints, r)) for w, r in kwargs[key].items()}
-                    for key in ("promotion", "parent_representatives")})
+                 parents=rows(rows(map(ints, r)) for r in kwargs["parents"]),
+                 promotion={ints(w): rows(map(ints, r)) for w, r in kwargs["promotion"].items()})
     return docs, V, hp, seed, kwargs, other, sweeps
 
 
@@ -843,9 +870,8 @@ def test_a_checkpoint_loads_into_a_sampler_whose_constraints_are_numpy_integers(
     """The fingerprint hashed `repr` of the constraint dicts, in which
     np.int64(0) is not 0: "fingerprint mismatch"."""
     def sampler(ints):
-        return HDPSampler(*stream([[0, 1, 2], [2, 1]]), 3, small_hp(), seed=0, n_parents=1,
-                          forced_topic={ints(0): ints(0)},
-                          parent_representatives={0: [ints(0)]}, embedding_norms=np.eye(3))
+        return HDPSampler(*stream([[0, 1, 2], [2, 1]]), 3, small_hp(), seed=0,
+                          parents=[[ints(0)]], embedding_norms=np.eye(3))
     s = sampler(int)
     s.initialize()
     s.run(2)
@@ -867,19 +893,19 @@ def test_a_sampler_with_list_of_lists_norms_writes_its_checkpoint():
     assert resumed.t == s.t and resumed.table_topic == s.table_topic
 
 
-def fingerprinted(docs=((0, 1, 2), (2, 3)), V=5, seed=0, forced=None, promotion=None,
+def fingerprinted(docs=((0, 1, 2), (2, 3)), V=5, seed=0, parents=((2,),), promotion=None,
                   norm=0.5, **hp):
     norms = np.full((V, 2), 0.25)
     norms[1, 0] = norm
-    return HDPSampler(*stream(docs), V, small_hp(**hp), seed, n_parents=1,
-                      forced_topic=forced or {2: 0}, parent_representatives={0: [2]},
+    return HDPSampler(*stream(docs), V, small_hp(**hp), seed, parents=parents,
                       promotion=promotion or {1: [1, 3]},
                       embedding_norms=norms).fingerprint
 
 
 @pytest.mark.parametrize("change", [
     dict(docs=((0, 1), (2, 2, 3))), dict(docs=((0, 1, 2), (2, 4))), dict(V=6),
-    dict(forced={3: 0}), dict(forced={2: 0, 3: 0}), dict(promotion={1: [1]}),
+    dict(parents=[[3]]), dict(parents=[[2, 3]]), dict(parents=[[2], []]),
+    dict(parents=[[], [2]]), dict(parents=[[2, 2]]), dict(promotion={1: [1]}),
     dict(promotion={1: [1, 3], 4: [0]}), dict(norm=0.5000001),
     dict(alpha=1.1), dict(beta=0.4), dict(gamma=1.6), dict(promotion_weight=0.31),
     dict(n_representatives=3)], ids=repr)
@@ -899,24 +925,20 @@ def test_fingerprint_ignores_what_phase_1_does_not_depend_on(change):
 
 @st.composite
 def checkpoint_cases(draw):
-    """A small corpus with forced words and promotion rows, and a run split a+b."""
+    """A small corpus with parents and promotion rows, and a run split a+b."""
     V = draw(st.integers(4, 10))
     docs = draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=8),
                          min_size=1, max_size=6))
-    n_parents = draw(st.integers(0, 2))
     words = st.integers(0, V - 1)
-    forced = draw(st.dictionaries(words, st.integers(0, n_parents - 1), max_size=3)
-                  if n_parents else st.just({}))
+    parents = draw(st.lists(st.lists(words, max_size=3), max_size=2))
     rows = draw(st.dictionaries(words, st.sets(words, max_size=3), min_size=1, max_size=4))
     promotion = {w: [w] + sorted(ts - {w})
                  for w, ts in rows.items()}
     seed = draw(st.integers(0, 2**32 - 1))
     norms = np.random.default_rng(seed).normal(size=(V, 3))
-    kwargs = dict(forced_topic=forced, n_parents=n_parents, promotion=promotion,
-                  embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True),
-                  parent_representatives={q: sorted(w for w, k in forced.items() if k == q)
-                                          for q in range(n_parents)})
-    hp = small_hp(initial_topics=n_parents + draw(st.integers(1, 3)))
+    kwargs = dict(parents=parents, promotion=promotion,
+                  embedding_norms=norms / np.linalg.norm(norms, axis=1, keepdims=True))
+    hp = small_hp(initial_topics=len(parents) + draw(st.integers(1, 3)))
     return docs, V, hp, seed, kwargs, draw(st.integers(1, 4)), draw(st.integers(1, 4))
 
 
